@@ -8,8 +8,8 @@ import argparse
 import sys
 import time
 
-from atforest.choosability import build_lemma1_lists, verify_witness_not_k_choosable
 from atforest.gadgets import (
+    verify_lemma1_all,
     verify_lemma2,
     verify_lemma6,
     verify_sampled,
@@ -27,20 +27,6 @@ def timed(label, fn):
     return report.verdict
 
 
-def verify_all_selectors():
-    from atforest.report import VerificationReport
-
-    failures = []
-    for idx in range(64):
-        word = "".join("ab"[idx >> j & 1] for j in range(6))
-        g, lists = build_lemma1_lists(word)
-        if not verify_witness_not_k_choosable(g, lists, 3).verdict:
-            failures.append(word)
-    return VerificationReport(
-        not failures, counterexample=failures or None, stats={"selectors": 64 - len(failures)}
-    )
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=1000)
@@ -48,7 +34,7 @@ def main() -> int:
     args = parser.parse_args()
 
     ok = True
-    ok &= timed("bad-lists (64 selectors)", verify_all_selectors)
+    ok &= timed("bad-lists (64 selectors)", verify_lemma1_all)
     ok &= timed("deletion robustness", verify_lemma2)
     ok &= timed("star forests on A", verify_lemma6)
     ok &= timed("center-covered D", verify_theorem7_core)

@@ -28,6 +28,7 @@ from .decompose import (
     Decomposition,
     decompose,
     decompose_any_planar,
+    verify_certificate,
     verify_decomposition,
 )
 from .errors import ArtifactError, CapExceeded
@@ -36,6 +37,7 @@ from .gadgets import (
     build_gadget,
     extract_obstruction,
     verify_lemma1,
+    verify_lemma1_all,
     verify_lemma2,
     verify_lemma6,
     verify_sampled,
@@ -97,8 +99,10 @@ __all__ = [
     "random_near_triangulation",
     "random_orientation",
     "validate_near_triangulation",
+    "verify_certificate",
     "verify_decomposition",
     "verify_lemma1",
+    "verify_lemma1_all",
     "verify_lemma2",
     "verify_lemma6",
     "verify_sampled",

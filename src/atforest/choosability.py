@@ -75,13 +75,6 @@ def is_l_colorable(g: Graph, l: ListAssignment) -> Optional[dict]:
     return dict(coloring) if assign(0) else None
 
 
-def _piece_edges(i: int, attach: str) -> list:
-    c, d, e = f"c{i}", f"d{i}", f"e{i}"
-    return [
-        ("a", c), ("b", c), ("a", e), ("b", e), (c, d), (d, e), (attach, d),
-    ]
-
-
 def build_lemma1_lists(selector: str) -> tuple:
     """The glued six-piece gadget for an attachment word over {a, b}, with
     the 3-lists that admit no proper coloring.
@@ -93,19 +86,27 @@ def build_lemma1_lists(selector: str) -> tuple:
     """
     if len(selector) != 6 or any(ch not in "ab" for ch in selector):
         raise BadSelector(f"selector must be a length-6 word over {{a,b}}: {selector!r}")
-    perms = list(permutations((ALPHA, BETA, GAMMA)))
-    vertices = ["a", "b"]
-    edges = [("a", "b")]
-    lists = {"a": (ALPHA, BETA, GAMMA), "b": (ALPHA, BETA, GAMMA)}
-    for i, attach in enumerate(selector, start=1):
-        x, y, z = perms[i - 1]
-        c, d, e = f"c{i}", f"d{i}", f"e{i}"
-        vertices += [c, d, e]
-        edges += _piece_edges(i, attach)
+    pieces = [(ch, f"c{i}", f"e{i}", f"d{i}") for i, ch in enumerate(selector, start=1)]
+    _, g, lists = _assemble_member("a", "b", pieces)
+    return g, lists
+
+
+def _assemble_member(a: str, b: str, pieces) -> tuple:
+    """Glue pieces (attach, c, e, d) on the handle ab, attach in {"a", "b"}:
+    c and e are adjacent to a and b, d to c, e and the attach end.  Lists
+    as in build_lemma1_lists.  Returns (vertices in gluing order, graph,
+    lists)."""
+    perms = permutations((ALPHA, BETA, GAMMA))
+    vertices = [a, b]
+    edges = [(a, b)]
+    lists = {a: (ALPHA, BETA, GAMMA), b: (ALPHA, BETA, GAMMA)}
+    for (attach, c, e, d), (x, y, z) in zip(pieces, perms):
+        vertices += [c, e, d]
+        edges += [(a, c), (b, c), (a, e), (b, e), (c, d), (d, e), (a if attach == "a" else b, d)]
         lists[c] = (ALPHA, BETA, GAMMA)
         lists[e] = (x, y, OMEGA)
         lists[d] = (x, z, OMEGA) if attach == "a" else (y, z, OMEGA)
-    return Graph.build(vertices, edges), ListAssignment.build(lists)
+    return vertices, Graph.build(vertices, edges), ListAssignment.build(lists)
 
 
 def verify_witness_not_k_choosable(g: Graph, l: ListAssignment, k: int) -> VerificationReport:

@@ -26,10 +26,19 @@ from .decompose import (
     Decomposition,
     decompose,
     decompose_any_planar,
+    verify_certificate,
     verify_decomposition,
 )
 from .errors import ArtifactError, CapExceeded
-from .gadgets import build_gadget, verify_lemma1, verify_lemma2, verify_lemma6, verify_sampled, verify_theorem7_core
+from .gadgets import (
+    build_gadget,
+    verify_lemma1,
+    verify_lemma1_all,
+    verify_lemma2,
+    verify_lemma6,
+    verify_sampled,
+    verify_theorem7_core,
+)
 from .graph import (
     PlaneGraph,
     graph_from_json,
@@ -207,14 +216,7 @@ def _cmd_decompose(args) -> CommandResult:
         payload = d.to_json_dict()
     else:
         forest, orientation = decompose_any_planar(pg)
-        ok = orientation.is_acyclic() and all(
-            c <= 2 for c in orientation.out_degrees().values()
-        )
-        report = VerificationReport(
-            ok,
-            "restricted certificate: forest plus acyclic orientation, out-degrees <= 2",
-            stats={"forest_edges": len(forest), "arcs": len(orientation.arcs)},
-        )
+        report = verify_certificate(pg.graph, forest, orientation, lambda v: 2)
         payload = {
             "forest": [list(e) for e in sorted(forest)],
             "arcs": [list(a) for a in sorted(orientation.arcs)],
@@ -240,18 +242,7 @@ def _cmd_verify(args) -> CommandResult:
         if args.name == "lemma1":
             if args.selector is not None:
                 return _from_report(verify_lemma1(args.selector))
-            fails = []
-            for i in range(64):
-                word = "".join("ab"[i >> j & 1] for j in range(6))
-                if not verify_lemma1(word).verdict:
-                    fails.append(word)
-            report = VerificationReport(
-                not fails,
-                "all 64 selectors verified" if not fails else "selectors failed",
-                counterexample=fails or None,
-                stats={"cases_examined": 64},
-            )
-            return _from_report(report)
+            return _from_report(verify_lemma1_all())
         verifier = _LEMMA_VERIFIERS.get(args.name)
         if verifier is None:
             raise _UsageError(f"unknown lemma {args.name!r}")

@@ -6,11 +6,16 @@ out-degree 0 at x and y, at most 1 on the boundary, and at most 2 in the
 interior.  D is acyclic, so the even/odd Eulerian sub-digraph difference
 is 1 and the remaining graph has Alon-Tarsi number at most 3.
 
-The recursion: a boundary chord splits the instance in two (the chord
-serves as the second instance's handle and is deleted from its forest
-before the union); with no chord, the ear vertex z next to x is removed,
-edge zw joins the forest, and arcs z->x plus u->z for the interior path
-vertices u extend the orientation.  A triangle is the base case.
+The recursion (Thomassen's chord/ear shelling) needs only the boundary
+cycle of the current piece and the rotation system.  A chord of the
+cycle (the lexicographically smallest) cuts it into two sub-cycles; the
+piece with the handle keeps it, the other takes the chord as its handle
+and leaves it out of its forest.  With no chord, the ear vertex z next to
+x leaves: edge zw to its far boundary neighbour joins the forest, and the
+arcs z->x plus u->z extend the orientation, where the u are the
+neighbours of z inside the cycle, read off the rotation at z between its
+two cycle neighbours; they replace z on the cycle.  An ear with no inside
+neighbour is a bare triangle, the base case.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ from .graph import (
     Orientation,
     PlaneGraph,
     _canonical_outer,
+    _walk_darts,
     build_plane_graph,
+    chord_of_cycle,
     edge,
-    graph_to_json_dict,
-    trace_faces,
     validate_near_triangulation,
 )
 from .report import VerificationReport
@@ -60,12 +65,7 @@ class Decomposition:
         return Decomposition(tuple(data["handle"]), forest, arcs, data.get("trace", {}))
 
 
-def _interior_triangles(pg: PlaneGraph) -> list:
-    outer = _canonical_outer(pg)
-    return [f for f in trace_faces(pg) if f != outer]
-
-
-def decompose(pg: PlaneGraph, handle: tuple, caps: Caps = DEFAULT_CAPS) -> Decomposition:
+def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     rep = validate_near_triangulation(pg)
     if not rep.verdict:
         raise NotNearTriangulation(rep.detail)
@@ -76,123 +76,65 @@ def decompose(pg: PlaneGraph, handle: tuple, caps: Caps = DEFAULT_CAPS) -> Decom
     }
     if edge(x0, y0) not in boundary_edges:
         raise HandleNotOnBoundary(f"{handle} is not a boundary edge")
-
-    tris = [tuple(sorted(t)) for t in _interior_triangles(pg)]
-    tri_edges = [
-        {edge(t[0], t[1]), edge(t[0], t[2]), edge(t[1], t[2])} for t in tris
-    ]
-    edge_tris: dict = {}
-    vert_tris: dict = {}
-    for i, t in enumerate(tris):
-        for e in tri_edges[i]:
-            edge_tris.setdefault(e, []).append(i)
-        for v in t:
-            vert_tris.setdefault(v, []).append(i)
-    adj = pg.graph.adjacency
+    # every sub-cycle keeps the direction of cycle0, so this one comparison
+    # tells for all of them which way round the rotation runs inside
+    traced = _walk_darts(pg.outer_face) == _walk_darts(_canonical_outer(pg))
+    g = pg.graph
 
     forest: set = set()
     arcs: list = []
     root_trace: dict = {}
 
-    # frame: (triangle id set, vertex set, boundary cycle list, handle,
-    #         drop_handle_from_forest, trace node)
-    stack = [
-        (
-            frozenset(range(len(tris))),
-            set(pg.graph.vertices),
-            cycle0,
-            (x0, y0),
-            False,
-            root_trace,
-        )
-    ]
+    # frame: (boundary cycle, handle, drop_handle_from_forest, trace node)
+    stack = [(cycle0, (x0, y0), False, root_trace)]
 
     while stack:
-        tri_ids, vset, cycle, (x, y), drop, node = stack.pop()
+        cycle, (x, y), drop, node = stack.pop()
 
-        if len(vset) == 3:
-            t = next(v for v in cycle if v not in (x, y))
-            node["case"] = "base"
-            node["triangle"] = sorted(vset)
-            if not drop:
-                forest.add(edge(x, y))
-            forest.add(edge(y, t))
-            arcs.append((t, x))
-            continue
-
-        chord = _chord(adj, vset, cycle)
+        chord = chord_of_cycle(g, cycle)
         if chord is not None:
-            u, v = chord
-            i, j = cycle.index(u), cycle.index(v)
-            if i > j:
-                i, j = j, i
-                u, v = v, u
-            path_a = cycle[i : j + 1]          # u .. v in cycle order
-            path_b = cycle[j:] + cycle[: i + 1]  # v .. u in cycle order
-            handle_on_a = _has_boundary_edge(path_a, x, y)
-
-            side_a_tris = _flood_side(tri_ids, edge_tris, tri_edges, path_a, chord)
-            side_b_tris = tri_ids - side_a_tris
-            verts_a = {w for i2 in side_a_tris for w in tris[i2]}
-            verts_b = {w for i2 in side_b_tris for w in tris[i2]}
+            i, j = sorted((cycle.index(chord[0]), cycle.index(chord[1])))
+            # the two sides, each in cycle order; path_a keeps the handle
+            path_a = cycle[i : j + 1]
+            path_b = cycle[j:] + cycle[: i + 1]
+            if not _has_boundary_edge(path_a, x, y):
+                path_a, path_b = path_b, path_a
 
             node["case"] = "chord"
             node["chord"] = [chord[0], chord[1]]
             child_handle: dict = {}
             child_other: dict = {}
             node["children"] = [child_handle, child_other]
-
-            if handle_on_a:
-                hside = (side_a_tris, verts_a, path_a, (x, y), drop, child_handle)
-                oside = (
-                    side_b_tris,
-                    verts_b,
-                    path_b,
-                    (path_b[0], path_b[-1]),
-                    True,
-                    child_other,
-                )
-            else:
-                hside = (side_b_tris, verts_b, path_b, (x, y), drop, child_handle)
-                oside = (
-                    side_a_tris,
-                    verts_a,
-                    path_a,
-                    (path_a[0], path_a[-1]),
-                    True,
-                    child_other,
-                )
-            stack.append(oside)
-            stack.append(hside)
+            stack.append((path_b, (path_b[0], path_b[-1]), True, child_other))
+            stack.append((path_a, (x, y), drop, child_handle))
             continue
 
-        # ear case: remove z, the boundary neighbor of x other than y
+        # ear: z is the boundary neighbour of x other than y, w the next one
         k = len(cycle)
         ix = cycle.index(x)
-        forward = cycle[(ix + 1) % k] != y  # direction away from y
-        step = 1 if forward else -1
-        z = cycle[(ix + step) % k]
-        w = cycle[(ix + 2 * step) % k]
-        link = _link_path(tri_ids, vert_tris, tri_edges, tris, z, x, w)
+        step = 1 if cycle[(ix + 1) % k] != y else -1
+        iz = (ix + step) % k
+        z, w = cycle[iz], cycle[(iz + step) % k]
+        before, after = cycle[iz - 1], cycle[(iz + 1) % k]
+        inner = _inside_neighbours(pg.rotation[z], before, after, traced)
+        forest.add(edge(z, w))
+        arcs.append((z, x))
+
+        if not inner:  # a triangle with nothing inside: w is y
+            node["case"] = "base"
+            node["triangle"] = sorted(cycle)
+            if not drop:
+                forest.add(edge(x, y))
+            continue
 
         node["case"] = "ear"
         node["vertex"] = z
         child: dict = {}
         node["child"] = child
+        arcs.extend((u, z) for u in inner)
+        stack.append((cycle[:iz] + inner + cycle[iz + 1 :], (x, y), drop, child))
 
-        forest.add(edge(z, w))
-        arcs.append((z, x))
-        for u2 in link[1:-1]:
-            arcs.append((u2, z))
-
-        new_tris = tri_ids - {i2 for i2 in vert_tris[z] if i2 in tri_ids}
-        new_vset = vset - {z}
-        iz = cycle.index(z)
-        inner = link[1:-1] if forward else list(reversed(link[1:-1]))
-        new_cycle = cycle[:iz] + inner + cycle[iz + 1 :]
-        stack.append((new_tris, new_vset, new_cycle, (x, y), drop, child))
-
-    orientation = Orientation.build(pg.graph, arcs)
+    orientation = Orientation.build(g, arcs)
     return Decomposition((x0, y0), frozenset(forest), orientation, root_trace)
 
 
@@ -203,63 +145,46 @@ def _has_boundary_edge(path: list, x: str, y: str) -> bool:
     return False
 
 
-def _chord(adj: dict, vset: set, cycle: list) -> tuple:
-    on_cycle = set(cycle)
-    k = len(cycle)
-    boundary = {edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    best = None
-    for u in cycle:
-        for v in adj[u]:
-            if v in on_cycle and v in vset:
-                e = edge(u, v)
-                if e not in boundary and (best is None or e < best):
-                    best = e
-    return best
+def _inside_neighbours(rot: tuple, before: str, after: str, traced: bool) -> list:
+    """Neighbours of a cycle vertex strictly inside the cycle, ordered from
+    its cycle predecessor `before` to its successor `after`.
+
+    A traced face a -> z -> b has b right after a in the rotation at z, so
+    the inside wedge runs forward from the traced successor round to the
+    traced predecessor.
+    """
+    first, last = (after, before) if traced else (before, after)
+    k = len(rot)
+    i, j = rot.index(first), rot.index(last)
+    wedge = [rot[(i + s) % k] for s in range(1, (j - i) % k)]
+    return wedge[::-1] if traced else wedge
 
 
-def _flood_side(tri_ids, edge_tris, tri_edges, path_a, chord) -> frozenset:
-    """Triangles on the side of the chord whose boundary includes path_a."""
-    first = edge(path_a[0], path_a[1])
-    seeds = [i for i in edge_tris.get(first, []) if i in tri_ids]
-    if len(seeds) != 1:
-        raise InvalidEmbedding(f"boundary edge {first} not on exactly one triangle")
-    side = {seeds[0]}
-    frontier = [seeds[0]]
-    while frontier:
-        t = frontier.pop()
-        for e in tri_edges[t]:
-            if e == chord:
-                continue
-            for t2 in edge_tris[e]:
-                if t2 in tri_ids and t2 not in side:
-                    side.add(t2)
-                    frontier.append(t2)
-    return frozenset(side)
-
-
-def _link_path(tri_ids, vert_tris, tri_edges, tris, z, x, w) -> list:
-    """Neighbors of z within the sub-triangulation, ordered as the path
-    from x to w along the fan of triangles at z."""
-    nbr_edges: dict = {}
-    for i in vert_tris[z]:
-        if i not in tri_ids:
-            continue
-        others = [v for v in tris[i] if v != z]
-        a, b = others
-        nbr_edges.setdefault(a, []).append(b)
-        nbr_edges.setdefault(b, []).append(a)
-    path = [x]
-    prev = None
-    cur = x
-    while cur != w:
-        nxt = [v for v in nbr_edges.get(cur, []) if v != prev]
-        if len(nxt) != 1:
-            raise InvalidEmbedding(f"link of {z!r} is not a path at {cur!r}")
-        prev, cur = cur, nxt[0]
-        path.append(cur)
-    if len(path) - 1 < 2:
-        raise InvalidEmbedding(f"ear path at {z!r} shorter than two edges")
-    return path
+def verify_certificate(g: Graph, forest, orientation: Orientation, bound) -> VerificationReport:
+    """Check a forest-plus-orientation certificate of `g`: forest and arcs
+    partition the edge set, the forest has no cycle, every vertex v has
+    out-degree at most bound(v), and the orientation is acyclic."""
+    arcs = orientation.arcs
+    stats = {"forest_edges": len(forest), "arcs": len(arcs)}
+    arc_edges = orientation.underlying_edges()
+    if forest | arc_edges != g.edges or forest & arc_edges:
+        return VerificationReport(
+            False, "forest and arcs do not partition the edge set", stats=stats
+        )
+    if not _is_forest(forest):
+        return VerificationReport(False, "forest contains a cycle", stats=stats)
+    out = orientation.out_degrees()
+    for v in g.vertices:
+        if out[v] > bound(v):
+            return VerificationReport(
+                False,
+                f"out-degree {out[v]} exceeds bound {bound(v)}",
+                counterexample=v,
+                stats=stats,
+            )
+    if not orientation.is_acyclic():
+        return VerificationReport(False, "orientation has a directed cycle", stats=stats)
+    return VerificationReport(True, "forest plus acyclic orientation within bounds", stats=stats)
 
 
 def verify_decomposition(
@@ -269,40 +194,22 @@ def verify_decomposition(
     the even/odd Eulerian sub-digraph difference (must be 1)."""
     from .alon_tarsi import eulerian_diff
 
-    g = pg.graph
     x, y = d.handle
-    arcs = d.orientation.arcs
-    arc_edges = {edge(t, h) for t, h in arcs}
-    stats = {"forest_edges": len(d.forest), "arcs": len(arcs)}
-
-    if d.forest | arc_edges != g.edges or d.forest & arc_edges:
-        return VerificationReport(
-            False, "forest and arcs do not partition the edge set", stats=stats
-        )
+    stats = {"forest_edges": len(d.forest), "arcs": len(d.orientation.arcs)}
     if edge(x, y) not in d.forest:
         return VerificationReport(False, "handle missing from forest", stats=stats)
-    if not _is_forest(d.forest):
-        return VerificationReport(False, "forest contains a cycle", stats=stats)
-
-    boundary = set(_canonical_outer(pg))
     out = d.orientation.out_degrees()
-    if out[x] != 0 or out[y] != 0:
+    hx, hy = out.get(x, 0), out.get(y, 0)
+    if hx or hy:
         return VerificationReport(
-            False, "out-degree at handle", counterexample={"x": out[x], "y": out[y]}, stats=stats
+            False, "out-degree at handle", counterexample={"x": hx, "y": hy}, stats=stats
         )
-    for v in g.vertices:
-        bound = 1 if v in boundary else 2
-        if v in (x, y):
-            bound = 0
-        if out[v] > bound:
-            return VerificationReport(
-                False,
-                f"out-degree {out[v]} exceeds bound {bound}",
-                counterexample=v,
-                stats=stats,
-            )
-    if not d.orientation.is_acyclic():
-        return VerificationReport(False, "orientation has a directed cycle", stats=stats)
+    boundary = set(pg.outer_face)
+    report = verify_certificate(
+        pg.graph, d.forest, d.orientation, lambda v: 1 if v in boundary else 2
+    )
+    if not report.verdict:
+        return report
 
     if mode == "parity":
         pc = eulerian_diff(d.orientation, caps)
@@ -338,7 +245,7 @@ def _is_forest(edges) -> bool:
 # ---------------------------------------------------------------------------
 # general plane graphs: augment, decompose, restrict
 
-def decompose_any_planar(pg: PlaneGraph, caps: Caps = DEFAULT_CAPS) -> tuple:
+def decompose_any_planar(pg: PlaneGraph) -> tuple:
     """Forest F within E(G) and an acyclic orientation of G - E(F) with max
     out-degree at most 2, for any connected plane graph.
 
@@ -358,7 +265,7 @@ def decompose_any_planar(pg: PlaneGraph, caps: Caps = DEFAULT_CAPS) -> tuple:
     handle = min(
         (edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
     )
-    d = decompose(aug, handle, caps)
+    d = decompose(aug, handle)
     forest = frozenset(e for e in d.forest if e in g.edges)
     arcs = [(t, h) for t, h in sorted(d.orientation.arcs) if edge(t, h) in g.edges]
     return forest, Orientation.build(g, arcs)
@@ -369,7 +276,7 @@ def _triangulate_embedding(pg: PlaneGraph) -> PlaneGraph:
     re-designate one face as the boundary."""
     rotation = {v: list(nbrs) for v, nbrs in pg.rotation.items()}
     edges = set(pg.graph.edges)
-    faces = [list(f) for f in trace_faces(pg)]
+    faces = [list(f) for f in pg.faces]
 
     def insert_after(v: str, anchor: str, new: str) -> None:
         rotation[v].insert(rotation[v].index(anchor) + 1, new)

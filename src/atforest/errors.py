@@ -25,10 +25,6 @@ class NotNearTriangulation(ArtifactError):
     pass
 
 
-class ChordPresent(ArtifactError):
-    pass
-
-
 class HandleNotOnBoundary(ArtifactError):
     pass
 

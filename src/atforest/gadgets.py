@@ -20,22 +20,18 @@ the pigeonhole reduction plus seeded random sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Optional
 
 from .choosability import (
-    ALPHA,
-    BETA,
-    GAMMA,
-    OMEGA,
     ListAssignment,
+    _assemble_member,
     build_lemma1_lists,
-    is_l_colorable,
     verify_witness_not_k_choosable,
 )
 from .errors import BadSelector, PreconditionViolated
-from .graph import Edge, Graph, edge, find_k4
+from .graph import Graph, edge, find_k4
 from .report import VerificationReport
 from .testkit import Rng
 
@@ -148,9 +144,6 @@ class SGadget:
     a: str
     b: str
     copies: tuple  # 9 J3Copy
-
-    def a_incident_edges(self) -> set:
-        return {e for e in self.graph.edges if self.a in e}
 
 
 def build_s(a: str = "a", b: str = "b", prefix: str = "s") -> SGadget:
@@ -366,29 +359,11 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
         if len(pieces) == 6:
             break
 
-    perms = list(permutations((ALPHA, BETA, GAMMA)))
-    verts = [s.a, s.b]
-    edges = [(s.a, s.b)]
-    lists = {s.a: (ALPHA, BETA, GAMMA), s.b: (ALPHA, BETA, GAMMA)}
-    selector = ""
-    for i, (_, attach, p, q, m) in enumerate(pieces):
-        x, y, z = perms[i]
-        selector += attach
-        anchor = s.a if attach == "a" else s.b
-        verts += [p, q, m]
-        edges += [(s.a, p), (s.b, p), (s.a, q), (s.b, q), (p, m), (q, m), (anchor, m)]
-        lists[p] = (ALPHA, BETA, GAMMA)
-        lists[q] = (x, y, OMEGA)
-        lists[m] = (x, z, OMEGA) if attach == "a" else (y, z, OMEGA)
-    witness = Graph.build(verts, edges)
-    return Obstruction(
-        "j_member",
-        tuple(verts),
-        selector,
-        witness,
-        ListAssignment.build(lists),
-        tuple(pieces),
+    verts, witness, lists = _assemble_member(
+        s.a, s.b, [(attach, p, q, m) for _, attach, p, q, m in pieces]
     )
+    selector = "".join(attach for _, attach, _, _, _ in pieces)
+    return Obstruction("j_member", tuple(verts), selector, witness, lists, tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +376,18 @@ def verify_lemma1(selector: str) -> VerificationReport:
     rep = verify_witness_not_k_choosable(g, lists, 3)
     rep.stats["selector"] = selector
     return rep
+
+
+def verify_lemma1_all() -> VerificationReport:
+    """verify_lemma1 over all 64 attachment words."""
+    words = ["".join("ab"[i >> j & 1] for j in range(6)) for i in range(64)]
+    fails = [w for w in words if not verify_lemma1(w).verdict]
+    return VerificationReport(
+        not fails,
+        "all 64 selectors verified" if not fails else "selectors failed",
+        counterexample=fails or None,
+        stats={"cases_examined": 64},
+    )
 
 
 def verify_lemma2() -> VerificationReport:
@@ -501,11 +488,8 @@ def verify_lemma6() -> VerificationReport:
                         continue
                     compatible += 1
                     hit = all(
-                        e in chosen or u in (cx, cy) or v in (cx, cy)
-                        for e, (u, v) in zip(
-                            [edge(p1, p2) for p1, p2 in zip(path, path[1:])],
-                            zip(path, path[1:]),
-                        )
+                        edge(u, v) in chosen or u in (cx, cy) or v in (cx, cy)
+                        for u, v in zip(path, path[1:])
                     )
                     if hit and blocked_cfg is None:
                         blocked_cfg = (cset, chosen)
@@ -629,7 +613,15 @@ def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
     cands = g2.k4_candidates()
     for i in range(n):
         forest = random_star_forest(g2.graph, rng.split(i))
-        assert forest.validate(g2.graph).verdict
+        valid = forest.validate(g2.graph)
+        if not valid.verdict:
+            return VerificationReport(
+                False,
+                f"sample {i}: sampled edge set is not a star forest: {valid.detail}",
+                counterexample=sorted(list(e) for e in forest.edges),
+                stats={"samples": i + 1},
+                seed=seed,
+            )
         if not any(es.isdisjoint(forest.edges) for _, es in cands):
             return VerificationReport(
                 False,

@@ -9,14 +9,13 @@ neighbors; faces are recovered by the next-edge traversal rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import (
     DuplicateEdge,
     EulerViolation,
-    NotNearTriangulation,
     RotationMismatch,
     UnknownVertex,
 )
@@ -145,18 +144,7 @@ class PlaneGraph:
     graph: Graph
     rotation: dict  # vertex -> tuple of neighbors in cyclic order
     outer_face: tuple  # closed boundary walk, first vertex not repeated
-    faces: tuple = field(default=())  # filled by build_plane_graph
-
-    @property
-    def boundary_vertices(self) -> set:
-        return set(self.outer_face)
-
-    def boundary_edges(self) -> set:
-        w = self.outer_face
-        return {edge(w[i], w[(i + 1) % len(w)]) for i in range(len(w))}
-
-    def interior_faces(self) -> list:
-        return [f for f in self.faces if f is not self.outer_face]
+    faces: tuple  # every facial walk, as traced by build_plane_graph
 
 
 def _trace_all_faces(graph: Graph, rotation: dict) -> list:
@@ -246,20 +234,14 @@ def build_plane_graph(
                 break
     if matched is None:
         raise RotationMismatch("designated outer face is not a face of the embedding")
-    pg = PlaneGraph(g, rot, outer, tuple(faces))
-    return pg
-
-
-def trace_faces(pg: PlaneGraph) -> list:
-    """Facial walks of the embedding; each dart lies in exactly one walk."""
-    return list(pg.faces) if pg.faces else _trace_all_faces(pg.graph, pg.rotation)
+    return PlaneGraph(g, rot, outer, tuple(faces))
 
 
 def _canonical_outer(pg: PlaneGraph) -> tuple:
     """The traced face matching the designated outer walk."""
     target = _walk_darts(pg.outer_face)
     rev = {(b, a) for a, b in target}
-    for f in trace_faces(pg):
+    for f in pg.faces:
         if len(f) == len(pg.outer_face) and _walk_darts(f) in (target, rev):
             return f
     raise RotationMismatch("outer face lost")
@@ -272,21 +254,15 @@ def validate_near_triangulation(pg: PlaneGraph) -> VerificationReport:
         return VerificationReport(False, f"boundary walk of length {len(outer)} is not a cycle")
     if len(set(outer)) != len(outer):
         return VerificationReport(False, "boundary walk repeats a vertex")
+    if len(pg.graph.connected_components()) != 1:
+        return VerificationReport(False, "graph is disconnected")
     outer_canon = _canonical_outer(pg)
-    bad = [f for f in trace_faces(pg) if f != outer_canon and len(f) != 3]
+    bad = [f for f in pg.faces if f != outer_canon and len(f) != 3]
     if bad:
         return VerificationReport(
             False, f"interior face of length {len(bad[0])}", counterexample=list(bad[0])
         )
     return VerificationReport(True, "near-triangulation")
-
-
-def find_chord(pg: PlaneGraph) -> Optional[Edge]:
-    """Lexicographically smallest edge joining two non-consecutive boundary vertices."""
-    rep = validate_near_triangulation(pg)
-    if not rep.verdict:
-        raise NotNearTriangulation(rep.detail)
-    return chord_of_cycle(pg.graph, list(pg.outer_face))
 
 
 def chord_of_cycle(g: Graph, cycle: list) -> Optional[Edge]:
@@ -303,56 +279,12 @@ def chord_of_cycle(g: Graph, cycle: list) -> Optional[Edge]:
     return best
 
 
-def ear_path(pg: PlaneGraph, x: str, y: str) -> tuple:
-    """The ear vertex z next to x, its far boundary neighbor w, and the
-    path of z's neighbors from x to w in rotation order."""
-    rep = validate_near_triangulation(pg)
-    if not rep.verdict:
-        raise NotNearTriangulation(rep.detail)
-    if len(pg.graph.vertices) <= 3:
-        raise NotNearTriangulation("no ear on a bare triangle")
-    if chord_of_cycle(pg.graph, list(pg.outer_face)) is not None:
-        raise ChordPresent("boundary cycle has a chord")
-    cycle = list(pg.outer_face)
-    if edge(x, y) not in pg.boundary_edges():
-        raise HandleNotOnBoundary(f"{(x, y)} is not a boundary edge")
-    k = len(cycle)
-    ix = cycle.index(x)
-    n1, n2 = cycle[(ix + 1) % k], cycle[(ix - 1) % k]
-    z = n1 if n2 == y else n2
-    iz = cycle.index(z)
-    zn1, zn2 = cycle[(iz + 1) % k], cycle[(iz - 1) % k]
-    w = zn1 if zn2 == x else zn2
-    path = _rotation_path(pg.rotation[z], x, w)
-    boundary = set(cycle)
-    for u in path[1:-1]:
-        if u in boundary:
-            raise NotNearTriangulation(f"ear path crosses the boundary at {u!r}")
-    return z, w, path
-
-
-def _rotation_path(rot: tuple, x: str, w: str) -> list:
-    """Order a cyclic neighbor list as a path from x to w.
-
-    x and w must be cyclically adjacent in the rotation (the gap is the
-    outer face); the path runs the other way around.
-    """
-    k = len(rot)
-    ix = rot.index(x)
-    if rot[(ix + 1) % k] == w:
-        return [rot[(ix - i) % k] for i in range(k)]
-    if rot[(ix - 1) % k] == w:
-        return [rot[(ix + i) % k] for i in range(k)]
-    raise NotNearTriangulation("ear endpoints are not adjacent in the rotation")
-
-
-def find_k4(g: Graph, limit: Optional[int] = None) -> Optional[tuple]:
+def find_k4(g: Graph) -> Optional[tuple]:
     """Lexicographically first 4-clique, or None."""
     from itertools import combinations
 
     adj = g.adjacency
-    verts = g.vertices if limit is None else g.vertices[:limit]
-    candidates = [v for v in verts if len(adj[v]) >= 3]
+    candidates = [v for v in g.vertices if len(adj[v]) >= 3]
     for quad in combinations(candidates, 4):
         a, b, c, d = quad
         if (

@@ -14,10 +14,6 @@ class VerificationReport:
     stats: dict = field(default_factory=dict)
     seed: Optional[int] = None
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict
-
     def to_json_dict(self) -> dict:
         out: dict = {"verdict": "PASS" if self.verdict else "FAIL"}
         if self.detail:

@@ -72,6 +72,32 @@ def test_decompose_bad_handle_is_usage_error(tri_file):
     assert go("decompose", "--input", str(tri_file), "--handle", "a,b,c").exit_code == EXIT_USAGE
 
 
+def test_decompose_without_handle_checks_restricted_certificate(tri_file):
+    result = go("decompose", "--input", str(tri_file), "--json")
+    assert result.exit_code == EXIT_PASS
+    data = json.loads(result.output())
+    assert data["report"]["verdict"] == "PASS"
+    g = graph_from_json(tri_file.read_text()).graph
+    forest = {tuple(e) for e in data["forest"]}
+    arcs = {tuple(sorted(a)) for a in data["arcs"]}
+    assert forest | arcs == g.edges and not forest & arcs
+
+
+def test_decompose_disconnected_input_is_input_error(tmp_path):
+    path = tmp_path / "two_triangles.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d", "e", "f"],
+        "edges": [["a", "b"], ["b", "c"], ["a", "c"], ["d", "e"], ["e", "f"], ["d", "f"]],
+        "rotation": {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"],
+                     "d": ["e", "f"], "e": ["f", "d"], "f": ["d", "e"]},
+        "outer_face": ["a", "b", "c"],
+    }))
+    result = go("decompose", "--input", str(path), "--handle", "a,b", "--json")
+    assert result.exit_code == EXIT_USAGE
+    assert "disconnected" in json.loads(result.output())["error"]
+    assert go("decompose", "--input", str(path)).exit_code == EXIT_USAGE
+
+
 def test_decompose_needs_embedding(k4_file):
     assert go("decompose", "--input", str(k4_file), "--handle", "a,b").exit_code == EXIT_USAGE
 
@@ -81,6 +107,12 @@ def test_verify_lemma_exit_codes():
     assert go("verify", "lemma", "--name", "nosuch").exit_code == EXIT_USAGE
     assert go("verify", "lemma", "--name", "lemma1", "--selector", "aaaaaa").exit_code == EXIT_PASS
     assert go("verify", "lemma", "--name", "lemma1", "--selector", "ab").exit_code == EXIT_USAGE
+
+
+def test_verify_lemma1_all_selectors():
+    result = go("verify", "lemma", "--name", "lemma1", "--json")
+    assert result.exit_code == EXIT_PASS
+    assert json.loads(result.output())["cases_examined"] == 64
 
 
 def test_verify_lemma_report_shape():

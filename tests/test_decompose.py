@@ -1,5 +1,8 @@
 """Forest + nice-orientation decomposition of near-triangulations."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from atforest.decompose import (
     Decomposition,
     decompose,
     decompose_any_planar,
+    verify_certificate,
     verify_decomposition,
 )
 from atforest.errors import (
@@ -15,7 +19,7 @@ from atforest.errors import (
     HandleNotOnBoundary,
     NotNearTriangulation,
 )
-from atforest.graph import Orientation, build_plane_graph, edge
+from atforest.graph import Orientation, build_plane_graph, edge, validate_near_triangulation
 from atforest.testkit import plane_graph_from_triangles, random_near_triangulation
 
 
@@ -81,6 +85,45 @@ def test_non_triangulated_input_rejected():
     )
     with pytest.raises(NotNearTriangulation):
         decompose(c4, ("a", "b"))
+
+
+def triangle_and_floating_triangle():
+    return build_plane_graph(
+        ["a", "b", "c", "d", "e", "f"],
+        [("a", "b"), ("b", "c"), ("a", "c"), ("d", "e"), ("e", "f"), ("d", "f")],
+        {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b"),
+         "d": ("e", "f"), "e": ("f", "d"), "f": ("d", "e")},
+        ["a", "b", "c"],
+    )
+
+
+def test_disconnected_input_rejected():
+    pg = triangle_and_floating_triangle()
+    report = validate_near_triangulation(pg)
+    assert not report.verdict and report.detail == "graph is disconnected"
+    with pytest.raises(NotNearTriangulation):
+        decompose(pg, ("a", "b"))
+
+
+def test_verify_certificate_rejects_cycle_and_dropped_arc():
+    pg = quad_with_chord()
+    g = pg.graph
+    d = decompose(pg, ("x", "y"))
+    two = lambda v: 2
+    assert verify_certificate(g, d.forest, d.orientation, two).verdict
+    # the forest x-y-v closes a triangle
+    cyc = frozenset({edge("x", "y"), edge("y", "v"), edge("x", "v")})
+    report = verify_certificate(g, cyc, Orientation.build(g, [("u", "y"), ("u", "v")]), two)
+    assert not report.verdict and report.detail == "forest contains a cycle"
+    # dropping an arc leaves its edge uncovered
+    dropped = Orientation.build(g, sorted(d.orientation.arcs)[1:])
+    report = verify_certificate(g, d.forest, dropped, two)
+    assert not report.verdict and "partition" in report.detail
+    # out-degree bound and directed cycles
+    assert not verify_certificate(g, d.forest, d.orientation, lambda v: 0).verdict
+    loop = Orientation.build(g, [("x", "y"), ("y", "u"), ("u", "v"), ("v", "x")])
+    report = verify_certificate(g, frozenset({edge("y", "v")}), loop, two)
+    assert not report.verdict and report.detail == "orientation has a directed cycle"
 
 
 def test_verifier_rejects_tampered_output():
@@ -175,3 +218,78 @@ def test_any_planar_on_near_triangulation():
     assert forest | orientation.underlying_edges() == pg.graph.edges
     assert orientation.is_acyclic()
     assert all(v <= 2 for v in orientation.out_degrees().values())
+
+
+# ---------------------------------------------------------------------------
+# pinned certificates: any change to the chord choice, the ear link or the
+# trace shows up as a different digest
+
+CERTIFICATE_DIGEST = "ce4f1afc479d235c8baacd7a92a603eacec68fc59752d23a6d3f1075ad41179b"
+
+
+def _fan(n):
+    """Fan with apex p0 and rim p1 .. p(n-1); handle (p0, p(n-1))."""
+    names = [f"p{i:02d}" for i in range(n)]
+    tris = [(names[0], names[i + 1], names[i]) for i in range(1, n - 1)]
+    outer = tuple(names)
+    return plane_graph_from_triangles(names, tris, outer), (names[0], names[-1])
+
+
+def _zigzag(n):
+    """Strip between top path t* and bottom path s*, rungs advancing
+    alternately two steps on top and one on the bottom; handle (t0, s0)."""
+    top = [f"t{i:02d}" for i in range(n // 2)]
+    bot = [f"s{i:02d}" for i in range(n - n // 2)]
+    i = j = 0
+    tris = []
+    while i < len(top) - 1 or j < len(bot) - 1:
+        if j == len(bot) - 1 or (i < len(top) - 1 and (i + j) % 3 != 2):
+            tris.append((top[i], top[i + 1], bot[j]))
+            i += 1
+        else:
+            tris.append((top[i], bot[j + 1], bot[j]))
+            j += 1
+    outer = (top[0],) + tuple(bot) + tuple(reversed(top[1:]))
+    return plane_graph_from_triangles(top + bot, tris, outer), (top[0], bot[0])
+
+
+def _sparse(pg):
+    """Connected plane subgraph: boundary, a BFS tree, every third other edge."""
+    outer = pg.outer_face
+    kept = {edge(outer[i], outer[(i + 1) % len(outer)]) for i in range(len(outer))}
+    seen, queue = {outer[0]}, [outer[0]]
+    for u in queue:
+        for w in pg.rotation[u]:
+            if w not in seen:
+                seen.add(w)
+                kept.add(edge(u, w))
+                queue.append(w)
+    kept |= {e for k, e in enumerate(sorted(pg.graph.edges)) if k % 3 == 0}
+    rotation = {v: [w for w in nbrs if edge(v, w) in kept] for v, nbrs in pg.rotation.items()}
+    return build_plane_graph(pg.graph.vertices, kept, rotation, outer)
+
+
+def _pinned_certificates():
+    for n, seed in ((9, 1), (40, 2), (130, 3)):
+        for b in sorted({3, min(8, n), n // 2, n}):
+            pg = random_near_triangulation(n, b, seed * 100 + b)
+            x, y = pg.outer_face[0], pg.outer_face[1]
+            for handle in ((x, y), (y, x)):
+                yield decompose(pg, handle).to_json_dict()
+    pg = random_near_triangulation(60, 12, 7)
+    flipped = build_plane_graph(
+        pg.graph.vertices, pg.graph.edges, pg.rotation, tuple(reversed(pg.outer_face))
+    )
+    yield decompose(flipped, (flipped.outer_face[1], flipped.outer_face[2])).to_json_dict()
+    for build in (_fan, _zigzag):
+        pg, handle = build(25)
+        yield decompose(pg, handle).to_json_dict()
+    forest, orientation = decompose_any_planar(_sparse(random_near_triangulation(50, 10, 11)))
+    yield {"forest": sorted(forest), "arcs": sorted(orientation.arcs)}
+
+
+def test_certificates_match_pinned_digest():
+    h = hashlib.sha256()
+    for cert in _pinned_certificates():
+        h.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == CERTIFICATE_DIGEST

@@ -2,6 +2,7 @@
 
 import pytest
 
+from atforest import gadgets
 from atforest.choosability import verify_witness_not_k_choosable
 from atforest.errors import BadSelector, PreconditionViolated
 from atforest.gadgets import (
@@ -97,6 +98,17 @@ def test_lemma1_delegation():
     assert verify_lemma1("bbbbbb").verdict
     with pytest.raises(BadSelector):
         verify_lemma1("ab")
+
+
+def test_sampled_theorem7_reports_invalid_star_forest(monkeypatch):
+    def not_a_star(g, rng):
+        a, b = sorted(g.edges)[0]
+        return StarForest(frozenset({edge(a, b)}), frozenset())
+
+    monkeypatch.setattr(gadgets, "random_star_forest", not_a_star)
+    report = verify_sampled("theorem7", 5, 1)
+    assert not report.verdict and "not a star forest" in report.detail
+    assert report.stats["samples"] == 1
 
 
 def test_lemma6_exhaustive():
