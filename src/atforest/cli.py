@@ -41,7 +41,7 @@ from .gadgets import (
 )
 from .graph import (
     PlaneGraph,
-    graph_from_json,
+    graph_from_json_dict,
     graph_to_dot,
     graph_to_json,
 )
@@ -81,18 +81,12 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load_graph(path: str):
+def _load(path: str, parse, what: str):
+    """parse(JSON of the file at path); any malformed shape is an input error."""
     try:
-        return graph_from_json(_read_text(path))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(f"cannot read graph from {path!r}: {exc}")
-
-
-def _load_lists(path: str) -> ListAssignment:
-    try:
-        return ListAssignment.from_json_dict(json.loads(_read_text(path)))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise _UsageError(f"cannot read lists from {path!r}: {exc}")
+        return parse(json.loads(_read_text(path)))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise _UsageError(f"cannot read {what} from {path!r}: {exc}")
 
 
 def _emit(result: CommandResult, path: Optional[str], content: str) -> None:
@@ -204,7 +198,7 @@ def _cmd_gadget(args) -> CommandResult:
 
 
 def _cmd_decompose(args) -> CommandResult:
-    pg = _load_graph(args.input)
+    pg = _load(args.input, graph_from_json_dict, "graph")
     if not isinstance(pg, PlaneGraph):
         raise _UsageError("decompose needs an embedded input (rotation + outer_face)")
     if args.handle is not None:
@@ -229,14 +223,14 @@ def _cmd_decompose(args) -> CommandResult:
 
 def _cmd_verify(args) -> CommandResult:
     if args.target_kind == "decomposition":
-        pg = _load_graph(args.input)
+        pg = _load(args.input, graph_from_json_dict, "graph")
         if not isinstance(pg, PlaneGraph):
             raise _UsageError("verification needs an embedded input")
-        try:
-            data = json.loads(_read_text(args.decomposition))
-            d = Decomposition.from_json_dict(data, pg.graph)
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise _UsageError(f"cannot read decomposition: {exc}")
+        d = _load(
+            args.decomposition,
+            lambda data: Decomposition.from_json_dict(data, pg.graph),
+            "decomposition",
+        )
         return _from_report(verify_decomposition(pg, d, args.check))
     if args.target_kind == "lemma":
         if args.name == "lemma1":
@@ -248,16 +242,12 @@ def _cmd_verify(args) -> CommandResult:
             raise _UsageError(f"unknown lemma {args.name!r}")
         return _from_report(verifier())
     if args.target_kind == "sampled":
-        if args.target not in ("theorem2", "theorem7", "corollary3"):
-            raise _UsageError(f"unknown sampling target {args.target!r}")
-        if args.count < 0:
-            raise _UsageError("--count must be non-negative")
         return _from_report(verify_sampled(args.target, args.count, args.seed))
     raise _UsageError("unknown verify target")
 
 
 def _cmd_at(args) -> CommandResult:
-    pg = _load_graph(args.input)
+    pg = _load(args.input, graph_from_json_dict, "graph")
     g = pg.graph if isinstance(pg, PlaneGraph) else pg
     if args.quantity == "number":
         value = at_number(g)
@@ -295,9 +285,9 @@ def _cmd_at(args) -> CommandResult:
 
 
 def _cmd_choose(args) -> CommandResult:
-    pg = _load_graph(args.input)
+    pg = _load(args.input, graph_from_json_dict, "graph")
     g = pg.graph if isinstance(pg, PlaneGraph) else pg
-    lists = _load_lists(args.lists)
+    lists = _load(args.lists, ListAssignment.from_json_dict, "lists")
     if args.k is not None:
         # witness mode: PASS means the lists admit no coloring
         return _from_report(verify_witness_not_k_choosable(g, lists, args.k))

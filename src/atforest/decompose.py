@@ -62,7 +62,8 @@ class Decomposition:
     def from_json_dict(data: dict, host: Graph) -> "Decomposition":
         forest = frozenset(edge(u, v) for u, v in data["forest"])
         arcs = Orientation.build(host, [tuple(a) for a in data["arcs"]])
-        return Decomposition(tuple(data["handle"]), forest, arcs, data.get("trace", {}))
+        x, y = data["handle"]
+        return Decomposition((str(x), str(y)), forest, arcs, data.get("trace", {}))
 
 
 def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:

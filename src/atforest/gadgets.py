@@ -31,7 +31,7 @@ from .choosability import (
     verify_witness_not_k_choosable,
 )
 from .errors import BadSelector, PreconditionViolated
-from .graph import Graph, edge, find_k4
+from .graph import Graph, edge, find_k4, k4s
 from .report import VerificationReport
 from .testkit import Rng
 
@@ -159,27 +159,18 @@ def build_s(a: str = "a", b: str = "b", prefix: str = "s") -> SGadget:
 @dataclass(frozen=True)
 class G1Gadget:
     graph: Graph
-    center: str
-    leaves: tuple
     s_gadgets: tuple  # one SGadget per star edge, handle center-leaf
-
-    def center_edges_in(self, i: int) -> set:
-        s = self.s_gadgets[i]
-        return {e for e in s.graph.edges if self.center in e}
 
 
 def build_g1() -> G1Gadget:
-    center = "c"
-    leaves = tuple(f"v{i}" for i in range(1, 5))
-    s_gadgets = tuple(
-        build_s(center, leaves[i - 1], prefix=f"g{i}s") for i in range(1, 5)
-    )
-    verts = {center, *leaves}
+    """A 4-star at c with one S per star edge c-v_i, handle end a = c."""
+    s_gadgets = tuple(build_s("c", f"v{i}", prefix=f"g{i}s") for i in range(1, 5))
+    verts = set()
     edges = set()
     for s in s_gadgets:
         verts.update(s.graph.vertices)
         edges.update(s.graph.edges)
-    return G1Gadget(Graph.build(verts, edges), center, leaves, s_gadgets)
+    return G1Gadget(Graph.build(verts, edges), s_gadgets)
 
 
 @dataclass(frozen=True)
@@ -200,20 +191,6 @@ class AGadget:
                 out.append(edge(self.y, v))
         return out
 
-    def k4_candidates(self) -> list:
-        """One candidate clique per path edge: {x, y, u, v}."""
-        cands = []
-        for p in self.paths:
-            for u, v in zip(p, p[1:]):
-                cands.append(
-                    (
-                        {self.x, self.y, u, v},
-                        {edge(self.x, self.y), edge(self.x, u), edge(self.x, v),
-                         edge(self.y, u), edge(self.y, v), edge(u, v)},
-                    )
-                )
-        return cands
-
 
 def build_a(x: str = "x", y: str = "y", prefix: str = "p") -> AGadget:
     paths = tuple(
@@ -222,83 +199,56 @@ def build_a(x: str = "x", y: str = "y", prefix: str = "p") -> AGadget:
     return AGadget(x, y, paths)
 
 
-@dataclass(frozen=True)
-class DGadget:
-    graph: Graph
-    core: tuple  # the K4 (a, b, c, d)
-    apexes: dict  # face triple -> apex name
-
-    def k4_candidates(self) -> list:
-        cands = [(set(self.core), {edge(u, v) for u, v in combinations(self.core, 2)})]
-        for face, z in sorted(self.apexes.items()):
-            verts = set(face) | {z}
-            es = {edge(u, v) for u, v in combinations(sorted(verts), 2)
-                  if not (u in self.apexes.values() and v in self.apexes.values())}
-            cands.append((verts, es))
-        return cands
-
-
-def build_d() -> DGadget:
+def build_d() -> Graph:
     core = ("a", "b", "c", "d")
-    apexes = {face: "z" + "".join(face) for face in combinations(core, 3)}
-    verts = list(core) + list(apexes.values())
     edges = [edge(u, v) for u, v in combinations(core, 2)]
-    for face, z in apexes.items():
+    apexes = []
+    for face in combinations(core, 3):
+        z = "z" + "".join(face)
+        apexes.append(z)
         edges += [edge(z, v) for v in face]
-    return DGadget(Graph.build(verts, edges), core, dict(apexes))
+    return Graph.build(list(core) + apexes, edges)
 
 
-@dataclass(frozen=True)
-class G2Gadget:
-    graph: Graph
-    d_gadget: DGadget
-    a_copies: tuple  # one AGadget per edge of D, handle = that edge
-
-    def k4_candidates(self) -> list:
-        cands = list(self.d_gadget.k4_candidates())
-        for a in self.a_copies:
-            cands.extend(a.k4_candidates())
-        return cands
-
-
-def build_g2() -> G2Gadget:
+def build_g2() -> Graph:
+    """One A glued on each edge of D, with that edge as its handle."""
     d = build_d()
-    a_copies = []
-    verts = set(d.graph.vertices)
-    edges = set(d.graph.edges)
-    for u, v in sorted(d.graph.edges):
+    verts = set(d.vertices)
+    edges = set(d.edges)
+    for u, v in sorted(d.edges):
         a = build_a(u, v, prefix=f"A_{u}_{v}_p")
-        a_copies.append(a)
         verts.update(a.vertices())
         edges.update(a.edges())
-    return G2Gadget(Graph.build(verts, edges), d, tuple(a_copies))
+    return Graph.build(verts, edges)
+
+
+def _build_a_graph() -> Graph:
+    a = build_a()
+    return Graph.build(a.vertices(), a.edges())
+
+
+_GADGET_BUILDERS = {
+    "J1": lambda: Graph.build("abcde", _J1_EDGES),
+    "J2": lambda: Graph.build("abcde", _J2_EDGES),
+    "J3": lambda: build_j3()[0],
+    "S": lambda: build_s().graph,
+    "G1": lambda: build_g1().graph,
+    "A": _build_a_graph,
+    "D": build_d,
+    "G2": build_g2,
+}
 
 
 def build_gadget(gadget_id: str, selector: Optional[str] = None) -> Graph:
     """Gadget graph by name; JFamily needs a length-6 selector over {a,b}."""
-    gid = gadget_id.upper() if gadget_id.lower() != "jfamily" else "JFamily"
-    if gid == "J1":
-        return Graph.build("abcde", _J1_EDGES)
-    if gid == "J2":
-        return Graph.build("abcde", _J2_EDGES)
-    if gid == "JFamily":
+    if gadget_id.lower() == "jfamily":
         if selector is None:
             raise BadSelector("JFamily needs --selector, a length-6 word over {a,b}")
         return build_lemma1_lists(selector)[0]
-    if gid == "J3":
-        return build_j3()[0]
-    if gid == "S":
-        return build_s().graph
-    if gid == "G1":
-        return build_g1().graph
-    if gid == "A":
-        a = build_a()
-        return Graph.build(a.vertices(), set(a.edges()))
-    if gid == "D":
-        return build_d().graph
-    if gid == "G2":
-        return build_g2().graph
-    raise BadSelector(f"unknown gadget {gadget_id!r}")
+    builder = _GADGET_BUILDERS.get(gadget_id.upper())
+    if builder is None:
+        raise BadSelector(f"unknown gadget {gadget_id!r}")
+    return builder()
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +262,18 @@ class Obstruction:
     graph: Optional[Graph] = None
     lists: Optional[ListAssignment] = None
     pieces: tuple = ()
+
+
+def _max_degree(edges) -> int:
+    degree: dict = {}
+    for u, v in edges:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    return max(degree.values(), default=0)
+
+
+def _k4_edge_sets(g: Graph) -> list:
+    return [{edge(u, v) for u, v in combinations(q, 2)} for q in k4s(g)]
 
 
 def _extract_from_copy(copy: J3Copy, h: set):
@@ -339,11 +301,7 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
         raise PreconditionViolated(f"edge {unknown[0]} not in the gadget")
     if any(s.a in e for e in h):
         raise PreconditionViolated("deleted set touches the protected handle end")
-    degree: dict = {}
-    for u, v in h:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    if degree and max(degree.values()) > 3:
+    if _max_degree(h) > 3:
         raise PreconditionViolated("deleted set has maximum degree > 3")
 
     clear = [c for c in s.copies if not any(e in h for e in c.b_incident_edges())]
@@ -399,15 +357,7 @@ def verify_lemma2() -> VerificationReport:
     tally = {"k4": 0, "j_piece": 0}
     for mask in range(1 << len(free)):
         h = {free[i] for i in range(len(free)) if mask >> i & 1}
-        degree: dict = {}
-        ok = True
-        for u, v in h:
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
-            if degree[u] > 3 or degree[v] > 3:
-                ok = False
-                break
-        if not ok:
+        if _max_degree(h) > 3:
             continue
         examined += 1
         remaining = g.subgraph_without_edges(h)
@@ -442,18 +392,7 @@ def _path_configs(path: tuple) -> list:
         cset = {path[i] for i in range(4) if centers[i]}
         for picks in product((False, True), repeat=3):
             chosen = {internal[i] for i in range(3) if picks[i]}
-            leaf_deg: dict = {}
-            ok = True
-            for u, v in chosen:
-                if (u in cset) == (v in cset):
-                    ok = False
-                    break
-                leaf = v if u in cset else u
-                leaf_deg[leaf] = leaf_deg.get(leaf, 0) + 1
-                if leaf_deg[leaf] > 1:
-                    ok = False
-                    break
-            if ok:
+            if StarForest(frozenset(chosen), frozenset(cset)).validate().verdict:
                 configs.append((cset, chosen))
     return configs
 
@@ -528,10 +467,9 @@ def verify_lemma6() -> VerificationReport:
 def verify_theorem7_core() -> VerificationReport:
     """Exhaustive over center sets C covering every edge of D and leaf-edge
     sets F crossing C, with each leaf used once: D - F keeps a K4."""
-    d = build_d()
-    g = d.graph
+    g = build_d()
     verts = list(g.vertices)
-    cands = d.k4_candidates()
+    cliques = _k4_edge_sets(g)
     examined = 0
     for bits in range(1 << len(verts)):
         centers = {verts[i] for i in range(len(verts)) if bits >> i & 1}
@@ -547,7 +485,7 @@ def verify_theorem7_core() -> VerificationReport:
         for picks in product(*leaf_options):
             forest = {e for e in picks if e is not None}
             examined += 1
-            if not any(es.isdisjoint(forest) for _, es in cands):
+            if not any(es.isdisjoint(forest) for es in cliques):
                 return VerificationReport(
                     False,
                     "a center configuration kills every K4",
@@ -592,6 +530,8 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     random star forests of G2, K4 survival.  corollary3: random deletions
     on a single S avoiding its handle end a.
     """
+    if target not in ("theorem2", "theorem7", "corollary3"):
+        raise PreconditionViolated(f"unknown target {target!r}")
     if n < 0:
         raise PreconditionViolated("sample count must be non-negative")
     if n == 0:
@@ -602,18 +542,23 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     if target == "theorem7":
         return _sample_theorem7(n, rng, seed)
     if target == "theorem2":
-        return _sample_theorem2(n, rng, seed)
-    if target == "corollary3":
-        return _sample_corollary3(n, rng, seed)
-    raise PreconditionViolated(f"unknown target {target!r}")
+        g1 = build_g1()
+        return _sample_obstructions(
+            n, rng, seed, g1.graph, g1.s_gadgets, None,
+            "every sample produced a verified obstruction",
+        )
+    s = build_s()
+    return _sample_obstructions(
+        n, rng, seed, s.graph, (s,), {s.a}, "every sample produced an obstruction"
+    )
 
 
 def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
     g2 = build_g2()
-    cands = g2.k4_candidates()
+    cliques = _k4_edge_sets(g2)
     for i in range(n):
-        forest = random_star_forest(g2.graph, rng.split(i))
-        valid = forest.validate(g2.graph)
+        forest = random_star_forest(g2, rng.split(i))
+        valid = forest.validate(g2)
         if not valid.verdict:
             return VerificationReport(
                 False,
@@ -622,7 +567,7 @@ def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
                 stats={"samples": i + 1},
                 seed=seed,
             )
-        if not any(es.isdisjoint(forest.edges) for _, es in cands):
+        if not any(es.isdisjoint(forest.edges) for es in cliques):
             return VerificationReport(
                 False,
                 f"sample {i}: star forest kills every K4",
@@ -636,58 +581,32 @@ def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
     )
 
 
-def _sample_theorem2(n: int, rng: Rng, seed: int) -> VerificationReport:
-    g1 = build_g1()
+def _sample_obstructions(n: int, rng: Rng, seed: int, host: Graph, s_gadgets: tuple,
+                         forbidden: Optional[set], passed: str) -> VerificationReport:
+    """Draw a random maximal max-degree-3 deletion from the host, extract an
+    obstruction from the first S copy whose handle end a keeps all its
+    edges, and recheck an assembled member's lists."""
     tally = {"k4": 0, "j_member": 0}
     for i in range(n):
-        h = _random_max_degree_subgraph(g1.graph, rng.split(i), 3)
-        hedges = {edge(u, v) for u, v in h}
-        quiet = None
-        for idx in range(4):
-            if not any(e in hedges for e in g1.center_edges_in(idx)):
-                quiet = idx
+        h = _random_max_degree_subgraph(host, rng.split(i), 3, forbidden)
+        for s in s_gadgets:
+            h_local = h & s.graph.edges
+            if not any(s.a in e for e in h_local):
                 break
-        if quiet is None:
+        else:
             return VerificationReport(
                 False, f"sample {i}: center degree exceeds 3", stats={"samples": i + 1}, seed=seed
             )
-        s = g1.s_gadgets[quiet]
-        h_local = {e for e in hedges if e in s.graph.edges}
         obstruction = extract_obstruction(s, h_local)
-        if obstruction.kind == "k4":
-            tally["k4"] += 1
-            continue
-        recheck = verify_witness_not_k_choosable(obstruction.graph, obstruction.lists, 3)
-        if not recheck.verdict:
-            return VerificationReport(
-                False,
-                f"sample {i}: assembled member is 3-choosable after all",
-                counterexample=recheck.counterexample,
-                stats={"samples": i + 1},
-                seed=seed,
-            )
-        tally["j_member"] += 1
-    return VerificationReport(
-        True, "every sample produced a verified obstruction",
-        stats={"samples": n, **tally}, seed=seed,
-    )
-
-
-def _sample_corollary3(n: int, rng: Rng, seed: int) -> VerificationReport:
-    s = build_s()
-    tally = {"k4": 0, "j_member": 0}
-    for i in range(n):
-        h = _random_max_degree_subgraph(s.graph, rng.split(i), 3, forbidden={s.a})
-        obstruction = extract_obstruction(s, {edge(u, v) for u, v in h})
-        tally[obstruction.kind] += 1
         if obstruction.kind == "j_member":
             recheck = verify_witness_not_k_choosable(obstruction.graph, obstruction.lists, 3)
             if not recheck.verdict:
                 return VerificationReport(
-                    False, f"sample {i}: member recheck failed",
-                    stats={"samples": i + 1}, seed=seed,
+                    False,
+                    f"sample {i}: assembled member is 3-choosable after all",
+                    counterexample=recheck.counterexample,
+                    stats={"samples": i + 1},
+                    seed=seed,
                 )
-    return VerificationReport(
-        True, "every sample produced an obstruction",
-        stats={"samples": n, **tally}, seed=seed,
-    )
+        tally[obstruction.kind] += 1
+    return VerificationReport(True, passed, stats={"samples": n, **tally}, seed=seed)

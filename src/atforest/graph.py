@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import (
     DuplicateEdge,
@@ -279,24 +279,23 @@ def chord_of_cycle(g: Graph, cycle: list) -> Optional[Edge]:
     return best
 
 
+def k4s(g: Graph) -> Iterator[tuple]:
+    """4-cliques in lexicographic order: each edge a < b is extended by the
+    common neighbours above b."""
+    adj = g.adjacency
+    for a in g.vertices:
+        up = sorted(w for w in adj[a] if w > a)
+        for i, b in enumerate(up):
+            common = [w for w in up[i + 1:] if w in adj[b]]
+            for j, c in enumerate(common):
+                for d in common[j + 1:]:
+                    if d in adj[c]:
+                        yield (a, b, c, d)
+
+
 def find_k4(g: Graph) -> Optional[tuple]:
     """Lexicographically first 4-clique, or None."""
-    from itertools import combinations
-
-    adj = g.adjacency
-    candidates = [v for v in g.vertices if len(adj[v]) >= 3]
-    for quad in combinations(candidates, 4):
-        a, b, c, d = quad
-        if (
-            b in adj[a]
-            and c in adj[a]
-            and d in adj[a]
-            and c in adj[b]
-            and d in adj[b]
-            and d in adj[c]
-        ):
-            return quad
-    return None
+    return next(k4s(g), None)
 
 
 # ---------------------------------------------------------------------------

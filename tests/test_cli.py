@@ -130,6 +130,8 @@ def test_verify_sampled(tmp_path):
     data = json.loads(result.output())
     assert data["seed"] == 5 and data["samples"] == 3
     assert go("verify", "sampled", "--target", "nosuch", "--count", "1", "--seed", "1").exit_code == EXIT_USAGE
+    assert go("verify", "sampled", "--target", "nosuch", "--count", "0", "--seed", "1").exit_code == EXIT_USAGE
+    assert go("verify", "sampled", "--target", "theorem7", "--count", "-1", "--seed", "1").exit_code == EXIT_USAGE
     # --seed is required
     assert go("verify", "sampled", "--target", "theorem7", "--count", "1").exit_code == EXIT_USAGE
 
@@ -200,3 +202,45 @@ def test_usage_errors():
     assert go("nosuch").exit_code == EXIT_USAGE
     assert go("at", "number", "--input", "/does/not/exist.json").exit_code == EXIT_USAGE
     assert go("gen", "graph", "--n", "5", "--p", "0.5").exit_code == EXIT_USAGE  # no seed
+
+
+def _decomposition_files(tri_file, tmp_path):
+    tri = json.loads(tri_file.read_text())
+    handle = f"{tri['outer_face'][0]},{tri['outer_face'][1]}"
+    dec = tmp_path / "dec.json"
+    assert go("decompose", "--input", str(tri_file), "--handle", handle,
+              "--output", str(dec)).exit_code == EXIT_PASS
+    return json.loads(dec.read_text()), tmp_path / "bad.json"
+
+
+def _verify_decomposition(tri_file, dec_path):
+    return go("verify", "decomposition", "--input", str(tri_file),
+              "--decomposition", str(dec_path))
+
+
+def test_decomposition_with_three_item_forest_entry_is_input_error(tri_file, tmp_path):
+    data, bad = _decomposition_files(tri_file, tmp_path)
+    data["forest"][0] = data["forest"][0] + ["extra"]
+    bad.write_text(json.dumps(data))
+    assert _verify_decomposition(tri_file, bad).exit_code == EXIT_USAGE
+
+
+def test_decomposition_with_one_vertex_handle_is_input_error(tri_file, tmp_path):
+    data, bad = _decomposition_files(tri_file, tmp_path)
+    data["handle"] = ["a"]
+    bad.write_text(json.dumps(data))
+    assert _verify_decomposition(tri_file, bad).exit_code == EXIT_USAGE
+
+
+def test_graph_with_list_rotation_is_input_error(tri_file, tmp_path):
+    data = json.loads(tri_file.read_text())
+    data["rotation"] = list(data["rotation"].values())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert go("decompose", "--input", str(bad)).exit_code == EXIT_USAGE
+
+
+def test_lists_given_as_a_list_is_input_error(k4_file, tmp_path):
+    bad = tmp_path / "lists.json"
+    bad.write_text(json.dumps({"lists": [["a", ["1", "2", "3"]]]}))
+    assert go("choose", "check", "--input", str(k4_file), "--lists", str(bad)).exit_code == EXIT_USAGE

@@ -1,5 +1,8 @@
 """Gadget builders, star forests, exhaustive and sampled verifiers."""
 
+import hashlib
+import json
+
 import pytest
 
 from atforest import gadgets
@@ -8,18 +11,18 @@ from atforest.errors import BadSelector, PreconditionViolated
 from atforest.gadgets import (
     StarForest,
     build_gadget,
-    build_g1,
     build_j3,
     build_s,
     extract_obstruction,
     random_star_forest,
     verify_lemma1,
+    verify_lemma1_all,
     verify_lemma2,
     verify_lemma6,
     verify_sampled,
     verify_theorem7_core,
 )
-from atforest.graph import Graph, edge, find_k4
+from atforest.graph import edge, find_k4, graph_to_json_dict
 from atforest.testkit import Rng
 
 EXPECTED_SIZES = {
@@ -161,12 +164,6 @@ def test_extract_obstruction_preconditions():
         extract_obstruction(s, {("a", "nope")})
 
 
-def test_g1_center_edges():
-    g1 = build_g1()
-    for i in range(4):
-        assert all(g1.center in e for e in g1.center_edges_in(i))
-
-
 def test_sampled_verifiers_deterministic_and_passing():
     for target in ("theorem7", "theorem2", "corollary3"):
         r1 = verify_sampled(target, 10, seed=99)
@@ -185,3 +182,44 @@ def test_sampled_zero_is_vacuous_pass():
 def test_sampled_unknown_target():
     with pytest.raises(PreconditionViolated):
         verify_sampled("nosuch", 1, seed=1)
+    with pytest.raises(PreconditionViolated):
+        verify_sampled("nosuch", 0, seed=1)
+
+
+# pinned gadget reports: any change to a builder, an exhaustive count, a
+# sampled verdict or an extracted obstruction shows up as a different digest
+
+GADGET_REPORT_DIGEST = "8659cd7143b0cbfdec75125fcbdc66cdc4518559fd6b91f6e3db7edbecb0714d"
+
+
+def _obstruction_json(ob):
+    return {
+        "kind": ob.kind,
+        "vertices": list(ob.vertices),
+        "selector": ob.selector,
+        "graph": None if ob.graph is None else graph_to_json_dict(ob.graph),
+        "lists": None if ob.lists is None else ob.lists.to_json_dict(),
+        "pieces": [list(p) for p in ob.pieces],
+    }
+
+
+def _pinned_gadget_reports():
+    for name in ("J1", "J2", "J3", "S", "G1", "A", "D", "G2"):
+        yield graph_to_json_dict(build_gadget(name))
+    yield graph_to_json_dict(build_gadget("JFamily", "abbaba"))
+    for verifier in (verify_lemma1_all, verify_lemma2, verify_lemma6, verify_theorem7_core):
+        yield verifier().to_json_dict()
+    for target in ("theorem2", "theorem7", "corollary3"):
+        for seed in (5, 2027):
+            yield verify_sampled(target, 30, seed).to_json_dict()
+    s = build_s()
+    yield _obstruction_json(extract_obstruction(s, set()))
+    path_edges = {e for copy in s.copies for e in copy.path_edges()}
+    yield _obstruction_json(extract_obstruction(s, path_edges))
+
+
+def test_gadget_reports_match_pinned_digest():
+    h = hashlib.sha256()
+    for item in _pinned_gadget_reports():
+        h.update(json.dumps(item, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == GADGET_REPORT_DIGEST

@@ -13,6 +13,7 @@ from atforest.errors import (
     InvalidEmbedding,
     UnknownVertex,
 )
+from atforest.gadgets import build_gadget
 from atforest.graph import (
     Graph,
     Orientation,
@@ -23,6 +24,7 @@ from atforest.graph import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
+    k4s,
     validate_near_triangulation,
 )
 from atforest.testkit import random_graph
@@ -124,12 +126,14 @@ def test_find_k4_matches_brute_force_on_random_graphs():
 
     for seed in range(20):
         g = random_graph(7, 0.6, seed)
-        expected = None
-        for quad in combinations(g.vertices, 4):
-            if all(g.has_edge(u, v) for u, v in combinations(quad, 2)):
-                expected = quad
-                break
-        assert find_k4(g) == expected
+        expected = [
+            quad for quad in combinations(g.vertices, 4)
+            if all(g.has_edge(u, v) for u, v in combinations(quad, 2))
+        ]
+        assert list(k4s(g)) == expected
+        assert find_k4(g) == (expected[0] if expected else None)
+    counts = {name: len(list(k4s(build_gadget(name)))) for name in ("D", "A", "G2")}
+    assert counts == {"D": 5, "A": 9, "G2": 167}
 
 
 def test_chord_of_cycle():
