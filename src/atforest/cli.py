@@ -82,10 +82,11 @@ def _read_text(path: str) -> str:
 
 
 def _load(path: str, parse, what: str):
-    """parse(JSON of the file at path); any malformed shape is an input error."""
+    """parse(JSON of the file at path); any malformed shape or too deep a
+    nesting is an input error."""
     try:
         return parse(json.loads(_read_text(path)))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise _UsageError(f"cannot read {what} from {path!r}: {exc}")
 
 

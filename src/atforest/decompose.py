@@ -16,6 +16,10 @@ arcs z->x plus u->z extend the orientation, where the u are the
 neighbours of z inside the cycle, read off the rotation at z between its
 two cycle neighbours; they replace z on the cycle.  An ear with no inside
 neighbour is a bare triangle, the base case.
+
+Each frame carries its cycle's chords, sorted: a split hands the rest of
+them to the two sides, and an ear, which happens only on a chordless
+cycle, finds the new ones among the edges of the vertices it brings in.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .graph import (
     _canonical_outer,
     _walk_darts,
     build_plane_graph,
-    chord_of_cycle,
+    chords_of_cycle,
     edge,
     validate_near_triangulation,
 )
@@ -81,33 +85,39 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     # tells for all of them which way round the rotation runs inside
     traced = _walk_darts(pg.outer_face) == _walk_darts(_canonical_outer(pg))
     g = pg.graph
+    # every vertex that has been on a boundary; one inside the current
+    # cycle's region is on that cycle
+    reached = set(cycle0)
 
     forest: set = set()
     arcs: list = []
     root_trace: dict = {}
 
-    # frame: (boundary cycle, handle, drop_handle_from_forest, trace node)
-    stack = [(cycle0, (x0, y0), False, root_trace)]
+    # frame: (boundary cycle, its chords sorted, handle,
+    #         drop_handle_from_forest, trace node)
+    stack = [(cycle0, chords_of_cycle(g, cycle0), (x0, y0), False, root_trace)]
 
     while stack:
-        cycle, (x, y), drop, node = stack.pop()
+        cycle, chords, (x, y), drop, node = stack.pop()
 
-        chord = chord_of_cycle(g, cycle)
-        if chord is not None:
+        if chords:
+            chord = chords[0]
             i, j = sorted((cycle.index(chord[0]), cycle.index(chord[1])))
             # the two sides, each in cycle order; path_a keeps the handle
             path_a = cycle[i : j + 1]
             path_b = cycle[j:] + cycle[: i + 1]
-            if not _has_boundary_edge(path_a, x, y):
+            chords_a, chords_b = _split_chords(chords, path_a, path_b)
+            if not (i <= cycle.index(x) <= j and i <= cycle.index(y) <= j):
                 path_a, path_b = path_b, path_a
+                chords_a, chords_b = chords_b, chords_a
 
             node["case"] = "chord"
             node["chord"] = [chord[0], chord[1]]
             child_handle: dict = {}
             child_other: dict = {}
             node["children"] = [child_handle, child_other]
-            stack.append((path_b, (path_b[0], path_b[-1]), True, child_other))
-            stack.append((path_a, (x, y), drop, child_handle))
+            stack.append((path_b, chords_b, (path_b[0], path_b[-1]), True, child_other))
+            stack.append((path_a, chords_a, (x, y), drop, child_handle))
             continue
 
         # ear: z is the boundary neighbour of x other than y, w the next one
@@ -133,17 +143,44 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
         child: dict = {}
         node["child"] = child
         arcs.extend((u, z) for u in inner)
-        stack.append((cycle[:iz] + inner + cycle[iz + 1 :], (x, y), drop, child))
+        new_chords = _ear_chords(g.adjacency, reached, z, [before, *inner, after])
+        stack.append((cycle[:iz] + inner + cycle[iz + 1 :], new_chords, (x, y), drop, child))
 
     orientation = Orientation.build(g, arcs)
     return Decomposition((x0, y0), frozenset(forest), orientation, root_trace)
 
 
-def _has_boundary_edge(path: list, x: str, y: str) -> bool:
-    for i in range(len(path) - 1):
-        if {path[i], path[i + 1]} == {x, y}:
-            return True
-    return False
+def _split_chords(chords: list, path_a: list, path_b: list) -> tuple:
+    """Divide the chords after the first between the two sides of a split
+    along chords[0]; each side's list stays sorted.  A chord lies on the
+    shorter side iff both its ends do."""
+    a_short = len(path_a) <= len(path_b)
+    short = set(path_a if a_short else path_b)
+    on_short: list = []
+    on_long: list = []
+    for c in chords[1:]:
+        (on_short if c[0] in short and c[1] in short else on_long).append(c)
+    return (on_short, on_long) if a_short else (on_long, on_short)
+
+
+def _ear_chords(adj: dict, reached: set, z: str, link: list) -> list:
+    """Chords, sorted, of the cycle where ear z gave way to its inside
+    neighbours link[1:-1] (link runs between z's two cycle neighbours).
+
+    The old cycle had none, so each new chord has a new end u, and its
+    other end is on the new cycle, that is, reached and not z, without
+    being next to u on the link.  The new vertices join `reached` one by
+    one, so a chord between two of them is found once.
+    """
+    chords = []
+    for t in range(1, len(link) - 1):
+        u, prev, nxt = link[t], link[t - 1], link[t + 1]
+        for v in adj[u]:
+            if v in reached and v != z and v != prev and v != nxt:
+                chords.append(edge(u, v))
+        reached.add(u)
+    chords.sort()
+    return chords
 
 
 def _inside_neighbours(rot: tuple, before: str, after: str, traced: bool) -> list:

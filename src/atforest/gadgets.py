@@ -31,7 +31,7 @@ from .choosability import (
     verify_witness_not_k_choosable,
 )
 from .errors import BadSelector, PreconditionViolated
-from .graph import Graph, edge, find_k4, k4s
+from .graph import Graph, edge, k4s
 from .report import VerificationReport
 from .testkit import Rng
 
@@ -352,6 +352,7 @@ def verify_lemma2() -> VerificationReport:
     """Exhaustive over all max-degree-3 subsets H of the 12 J3 edges not
     touching a or b: J3 - E(H) contains K4 or an anchored J1/J2 piece."""
     g, copy = build_j3()
+    cliques = _k4_edge_sets(g)
     free = copy.free_edges()
     examined = 0
     tally = {"k4": 0, "j_piece": 0}
@@ -360,8 +361,7 @@ def verify_lemma2() -> VerificationReport:
         if _max_degree(h) > 3:
             continue
         examined += 1
-        remaining = g.subgraph_without_edges(h)
-        if find_k4(remaining) is not None:
+        if any(c.isdisjoint(h) for c in cliques):
             tally["k4"] += 1
             continue
         try:

@@ -147,33 +147,32 @@ class PlaneGraph:
     faces: tuple  # every facial walk, as traced by build_plane_graph
 
 
-def _trace_all_faces(graph: Graph, rotation: dict) -> list:
+def _trace_all_faces(rotation: dict) -> list:
     """Return the facial walks of the embedding, one per dart cycle.
 
     The next dart after (u, v) is (v, w) where w follows u in the
-    rotation at v.
+    rotation at v.  Each walk starts at the smallest dart not yet used,
+    found by one sweep over the sorted darts.
     """
-    succ_index = {}
+    nxt = {}
     for v, nbrs in rotation.items():
+        k = len(nbrs)
         for i, u in enumerate(nbrs):
-            succ_index[(v, u)] = nbrs[(i + 1) % len(nbrs)]
-    darts = set()
-    for u, v in graph.edges:
-        darts.add((u, v))
-        darts.add((v, u))
+            nxt[(u, v)] = (v, nbrs[(i + 1) % k])
     faces = []
-    remaining = set(darts)
-    while remaining:
-        start = min(remaining)
+    used: set = set()
+    for start in sorted(nxt):
+        if start in used:
+            continue
         walk = []
         d = start
         while True:
             walk.append(d[0])
-            remaining.discard(d)
-            d = (d[1], succ_index[(d[1], d[0])])
+            used.add(d)
+            d = nxt[d]
             if d == start:
                 break
-            if d not in remaining:
+            if d in used:
                 raise EulerViolation("face trace revisits a consumed dart")
         faces.append(tuple(walk))
     return faces
@@ -198,7 +197,7 @@ def build_plane_graph(
         if sorted(nbrs) != sorted(g.adjacency[v]):
             raise RotationMismatch(f"rotation at {v!r} does not list its incident edges")
 
-    faces = _trace_all_faces(g, rot)
+    faces = _trace_all_faces(rot)
 
     # Euler's formula per connected component; an isolated vertex has the
     # one trivial face around it.
@@ -265,18 +264,20 @@ def validate_near_triangulation(pg: PlaneGraph) -> VerificationReport:
     return VerificationReport(True, "near-triangulation")
 
 
-def chord_of_cycle(g: Graph, cycle: list) -> Optional[Edge]:
-    on_cycle = set(cycle)
+def chords_of_cycle(g: Graph, cycle: list) -> list:
+    """Every edge joining two vertices of the cycle that is not a cycle
+    edge, sorted."""
+    pos = {v: i for i, v in enumerate(cycle)}
     k = len(cycle)
-    boundary = {edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
-    best = None
+    chords = []
     for u in cycle:
+        i = pos[u]
         for v in g.adjacency[u]:
-            if v in on_cycle:
-                e = edge(u, v)
-                if e not in boundary and (best is None or e < best):
-                    best = e
-    return best
+            j = pos.get(v)
+            if j is not None and u < v and (i - j) % k not in (1, k - 1):
+                chords.append((u, v))
+    chords.sort()
+    return chords
 
 
 def k4s(g: Graph) -> Iterator[tuple]:

@@ -244,3 +244,11 @@ def test_lists_given_as_a_list_is_input_error(k4_file, tmp_path):
     bad = tmp_path / "lists.json"
     bad.write_text(json.dumps({"lists": [["a", ["1", "2", "3"]]]}))
     assert go("choose", "check", "--input", str(k4_file), "--lists", str(bad)).exit_code == EXIT_USAGE
+
+
+def test_deeply_nested_input_is_input_error(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    result = go("at", "number", "--input", str(deep))
+    assert result.exit_code == EXIT_USAGE
+    assert "cannot read graph" in result.output()

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from atforest.decompose import (
     Decomposition,
+    _inside_neighbours,
     decompose,
     decompose_any_planar,
     verify_certificate,
@@ -19,8 +20,15 @@ from atforest.errors import (
     HandleNotOnBoundary,
     NotNearTriangulation,
 )
-from atforest.graph import Orientation, build_plane_graph, edge, validate_near_triangulation
-from atforest.testkit import plane_graph_from_triangles, random_near_triangulation
+from atforest.graph import (
+    Orientation,
+    _canonical_outer,
+    _walk_darts,
+    build_plane_graph,
+    edge,
+    validate_near_triangulation,
+)
+from atforest.testkit import Rng, plane_graph_from_triangles, random_near_triangulation
 
 
 def triangle_plane():
@@ -235,15 +243,17 @@ def _fan(n):
     return plane_graph_from_triangles(names, tris, outer), (names[0], names[-1])
 
 
-def _zigzag(n):
+def _zigzag(n, rng=None):
     """Strip between top path t* and bottom path s*, rungs advancing
-    alternately two steps on top and one on the bottom; handle (t0, s0)."""
+    alternately two steps on top and one on the bottom, or on a side drawn
+    from `rng`; handle (t0, s0)."""
     top = [f"t{i:02d}" for i in range(n // 2)]
     bot = [f"s{i:02d}" for i in range(n - n // 2)]
     i = j = 0
     tris = []
     while i < len(top) - 1 or j < len(bot) - 1:
-        if j == len(bot) - 1 or (i < len(top) - 1 and (i + j) % 3 != 2):
+        on_top = (i + j) % 3 != 2 if rng is None else rng.randrange(2) == 0
+        if j == len(bot) - 1 or (i < len(top) - 1 and on_top):
             tris.append((top[i], top[i + 1], bot[j]))
             i += 1
         else:
@@ -293,3 +303,93 @@ def test_certificates_match_pinned_digest():
     for cert in _pinned_certificates():
         h.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == CERTIFICATE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# chord lists carried down the stack against a rescan of every frame
+
+
+def _reference_decompose(pg, handle):
+    """The decomposition loop that looks for the smallest chord by scanning
+    the adjacency of every cycle vertex in every frame."""
+    x0, y0 = handle
+    cycle0 = list(pg.outer_face)
+    traced = _walk_darts(pg.outer_face) == _walk_darts(_canonical_outer(pg))
+    g = pg.graph
+    forest, arcs, root = set(), [], {}
+    stack = [(cycle0, (x0, y0), False, root)]
+    while stack:
+        cycle, (x, y), drop, node = stack.pop()
+        on_cycle, k = set(cycle), len(cycle)
+        sides = {edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
+        chord = min(
+            (edge(u, v) for u in cycle for v in g.adjacency[u]
+             if v in on_cycle and edge(u, v) not in sides),
+            default=None,
+        )
+        if chord is not None:
+            i, j = sorted((cycle.index(chord[0]), cycle.index(chord[1])))
+            path_a, path_b = cycle[i : j + 1], cycle[j:] + cycle[: i + 1]
+            if not any({path_a[t], path_a[t + 1]} == {x, y} for t in range(len(path_a) - 1)):
+                path_a, path_b = path_b, path_a
+            node["case"], node["chord"] = "chord", [chord[0], chord[1]]
+            node["children"] = [{}, {}]
+            stack.append((path_b, (path_b[0], path_b[-1]), True, node["children"][1]))
+            stack.append((path_a, (x, y), drop, node["children"][0]))
+            continue
+        ix = cycle.index(x)
+        step = 1 if cycle[(ix + 1) % k] != y else -1
+        iz = (ix + step) % k
+        z, w = cycle[iz], cycle[(iz + step) % k]
+        inner = _inside_neighbours(pg.rotation[z], cycle[iz - 1], cycle[(iz + 1) % k], traced)
+        forest.add(edge(z, w))
+        arcs.append((z, x))
+        if not inner:
+            node["case"], node["triangle"] = "base", sorted(cycle)
+            if not drop:
+                forest.add(edge(x, y))
+            continue
+        node["case"], node["vertex"], node["child"] = "ear", z, {}
+        arcs.extend((u, z) for u in inner)
+        stack.append((cycle[:iz] + inner + cycle[iz + 1 :], (x, y), drop, node["child"]))
+    return {
+        "handle": [x0, y0],
+        "forest": [list(e) for e in sorted(forest)],
+        "arcs": [list(a) for a in sorted(arcs)],
+        "trace": root,
+    }
+
+
+def _chord_list_instances():
+    """(plane graph, handle) pairs: random boundaries in both handle
+    directions, reversed outer walks, fans, zigzag strips and ear-heavy
+    boundary-3 inputs."""
+    for n, seed in ((7, 1), (20, 2), (55, 3), (140, 4)):
+        for b in sorted({3, 4, min(8, n), max(3, n // 3), n // 2, n - 1, n}):
+            pg = random_near_triangulation(n, b, seed * 1000 + b)
+            o = pg.outer_face
+            for handle in ((o[0], o[1]), (o[1], o[0]), (o[-1], o[0])):
+                yield pg, handle
+            flipped = build_plane_graph(pg.graph.vertices, pg.graph.edges, pg.rotation, o[::-1])
+            yield flipped, (o[2], o[1])
+    for n in (3, 4, 5, 8, 13, 31, 64):
+        pg, (x, y) = _fan(n)
+        yield pg, (x, y)
+        yield pg, (y, x)
+        yield pg, (pg.outer_face[1], pg.outer_face[2])
+    for n in (4, 5, 9, 16, 33, 70):
+        for rng in (None, Rng(n)):
+            pg, (x, y) = _zigzag(n, rng)
+            yield pg, (x, y)
+            yield pg, (y, x)
+    for seed in range(60):
+        pg = random_near_triangulation(12 + 2 * seed, 3, 7000 + seed)
+        yield pg, (pg.outer_face[seed % 3], pg.outer_face[(seed + 1) % 3])
+
+
+def test_chord_lists_match_rescanning_reference():
+    count = 0
+    for pg, handle in _chord_list_instances():
+        assert decompose(pg, handle).to_json_dict() == _reference_decompose(pg, handle)
+        count += 1
+    assert count == 205

@@ -17,8 +17,9 @@ from atforest.gadgets import build_gadget
 from atforest.graph import (
     Graph,
     Orientation,
+    _trace_all_faces,
     build_plane_graph,
-    chord_of_cycle,
+    chords_of_cycle,
     edge,
     find_k4,
     graph_from_json,
@@ -27,7 +28,11 @@ from atforest.graph import (
     k4s,
     validate_near_triangulation,
 )
-from atforest.testkit import random_graph
+from atforest.testkit import (
+    plane_graph_from_triangles,
+    random_graph,
+    random_near_triangulation,
+)
 
 
 def k_complete(names):
@@ -93,6 +98,78 @@ def test_bad_rotation_rejected():
         )
 
 
+def _faces_by_repeated_min(rotation):
+    """Reference face trace: each walk starts at min(remaining darts)."""
+    succ = {}
+    for v, nbrs in rotation.items():
+        for i, u in enumerate(nbrs):
+            succ[(v, u)] = nbrs[(i + 1) % len(nbrs)]
+    remaining = set(succ)
+    faces = []
+    while remaining:
+        start = min(remaining)
+        walk, d = [], start
+        while True:
+            walk.append(d[0])
+            remaining.discard(d)
+            d = (d[1], succ[(d[1], d[0])])
+            if d == start:
+                break
+        faces.append(tuple(walk))
+    return faces
+
+
+def _sparse_subgraph(pg):
+    """Connected plane subgraph: boundary, a BFS tree, every fourth other edge."""
+    outer = pg.outer_face
+    kept = {edge(outer[i], outer[(i + 1) % len(outer)]) for i in range(len(outer))}
+    seen, queue = {outer[0]}, [outer[0]]
+    for u in queue:
+        for w in pg.rotation[u]:
+            if w not in seen:
+                seen.add(w)
+                kept.add(edge(u, w))
+                queue.append(w)
+    kept |= {e for k, e in enumerate(sorted(pg.graph.edges)) if k % 4 == 0}
+    rotation = {v: [w for w in nbrs if edge(v, w) in kept] for v, nbrs in pg.rotation.items()}
+    return build_plane_graph(pg.graph.vertices, kept, rotation, outer)
+
+
+def _fan_plane(n):
+    names = [f"f{i:02d}" for i in range(n)]
+    tris = [(names[0], names[i + 1], names[i]) for i in range(1, n - 1)]
+    return plane_graph_from_triangles(names, tris, tuple(names))
+
+
+def _face_trace_instances():
+    for n, seed in ((12, 1), (45, 2), (160, 3)):
+        for b in sorted({3, 8, n // 2, n}):
+            pg = random_near_triangulation(n, b, seed * 1000 + b)
+            yield pg
+            yield _sparse_subgraph(pg)
+    for n in (3, 4, 9, 30):
+        yield _fan_plane(n)
+    # a triangle, a separate square and an isolated vertex
+    yield build_plane_graph(
+        ["a", "b", "c", "d", "e", "f", "g", "h"],
+        [("a", "b"), ("b", "c"), ("a", "c"),
+         ("d", "e"), ("e", "f"), ("f", "g"), ("d", "g")],
+        {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b"),
+         "d": ("e", "g"), "e": ("f", "d"), "f": ("g", "e"), "g": ("d", "f"), "h": ()},
+        ["a", "b", "c"],
+    )
+
+
+def test_face_trace_matches_repeated_min_reference():
+    count = 0
+    for pg in _face_trace_instances():
+        expected = _faces_by_repeated_min(pg.rotation)
+        assert _trace_all_faces(pg.rotation) == expected
+        assert list(pg.faces) == expected
+        count += 1
+    assert count == 29
+
+
 def test_near_triangulation_validation():
     pg = triangle_plane()
     assert validate_near_triangulation(pg).verdict
@@ -136,11 +213,11 @@ def test_find_k4_matches_brute_force_on_random_graphs():
     assert counts == {"D": 5, "A": 9, "G2": 167}
 
 
-def test_chord_of_cycle():
+def test_chords_of_cycle():
     g = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d")])
-    assert chord_of_cycle(g, ["a", "b", "c", "d"]) == ("b", "d")
+    assert chords_of_cycle(g, ["a", "b", "c", "d"]) == [("b", "d")]
     c4 = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    assert chord_of_cycle(c4, ["a", "b", "c", "d"]) is None
+    assert chords_of_cycle(c4, ["a", "b", "c", "d"]) == []
 
 
 def test_json_round_trip_plain_graph():
