@@ -23,7 +23,6 @@ from .choosability import (
     is_l_colorable,
     verify_witness_not_k_choosable,
 )
-from .config import DEFAULT_CAPS, Caps
 from .decompose import (
     Decomposition,
     decompose,
@@ -66,8 +65,6 @@ from .testkit import (
 __all__ = [
     "ArtifactError",
     "CapExceeded",
-    "Caps",
-    "DEFAULT_CAPS",
     "Decomposition",
     "Graph",
     "ListAssignment",

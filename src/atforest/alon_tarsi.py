@@ -14,9 +14,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceeded, DegreeMismatch, ParityCapExceeded
 from .graph import Graph, Orientation
+
+# the largest inputs each enumeration takes, sized so that every acceptance
+# check finishes in seconds; a larger one raises CapExceeded (CLI exit 3)
+PARITY_ARC_CAP = 24  # eulerian_diff
+COEFFICIENT_EDGE_CAP = 40  # poly_coefficient
+ORIENTATION_EDGE_CAP = 20  # find_at_orientation's exhaustive search
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,7 @@ class ParityCount:
         return self.even_count - self.odd_count
 
 
-def eulerian_diff(d: Orientation, caps: Caps = DEFAULT_CAPS) -> ParityCount:
+def eulerian_diff(d: Orientation) -> ParityCount:
     """Count arc subsets with in-degree = out-degree at every vertex, split
     by parity of the subset size.
 
@@ -39,46 +44,46 @@ def eulerian_diff(d: Orientation, caps: Caps = DEFAULT_CAPS) -> ParityCount:
     """
     arcs = sorted(d.arcs)
     m = len(arcs)
-    if m > caps.parity_arcs:
-        raise ParityCapExceeded(f"{m} arcs exceeds parity cap {caps.parity_arcs}")
+    if m > PARITY_ARC_CAP:
+        raise ParityCapExceeded(f"{m} arcs exceeds parity cap {PARITY_ARC_CAP}")
     verts = sorted({v for a in arcs for v in a})
     index = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
+    rem = [0] * len(verts)  # arcs at each vertex not scanned yet
+    for t, h in arcs:
+        rem[index[t]] += 1
+        rem[index[h]] += 1
 
-    # arcs touching vertex v at positions >= i
-    remaining = [[0] * k for _ in range(m + 1)]
-    for i in range(m - 1, -1, -1):
-        row = remaining[i + 1][:]
-        t, h = arcs[i]
-        row[index[t]] += 1
-        row[index[h]] += 1
-        remaining[i] = row
-
-    zero = (0,) * k
+    zero = (0,) * len(verts)
     states: dict = {zero: (1, 0)}
-    for i, (t, h) in enumerate(arcs):
+    for t, h in arcs:
         ti, hi = index[t], index[h]
-        nxt: dict = defaultdict(lambda: (0, 0))
-        rem = remaining[i + 1]
+        rem[ti] -= 1
+        rem[hi] -= 1
+        rt, rh = rem[ti], rem[hi]
+        # every kept state has |state[v]| <= rem[v] at every v, and this arc
+        # changes state and rem only at its tail and head, so only those two
+        # coordinates can break the bound
+        nxt: dict = {}
         for state, (ev, od) in states.items():
-            # exclude arc i
-            if all(abs(state[j]) <= rem[j] for j in range(k)):
-                e0, o0 = nxt[state]
+            st, sh = state[ti], state[hi]
+            # exclude the arc
+            if abs(st) <= rt and abs(sh) <= rh:
+                e0, o0 = nxt.get(state, (0, 0))
                 nxt[state] = (e0 + ev, o0 + od)
-            # include arc i: parity flips
-            s = list(state)
-            s[ti] += 1
-            s[hi] -= 1
-            if all(abs(s[j]) <= rem[j] for j in range(k)):
+            # include the arc: parity flips
+            if abs(st + 1) <= rt and abs(sh - 1) <= rh:
+                s = list(state)
+                s[ti] = st + 1
+                s[hi] = sh - 1
                 key = tuple(s)
-                e0, o0 = nxt[key]
+                e0, o0 = nxt.get(key, (0, 0))
                 nxt[key] = (e0 + od, o0 + ev)
-        states = dict(nxt)
+        states = nxt
     ev, od = states.get(zero, (0, 0))
     return ParityCount(ev, od)
 
 
-def poly_coefficient(g: Graph, eta: dict, caps: Caps = DEFAULT_CAPS) -> int:
+def poly_coefficient(g: Graph, eta: dict) -> int:
     """Exact coefficient of the monomial with exponent vector eta in the
     product over edges uv (u < v) of (x_v - x_u).
 
@@ -94,7 +99,7 @@ def poly_coefficient(g: Graph, eta: dict, caps: Caps = DEFAULT_CAPS) -> int:
         raise DegreeMismatch(
             f"sum of exponents {sum(eta.values())} != edge count {len(edges)}"
         )
-    if len(edges) > caps.coefficient_edges:
+    if len(edges) > COEFFICIENT_EDGE_CAP:
         raise CapExceeded(f"{len(edges)} edges exceeds coefficient cap")
     index = {v: i for i, v in enumerate(g.vertices)}
     target = tuple(eta[v] for v in g.vertices)
@@ -143,7 +148,7 @@ def acyclic_orientation(g: Graph) -> tuple:
     return Orientation.build(g, arcs), degeneracy
 
 
-def find_at_orientation(g: Graph, k: int, caps: Caps = DEFAULT_CAPS) -> Optional[Orientation]:
+def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
     """An orientation with max out-degree < k and unequal even/odd Eulerian
     sub-digraph counts, or None if none exists.
 
@@ -157,7 +162,7 @@ def find_at_orientation(g: Graph, k: int, caps: Caps = DEFAULT_CAPS) -> Optional
     if degeneracy <= k - 1:
         return d
     edges = sorted(g.edges)
-    if len(edges) > caps.orientation_edges:
+    if len(edges) > ORIENTATION_EDGE_CAP:
         raise CapExceeded(f"{len(edges)} edges exceeds orientation search cap")
     out = {v: 0 for v in g.vertices}
     chosen: list = []
@@ -165,7 +170,7 @@ def find_at_orientation(g: Graph, k: int, caps: Caps = DEFAULT_CAPS) -> Optional
     def search(i: int) -> Optional[Orientation]:
         if i == len(edges):
             cand = Orientation.build(g, chosen)
-            if eulerian_diff(cand, caps).diff != 0:
+            if eulerian_diff(cand).diff != 0:
                 return cand
             return None
         u, v = edges[i]
@@ -183,11 +188,11 @@ def find_at_orientation(g: Graph, k: int, caps: Caps = DEFAULT_CAPS) -> Optional
     return search(0)
 
 
-def at_number(g: Graph, caps: Caps = DEFAULT_CAPS) -> int:
+def at_number(g: Graph) -> int:
     """Least k admitting an orientation with out-degrees < k and nonzero
     Eulerian parity difference.  Terminates: degeneracy + 1 always works."""
     k = 1
     while True:
-        if find_at_orientation(g, k, caps) is not None:
+        if find_at_orientation(g, k) is not None:
             return k
         k += 1

@@ -124,7 +124,10 @@ def verify_witness_not_k_choosable(g: Graph, l: ListAssignment, k: int) -> Verif
     return VerificationReport(True, f"no coloring from the {k}-lists")
 
 
-def chromatic_number(g: Graph, cap: int = 64) -> int:
+CHROMATIC_COLOR_CAP = 64  # the most colors chromatic_number tries
+
+
+def chromatic_number(g: Graph) -> int:
     """Least k with a proper k-coloring, by backtracking with a color
     symmetry break (a new color only when all used ones fail)."""
     if not g.edges:
@@ -153,7 +156,7 @@ def chromatic_number(g: Graph, cap: int = 64) -> int:
         return rec(0, 0)
 
     for k in range(2, len(g.vertices) + 1):
-        if k > cap:
+        if k > CHROMATIC_COLOR_CAP:
             raise CapExceeded("chromatic search cap exceeded")
         if colorable(k):
             return k

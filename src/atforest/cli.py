@@ -3,9 +3,10 @@
 Subcommands: gadget build, decompose, verify decomposition/lemma/sampled,
 at number/coefficient/orientation, choose check, gen triangulation/graph.
 Exit codes: 0 pass/success, 1 verification failure, 2 usage or input
-error, 3 enumeration cap exceeded.  All randomized commands take --seed;
-configuration is flags-only and file arguments accept "-" for the
-standard streams.
+error, 3 enumeration cap exceeded, 4 internal error (an unexpected
+exception, reported instead of a traceback).  All randomized commands
+take --seed; configuration is flags-only and file arguments accept "-"
+for the standard streams.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .graph import (
 from .report import VerificationReport
 from .testkit import random_graph, random_near_triangulation
 
-EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_CAP = 0, 1, 2, 3
+EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 @dataclass
@@ -335,6 +336,9 @@ def run(argv) -> CommandResult:
         return CommandResult(EXIT_CAP, f"cap exceeded: {exc}", {"verdict": "ERROR", "error": str(exc)}, as_json=as_json)
     except ArtifactError as exc:
         return CommandResult(EXIT_USAGE, f"input error: {exc}", {"verdict": "ERROR", "error": str(exc)}, as_json=as_json)
+    except Exception as exc:  # last resort: a bug, or a limit such as recursion depth
+        error = f"{type(exc).__name__}: {exc}"
+        return CommandResult(EXIT_INTERNAL, f"internal error: {error}", {"verdict": "ERROR", "error": error}, as_json=as_json)
 
 
 def main(argv=None) -> int:

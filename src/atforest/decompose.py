@@ -24,9 +24,10 @@ cycle, finds the new ones among the edges of the vertices it brings in.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
-from .config import DEFAULT_CAPS, Caps
 from .errors import (
     Disconnected,
     HandleNotOnBoundary,
@@ -226,7 +227,7 @@ def verify_certificate(g: Graph, forest, orientation: Orientation, bound) -> Ver
 
 
 def verify_decomposition(
-    pg: PlaneGraph, d: Decomposition, mode: str = "structural", caps: Caps = DEFAULT_CAPS
+    pg: PlaneGraph, d: Decomposition, mode: str = "structural"
 ) -> VerificationReport:
     """Check the nice-orientation conditions; in parity mode also brute-force
     the even/odd Eulerian sub-digraph difference (must be 1)."""
@@ -250,7 +251,7 @@ def verify_decomposition(
         return report
 
     if mode == "parity":
-        pc = eulerian_diff(d.orientation, caps)
+        pc = eulerian_diff(d.orientation)
         stats["even"] = pc.even_count
         stats["odd"] = pc.odd_count
         if pc.diff != 1:
@@ -311,58 +312,60 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
 
 def _triangulate_embedding(pg: PlaneGraph) -> PlaneGraph:
     """Add chords until every face (outer included) is a triangle, then
-    re-designate one face as the boundary."""
+    re-designate one face as the boundary.
+
+    A long face is a deque turned so that the corner a, b, c being tried
+    is at its front; the chord a-c clips the triangle off, and the deque
+    turns past the corner and drops its tip b, so nothing is copied.  Each
+    split lowers the sum of len - 3 over the pending walks.
+    """
     rotation = {v: list(nbrs) for v, nbrs in pg.rotation.items()}
     edges = set(pg.graph.edges)
-    faces = [list(f) for f in pg.faces]
 
     def insert_after(v: str, anchor: str, new: str) -> None:
         rotation[v].insert(rotation[v].index(anchor) + 1, new)
 
-    pending = [f for f in faces if len(f) > 3]
-    done = [f for f in faces if len(f) <= 3]
-    guard = 0
+    pending = [deque(f) for f in pg.faces if len(f) > 3]
+    done = [f for f in pg.faces if len(f) <= 3]
     while pending:
-        guard += 1
-        if guard > 10 * (len(edges) + len(pg.graph.vertices)) + 100:
-            raise InvalidEmbedding("face triangulation did not converge")
         walk = pending.pop()
-        k = len(walk)
-        pick = None
         # prefer a triangle-splitting chord two steps apart
-        for i in range(k):
-            a, c = walk[i], walk[(i + 2) % k]
-            if a != c and edge(a, c) not in edges:
-                pick = (i, (i + 2) % k)
+        for _ in range(len(walk)):
+            if walk[0] != walk[2] and edge(walk[0], walk[2]) not in edges:
+                s = 2
                 break
-        if pick is None:
-            for i in range(k):
-                for j in range(i + 2, k):
-                    if (j + 1) % k == i or i == j:
-                        continue
-                    a, c = walk[i], walk[j]
-                    if a != c and edge(a, c) not in edges:
-                        pick = (i, j)
-                        break
-                if pick is not None:
-                    break
-        if pick is None:
-            raise InvalidEmbedding(f"cannot triangulate face {walk}")
-        i, j = pick
-        a, c = walk[i], walk[j]
-        insert_after(a, walk[i - 1], c)
-        insert_after(c, walk[j - 1], a)
+            walk.rotate(-1)
+        else:  # a full turn has brought the walk back to its first vertex
+            i, s = _far_chord(list(walk), edges)
+            walk.rotate(-i)
+        a, c = walk[0], walk[s]
+        insert_after(a, walk[-1], c)
+        insert_after(c, walk[s - 1], a)
         edges.add(edge(a, c))
-        walk1 = walk[i : j + 1] if i < j else walk[i:] + walk[: j + 1]
-        walk2 = walk[j:] + walk[: i + 1] if i < j else walk[j : i + 1]
-        for piece in (walk1, walk2):
-            (pending if len(piece) > 3 else done).append(piece)
+        piece = list(islice(walk, s + 1))  # a .. c
+        walk.rotate(-s)  # c .. a, then the s - 1 vertices between a and c
+        for _ in range(s - 1):
+            walk.pop()
+        for part in (piece, walk):
+            (pending if len(part) > 3 else done).append(part)
 
     rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
-    outer = tuple((done + pending)[0]) if done else tuple(faces[0])
     # length-2 walks (bridges) cannot appear: the graph contains a cycle
     # and triangulation only shortens walks to length 3
     for piece in done:
         if len(piece) != 3:
-            raise InvalidEmbedding(f"face {piece} not a triangle after augmentation")
-    return build_plane_graph(pg.graph.vertices, edges, rot, outer)
+            raise InvalidEmbedding(f"face {list(piece)} not a triangle after augmentation")
+    return build_plane_graph(pg.graph.vertices, edges, rot, tuple(done[0]))
+
+
+def _far_chord(walk: list, edges: set) -> tuple:
+    """First positions i < j, not neighbours round the walk, whose vertices
+    differ and are not adjacent yet; returns i and j - i."""
+    k = len(walk)
+    for i in range(k):
+        for j in range(i + 2, k):
+            if (j + 1) % k == i:
+                continue
+            if walk[i] != walk[j] and edge(walk[i], walk[j]) not in edges:
+                return i, j - i
+    raise InvalidEmbedding(f"cannot triangulate face {walk}")

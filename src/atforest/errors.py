@@ -38,7 +38,7 @@ class InvalidEmbedding(ArtifactError):
 
 
 class CapExceeded(ArtifactError):
-    """An enumeration exceeded its configured size cap."""
+    """An enumeration exceeded its size cap."""
 
 
 class ParityCapExceeded(CapExceeded):

@@ -505,9 +505,9 @@ def verify_theorem7_core() -> VerificationReport:
 # ---------------------------------------------------------------------------
 # seeded sampling over the glued giants
 
-def _random_max_degree_subgraph(g: Graph, rng: Rng, max_degree: int = 3,
-                                forbidden: Optional[set] = None) -> set:
-    """Greedy maximal edge set with all degrees <= max_degree."""
+def _random_max_degree_subgraph(g: Graph, rng: Rng, forbidden: Optional[set]) -> set:
+    """Greedy maximal edge set with all degrees <= 3, avoiding the
+    forbidden vertices."""
     edges = sorted(g.edges)
     rng.shuffle(edges)
     degree: dict = {}
@@ -515,7 +515,7 @@ def _random_max_degree_subgraph(g: Graph, rng: Rng, max_degree: int = 3,
     for u, v in edges:
         if forbidden and (u in forbidden or v in forbidden):
             continue
-        if degree.get(u, 0) < max_degree and degree.get(v, 0) < max_degree:
+        if degree.get(u, 0) < 3 and degree.get(v, 0) < 3:
             out.add((u, v))
             degree[u] = degree.get(u, 0) + 1
             degree[v] = degree.get(v, 0) + 1
@@ -588,7 +588,7 @@ def _sample_obstructions(n: int, rng: Rng, seed: int, host: Graph, s_gadgets: tu
     edges, and recheck an assembled member's lists."""
     tally = {"k4": 0, "j_member": 0}
     for i in range(n):
-        h = _random_max_degree_subgraph(host, rng.split(i), 3, forbidden)
+        h = _random_max_degree_subgraph(host, rng.split(i), forbidden)
         for s in s_gadgets:
             h_local = h & s.graph.edges
             if not any(s.a in e for e in h_local):

@@ -222,28 +222,27 @@ def build_plane_graph(
     outer = tuple(outer_face)
     if not outer:
         raise RotationMismatch("outer face walk is empty")
-    target = _walk_darts(outer) if len(outer) > 1 else None
-    matched = None
-    for f in faces:
-        if len(f) == len(outer) and (
-            target is None or _walk_darts(f) in (target, {(b, a) for a, b in target})
-        ):
-            if target is None or set(f) == set(outer):
-                matched = f
-                break
-    if matched is None:
+    if _matching_face(faces, outer) is None:
         raise RotationMismatch("designated outer face is not a face of the embedding")
     return PlaneGraph(g, rot, outer, tuple(faces))
 
 
+def _matching_face(faces, walk: tuple) -> Optional[tuple]:
+    """The face with the darts of `walk`, traversed either way, or None."""
+    target = _walk_darts(walk)
+    rev = {(b, a) for a, b in target}
+    for f in faces:
+        if len(f) == len(walk) and _walk_darts(f) in (target, rev):
+            return f
+    return None
+
+
 def _canonical_outer(pg: PlaneGraph) -> tuple:
     """The traced face matching the designated outer walk."""
-    target = _walk_darts(pg.outer_face)
-    rev = {(b, a) for a, b in target}
-    for f in pg.faces:
-        if len(f) == len(pg.outer_face) and _walk_darts(f) in (target, rev):
-            return f
-    raise RotationMismatch("outer face lost")
+    f = _matching_face(pg.faces, pg.outer_face)
+    if f is None:
+        raise RotationMismatch("outer face lost")
+    return f
 
 
 def validate_near_triangulation(pg: PlaneGraph) -> VerificationReport:

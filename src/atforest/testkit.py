@@ -7,7 +7,6 @@ concurrent consumers cannot perturb each other.
 
 from __future__ import annotations
 
-from .config import DEFAULT_CAPS, Caps
 from .errors import BadParameters, CapExceeded
 from .graph import Graph, Orientation, PlaneGraph, build_plane_graph, edge
 
@@ -171,14 +170,17 @@ def random_orientation(g: Graph, rng: Rng) -> Orientation:
     return Orientation.build(g, arcs)
 
 
-def brute_force_eulerian_diff_oracle(d: Orientation, caps: Caps = DEFAULT_CAPS):
+ORACLE_ARC_CAP = 20  # brute_force_eulerian_diff_oracle visits 2^m subsets
+
+
+def brute_force_eulerian_diff_oracle(d: Orientation):
     """Independent parity count: plain DFS over arcs carrying the per-vertex
     out-minus-in degree vector.  Cross-checks alon_tarsi.eulerian_diff."""
     from .alon_tarsi import ParityCount  # local import to stay independent
 
     arcs = sorted(d.arcs)
-    if len(arcs) > caps.oracle_arcs:
-        raise CapExceeded(f"{len(arcs)} arcs exceeds oracle cap {caps.oracle_arcs}")
+    if len(arcs) > ORACLE_ARC_CAP:
+        raise CapExceeded(f"{len(arcs)} arcs exceeds oracle cap {ORACLE_ARC_CAP}")
     counts = [0, 0]  # even, odd
 
     def rec(i: int, balance: dict, size: int) -> None:

@@ -1,10 +1,14 @@
 """Eulerian parity counts, polynomial coefficients, and exact bound values."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atforest.alon_tarsi import (
+    ORIENTATION_EDGE_CAP,
+    PARITY_ARC_CAP,
     ParityCount,
     acyclic_orientation,
     at_number,
@@ -12,13 +16,13 @@ from atforest.alon_tarsi import (
     find_at_orientation,
     poly_coefficient,
 )
-from atforest.config import Caps
 from atforest.errors import CapExceeded, DegreeMismatch, ParityCapExceeded
 from atforest.graph import Graph, Orientation
 from atforest.testkit import (
     Rng,
     brute_force_eulerian_diff_oracle,
     random_graph,
+    random_near_triangulation,
     random_orientation,
 )
 
@@ -53,10 +57,11 @@ def test_directed_four_cycle_parity():
 
 
 def test_parity_cap_enforced():
-    g = random_graph(8, 1.0, 0)
+    g = random_graph(8, 1.0, 0)  # K8: 28 arcs
+    assert len(g.edges) > PARITY_ARC_CAP
     d = random_orientation(g, Rng(0))
     with pytest.raises(ParityCapExceeded):
-        eulerian_diff(d, Caps(parity_arcs=10))
+        eulerian_diff(d)
 
 
 def test_triangle_coefficient_sign():
@@ -91,6 +96,41 @@ def test_oracle_agreement():
         g = random_graph(6, 0.5, seed + 1000)
         d = random_orientation(g, Rng(seed))
         assert eulerian_diff(d) == brute_force_eulerian_diff_oracle(d)
+
+
+# ---------------------------------------------------------------------------
+# pinned parity counts above the oracle's reach: 17 .. 24 arcs, up to the
+# parity cap (digest computed with the suffix-table scan this replaced)
+
+PARITY_DIGEST = "8ba11b1a5528175589dfe46a15247becaa2b3d2cda287ab3d7166f4e373a7089"
+
+# (n, boundary) near-triangulations with 3n - 3 - b = 17 .. 24 edges
+_PARITY_SHAPES = [(8, 4), (8, 3), (9, 5), (9, 4), (9, 3), (10, 5), (10, 4), (10, 3)]
+
+
+def _pinned_orientations():
+    for seed in range(96):
+        n, b = _PARITY_SHAPES[seed % len(_PARITY_SHAPES)]
+        g = random_near_triangulation(n, b, 9000 + seed).graph
+        yield random_orientation(g, Rng(seed))
+    seed = found = 0
+    while found < 32:  # non-planar ones too
+        g = random_graph(9, 0.55, 9500 + seed)
+        seed += 1
+        if 17 <= len(g.edges) <= 24:
+            found += 1
+            yield random_orientation(g, Rng(seed))
+
+
+def test_parity_counts_match_pinned_digest():
+    h = hashlib.sha256()
+    sizes = set()
+    for d in _pinned_orientations():
+        pc = eulerian_diff(d)
+        sizes.add(len(d.arcs))
+        h.update(f"{len(d.arcs)} {pc.even_count} {pc.odd_count}\n".encode())
+    assert sizes == set(range(17, PARITY_ARC_CAP + 1))
+    assert h.hexdigest() == PARITY_DIGEST
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,8 +185,9 @@ def test_find_at_orientation_respects_budget_and_cap():
     g = cycle("abc")
     assert find_at_orientation(g, 2) is None  # AT(K3) = 3
     big = random_graph(10, 0.9, 1)
+    assert len(big.edges) > ORIENTATION_EDGE_CAP
     with pytest.raises(CapExceeded):
-        find_at_orientation(big, 3, Caps(orientation_edges=5, parity_arcs=24))
+        find_at_orientation(big, 3)
 
 
 def test_at_number_at_least_chromatic_number():

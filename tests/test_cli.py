@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from atforest.cli import EXIT_CAP, EXIT_FAIL, EXIT_PASS, EXIT_USAGE, run
+import atforest.cli as cli
+from atforest.cli import EXIT_CAP, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, run
 from atforest.graph import graph_from_json
 
 
@@ -252,3 +253,31 @@ def test_deeply_nested_input_is_input_error(tmp_path):
     result = go("at", "number", "--input", str(deep))
     assert result.exit_code == EXIT_USAGE
     assert "cannot read graph" in result.output()
+
+
+def test_deep_fan_returns_an_exit_code(tmp_path):
+    # the nested trace of a 1500-vertex fan is deeper than the JSON
+    # encoder's recursion allows; run must still return, and not with
+    # "verification failed"
+    from atforest.graph import graph_to_json
+    from atforest.testkit import plane_graph_from_triangles
+
+    names = [f"v{i:04d}" for i in range(1500)]
+    tris = [(names[0], names[i + 1], names[i]) for i in range(1, len(names) - 1)]
+    pg = plane_graph_from_triangles(names, tris, tuple(names))
+    fan = tmp_path / "fan.json"
+    fan.write_text(graph_to_json(pg.graph, pg))
+    result = go("decompose", "--input", str(fan), "--handle", "v0000,v1499")
+    assert result.exit_code != EXIT_FAIL
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch):
+    def boom(args):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(cli, "_cmd_gen", boom)
+    result = go("gen", "graph", "--n", "5", "--p", "0.5", "--seed", "1", "--json")
+    assert result.exit_code == EXIT_INTERNAL
+    assert json.loads(result.output()) == {"verdict": "ERROR", "error": "RuntimeError: kaput"}
+    plain = go("gen", "graph", "--n", "5", "--p", "0.5", "--seed", "1")
+    assert plain.output() == "internal error: RuntimeError: kaput"

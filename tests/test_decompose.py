@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from atforest.decompose import (
     Decomposition,
+    _far_chord,
     _inside_neighbours,
+    _triangulate_embedding,
     decompose,
     decompose_any_planar,
     verify_certificate,
@@ -18,6 +20,7 @@ from atforest.decompose import (
 from atforest.errors import (
     Disconnected,
     HandleNotOnBoundary,
+    InvalidEmbedding,
     NotNearTriangulation,
 )
 from atforest.graph import (
@@ -393,3 +396,125 @@ def test_chord_lists_match_rescanning_reference():
         assert decompose(pg, handle).to_json_dict() == _reference_decompose(pg, handle)
         count += 1
     assert count == 205
+
+
+# ---------------------------------------------------------------------------
+# face triangulation against the walk-copying loop it replaced
+
+
+def _reference_triangulate(pg):
+    """Chord each long face at the first free two-step corner from its
+    start (else the first free pair), copying the rest of the walk after
+    every chord."""
+    rotation = {v: list(nbrs) for v, nbrs in pg.rotation.items()}
+    edges = set(pg.graph.edges)
+    faces = [list(f) for f in pg.faces]
+
+    def insert_after(v, anchor, new):
+        rotation[v].insert(rotation[v].index(anchor) + 1, new)
+
+    pending = [f for f in faces if len(f) > 3]
+    done = [f for f in faces if len(f) <= 3]
+    while pending:
+        walk = pending.pop()
+        k = len(walk)
+        pick = None
+        for i in range(k):
+            a, c = walk[i], walk[(i + 2) % k]
+            if a != c and edge(a, c) not in edges:
+                pick = (i, (i + 2) % k)
+                break
+        if pick is None:
+            for i in range(k):
+                for j in range(i + 2, k):
+                    if (j + 1) % k == i:
+                        continue
+                    a, c = walk[i], walk[j]
+                    if a != c and edge(a, c) not in edges:
+                        pick = (i, j)
+                        break
+                if pick is not None:
+                    break
+        if pick is None:
+            raise InvalidEmbedding(f"cannot triangulate face {walk}")
+        i, j = pick
+        a, c = walk[i], walk[j]
+        insert_after(a, walk[i - 1], c)
+        insert_after(c, walk[j - 1], a)
+        edges.add(edge(a, c))
+        walk1 = walk[i : j + 1] if i < j else walk[i:] + walk[: j + 1]
+        walk2 = walk[j:] + walk[: i + 1] if i < j else walk[j : i + 1]
+        for piece in (walk1, walk2):
+            (pending if len(piece) > 3 else done).append(piece)
+    rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
+    return build_plane_graph(pg.graph.vertices, edges, rot, tuple(done[0]))
+
+
+def _random_sparse(pg, rng, keep):
+    """Connected plane subgraph: boundary, a BFS tree, and each other edge
+    with probability `keep`."""
+    outer = pg.outer_face
+    kept = {edge(outer[i], outer[(i + 1) % len(outer)]) for i in range(len(outer))}
+    seen, queue = {outer[0]}, [outer[0]]
+    for u in queue:
+        for w in pg.rotation[u]:
+            if w not in seen:
+                seen.add(w)
+                kept.add(edge(u, w))
+                queue.append(w)
+    kept |= {e for e in sorted(pg.graph.edges) if rng.random() < keep}
+    rotation = {v: [w for w in nbrs if edge(v, w) in kept] for v, nbrs in pg.rotation.items()}
+    return build_plane_graph(pg.graph.vertices, kept, rotation, outer)
+
+
+def _cycle_plane(n, pendants=()):
+    """Cycle c0 .. c(n-1), plus for each (i, side) a pendant vertex on c_i
+    in the face on that side (0 or 1)."""
+    names = [f"c{i:03d}" for i in range(n)]
+    rotation = {v: [names[i - 1], names[(i + 1) % n]] for i, v in enumerate(names)}
+    edges = [edge(names[i], names[(i + 1) % n]) for i in range(n)]
+    for t, (i, side) in enumerate(pendants):
+        p = f"p{t:03d}"
+        rotation[p] = [names[i]]
+        rotation[names[i]].insert(1 + side, p)
+        edges.append(edge(names[i], p))
+    vertices = names + [f"p{t:03d}" for t in range(len(pendants))]
+    return build_plane_graph(vertices, edges, rotation, names)
+
+
+def _triangulation_instances():
+    for n, seed in ((8, 1), (30, 2), (90, 3)):
+        for b in sorted({3, n // 2, n}):
+            pg = random_near_triangulation(n, b, seed * 100 + b)
+            for keep in (0, 0.15, 0.5):
+                for r in range(3):
+                    yield _random_sparse(pg, Rng(seed * 1000 + r), keep)
+    for n in (3, 4, 5, 6, 11, 40):
+        yield _cycle_plane(n)
+        yield _cycle_plane(n, [(0, 0)])
+        yield _cycle_plane(n, [(0, 1)])
+        yield _cycle_plane(n, [(i, i % 2) for i in range(0, n, 2)])
+        yield _cycle_plane(n, [(n // 2, 0), (n // 2, 0), (n // 2, 1)])
+
+
+def test_triangulation_matches_walk_copying_reference():
+    count = 0
+    for pg in _triangulation_instances():
+        got, want = _triangulate_embedding(pg), _reference_triangulate(pg)
+        assert got.graph.edges == want.graph.edges
+        assert got.faces == want.faces
+        assert got.outer_face == want.outer_face
+        assert got.rotation == want.rotation
+        count += 1
+    assert count == 111
+
+
+def test_far_chord_takes_the_first_free_long_diagonal():
+    # a hexagon whose six two-step diagonals all exist leaves only the
+    # three long ones
+    walk = list("abcdef")
+    edges = {edge(walk[i], walk[(i + 2) % 6]) for i in range(6)}
+    assert _far_chord(walk, edges) == (0, 3)
+    assert _far_chord(walk, edges | {edge("a", "d")}) == (1, 3)
+    with pytest.raises(InvalidEmbedding):
+        _far_chord(walk, edges | {edge("a", "d"), edge("b", "e"), edge("c", "f")})
