@@ -10,6 +10,7 @@ counts as even).
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
@@ -21,7 +22,9 @@ from .graph import Graph, Orientation
 # check finishes in seconds; a larger one raises CapExceeded (CLI exit 3)
 PARITY_ARC_CAP = 24  # eulerian_diff
 COEFFICIENT_EDGE_CAP = 40  # poly_coefficient
-ORIENTATION_EDGE_CAP = 20  # find_at_orientation's exhaustive search
+# find_at_orientation when the acyclic shortcut misses: one coefficient
+# per out-degree sequence within the budget
+ORIENTATION_EDGE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -34,18 +37,51 @@ class ParityCount:
         return self.even_count - self.odd_count
 
 
+def _frontier_order(pairs) -> list:
+    """The pairs (arcs or edges) in an order that finishes each vertex early.
+
+    Vertices are placed greedily: next comes the one that brings in the
+    fewest new vertices (itself and its neighbours, unless placed or next
+    to a placed one), ties broken on the name.  A pair is scanned as soon
+    as both its ends are placed: sorted by (later position, earlier
+    position).
+    """
+    adj: dict = defaultdict(set)
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    unseen = {v: len(nbrs) + 1 for v, nbrs in adj.items()}  # in v and N(v)
+    pos: dict = {}
+    seen: set = set()  # placed vertices and their neighbours
+    while len(pos) < len(adj):
+        _, v = min((c, u) for u, c in unseen.items() if u not in pos)
+        pos[v] = len(pos)
+        for x in (v, *adj[v]):
+            if x not in seen:
+                seen.add(x)
+                for w in (x, *adj[x]):
+                    unseen[w] -= 1
+
+    def key(pair):
+        i, j = pos[pair[0]], pos[pair[1]]
+        return (i, j) if i > j else (j, i)
+
+    return sorted(pairs, key=key)
+
+
 def eulerian_diff(d: Orientation) -> ParityCount:
     """Count arc subsets with in-degree = out-degree at every vertex, split
     by parity of the subset size.
 
-    Exhaustive over all subsets, organized as a prefix scan over arcs with
-    per-vertex imbalance states; states that cannot rebalance with the
-    remaining arcs are dropped.
+    Exhaustive over all subsets, organized as a scan over the arcs in
+    frontier order (`_frontier_order`) with per-vertex imbalance states.
+    A state that cannot rebalance with the arcs still to scan is dropped,
+    so a vertex whose arcs are all scanned stays balanced.
     """
-    arcs = sorted(d.arcs)
-    m = len(arcs)
+    m = len(d.arcs)
     if m > PARITY_ARC_CAP:
         raise ParityCapExceeded(f"{m} arcs exceeds parity cap {PARITY_ARC_CAP}")
+    arcs = _frontier_order(list(d.arcs))
     verts = sorted({v for a in arcs for v in a})
     index = {v: i for i, v in enumerate(verts)}
     rem = [0] * len(verts)  # arcs at each vertex not scanned yet
@@ -87,33 +123,47 @@ def poly_coefficient(g: Graph, eta: dict) -> int:
     """Exact coefficient of the monomial with exponent vector eta in the
     product over edges uv (u < v) of (x_v - x_u).
 
-    Signed enumeration over per-edge factor choices, with partial products
-    merged by their exponent prefix and branches over the target pruned.
+    Signed enumeration over per-edge factor choices, the edges scanned in
+    frontier order (`_frontier_order`), with partial products merged by
+    their exponent vector.  A state is dropped once it can no longer reach
+    eta: an exponent above its target, or below it by more than the edges
+    still to scan at that vertex.  So a vertex whose edges are all scanned
+    stays at its target.
     """
     if set(eta) != set(g.vertices):
         raise DegreeMismatch("exponent vector must cover exactly the vertex set")
     if any(e < 0 for e in eta.values()):
         raise DegreeMismatch("exponents must be non-negative")
-    edges = sorted(g.edges)
-    if sum(eta.values()) != len(edges):
+    if sum(eta.values()) != len(g.edges):
         raise DegreeMismatch(
-            f"sum of exponents {sum(eta.values())} != edge count {len(edges)}"
+            f"sum of exponents {sum(eta.values())} != edge count {len(g.edges)}"
         )
-    if len(edges) > COEFFICIENT_EDGE_CAP:
-        raise CapExceeded(f"{len(edges)} edges exceeds coefficient cap")
+    if len(g.edges) > COEFFICIENT_EDGE_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds coefficient cap")
+    return _coefficient(g, _frontier_order(list(g.edges)), eta)
+
+
+def _coefficient(g: Graph, edges: list, eta: dict) -> int:
+    """`poly_coefficient` for a checked exponent vector, the edges (u < v)
+    given in frontier order."""
     index = {v: i for i, v in enumerate(g.vertices)}
     target = tuple(eta[v] for v in g.vertices)
+    rem = [g.degree(v) for v in g.vertices]  # edges still to scan
 
     states: dict = {tuple(0 for _ in g.vertices): 1}
     for u, v in edges:  # u < v: +x_v or -x_u
         iu, iv = index[u], index[v]
+        rem[iu] -= 1
+        rem[iv] -= 1
+        # the least exponent from which each end can still reach its target
+        need_u, need_v = target[iu] - rem[iu], target[iv] - rem[iv]
         nxt: dict = defaultdict(int)
         for state, coef in states.items():
-            if state[iv] < target[iv]:
+            if state[iv] < target[iv] and state[iu] >= need_u:
                 s = list(state)
                 s[iv] += 1
                 nxt[tuple(s)] += coef
-            if state[iu] < target[iu]:
+            if state[iu] < target[iu] and state[iv] >= need_v:
                 s = list(state)
                 s[iu] += 1
                 nxt[tuple(s)] -= coef
@@ -122,30 +172,89 @@ def poly_coefficient(g: Graph, eta: dict) -> int:
 
 
 def _degeneracy_order(g: Graph) -> tuple:
-    """Smallest-last vertex order and the degeneracy, lex tie-break."""
+    """Smallest-last vertex order, reversed, and the degeneracy: each vertex
+    has at most `degeneracy` earlier neighbours.  Each step removes the
+    least (degree, name), taken from a heap with lazy deletion."""
     degrees = {v: g.degree(v) for v in g.vertices}
-    alive = set(g.vertices)
+    heap = [(d, v) for v, d in degrees.items()]
+    heapq.heapify(heap)
     order = []
     degeneracy = 0
-    while alive:
-        v = min(alive, key=lambda u: (degrees[u], u))
-        degeneracy = max(degeneracy, degrees[v])
+    while heap:
+        d, v = heapq.heappop(heap)
+        if degrees.get(v) != d:
+            continue  # v was removed, or its degree has dropped since
+        del degrees[v]
+        degeneracy = max(degeneracy, d)
         order.append(v)
-        alive.discard(v)
         for w in g.adjacency[v]:
-            if w in alive:
+            if w in degrees:
                 degrees[w] -= 1
-    order.reverse()  # each vertex sees at most `degeneracy` later neighbors
+                heapq.heappush(heap, (degrees[w], w))
+    order.reverse()
     return order, degeneracy
 
 
 def acyclic_orientation(g: Graph) -> tuple:
-    """Acyclic orientation from the degeneracy order; returns it with its
-    maximum out-degree (= degeneracy)."""
+    """Acyclic orientation with every edge pointing to its end that comes
+    earlier in the degeneracy order; returns it with the degeneracy, which
+    bounds its out-degrees."""
     order, degeneracy = _degeneracy_order(g)
     pos = {v: i for i, v in enumerate(order)}
-    arcs = [(u, v) if pos[u] < pos[v] else (v, u) for u, v in sorted(g.edges)]
+    arcs = [(u, v) if pos[u] > pos[v] else (v, u) for u, v in sorted(g.edges)]
     return Orientation.build(g, arcs), degeneracy
+
+
+def _sequences(g: Graph, k: int):
+    """Out-degree sequences eta with eta[v] <= min(k - 1, deg v) summing to
+    |E|, in lexicographic order over the vertices that have edges."""
+    verts = [v for v in g.vertices if g.degree(v)]  # the rest take 0
+    caps = [min(k - 1, g.degree(v)) for v in verts]
+    room = [0] * (len(verts) + 1)  # room[i]: the most vertices i.. can take
+    for i in range(len(verts) - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    chosen: list = []
+
+    def extend(i: int, left: int):
+        if i == len(verts):
+            eta = dict.fromkeys(g.vertices, 0)
+            eta.update(zip(verts, chosen))
+            yield eta
+            return
+        for e in range(max(0, left - room[i + 1]), min(caps[i], left) + 1):
+            chosen.append(e)
+            yield from extend(i + 1, left - e)
+            chosen.pop()
+
+    return extend(0, len(g.edges))
+
+
+def _realize(g: Graph, edges: list, eta: dict) -> Optional[Orientation]:
+    """An orientation of g with out-degree eta[v] at every v, by
+    backtracking over its edges in the given order; None if there is none."""
+    need = dict(eta)  # out-degree still to give each vertex
+    rem = {v: g.degree(v) for v in g.vertices}  # edges still to orient
+    chosen: list = []
+
+    def search(i: int) -> bool:
+        if i == len(edges):
+            return True
+        u, v = edges[i]
+        rem[u] -= 1
+        rem[v] -= 1
+        for tail, head in ((u, v), (v, u)):
+            if need[tail] > 0 and need[head] <= rem[head]:
+                need[tail] -= 1
+                chosen.append((tail, head))
+                if search(i + 1):
+                    return True
+                chosen.pop()
+                need[tail] += 1
+        rem[u] += 1
+        rem[v] += 1
+        return False
+
+    return Orientation.build(g, chosen) if search(0) else None
 
 
 def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
@@ -153,46 +262,33 @@ def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
     sub-digraph counts, or None if none exists.
 
     Tries the acyclic shortcut first (difference 1 whenever the degeneracy
-    fits the budget), then exhausts all orientations within the out-degree
-    budget in a fixed order.
+    fits the budget).  Otherwise it searches the out-degree sequences
+    within the budget: every orientation with out-degrees eta has
+    |even - odd| equal to |coefficient of x^eta| in the graph polynomial
+    (Alon-Tarsi), so one coefficient decides each sequence, and `_realize`
+    builds an orientation for the first nonzero one.
     """
     if k < 1:
         return None
     d, degeneracy = acyclic_orientation(g)
     if degeneracy <= k - 1:
         return d
-    edges = sorted(g.edges)
-    if len(edges) > ORIENTATION_EDGE_CAP:
-        raise CapExceeded(f"{len(edges)} edges exceeds orientation search cap")
-    out = {v: 0 for v in g.vertices}
-    chosen: list = []
-
-    def search(i: int) -> Optional[Orientation]:
-        if i == len(edges):
-            cand = Orientation.build(g, chosen)
-            if eulerian_diff(cand).diff != 0:
-                return cand
-            return None
-        u, v = edges[i]
-        for tail, head in ((u, v), (v, u)):
-            if out[tail] < k - 1:
-                out[tail] += 1
-                chosen.append((tail, head))
-                found = search(i + 1)
-                if found is not None:
-                    return found
-                chosen.pop()
-                out[tail] -= 1
-        return None
-
-    return search(0)
+    if len(g.edges) > ORIENTATION_EDGE_CAP:
+        raise CapExceeded(f"{len(g.edges)} edges exceeds orientation search cap")
+    edges = _frontier_order(list(g.edges))
+    for eta in _sequences(g, k):
+        if _coefficient(g, edges, eta) != 0:
+            return _realize(g, edges, eta)
+    return None
 
 
 def at_number(g: Graph) -> int:
     """Least k admitting an orientation with out-degrees < k and nonzero
-    Eulerian parity difference.  Terminates: degeneracy + 1 always works."""
-    k = 1
-    while True:
-        if find_at_orientation(g, k) is not None:
-            return k
+    Eulerian parity difference.  Starts at ceil(|E| / |V|) + 1: the
+    out-degrees sum to |E|, so some vertex has out-degree >= |E| / |V|.
+    Terminates: degeneracy + 1 always works."""
+    m = len(g.edges)
+    k = 1 + (-(-m // len(g.vertices)) if m else 0)
+    while find_at_orientation(g, k) is None:
         k += 1
+    return k

@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .alon_tarsi import at_number, eulerian_diff, find_at_orientation, poly_coefficient
+from .alon_tarsi import ParityCount, at_number, eulerian_diff, find_at_orientation, poly_coefficient
 from .choosability import (
     ListAssignment,
     is_l_colorable,
@@ -273,7 +273,17 @@ def _cmd_at(args) -> CommandResult:
                 EXIT_FAIL, f"no orientation within out-degree budget {args.k - 1}",
                 {"verdict": "FAIL", "k": args.k},
             )
-        pc = eulerian_diff(d)
+        # re-check the witness before reporting it; the only Eulerian
+        # sub-digraph of an acyclic one is the empty one, at any size
+        pc = ParityCount(1, 0) if d.is_acyclic() else eulerian_diff(d)
+        worst = max(d.out_degrees().values(), default=0)
+        if worst > args.k - 1 or pc.diff == 0 or d.underlying_edges() != g.edges:
+            return CommandResult(
+                EXIT_FAIL,
+                f"FAIL: witness has out-degree {worst} (budget {args.k - 1}), "
+                f"even - odd = {pc.diff}, {len(d.arcs)} of {len(g.edges)} edges",
+                {"verdict": "FAIL", "k": args.k, "max_out_degree": worst, "diff": pc.diff},
+            )
         return CommandResult(
             EXIT_PASS,
             "\n".join(f"{t} -> {h}" for t, h in sorted(d.arcs)),

@@ -1,6 +1,7 @@
 """Eulerian parity counts, polynomial coefficients, and exact bound values."""
 
 import hashlib
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from atforest.alon_tarsi import (
     ORIENTATION_EDGE_CAP,
     PARITY_ARC_CAP,
     ParityCount,
+    _degeneracy_order,
     acyclic_orientation,
     at_number,
     eulerian_diff,
@@ -198,3 +200,168 @@ def test_at_number_at_least_chromatic_number():
         if not g.edges:
             continue
         assert at_number(g) >= chromatic_number(g)
+
+
+# ---------------------------------------------------------------------------
+# the frontier kernels and the sequence search against the kernels they
+# replaced, kept here as references
+
+
+def _reference_degeneracy_order(g):
+    """Smallest-last order by a linear scan for the least (degree, name)."""
+    degrees = {v: g.degree(v) for v in g.vertices}
+    alive = set(g.vertices)
+    order = []
+    degeneracy = 0
+    while alive:
+        v = min(alive, key=lambda u: (degrees[u], u))
+        degeneracy = max(degeneracy, degrees[v])
+        order.append(v)
+        alive.discard(v)
+        for w in g.adjacency[v]:
+            if w in alive:
+                degrees[w] -= 1
+    order.reverse()
+    return order, degeneracy
+
+
+def _reference_coefficient(g, eta):
+    """Coefficient by a scan over the sorted edges with full exponent
+    tuples, pruned only above the target."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    target = tuple(eta[v] for v in g.vertices)
+    states = {tuple(0 for _ in g.vertices): 1}
+    for u, v in sorted(g.edges):
+        iu, iv = index[u], index[v]
+        nxt = defaultdict(int)
+        for state, coef in states.items():
+            if state[iv] < target[iv]:
+                s = list(state)
+                s[iv] += 1
+                nxt[tuple(s)] += coef
+            if state[iu] < target[iu]:
+                s = list(state)
+                s[iu] += 1
+                nxt[tuple(s)] -= coef
+        states = {s: c for s, c in nxt.items() if c != 0}
+    return states.get(target, 0)
+
+
+def _reference_find(g, k):
+    """Exhaustive search over every orientation within the out-degree
+    budget, without the acyclic shortcut."""
+    edges = sorted(g.edges)
+    out = {v: 0 for v in g.vertices}
+    chosen = []
+
+    def search(i):
+        if i == len(edges):
+            cand = Orientation.build(g, chosen)
+            return cand if eulerian_diff(cand).diff != 0 else None
+        u, v = edges[i]
+        for tail, head in ((u, v), (v, u)):
+            if out[tail] < k - 1:
+                out[tail] += 1
+                chosen.append((tail, head))
+                found = search(i + 1)
+                if found is not None:
+                    return found
+                chosen.pop()
+                out[tail] -= 1
+        return None
+
+    return search(0) if k >= 1 else None
+
+
+def _reference_at_number(g):
+    k = 1
+    while _reference_find(g, k) is None:
+        k += 1
+    return k
+
+
+def _small_graphs():
+    for seed in range(60):
+        yield random_graph(4 + seed % 3, (0.4, 0.6, 0.8)[seed // 3 % 3], 7000 + seed)
+    for seed in range(12):
+        yield random_near_triangulation(5 + seed % 2, 3 + seed % 3, 7100 + seed).graph
+    for seed in range(12):  # bipartite, where the acyclic shortcut often misses
+        g = random_graph(6 + seed % 2, 0.8, 7200 + seed)
+        half = set(g.vertices[::2])
+        yield Graph.build(g.vertices, [e for e in g.edges if (e[0] in half) != (e[1] in half)])
+
+
+def test_degeneracy_order_matches_reference():
+    graphs = [random_graph(5 + seed % 30, (0.1, 0.3, 0.6)[seed % 3], seed) for seed in range(60)]
+    graphs += [random_near_triangulation(10 + 7 * seed, 3 + seed % 8, seed).graph for seed in range(30)]
+    for g in graphs:
+        assert _degeneracy_order(g) == _reference_degeneracy_order(g)
+
+
+def test_acyclic_orientation_stays_within_degeneracy():
+    # each edge points to its end earlier in the reversed smallest-last order
+    for seed in range(300):
+        g = random_graph(4 + seed % 12, (0.2, 0.4, 0.7)[seed % 3], 8000 + seed)
+        d, degeneracy = acyclic_orientation(g)
+        assert d.is_acyclic() and d.underlying_edges() == g.edges
+        assert max(d.out_degrees().values()) <= degeneracy, seed
+    names = ["v000", "v001", "v002", "v003", "v004"]
+    g = Graph.build(names, [("v000", "v002"), ("v000", "v004"), ("v001", "v002"),
+                            ("v002", "v003"), ("v002", "v004"), ("v003", "v004")])
+    d, degeneracy = acyclic_orientation(g)
+    assert degeneracy == 2 and max(d.out_degrees().values()) == 2
+    d = find_at_orientation(g, 3)
+    assert d is not None and max(d.out_degrees().values()) <= 2
+
+
+def test_coefficient_matches_reference():
+    rng = Rng(11)
+    vectors = 0
+    for g in _small_graphs():
+        m = len(g.edges)
+        if not m:
+            continue
+        etas = [random_orientation(g, rng).out_degrees()]
+        for _ in range(4):  # random vectors, many realized by no orientation
+            eta = {v: 0 for v in g.vertices}
+            for _ in range(m):
+                eta[g.vertices[rng.randrange(len(g.vertices))]] += 1
+            etas.append(eta)
+        # all of |E| on one vertex of smaller degree: realized by none
+        v = min(g.vertices, key=g.degree)
+        etas.append({u: (m if u == v else 0) for u in g.vertices})
+        for eta in etas:
+            assert poly_coefficient(g, eta) == _reference_coefficient(g, eta), eta
+            vectors += 1
+    assert vectors > 300
+
+
+def test_at_search_matches_reference():
+    # a budget that admits an orientation admits it for every larger k, so
+    # the reference finds one exactly from its at_number on
+    for g in _small_graphs():
+        expected = _reference_at_number(g)
+        assert at_number(g) == expected
+        for k in range(1, 5):
+            d = find_at_orientation(g, k)
+            assert (d is None) == (k < expected), k
+            if d is not None:
+                assert d.underlying_edges() == g.edges
+                assert max(d.out_degrees().values()) < k
+                assert eulerian_diff(d).diff != 0
+
+
+def test_at_number_triangulation_starts_at_the_density_bound():
+    # 21 edges on 9 vertices: k <= 3 is ruled out before any search, and
+    # the acyclic shortcut settles k = 4 (a search would exceed the cap)
+    g = random_near_triangulation(9, 3, 5).graph
+    assert len(g.edges) == 21 > ORIENTATION_EDGE_CAP
+    assert at_number(g) == 4
+
+
+def test_find_at_orientation_ignores_isolated_vertices():
+    names = list("abcd") + [f"z{i:04d}" for i in range(1500)]
+    g = Graph.build(names, [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    d = find_at_orientation(g, 2)  # the shortcut misses: degeneracy 2
+    assert d is not None and max(d.out_degrees().values()) == 1
+    assert at_number(g) == 2

@@ -163,6 +163,48 @@ def test_at_orientation(k4_file, tmp_path):
     assert go("at", "orientation", "--input", str(c4), "--k", "1").exit_code == EXIT_FAIL
 
 
+def test_at_orientation_stays_within_budget(tmp_path):
+    # the acyclic shortcut once pointed v002's and v003's edges at v004
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "vertices": ["v000", "v001", "v002", "v003", "v004"],
+        "edges": [["v000", "v002"], ["v000", "v004"], ["v001", "v002"],
+                  ["v002", "v003"], ["v002", "v004"], ["v003", "v004"]],
+    }))
+    ok = go("at", "orientation", "--input", str(path), "--k", "3", "--json")
+    assert ok.exit_code == EXIT_PASS
+    out = {}
+    for t, _ in json.loads(ok.output())["arcs"]:
+        out[t] = out.get(t, 0) + 1
+    assert max(out.values()) <= 2
+
+
+def test_at_orientation_acyclic_witness_beyond_parity_cap(tri_file):
+    # 28 edges and degeneracy 3: the acyclic witness needs no parity count
+    result = go("at", "orientation", "--input", str(tri_file), "--k", "4", "--json")
+    assert result.exit_code == EXIT_PASS
+    data = json.loads(result.output())
+    assert len(data["arcs"]) == 28 and (data["even"], data["odd"]) == (1, 0)
+
+
+def test_at_orientation_rechecks_the_witness(monkeypatch, tmp_path):
+    from atforest.graph import Orientation
+
+    c4 = tmp_path / "c4.json"
+    c4.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+    }))
+
+    def star_at_a(g, k):  # out-degree 2 at a, over the budget of k = 2
+        return Orientation.build(g, [("a", "b"), ("a", "d"), ("b", "c"), ("c", "d")])
+
+    monkeypatch.setattr(cli, "find_at_orientation", star_at_a)
+    result = go("at", "orientation", "--input", str(c4), "--k", "2", "--json")
+    assert result.exit_code == EXIT_FAIL
+    assert json.loads(result.output())["max_out_degree"] == 2
+
+
 def test_cap_exit_code(tmp_path):
     # a dense graph beyond the orientation-search cap with degeneracy >= k
     from atforest.graph import graph_to_json
