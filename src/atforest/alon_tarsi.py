@@ -6,6 +6,11 @@ a monomial exponent, the absolute coefficient of that monomial in the
 graph polynomial equals |even - odd| over spanning Eulerian sub-digraphs
 of D.  An acyclic D has difference 1 (only the empty sub-digraph, which
 counts as even).
+
+Both sides count sets of arc reversals that reach a given out-degree
+vector, by the parity of their size, so one kernel (`_flip_counts`)
+computes both; its cost is capped by the size of its live table
+(`TABLE_CAP`), not by the number of arcs.
 """
 
 from __future__ import annotations
@@ -15,15 +20,14 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceeded, DegreeMismatch, ParityCapExceeded
+from .errors import CapExceeded, DegreeMismatch
 from .graph import Graph, Orientation
 
-# the largest inputs each enumeration takes, sized so that every acceptance
-# check finishes in seconds; a larger one raises CapExceeded (CLI exit 3)
-PARITY_ARC_CAP = 24  # eulerian_diff
-COEFFICIENT_EDGE_CAP = 40  # poly_coefficient
-# find_at_orientation when the acyclic shortcut misses: one coefficient
-# per out-degree sequence within the budget
+# the most slots (live states x coordinates per state) the `_flip_counts`
+# table may hold after an arc; a larger one raises CapExceeded (CLI exit 3)
+TABLE_CAP = 1 << 22
+# find_at_orientation when the acyclic shortcut misses: one scan per
+# out-degree sequence within the budget, which no table cap bounds
 ORIENTATION_EDGE_CAP = 20
 
 
@@ -69,66 +73,77 @@ def _frontier_order(pairs) -> list:
     return sorted(pairs, key=key)
 
 
-def eulerian_diff(d: Orientation) -> ParityCount:
-    """Count arc subsets with in-degree = out-degree at every vertex, split
-    by parity of the subset size.
+def _flip_counts(arcs: list, target: dict) -> tuple:
+    """(even, odd): the subsets of arcs whose reversal leaves out-degree
+    target[v] at every vertex v of the arcs, counted by the parity of their
+    size.
 
-    Exhaustive over all subsets, organized as a scan over the arcs in
-    frontier order (`_frontier_order`) with per-vertex imbalance states.
-    A state that cannot rebalance with the arcs still to scan is dropped,
-    so a vertex whose arcs are all scanned stays balanced.
+    One scan over the arcs in the order given (callers pass
+    `_frontier_order`).  A state is the vector of out-degrees so far, kept
+    with its (even, odd) counts; an arc t -> h is either kept (+1 at t) or
+    reversed (+1 at h, the counts swap).  A state is dropped when the end
+    that gains goes above its target, or the other end is below its target
+    by more than the arcs still to scan there.  The live table (states x
+    coordinates per state) is checked against TABLE_CAP after each arc.
     """
-    m = len(d.arcs)
-    if m > PARITY_ARC_CAP:
-        raise ParityCapExceeded(f"{m} arcs exceeds parity cap {PARITY_ARC_CAP}")
-    arcs = _frontier_order(list(d.arcs))
     verts = sorted({v for a in arcs for v in a})
     index = {v: i for i, v in enumerate(verts)}
+    goal = tuple(target[v] for v in verts)
     rem = [0] * len(verts)  # arcs at each vertex not scanned yet
     for t, h in arcs:
         rem[index[t]] += 1
         rem[index[h]] += 1
 
-    zero = (0,) * len(verts)
-    states: dict = {zero: (1, 0)}
+    states: dict = {(0,) * len(verts): (1, 0)}
     for t, h in arcs:
         ti, hi = index[t], index[h]
         rem[ti] -= 1
         rem[hi] -= 1
-        rt, rh = rem[ti], rem[hi]
-        # every kept state has |state[v]| <= rem[v] at every v, and this arc
-        # changes state and rem only at its tail and head, so only those two
-        # coordinates can break the bound
+        # the least out-degree from which each end can still reach its
+        # goal; only the two ends of this arc change state or rem
+        need_t, need_h = goal[ti] - rem[ti], goal[hi] - rem[hi]
         nxt: dict = {}
         for state, (ev, od) in states.items():
             st, sh = state[ti], state[hi]
-            # exclude the arc
-            if abs(st) <= rt and abs(sh) <= rh:
-                e0, o0 = nxt.get(state, (0, 0))
-                nxt[state] = (e0 + ev, o0 + od)
-            # include the arc: parity flips
-            if abs(st + 1) <= rt and abs(sh - 1) <= rh:
+            if st < goal[ti] and sh >= need_h:  # keep t -> h
                 s = list(state)
                 s[ti] = st + 1
-                s[hi] = sh - 1
+                key = tuple(s)
+                e0, o0 = nxt.get(key, (0, 0))
+                nxt[key] = (e0 + ev, o0 + od)
+            if sh < goal[hi] and st >= need_t:  # reverse it: parity flips
+                s = list(state)
+                s[hi] = sh + 1
                 key = tuple(s)
                 e0, o0 = nxt.get(key, (0, 0))
                 nxt[key] = (e0 + od, o0 + ev)
         states = nxt
-    ev, od = states.get(zero, (0, 0))
-    return ParityCount(ev, od)
+        if len(states) * len(verts) > TABLE_CAP:
+            raise CapExceeded(
+                f"{len(states)} states of {len(verts)} vertices exceed "
+                f"table cap {TABLE_CAP}"
+            )
+    return states.get(goal, (0, 0))
+
+
+def eulerian_diff(d: Orientation) -> ParityCount:
+    """Count arc subsets with in-degree = out-degree at every vertex, split
+    by parity of the subset size.
+
+    Such a subset is exactly a set of arcs whose reversal keeps every
+    out-degree, so this is `_flip_counts` with the out-degrees of d as
+    target.
+    """
+    return ParityCount(*_flip_counts(_frontier_order(list(d.arcs)), d.out_degrees()))
 
 
 def poly_coefficient(g: Graph, eta: dict) -> int:
     """Exact coefficient of the monomial with exponent vector eta in the
     product over edges uv (u < v) of (x_v - x_u).
 
-    Signed enumeration over per-edge factor choices, the edges scanned in
-    frontier order (`_frontier_order`), with partial products merged by
-    their exponent vector.  A state is dropped once it can no longer reach
-    eta: an exponent above its target, or below it by more than the edges
-    still to scan at that vertex.  So a vertex whose edges are all scanned
-    stays at its target.
+    Each term of the product picks x_v (the arc v -> u) or -x_u (its
+    reversal) from every factor, so the coefficient is even - odd from
+    `_flip_counts` on the arcs v -> u with eta as target.
     """
     if set(eta) != set(g.vertices):
         raise DegreeMismatch("exponent vector must cover exactly the vertex set")
@@ -138,37 +153,8 @@ def poly_coefficient(g: Graph, eta: dict) -> int:
         raise DegreeMismatch(
             f"sum of exponents {sum(eta.values())} != edge count {len(g.edges)}"
         )
-    if len(g.edges) > COEFFICIENT_EDGE_CAP:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds coefficient cap")
-    return _coefficient(g, _frontier_order(list(g.edges)), eta)
-
-
-def _coefficient(g: Graph, edges: list, eta: dict) -> int:
-    """`poly_coefficient` for a checked exponent vector, the edges (u < v)
-    given in frontier order."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    target = tuple(eta[v] for v in g.vertices)
-    rem = [g.degree(v) for v in g.vertices]  # edges still to scan
-
-    states: dict = {tuple(0 for _ in g.vertices): 1}
-    for u, v in edges:  # u < v: +x_v or -x_u
-        iu, iv = index[u], index[v]
-        rem[iu] -= 1
-        rem[iv] -= 1
-        # the least exponent from which each end can still reach its target
-        need_u, need_v = target[iu] - rem[iu], target[iv] - rem[iv]
-        nxt: dict = defaultdict(int)
-        for state, coef in states.items():
-            if state[iv] < target[iv] and state[iu] >= need_u:
-                s = list(state)
-                s[iv] += 1
-                nxt[tuple(s)] += coef
-            if state[iu] < target[iu] and state[iv] >= need_v:
-                s = list(state)
-                s[iu] += 1
-                nxt[tuple(s)] -= coef
-        states = {s: c for s, c in nxt.items() if c != 0}
-    return states.get(target, 0)
+    even, odd = _flip_counts(_frontier_order([(v, u) for u, v in g.edges]), eta)
+    return even - odd
 
 
 def _degeneracy_order(g: Graph) -> tuple:
@@ -261,14 +247,15 @@ def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
     """An orientation with max out-degree < k and unequal even/odd Eulerian
     sub-digraph counts, or None if none exists.
 
-    Tries the acyclic shortcut first (difference 1 whenever the degeneracy
+    None at once when |E| > (k - 1)|V|, since the out-degrees sum to |E|.
+    Then tries the acyclic shortcut (difference 1 whenever the degeneracy
     fits the budget).  Otherwise it searches the out-degree sequences
     within the budget: every orientation with out-degrees eta has
     |even - odd| equal to |coefficient of x^eta| in the graph polynomial
-    (Alon-Tarsi), so one coefficient decides each sequence, and `_realize`
-    builds an orientation for the first nonzero one.
+    (Alon-Tarsi), so one `_flip_counts` scan decides each sequence, and
+    `_realize` builds an orientation for the first with even != odd.
     """
-    if k < 1:
+    if k < 1 or len(g.edges) > (k - 1) * len(g.vertices):
         return None
     d, degeneracy = acyclic_orientation(g)
     if degeneracy <= k - 1:
@@ -276,8 +263,10 @@ def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
     if len(g.edges) > ORIENTATION_EDGE_CAP:
         raise CapExceeded(f"{len(g.edges)} edges exceeds orientation search cap")
     edges = _frontier_order(list(g.edges))
+    arcs = [(v, u) for u, v in edges]
     for eta in _sequences(g, k):
-        if _coefficient(g, edges, eta) != 0:
+        even, odd = _flip_counts(arcs, eta)
+        if even != odd:
             return _realize(g, edges, eta)
     return None
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .alon_tarsi import ParityCount, at_number, eulerian_diff, find_at_orientation, poly_coefficient
@@ -57,7 +58,6 @@ class CommandResult:
     exit_code: int
     text: str = ""
     payload: Optional[dict] = None
-    files: dict = field(default_factory=dict)  # path -> content written
     as_json: bool = False
 
     def output(self) -> str:
@@ -97,7 +97,6 @@ def _emit(result: CommandResult, path: Optional[str], content: str) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(content if content.endswith("\n") else content + "\n")
-        result.files[path] = content
 
 
 def _from_report(report: VerificationReport) -> CommandResult:
@@ -355,7 +354,13 @@ def main(argv=None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     out = result.output()
     if out:
-        print(out)
+        try:
+            print(out, flush=True)
+        except BrokenPipeError:
+            # the reader closed the pipe early; send what is left to
+            # devnull so the interpreter's last flush does not fail too
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
     return result.exit_code
 
 

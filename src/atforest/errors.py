@@ -41,10 +41,6 @@ class CapExceeded(ArtifactError):
     """An enumeration exceeded its size cap."""
 
 
-class ParityCapExceeded(CapExceeded):
-    pass
-
-
 class DegreeMismatch(ArtifactError):
     pass
 

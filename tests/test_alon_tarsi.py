@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atforest.alon_tarsi as alon_tarsi
 from atforest.alon_tarsi import (
     ORIENTATION_EDGE_CAP,
-    PARITY_ARC_CAP,
     ParityCount,
     _degeneracy_order,
+    _frontier_order,
     acyclic_orientation,
     at_number,
     eulerian_diff,
     find_at_orientation,
     poly_coefficient,
 )
-from atforest.errors import CapExceeded, DegreeMismatch, ParityCapExceeded
+from atforest.errors import CapExceeded, DegreeMismatch
 from atforest.graph import Graph, Orientation
 from atforest.testkit import (
     Rng,
@@ -58,11 +59,13 @@ def test_directed_four_cycle_parity():
     assert eulerian_diff(d) == ParityCount(2, 0)
 
 
-def test_parity_cap_enforced():
-    g = random_graph(8, 1.0, 0)  # K8: 28 arcs
-    assert len(g.edges) > PARITY_ARC_CAP
+def test_parity_cap_enforced(monkeypatch):
+    g = random_graph(8, 1.0, 0)  # K8: 28 arcs, once over an arc-count cap
     d = random_orientation(g, Rng(0))
-    with pytest.raises(ParityCapExceeded):
+    assert eulerian_diff(d) == _reference_parity(d)
+    # a table cap below K8's live table: 8 coordinates, more than 2 states
+    monkeypatch.setattr(alon_tarsi, "TABLE_CAP", 16)
+    with pytest.raises(CapExceeded):
         eulerian_diff(d)
 
 
@@ -101,8 +104,8 @@ def test_oracle_agreement():
 
 
 # ---------------------------------------------------------------------------
-# pinned parity counts above the oracle's reach: 17 .. 24 arcs, up to the
-# parity cap (digest computed with the suffix-table scan this replaced)
+# pinned parity counts above the oracle's reach: 17 .. 24 arcs (digest
+# computed with the suffix-table scan this replaced)
 
 PARITY_DIGEST = "8ba11b1a5528175589dfe46a15247becaa2b3d2cda287ab3d7166f4e373a7089"
 
@@ -131,7 +134,7 @@ def test_parity_counts_match_pinned_digest():
         pc = eulerian_diff(d)
         sizes.add(len(d.arcs))
         h.update(f"{len(d.arcs)} {pc.even_count} {pc.odd_count}\n".encode())
-    assert sizes == set(range(17, PARITY_ARC_CAP + 1))
+    assert sizes == set(range(17, 25))
     assert h.hexdigest() == PARITY_DIGEST
 
 
@@ -188,8 +191,12 @@ def test_find_at_orientation_respects_budget_and_cap():
     assert find_at_orientation(g, 2) is None  # AT(K3) = 3
     big = random_graph(10, 0.9, 1)
     assert len(big.edges) > ORIENTATION_EDGE_CAP
+    # the least k that passes the density test, below the degeneracy
+    k = -(-len(big.edges) // len(big.vertices)) + 1
+    assert acyclic_orientation(big)[1] > k - 1
     with pytest.raises(CapExceeded):
-        find_at_orientation(big, 3)
+        find_at_orientation(big, k)
+    assert find_at_orientation(big, 3) is None  # |E| > 2|V|, decided first
 
 
 def test_at_number_at_least_chromatic_number():
@@ -205,6 +212,41 @@ def test_at_number_at_least_chromatic_number():
 # ---------------------------------------------------------------------------
 # the frontier kernels and the sequence search against the kernels they
 # replaced, kept here as references
+
+
+def _reference_parity(d):
+    """Even/odd Eulerian sub-digraph counts by a scan over the arcs in
+    frontier order with per-vertex imbalance states, pruned on
+    |imbalance| <= arcs still to scan."""
+    arcs = _frontier_order(list(d.arcs))
+    verts = sorted({v for a in arcs for v in a})
+    index = {v: i for i, v in enumerate(verts)}
+    rem = [0] * len(verts)
+    for t, h in arcs:
+        rem[index[t]] += 1
+        rem[index[h]] += 1
+    zero = (0,) * len(verts)
+    states = {zero: (1, 0)}
+    for t, h in arcs:
+        ti, hi = index[t], index[h]
+        rem[ti] -= 1
+        rem[hi] -= 1
+        rt, rh = rem[ti], rem[hi]
+        nxt = {}
+        for state, (ev, od) in states.items():
+            st, sh = state[ti], state[hi]
+            if abs(st) <= rt and abs(sh) <= rh:  # exclude the arc
+                e0, o0 = nxt.get(state, (0, 0))
+                nxt[state] = (e0 + ev, o0 + od)
+            if abs(st + 1) <= rt and abs(sh - 1) <= rh:  # include it
+                s = list(state)
+                s[ti] = st + 1
+                s[hi] = sh - 1
+                key = tuple(s)
+                e0, o0 = nxt.get(key, (0, 0))
+                nxt[key] = (e0 + od, o0 + ev)
+        states = nxt
+    return ParityCount(*states.get(zero, (0, 0)))
 
 
 def _reference_degeneracy_order(g):
@@ -312,6 +354,28 @@ def test_acyclic_orientation_stays_within_degeneracy():
     assert degeneracy == 2 and max(d.out_degrees().values()) == 2
     d = find_at_orientation(g, 3)
     assert d is not None and max(d.out_degrees().values()) <= 2
+
+
+def test_parity_matches_reference_beyond_the_digest():
+    # 25 .. 40 arcs: above the oracle's 20 and the pinned digest's 24
+    sizes = set()
+    for seed in range(24):
+        n, b = 11 + seed % 5, 3 + seed // 5 % 4  # 3n - 3 - b = 24 .. 39 edges
+        g = random_near_triangulation(n, b, 9600 + seed).graph
+        if len(g.edges) >= 25:
+            d = random_orientation(g, Rng(seed))
+            sizes.add(len(d.arcs))
+            assert eulerian_diff(d) == _reference_parity(d), seed
+    seed = found = 0
+    while found < 16:  # non-planar ones too
+        g = random_graph(10, 0.7, 9700 + seed)
+        seed += 1
+        if 25 <= len(g.edges) <= 40:
+            found += 1
+            d = random_orientation(g, Rng(seed))
+            sizes.add(len(d.arcs))
+            assert eulerian_diff(d) == _reference_parity(d), seed
+    assert min(sizes) == 25 and max(sizes) == 39
 
 
 def test_coefficient_matches_reference():

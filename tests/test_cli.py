@@ -1,6 +1,10 @@
 """Command-line surface: grammar, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,14 +210,51 @@ def test_at_orientation_rechecks_the_witness(monkeypatch, tmp_path):
 
 
 def test_cap_exit_code(tmp_path):
-    # a dense graph beyond the orientation-search cap with degeneracy >= k
     from atforest.graph import graph_to_json
     from atforest.testkit import random_graph
 
     big = tmp_path / "big.json"
-    big.write_text(graph_to_json(random_graph(12, 1.0, 0)))
+    big.write_text(graph_to_json(random_graph(12, 1.0, 0)))  # K12, 66 edges
+    # 66 > (k - 1)|V| = 24: no orientation fits, whatever the cap
     result = go("at", "orientation", "--input", str(big), "--k", "3")
-    assert result.exit_code == EXIT_CAP
+    assert result.exit_code == EXIT_FAIL
+    # at number starts at k = 7 (66 <= 72) below the degeneracy 11, so the
+    # sequence search runs into the orientation-search cap
+    assert go("at", "number", "--input", str(big)).exit_code == EXIT_CAP
+
+
+def test_decompose_parity_check_on_a_large_certificate(tmp_path):
+    # 300 vertices, boundary 3: 595 arcs, far past any arc-count cap, and a
+    # small live table
+    path = tmp_path / "tri.json"
+    assert go("gen", "triangulation", "--n", "300", "--boundary", "3",
+              "--seed", "1", "--output", str(path)).exit_code == EXIT_PASS
+    tri = json.loads(path.read_text())
+    handle = f"{tri['outer_face'][0]},{tri['outer_face'][1]}"
+    result = go("decompose", "--input", str(path), "--handle", handle,
+                "--check", "parity", "--json")
+    assert result.exit_code == EXIT_PASS
+    report = json.loads(result.output())["report"]
+    assert (report["even"], report["odd"]) == (1, 0)
+
+
+def test_closed_pipe_ends_without_a_traceback():
+    # the output is far larger than a pipe buffer, so the write fails once
+    # the reader has gone
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "atforest.cli", "gen", "triangulation", "--n", "5000",
+         "--boundary", "8", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PASS
+    assert "Traceback" not in err, err
 
 
 def test_choose_check(tmp_path):
