@@ -18,9 +18,9 @@ from atforest.gadgets import (
 
 
 def timed(label, fn):
-    start = time.time()
+    start = time.perf_counter()
     report = fn()
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     tag = "PASS" if report.verdict else "FAIL"
     stats = ", ".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
     print(f"{label:<28} {tag}  {elapsed:7.2f}s  {stats}")

@@ -21,6 +21,7 @@ the pigeonhole reduction plus seeded random sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from typing import Optional
 
@@ -68,10 +69,11 @@ def random_star_forest(g: Graph, rng: Rng) -> StarForest:
     one adjacent center."""
     centers = {v for v in g.vertices if rng.randrange(2) == 0}
     chosen = set()
+    neighbors = g.neighbors
     for v in g.vertices:
         if v in centers:
             continue
-        options = [None] + sorted(u for u in g.adjacency[v] if u in centers)
+        options = [None] + [u for u in neighbors[v] if u in centers]
         pick = rng.choice(options)
         if pick is not None:
             chosen.add(edge(v, pick))
@@ -124,8 +126,9 @@ class J3Copy:
             out.append(edge(self.verts[m], self.verts[q]))
         return out
 
-    def b_incident_edges(self) -> list:
-        return [e for e in self.all_edges() if self.b in e and self.a not in e]
+    @cached_property
+    def b_incident_edges(self) -> frozenset:
+        return frozenset(e for e in self.all_edges() if self.b in e and self.a not in e)
 
 
 def _j3_copy(a: str, b: str, prefix: str) -> J3Copy:
@@ -304,7 +307,7 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
     if _max_degree(h) > 3:
         raise PreconditionViolated("deleted set has maximum degree > 3")
 
-    clear = [c for c in s.copies if not any(e in h for e in c.b_incident_edges())]
+    clear = [c for c in s.copies if c.b_incident_edges.isdisjoint(h)]
     if len(clear) < 6:
         raise PreconditionViolated("fewer than six clear copies; pigeonhole violated")
 
@@ -407,29 +410,32 @@ def verify_lemma6() -> VerificationReport:
     case fails only if every path has a blocked configuration.
     """
     a = build_a()
-    path_cfgs = [_path_configs(p) for p in a.paths]
+    # per path: its vertex set, its links (u, v, edge) and its configurations
+    paths = [
+        (set(p), [(u, v, edge(u, v)) for u, v in zip(p, p[1:])], _path_configs(p))
+        for p in a.paths
+    ]
     all_path_verts = [v for p in a.paths for v in p]
     attach_options = [None] + all_path_verts
     examined = 0
 
     for cx in attach_options:
         for cy in attach_options:
+            ends = (cx, cy)
             total = 1
             blocked_all = True
             blocked_example = []
-            for pi, path in enumerate(a.paths):
+            for path_verts, links, cfgs in paths:
+                x_on, y_on = cx in path_verts, cy in path_verts
                 compatible = 0
                 blocked_cfg = None
-                for cset, chosen in path_cfgs[pi]:
-                    if cx in set(path) and cx not in cset:
+                for cset, chosen in cfgs:
+                    if x_on and cx not in cset:
                         continue
-                    if cy in set(path) and cy not in cset:
+                    if y_on and cy not in cset:
                         continue
                     compatible += 1
-                    hit = all(
-                        edge(u, v) in chosen or u in (cx, cy) or v in (cx, cy)
-                        for u, v in zip(path, path[1:])
-                    )
+                    hit = all(e in chosen or u in ends or v in ends for u, v, e in links)
                     if hit and blocked_cfg is None:
                         blocked_cfg = (cset, chosen)
                 total *= compatible
@@ -505,20 +511,22 @@ def verify_theorem7_core() -> VerificationReport:
 # ---------------------------------------------------------------------------
 # seeded sampling over the glued giants
 
-def _random_max_degree_subgraph(g: Graph, rng: Rng, forbidden: Optional[set]) -> set:
+def _random_max_degree_subgraph(vertices, edges: list, rng: Rng,
+                                forbidden: Optional[set]) -> set:
     """Greedy maximal edge set with all degrees <= 3, avoiding the
-    forbidden vertices."""
-    edges = sorted(g.edges)
-    rng.shuffle(edges)
-    degree: dict = {}
+    forbidden vertices, over a shuffled copy of the host's sorted edge
+    list `edges`."""
+    order = list(edges)
+    rng.shuffle(order)
+    degree = dict.fromkeys(vertices, 0)
+    for v in forbidden or ():
+        degree[v] = 3  # a full vertex takes no edge
     out = set()
-    for u, v in edges:
-        if forbidden and (u in forbidden or v in forbidden):
-            continue
-        if degree.get(u, 0) < 3 and degree.get(v, 0) < 3:
+    for u, v in order:
+        if degree[u] < 3 and degree[v] < 3:
             out.add((u, v))
-            degree[u] = degree.get(u, 0) + 1
-            degree[v] = degree.get(v, 0) + 1
+            degree[u] += 1
+            degree[v] += 1
     return out
 
 
@@ -587,8 +595,9 @@ def _sample_obstructions(n: int, rng: Rng, seed: int, host: Graph, s_gadgets: tu
     obstruction from the first S copy whose handle end a keeps all its
     edges, and recheck an assembled member's lists."""
     tally = {"k4": 0, "j_member": 0}
+    edges = sorted(host.edges)
     for i in range(n):
-        h = _random_max_degree_subgraph(host, rng.split(i), forbidden)
+        h = _random_max_degree_subgraph(host.vertices, edges, rng.split(i), forbidden)
         for s in s_gadgets:
             h_local = h & s.graph.edges
             if not any(s.a in e for e in h_local):

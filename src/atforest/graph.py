@@ -61,6 +61,11 @@ class Graph:
             adj[v].add(u)
         return adj
 
+    @cached_property
+    def neighbors(self) -> dict:
+        """Vertex -> tuple of its neighbors in sorted order."""
+        return {v: tuple(sorted(ws)) for v, ws in self.adjacency.items()}
+
     def has_edge(self, u: str, v: str) -> bool:
         return edge(u, v) in self.edges
 

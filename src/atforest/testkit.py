@@ -1,8 +1,10 @@
 """Seeded generators and independent oracles for tests and acceptance runs.
 
 The PRNG is an in-repo xorshift64* so that streams are identical across
-platforms and Python versions.  Substreams are derived with `split` so
-concurrent consumers cannot perturb each other.
+platforms and Python versions.  `randrange` and `shuffle` run the
+xorshift step inline; `tests/test_testkit.py::test_inline_draws_match_next_u64_reference`
+pins their draws and final state to the `next_u64` form.  Substreams are
+derived with `split` so concurrent consumers cannot perturb each other.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from .graph import Graph, Orientation, PlaneGraph, build_plane_graph, edge
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_STAR = 0x2545F4914F6CDD1D  # xorshift64* output multiplier
 
 
 def _splitmix64(x: int) -> int:
@@ -35,7 +38,7 @@ class Rng:
         x ^= (x << 25) & _M64
         x ^= (x >> 27)
         self.state = x
-        return (x * 0x2545F4914F6CDD1D) & _M64
+        return (x * _STAR) & _M64
 
     def random(self) -> float:
         return (self.next_u64() >> 11) / float(1 << 53)
@@ -43,20 +46,40 @@ class Rng:
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise BadParameters("randrange needs n >= 1")
-        # rejection sampling for an unbiased draw
+        # rejection sampling for an unbiased draw; the loop is next_u64
+        # inline on a local copy of the state
         limit = _M64 - (_M64 + 1) % n
+        x = self.state
         while True:
-            x = self.next_u64()
-            if x <= limit:
-                return x % n
+            x ^= (x >> 12)
+            x ^= (x << 25) & _M64
+            x ^= (x >> 27)
+            y = (x * _STAR) & _M64
+            if y <= limit:
+                self.state = x
+                return y % n
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
 
     def shuffle(self, items: list) -> None:
+        """Fisher-Yates with j = randrange(i + 1) for i from the top, the
+        draws inline as in randrange."""
+        m64 = _M64
+        x = self.state
         for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+            n = i + 1
+            limit = m64 - (m64 + 1) % n
+            while True:
+                x ^= (x >> 12)
+                x ^= (x << 25) & m64
+                x ^= (x >> 27)
+                y = (x * _STAR) & m64
+                if y <= limit:
+                    break
+            j = y % n
             items[i], items[j] = items[j], items[i]
+        self.state = x
 
     def split(self, label: int) -> "Rng":
         child = Rng.__new__(Rng)

@@ -4,12 +4,16 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atforest import gadgets
-from atforest.choosability import verify_witness_not_k_choosable
+from atforest.choosability import ListAssignment, verify_witness_not_k_choosable
 from atforest.errors import BadSelector, PreconditionViolated
 from atforest.gadgets import (
     StarForest,
+    _random_max_degree_subgraph,
+    build_g1,
     build_gadget,
     build_j3,
     build_s,
@@ -23,7 +27,7 @@ from atforest.gadgets import (
     verify_theorem7_core,
 )
 from atforest.graph import edge, find_k4, graph_to_json_dict
-from atforest.testkit import Rng
+from atforest.testkit import Rng, random_graph
 
 EXPECTED_SIZES = {
     "J1": (5, 8),
@@ -173,6 +177,64 @@ def test_sampled_verifiers_deterministic_and_passing():
         assert r1.seed == 99
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=2**40),
+)
+def test_random_max_degree_subgraph_is_maximal(n, p, seed, mask):
+    g = random_graph(n, p, seed)
+    forbidden = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
+    h = _random_max_degree_subgraph(g.vertices, sorted(g.edges), Rng(seed), forbidden)
+    assert h <= g.edges
+    degree = dict.fromkeys(g.vertices, 0)
+    for u, v in h:
+        degree[u] += 1
+        degree[v] += 1
+    assert max(degree.values()) <= 3
+    assert not any(u in forbidden or v in forbidden for u, v in h)
+    # maximal: every edge left out has a forbidden or a full endpoint
+    for u, v in g.edges - h:
+        assert u in forbidden or v in forbidden or degree[u] == 3 or degree[v] == 3, (u, v)
+
+
+def _delete_every_j3_path_edge(monkeypatch):
+    path_edges = set()
+    for s in (build_s(),) + build_g1().s_gadgets:
+        for copy in s.copies:
+            path_edges.update(copy.path_edges())
+    monkeypatch.setattr(
+        gadgets, "_random_max_degree_subgraph", lambda *args: set(path_edges)
+    )
+
+
+def test_sampled_obstructions_reach_the_member_recheck(monkeypatch):
+    _delete_every_j3_path_edge(monkeypatch)
+    for target in ("theorem2", "corollary3"):
+        report = verify_sampled(target, 4, seed=3)
+        assert report.verdict, target
+        assert report.stats == {"samples": 4, "k4": 0, "j_member": 4}, target
+
+
+def test_sampled_obstructions_fail_on_colorable_member(monkeypatch):
+    _delete_every_j3_path_edge(monkeypatch)
+    assemble = gadgets._assemble_member
+
+    def colorable_lists(a, b, pieces):
+        verts, g, _ = assemble(a, b, pieces)
+        lists = {v: (f"{v}.1", f"{v}.2", f"{v}.3") for v in g.vertices}
+        return verts, g, ListAssignment.build(lists)
+
+    monkeypatch.setattr(gadgets, "_assemble_member", colorable_lists)
+    for target in ("theorem2", "corollary3"):
+        report = verify_sampled(target, 4, seed=3)
+        assert not report.verdict, target
+        assert "assembled member is 3-choosable after all" in report.detail
+        assert report.stats["samples"] == 1
+
+
 def test_sampled_zero_is_vacuous_pass():
     report = verify_sampled("theorem2", 0, seed=1)
     assert report.verdict and report.stats["samples"] == 0
@@ -223,3 +285,29 @@ def test_gadget_reports_match_pinned_digest():
     for item in _pinned_gadget_reports():
         h.update(json.dumps(item, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == GADGET_REPORT_DIGEST
+
+
+# pinned sample streams: the sampled reports above tally only obstruction
+# kinds, and every sample they draw yields a K4, so their digest cannot
+# see a changed deletion set or star forest; this one hashes the samples
+
+SAMPLE_STREAM_DIGEST = "b1e72821b1f3ab65a267b536bcd6a8b745fef1d587699c0e87c5b6e13f16d34a"
+
+
+def _sample_streams():
+    g1 = build_gadget("G1")
+    s = build_s()
+    g2 = build_gadget("G2")
+    for seed in range(200):
+        for g, forbidden in ((g1, None), (s.graph, {s.a})):
+            edges = sorted(g.edges)
+            yield sorted(_random_max_degree_subgraph(g.vertices, edges, Rng(seed), forbidden))
+        forest = random_star_forest(g2, Rng(seed))
+        yield [sorted(forest.edges), sorted(forest.centers)]
+
+
+def test_sample_streams_match_pinned_digest():
+    h = hashlib.sha256()
+    for item in _sample_streams():
+        h.update(json.dumps(item).encode() + b"\n")
+    assert h.hexdigest() == SAMPLE_STREAM_DIGEST

@@ -40,6 +40,44 @@ def test_randrange_stays_in_range(seed, n):
         assert 0 <= rng.randrange(n) < n
 
 
+# the next_u64 forms that Rng.randrange and Rng.shuffle inline
+
+def _reference_randrange(rng, n):
+    limit = (1 << 64) - 1 - (1 << 64) % n
+    while True:
+        x = rng.next_u64()
+        if x <= limit:
+            return x % n
+
+
+def _reference_shuffle(rng, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = _reference_randrange(rng, i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def test_inline_draws_match_next_u64_reference():
+    # at n = 2**63 + 1 about half the draws are rejected
+    for n in (1, 2, 3, 7, 1000, 2**31, 2**63 + 1, 2**64 - 3):
+        for seed in range(5):
+            fast, ref = Rng(seed), Rng(seed)
+            assert [fast.randrange(n) for _ in range(200)] == [
+                _reference_randrange(ref, n) for _ in range(200)
+            ], (n, seed)
+            assert fast.state == ref.state, (n, seed)
+        if n == 2**63 + 1:
+            plain = Rng(seed)
+            for _ in range(200):
+                plain.next_u64()
+            assert plain.state != ref.state  # the rejection loop ran
+    for length in range(1001):
+        fast, ref = Rng(length), Rng(length)
+        a, b = list(range(length)), list(range(length))
+        fast.shuffle(a)
+        _reference_shuffle(ref, b)
+        assert a == b and fast.state == ref.state, length
+
+
 def test_shuffle_is_a_permutation():
     rng = Rng(5)
     items = list(range(50))
