@@ -9,8 +9,11 @@ counts as even).
 
 Both sides count sets of arc reversals that reach a given out-degree
 vector, by the parity of their size, so one kernel (`_flip_counts`)
-computes both; its cost is capped by the size of its live table
-(`TABLE_CAP`), not by the number of arcs.
+computes both.  Given out-degree bounds rather than one target, the same
+scan counts every out-degree vector within a budget at once, which is the
+whole Alon-Tarsi search.  Its cost is capped by the size of its live
+table (`TABLE_CAP`), the one limit of this module, not by the number of
+arcs or of out-degree sequences.
 """
 
 from __future__ import annotations
@@ -26,9 +29,6 @@ from .graph import Graph, Orientation
 # the most slots (live states x coordinates per state) the `_flip_counts`
 # table may hold after an arc; a larger one raises CapExceeded (CLI exit 3)
 TABLE_CAP = 1 << 22
-# find_at_orientation when the acyclic shortcut misses: one scan per
-# out-degree sequence within the budget, which no table cap bounds
-ORIENTATION_EDGE_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,24 @@ def _frontier_order(pairs) -> list:
     return sorted(pairs, key=key)
 
 
-def _flip_counts(arcs: list, target: dict) -> tuple:
-    """(even, odd): the subsets of arcs whose reversal leaves out-degree
-    target[v] at every vertex v of the arcs, counted by the parity of their
-    size.
+def _flip_counts(arcs: list, lo: dict, hi: dict) -> dict:
+    """The subsets of arcs whose reversal leaves an out-degree between lo[v]
+    and hi[v] at every vertex v of the arcs, counted by the parity of their
+    size: a table from the out-degree tuple over the sorted vertices to
+    (even, odd).
 
     One scan over the arcs in the order given (callers pass
     `_frontier_order`).  A state is the vector of out-degrees so far, kept
     with its (even, odd) counts; an arc t -> h is either kept (+1 at t) or
     reversed (+1 at h, the counts swap).  A state is dropped when the end
-    that gains goes above its target, or the other end is below its target
-    by more than the arcs still to scan there.  The live table (states x
-    coordinates per state) is checked against TABLE_CAP after each arc.
+    that gains goes above hi, or the other end is below lo by more than
+    the arcs still to scan there.  The live table (states x coordinates per
+    state) is checked against TABLE_CAP after each arc.
     """
     verts = sorted({v for a in arcs for v in a})
     index = {v: i for i, v in enumerate(verts)}
-    goal = tuple(target[v] for v in verts)
+    low = tuple(lo[v] for v in verts)
+    high = tuple(hi[v] for v in verts)
     rem = [0] * len(verts)  # arcs at each vertex not scanned yet
     for t, h in arcs:
         rem[index[t]] += 1
@@ -96,24 +98,24 @@ def _flip_counts(arcs: list, target: dict) -> tuple:
 
     states: dict = {(0,) * len(verts): (1, 0)}
     for t, h in arcs:
-        ti, hi = index[t], index[h]
-        rem[ti] -= 1
-        rem[hi] -= 1
-        # the least out-degree from which each end can still reach its
-        # goal; only the two ends of this arc change state or rem
-        need_t, need_h = goal[ti] - rem[ti], goal[hi] - rem[hi]
+        i, j = index[t], index[h]
+        rem[i] -= 1
+        rem[j] -= 1
+        # the least out-degree from which each end can still reach lo;
+        # only the two ends of this arc change state or rem
+        need_t, need_h = low[i] - rem[i], low[j] - rem[j]
         nxt: dict = {}
         for state, (ev, od) in states.items():
-            st, sh = state[ti], state[hi]
-            if st < goal[ti] and sh >= need_h:  # keep t -> h
+            st, sh = state[i], state[j]
+            if st < high[i] and sh >= need_h:  # keep t -> h
                 s = list(state)
-                s[ti] = st + 1
+                s[i] = st + 1
                 key = tuple(s)
                 e0, o0 = nxt.get(key, (0, 0))
                 nxt[key] = (e0 + ev, o0 + od)
-            if sh < goal[hi] and st >= need_t:  # reverse it: parity flips
+            if sh < high[j] and st >= need_t:  # reverse it: parity flips
                 s = list(state)
-                s[hi] = sh + 1
+                s[j] = sh + 1
                 key = tuple(s)
                 e0, o0 = nxt.get(key, (0, 0))
                 nxt[key] = (e0 + od, o0 + ev)
@@ -123,7 +125,15 @@ def _flip_counts(arcs: list, target: dict) -> tuple:
                 f"{len(states)} states of {len(verts)} vertices exceed "
                 f"table cap {TABLE_CAP}"
             )
-    return states.get(goal, (0, 0))
+    return states
+
+
+def _target_counts(arcs: list, target: dict) -> tuple:
+    """(even, odd) of `_flip_counts` with lo = hi = target.  A final state
+    is at most the target everywhere and sums to the arc count, which the
+    target sums to at most, so the one entry that can survive is the
+    target itself."""
+    return next(iter(_flip_counts(arcs, target, target).values()), (0, 0))
 
 
 def eulerian_diff(d: Orientation) -> ParityCount:
@@ -134,7 +144,7 @@ def eulerian_diff(d: Orientation) -> ParityCount:
     out-degree, so this is `_flip_counts` with the out-degrees of d as
     target.
     """
-    return ParityCount(*_flip_counts(_frontier_order(list(d.arcs)), d.out_degrees()))
+    return ParityCount(*_target_counts(_frontier_order(list(d.arcs)), d.out_degrees()))
 
 
 def poly_coefficient(g: Graph, eta: dict) -> int:
@@ -153,7 +163,7 @@ def poly_coefficient(g: Graph, eta: dict) -> int:
         raise DegreeMismatch(
             f"sum of exponents {sum(eta.values())} != edge count {len(g.edges)}"
         )
-    even, odd = _flip_counts(_frontier_order([(v, u) for u, v in g.edges]), eta)
+    even, odd = _target_counts(_frontier_order([(v, u) for u, v in g.edges]), eta)
     return even - odd
 
 
@@ -191,30 +201,6 @@ def acyclic_orientation(g: Graph) -> tuple:
     return Orientation.build(g, arcs), degeneracy
 
 
-def _sequences(g: Graph, k: int):
-    """Out-degree sequences eta with eta[v] <= min(k - 1, deg v) summing to
-    |E|, in lexicographic order over the vertices that have edges."""
-    verts = [v for v in g.vertices if g.degree(v)]  # the rest take 0
-    caps = [min(k - 1, g.degree(v)) for v in verts]
-    room = [0] * (len(verts) + 1)  # room[i]: the most vertices i.. can take
-    for i in range(len(verts) - 1, -1, -1):
-        room[i] = room[i + 1] + caps[i]
-    chosen: list = []
-
-    def extend(i: int, left: int):
-        if i == len(verts):
-            eta = dict.fromkeys(g.vertices, 0)
-            eta.update(zip(verts, chosen))
-            yield eta
-            return
-        for e in range(max(0, left - room[i + 1]), min(caps[i], left) + 1):
-            chosen.append(e)
-            yield from extend(i + 1, left - e)
-            chosen.pop()
-
-    return extend(0, len(g.edges))
-
-
 def _realize(g: Graph, edges: list, eta: dict) -> Optional[Orientation]:
     """An orientation of g with out-degree eta[v] at every v, by
     backtracking over its edges in the given order; None if there is none."""
@@ -249,26 +235,28 @@ def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
 
     None at once when |E| > (k - 1)|V|, since the out-degrees sum to |E|.
     Then tries the acyclic shortcut (difference 1 whenever the degeneracy
-    fits the budget).  Otherwise it searches the out-degree sequences
-    within the budget: every orientation with out-degrees eta has
-    |even - odd| equal to |coefficient of x^eta| in the graph polynomial
-    (Alon-Tarsi), so one `_flip_counts` scan decides each sequence, and
-    `_realize` builds an orientation for the first with even != odd.
+    fits the budget).  Otherwise one `_flip_counts` scan with out-degrees
+    0 .. k - 1 counts every out-degree sequence eta within the budget at
+    once: every orientation with out-degrees eta has |even - odd| equal to
+    |coefficient of x^eta| in the graph polynomial (Alon-Tarsi), and
+    `_realize` builds an orientation for the lexicographically least eta
+    with even != odd.
     """
     if k < 1 or len(g.edges) > (k - 1) * len(g.vertices):
         return None
     d, degeneracy = acyclic_orientation(g)
     if degeneracy <= k - 1:
         return d
-    if len(g.edges) > ORIENTATION_EDGE_CAP:
-        raise CapExceeded(f"{len(g.edges)} edges exceeds orientation search cap")
     edges = _frontier_order(list(g.edges))
-    arcs = [(v, u) for u, v in edges]
-    for eta in _sequences(g, k):
-        even, odd = _flip_counts(arcs, eta)
-        if even != odd:
-            return _realize(g, edges, eta)
-    return None
+    table = _flip_counts(
+        [(v, u) for u, v in edges], dict.fromkeys(g.vertices, 0), dict.fromkeys(g.vertices, k - 1)
+    )
+    found = [key for key, (even, odd) in table.items() if even != odd]
+    if not found:
+        return None
+    eta = dict.fromkeys(g.vertices, 0)  # vertices without edges take 0
+    eta.update(zip(sorted({v for e in edges for v in e}), min(found)))
+    return _realize(g, edges, eta)
 
 
 def at_number(g: Graph) -> int:

@@ -110,76 +110,67 @@ def _from_report(report: VerificationReport) -> CommandResult:
 def _build_parser() -> _Parser:
     p = _Parser(prog="atforest", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    leaf = argparse.ArgumentParser(add_help=False)  # shared by every leaf command
+    leaf.add_argument("--json", action="store_true")
 
-    g = sub.add_parser("gadget", parents=[], description="gadget constructions")
+    g = sub.add_parser("gadget", description="gadget constructions")
     gsub = g.add_subparsers(dest="action", required=True)
-    gb = gsub.add_parser("build")
+    gb = gsub.add_parser("build", parents=[leaf])
     gb.add_argument("name")
     gb.add_argument("--selector")
     gb.add_argument("--format", choices=("json", "dot"), default="json")
     gb.add_argument("--output", default="-")
-    gb.add_argument("--json", action="store_true")
 
-    d = sub.add_parser("decompose")
+    d = sub.add_parser("decompose", parents=[leaf])
     d.add_argument("--input", required=True)
     d.add_argument("--handle")
     d.add_argument("--check", choices=("structural", "parity"))
     d.add_argument("--output", default="-")
-    d.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify")
     vsub = v.add_subparsers(dest="target_kind", required=True)
-    vd = vsub.add_parser("decomposition")
+    vd = vsub.add_parser("decomposition", parents=[leaf])
     vd.add_argument("--input", required=True)
     vd.add_argument("--decomposition", required=True)
     vd.add_argument("--check", choices=("structural", "parity"), default="structural")
-    vd.add_argument("--json", action="store_true")
-    vl = vsub.add_parser("lemma")
+    vl = vsub.add_parser("lemma", parents=[leaf])
     vl.add_argument("--name", required=True)
     vl.add_argument("--selector")
-    vl.add_argument("--json", action="store_true")
-    vs = vsub.add_parser("sampled")
+    vs = vsub.add_parser("sampled", parents=[leaf])
     vs.add_argument("--target", required=True)
     vs.add_argument("--count", type=int, required=True)
     vs.add_argument("--seed", type=int, required=True)
-    vs.add_argument("--json", action="store_true")
 
     a = sub.add_parser("at")
     asub = a.add_subparsers(dest="quantity", required=True)
-    an = asub.add_parser("number")
+    an = asub.add_parser("number", parents=[leaf])
     an.add_argument("--input", required=True)
-    an.add_argument("--json", action="store_true")
-    ac = asub.add_parser("coefficient")
+    ac = asub.add_parser("coefficient", parents=[leaf])
     ac.add_argument("--input", required=True)
     ac.add_argument("--eta", required=True, help="comma list vertex=exponent")
-    ac.add_argument("--json", action="store_true")
-    ao = asub.add_parser("orientation")
+    ao = asub.add_parser("orientation", parents=[leaf])
     ao.add_argument("--input", required=True)
     ao.add_argument("--k", type=int, required=True)
-    ao.add_argument("--json", action="store_true")
 
     c = sub.add_parser("choose")
     csub = c.add_subparsers(dest="action", required=True)
-    cc = csub.add_parser("check")
+    cc = csub.add_parser("check", parents=[leaf])
     cc.add_argument("--input", required=True)
     cc.add_argument("--lists", required=True)
     cc.add_argument("--k", type=int)
-    cc.add_argument("--json", action="store_true")
 
     gen = sub.add_parser("gen")
     gensub = gen.add_subparsers(dest="kind", required=True)
-    gt = gensub.add_parser("triangulation")
+    gt = gensub.add_parser("triangulation", parents=[leaf])
     gt.add_argument("--n", type=int, required=True)
     gt.add_argument("--boundary", type=int, required=True)
     gt.add_argument("--seed", type=int, required=True)
     gt.add_argument("--output", default="-")
-    gt.add_argument("--json", action="store_true")
-    gg = gensub.add_parser("graph")
+    gg = gensub.add_parser("graph", parents=[leaf])
     gg.add_argument("--n", type=int, required=True)
     gg.add_argument("--p", type=float, required=True)
     gg.add_argument("--seed", type=int, required=True)
     gg.add_argument("--output", default="-")
-    gg.add_argument("--json", action="store_true")
     return p
 
 
@@ -242,9 +233,7 @@ def _cmd_verify(args) -> CommandResult:
         if verifier is None:
             raise _UsageError(f"unknown lemma {args.name!r}")
         return _from_report(verifier())
-    if args.target_kind == "sampled":
-        return _from_report(verify_sampled(args.target, args.count, args.seed))
-    raise _UsageError("unknown verify target")
+    return _from_report(verify_sampled(args.target, args.count, args.seed))
 
 
 def _cmd_at(args) -> CommandResult:
@@ -265,34 +254,32 @@ def _cmd_at(args) -> CommandResult:
                 raise _UsageError(f"bad exponent {val!r}")
         value = poly_coefficient(g, eta)
         return CommandResult(EXIT_PASS, str(value), {"coefficient": value})
-    if args.quantity == "orientation":
-        d = find_at_orientation(g, args.k)
-        if d is None:
-            return CommandResult(
-                EXIT_FAIL, f"no orientation within out-degree budget {args.k - 1}",
-                {"verdict": "FAIL", "k": args.k},
-            )
-        # re-check the witness before reporting it; the only Eulerian
-        # sub-digraph of an acyclic one is the empty one, at any size
-        pc = ParityCount(1, 0) if d.is_acyclic() else eulerian_diff(d)
-        worst = max(d.out_degrees().values(), default=0)
-        if worst > args.k - 1 or pc.diff == 0 or d.underlying_edges() != g.edges:
-            return CommandResult(
-                EXIT_FAIL,
-                f"FAIL: witness has out-degree {worst} (budget {args.k - 1}), "
-                f"even - odd = {pc.diff}, {len(d.arcs)} of {len(g.edges)} edges",
-                {"verdict": "FAIL", "k": args.k, "max_out_degree": worst, "diff": pc.diff},
-            )
+    d = find_at_orientation(g, args.k)
+    if d is None:
         return CommandResult(
-            EXIT_PASS,
-            "\n".join(f"{t} -> {h}" for t, h in sorted(d.arcs)),
-            {
-                "arcs": [list(a) for a in sorted(d.arcs)],
-                "even": pc.even_count,
-                "odd": pc.odd_count,
-            },
+            EXIT_FAIL, f"no orientation within out-degree budget {args.k - 1}",
+            {"verdict": "FAIL", "k": args.k},
         )
-    raise _UsageError("unknown at quantity")
+    # re-check the witness before reporting it; the only Eulerian
+    # sub-digraph of an acyclic one is the empty one, at any size
+    pc = ParityCount(1, 0) if d.is_acyclic() else eulerian_diff(d)
+    worst = max(d.out_degrees().values(), default=0)
+    if worst > args.k - 1 or pc.diff == 0 or d.underlying_edges() != g.edges:
+        return CommandResult(
+            EXIT_FAIL,
+            f"FAIL: witness has out-degree {worst} (budget {args.k - 1}), "
+            f"even - odd = {pc.diff}, {len(d.arcs)} of {len(g.edges)} edges",
+            {"verdict": "FAIL", "k": args.k, "max_out_degree": worst, "diff": pc.diff},
+        )
+    return CommandResult(
+        EXIT_PASS,
+        "\n".join(f"{t} -> {h}" for t, h in sorted(d.arcs)),
+        {
+            "arcs": [list(a) for a in sorted(d.arcs)],
+            "even": pc.even_count,
+            "odd": pc.odd_count,
+        },
+    )
 
 
 def _cmd_choose(args) -> CommandResult:
@@ -327,7 +314,7 @@ def run(argv) -> CommandResult:
     as_json = False
     try:
         args = _build_parser().parse_args(argv)
-        as_json = bool(getattr(args, "json", False))
+        as_json = args.json  # every leaf command has --json
         dispatch = {
             "gadget": _cmd_gadget,
             "decompose": _cmd_decompose,

@@ -233,6 +233,8 @@ def verify_decomposition(
     the even/odd Eulerian sub-digraph difference (must be 1)."""
     from .alon_tarsi import eulerian_diff
 
+    if mode not in ("structural", "parity"):
+        raise ValueError(f"unknown mode {mode!r}")
     x, y = d.handle
     stats = {"forest_edges": len(d.forest), "arcs": len(d.orientation.arcs)}
     if edge(x, y) not in d.forest:
@@ -257,8 +259,6 @@ def verify_decomposition(
         if pc.diff != 1:
             return VerificationReport(False, f"parity difference {pc.diff} != 1", stats=stats)
         return VerificationReport(True, "structural and parity checks hold", stats=stats)
-    if mode != "structural":
-        raise ValueError(f"unknown mode {mode!r}")
     return VerificationReport(True, "structural checks hold", stats=stats)
 
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import atforest.alon_tarsi as alon_tarsi
 from atforest.alon_tarsi import (
-    ORIENTATION_EDGE_CAP,
     ParityCount,
     _degeneracy_order,
     _frontier_order,
+    _realize,
     acyclic_orientation,
     at_number,
     eulerian_diff,
@@ -178,6 +178,11 @@ def test_cycle_at_values_by_parity():
     assert at_number(cycle("abcdefg")) == 3
 
 
+def test_complete_graph_at_number():
+    # AT(K_n) = n; K7's search runs the budget scan at k = 4, 5 and 6
+    assert at_number(k_complete("abcdefg")) == 7
+
+
 def test_find_at_orientation_c4_k2_is_a_directed_cycle():
     g = cycle("abcd")
     d = find_at_orientation(g, 2)
@@ -186,17 +191,21 @@ def test_find_at_orientation_c4_k2_is_a_directed_cycle():
     assert eulerian_diff(d).diff != 0
 
 
-def test_find_at_orientation_respects_budget_and_cap():
+def test_find_at_orientation_respects_budget_and_cap(monkeypatch):
     g = cycle("abc")
     assert find_at_orientation(g, 2) is None  # AT(K3) = 3
-    big = random_graph(10, 0.9, 1)
-    assert len(big.edges) > ORIENTATION_EDGE_CAP
-    # the least k that passes the density test, below the degeneracy
+    big = random_graph(10, 0.9, 1)  # 43 edges, degeneracy 8
+    # the least k that passes the density test, below the degeneracy: the
+    # budget scan runs and finds no sequence with even != odd
     k = -(-len(big.edges) // len(big.vertices)) + 1
-    assert acyclic_orientation(big)[1] > k - 1
+    assert k == 6 and acyclic_orientation(big)[1] > k - 1
+    assert find_at_orientation(big, k) is None
+    assert find_at_orientation(big, 3) is None  # |E| > 2|V|, decided first
+    # the table cap is the one limit: below this scan's live table it raises
+    monkeypatch.setattr(alon_tarsi, "TABLE_CAP", 1000)
     with pytest.raises(CapExceeded):
         find_at_orientation(big, k)
-    assert find_at_orientation(big, 3) is None  # |E| > 2|V|, decided first
+    assert find_at_orientation(big, 3) is None  # no scan, so no cap
 
 
 def test_at_number_at_least_chromatic_number():
@@ -322,6 +331,45 @@ def _reference_at_number(g):
     return k
 
 
+def _sequences(g, k):
+    """Out-degree sequences eta with eta[v] <= min(k - 1, deg v) summing to
+    |E|, in lexicographic order over the vertices that have edges."""
+    verts = [v for v in g.vertices if g.degree(v)]  # the rest take 0
+    caps = [min(k - 1, g.degree(v)) for v in verts]
+    room = [0] * (len(verts) + 1)  # room[i]: the most vertices i.. can take
+    for i in range(len(verts) - 1, -1, -1):
+        room[i] = room[i + 1] + caps[i]
+    chosen = []
+
+    def extend(i, left):
+        if i == len(verts):
+            eta = dict.fromkeys(g.vertices, 0)
+            eta.update(zip(verts, chosen))
+            yield eta
+            return
+        for e in range(max(0, left - room[i + 1]), min(caps[i], left) + 1):
+            chosen.append(e)
+            yield from extend(i + 1, left - e)
+            chosen.pop()
+
+    return extend(0, len(g.edges))
+
+
+def _sequence_find(g, k):
+    """find_at_orientation as one exact coefficient per out-degree sequence
+    within the budget, in lexicographic order, and an orientation built for
+    the first that is nonzero."""
+    if k < 1 or len(g.edges) > (k - 1) * len(g.vertices):
+        return None
+    d, degeneracy = acyclic_orientation(g)
+    if degeneracy <= k - 1:
+        return d
+    for eta in _sequences(g, k):
+        if _reference_coefficient(g, eta):
+            return _realize(g, _frontier_order(list(g.edges)), eta)
+    return None
+
+
 def _small_graphs():
     for seed in range(60):
         yield random_graph(4 + seed % 3, (0.4, 0.6, 0.8)[seed // 3 % 3], 7000 + seed)
@@ -415,11 +463,42 @@ def test_at_search_matches_reference():
                 assert eulerian_diff(d).diff != 0
 
 
+def test_find_at_orientation_matches_sequence_search():
+    # the same arcs, or None, as the per-sequence loop the budget scan
+    # replaced, on the small graphs and the at-kernels benchmark shapes;
+    # cycles, complete and larger bipartite graphs add scans at k < AT
+    graphs = list(_small_graphs())
+    for seed in range(4):
+        for n in (6, 7):
+            for b in range(3, n + 1):
+                graphs.append(random_near_triangulation(n, b, 7300 + 10 * seed + n).graph)
+    graphs += [cycle([f"c{i}" for i in range(n)]) for n in range(4, 10)]
+    graphs += [k_complete("abcdefg"[:n]) for n in range(4, 8)]
+    for seed in range(12):
+        g = random_graph(8, 0.8, 7400 + seed)
+        half = set(g.vertices[::2])
+        graphs.append(Graph.build(g.vertices, [e for e in g.edges if (e[0] in half) != (e[1] in half)]))
+    scans = found = 0
+    for g in graphs:
+        degeneracy = acyclic_orientation(g)[1]
+        for k in range(1, 6):
+            d = find_at_orientation(g, k)
+            expected = _sequence_find(g, k)
+            assert (d is None) == (expected is None), (g, k)
+            if d is not None:
+                assert d.arcs == expected.arcs, (g, k)
+            if k - 1 < degeneracy and len(g.edges) <= (k - 1) * len(g.vertices):
+                scans += 1
+                found += d is not None
+    # both outcomes of the budget scan occur
+    assert found > 15 and scans - found > 15, (scans, found)
+
+
 def test_at_number_triangulation_starts_at_the_density_bound():
     # 21 edges on 9 vertices: k <= 3 is ruled out before any search, and
-    # the acyclic shortcut settles k = 4 (a search would exceed the cap)
+    # the acyclic shortcut settles k = 4
     g = random_near_triangulation(9, 3, 5).graph
-    assert len(g.edges) == 21 > ORIENTATION_EDGE_CAP
+    assert len(g.edges) == 21
     assert at_number(g) == 4
 
 

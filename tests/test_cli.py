@@ -209,6 +209,23 @@ def test_at_orientation_rechecks_the_witness(monkeypatch, tmp_path):
     assert json.loads(result.output())["max_out_degree"] == 2
 
 
+def test_every_leaf_command_takes_json():
+    import argparse
+
+    def leaves(parser, path):
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            yield path, parser
+        for action in subs:
+            for name, child in action.choices.items():
+                yield from leaves(child, path + (name,))
+
+    found = dict(leaves(cli._build_parser(), ()))
+    assert len(found) == 11
+    for path, parser in found.items():
+        assert any(a.option_strings == ["--json"] for a in parser._actions), path
+
+
 def test_cap_exit_code(tmp_path):
     from atforest.graph import graph_to_json
     from atforest.testkit import random_graph
@@ -219,7 +236,7 @@ def test_cap_exit_code(tmp_path):
     result = go("at", "orientation", "--input", str(big), "--k", "3")
     assert result.exit_code == EXIT_FAIL
     # at number starts at k = 7 (66 <= 72) below the degeneracy 11, so the
-    # sequence search runs into the orientation-search cap
+    # budget scan runs, and its live table outgrows TABLE_CAP
     assert go("at", "number", "--input", str(big)).exit_code == EXIT_CAP
 
 

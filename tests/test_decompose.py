@@ -155,6 +155,18 @@ def test_verifier_rejects_tampered_output():
     assert not verify_decomposition(pg, cyc, "structural").verdict
 
 
+def test_verify_decomposition_rejects_unknown_mode_before_checking():
+    pg = quad_with_chord()
+    d = decompose(pg, ("x", "y"))
+    bad = Decomposition(
+        d.handle, d.forest, Orientation.build(pg.graph, {("u", "y"), ("x", "v")}), d.trace
+    )
+    # the same error for a broken certificate as for a valid one
+    for cert in (bad, d):
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            verify_decomposition(pg, cert, "bogus")
+
+
 def test_decompose_deterministic():
     pg = random_near_triangulation(60, 8, 17)
     h = (pg.outer_face[0], pg.outer_face[1])
