@@ -203,30 +203,35 @@ def acyclic_orientation(g: Graph) -> tuple:
 
 def _realize(g: Graph, edges: list, eta: dict) -> Optional[Orientation]:
     """An orientation of g with out-degree eta[v] at every v, by
-    backtracking over its edges in the given order; None if there is none."""
+    backtracking over its edges in the given order; None if there is none.
+    A loop, not a recursion: tried[i] counts the directions of edge i tried
+    so far (as given, then reversed)."""
     need = dict(eta)  # out-degree still to give each vertex
     rem = {v: g.degree(v) for v in g.vertices}  # edges still to orient
     chosen: list = []
-
-    def search(i: int) -> bool:
-        if i == len(edges):
-            return True
+    tried = [0] * len(edges)
+    i = 0
+    while 0 <= i < len(edges):
         u, v = edges[i]
-        rem[u] -= 1
-        rem[v] -= 1
-        for tail, head in ((u, v), (v, u)):
+        if tried[i] == 0:
+            rem[u] -= 1
+            rem[v] -= 1
+        else:  # back from a dead end: undo this edge's last direction
+            need[chosen.pop()[0]] += 1
+        while tried[i] < 2:
+            tail, head = (u, v) if tried[i] == 0 else (v, u)
+            tried[i] += 1
             if need[tail] > 0 and need[head] <= rem[head]:
                 need[tail] -= 1
                 chosen.append((tail, head))
-                if search(i + 1):
-                    return True
-                chosen.pop()
-                need[tail] += 1
-        rem[u] += 1
-        rem[v] += 1
-        return False
-
-    return Orientation.build(g, chosen) if search(0) else None
+                i += 1
+                break
+        else:  # both directions failed
+            rem[u] += 1
+            rem[v] += 1
+            tried[i] = 0
+            i -= 1
+    return Orientation.build(g, chosen) if i == len(edges) else None
 
 
 def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:

@@ -41,7 +41,8 @@ class ListAssignment:
 
 def is_l_colorable(g: Graph, l: ListAssignment) -> Optional[dict]:
     """A proper coloring from the lists, by backtracking with forward
-    checking over the sorted vertex order; None if there is none."""
+    checking over the sorted vertex order; None if there is none.  A loop,
+    not a recursion: tried[i] counts the colors of the i-th vertex tried."""
     lists = l.as_dict()
     if set(lists) != set(g.vertices):
         raise BadSelector("lists must cover exactly the vertex set")
@@ -49,30 +50,36 @@ def is_l_colorable(g: Graph, l: ListAssignment) -> Optional[dict]:
     domains = {v: sorted(lists[v]) for v in order}
     adj = g.adjacency
     coloring: dict = {}
-
-    def assign(i: int) -> bool:
-        if i == len(order):
-            return True
+    n = len(order)
+    tried = [0] * n
+    i = 0
+    while 0 <= i < n:
         v = order[i]
-        for color in domains[v]:
-            if any(coloring.get(w) == color for w in adj[v]):
+        dom = domains[v]
+        nbrs = adj[v]
+        t = tried[i]
+        while t < len(dom):
+            color = dom[t]
+            t += 1
+            if any(coloring.get(w) == color for w in nbrs):
                 continue
             coloring[v] = color
-            # forward check: an uncolored neighbor must keep an option
-            dead = False
-            for w in adj[v]:
-                if w not in coloring and all(
-                    c == color or any(coloring.get(u) == c for u in adj[w])
-                    for c in domains[w]
-                ):
-                    dead = True
+            # forward check: an uncolored neighbor must keep an option (v
+            # is among its neighbors, so `color` is already taken there)
+            for w in nbrs:
+                if w not in coloring and {coloring.get(u) for u in adj[w]}.issuperset(domains[w]):
+                    del coloring[v]
                     break
-            if not dead and assign(i + 1):
-                return True
-            del coloring[v]
-        return False
-
-    return dict(coloring) if assign(0) else None
+            else:  # every neighbor keeps an option: go one vertex deeper
+                tried[i] = t
+                i += 1
+                break
+        else:  # every color failed: undo the vertex before and try its next
+            tried[i] = 0
+            i -= 1
+            if i >= 0:
+                del coloring[order[i]]
+    return dict(coloring) if i == n else None
 
 
 def build_lemma1_lists(selector: str) -> tuple:
@@ -128,36 +135,16 @@ CHROMATIC_COLOR_CAP = 64  # the most colors chromatic_number tries
 
 
 def chromatic_number(g: Graph) -> int:
-    """Least k with a proper k-coloring, by backtracking with a color
-    symmetry break (a new color only when all used ones fail)."""
+    """Least k with a proper k-coloring: the least k for which
+    `is_l_colorable` colors the i-th vertex (in sorted order) from
+    {0, ..., min(i, k - 1)}.  Any k-coloring, its colors renamed in order
+    of first use, fits these lists, which breaks the color symmetry."""
     if not g.edges:
         return 1 if g.vertices else 0
-    order = sorted(g.vertices, key=lambda v: -g.degree(v))
-    adj = g.adjacency
-    n = len(order)
-
-    def colorable(k: int) -> bool:
-        coloring: dict = {}
-
-        def rec(i: int, used: int) -> bool:
-            if i == n:
-                return True
-            v = order[i]
-            limit = min(used + 1, k)
-            for c in range(limit):
-                if any(coloring.get(w) == c for w in adj[v]):
-                    continue
-                coloring[v] = c
-                if rec(i + 1, max(used, c + 1)):
-                    return True
-                del coloring[v]
-            return False
-
-        return rec(0, 0)
-
     for k in range(2, len(g.vertices) + 1):
         if k > CHROMATIC_COLOR_CAP:
             raise CapExceeded("chromatic search cap exceeded")
-        if colorable(k):
+        lists = {v: range(min(i + 1, k)) for i, v in enumerate(g.vertices)}
+        if is_l_colorable(g, ListAssignment.build(lists)) is not None:
             return k
     return len(g.vertices)

@@ -28,6 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
+from .alon_tarsi import eulerian_diff
 from .errors import (
     Disconnected,
     HandleNotOnBoundary,
@@ -38,8 +39,6 @@ from .graph import (
     Graph,
     Orientation,
     PlaneGraph,
-    _canonical_outer,
-    _walk_darts,
     build_plane_graph,
     chords_of_cycle,
     edge,
@@ -82,9 +81,9 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     }
     if edge(x0, y0) not in boundary_edges:
         raise HandleNotOnBoundary(f"{handle} is not a boundary edge")
-    # every sub-cycle keeps the direction of cycle0, so this one comparison
-    # tells for all of them which way round the rotation runs inside
-    traced = _walk_darts(pg.outer_face) == _walk_darts(_canonical_outer(pg))
+    # every sub-cycle keeps the direction of cycle0, so this one flag tells
+    # for all of them which way round the rotation runs inside
+    traced = pg.outer_traced
     g = pg.graph
     # every vertex that has been on a boundary; one inside the current
     # cycle's region is on that cycle
@@ -229,25 +228,18 @@ def verify_certificate(g: Graph, forest, orientation: Orientation, bound) -> Ver
 def verify_decomposition(
     pg: PlaneGraph, d: Decomposition, mode: str = "structural"
 ) -> VerificationReport:
-    """Check the nice-orientation conditions; in parity mode also brute-force
-    the even/odd Eulerian sub-digraph difference (must be 1)."""
-    from .alon_tarsi import eulerian_diff
-
+    """Check the nice-orientation conditions (out-degree 0 at both handle
+    ends, at most 1 on the boundary, at most 2 inside); in parity mode also
+    brute-force the even/odd Eulerian sub-digraph difference (must be 1)."""
     if mode not in ("structural", "parity"):
         raise ValueError(f"unknown mode {mode!r}")
     x, y = d.handle
     stats = {"forest_edges": len(d.forest), "arcs": len(d.orientation.arcs)}
     if edge(x, y) not in d.forest:
         return VerificationReport(False, "handle missing from forest", stats=stats)
-    out = d.orientation.out_degrees()
-    hx, hy = out.get(x, 0), out.get(y, 0)
-    if hx or hy:
-        return VerificationReport(
-            False, "out-degree at handle", counterexample={"x": hx, "y": hy}, stats=stats
-        )
     boundary = set(pg.outer_face)
     report = verify_certificate(
-        pg.graph, d.forest, d.orientation, lambda v: 1 if v in boundary else 2
+        pg.graph, d.forest, d.orientation, lambda v: 0 if v in (x, y) else 1 if v in boundary else 2
     )
     if not report.verdict:
         return report
@@ -294,13 +286,13 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
     so the restricted certificate still witnesses Alon-Tarsi number <= 3.
     """
     g = pg.graph
-    if len(g.connected_components()) != 1:
+    if not pg.connected:
         raise Disconnected("decompose components separately")
     if _is_forest(g.edges):
         return frozenset(g.edges), Orientation.build(g, [])
 
     aug = _triangulate_embedding(pg)
-    cycle = list(_canonical_outer(aug))
+    cycle = aug.outer_face
     handle = min(
         (edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
     )

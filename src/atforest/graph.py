@@ -144,12 +144,17 @@ class Orientation:
         return done == len(indeg)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneGraph:
+    """An embedding with the facts `build_plane_graph` found checking it."""
+
     graph: Graph
     rotation: dict  # vertex -> tuple of neighbors in cyclic order
     outer_face: tuple  # closed boundary walk, first vertex not repeated
     faces: tuple  # every facial walk, as traced by build_plane_graph
+    outer_index: int  # faces[outer_index] has the edges of outer_face
+    outer_traced: bool  # outer_face runs the way faces[outer_index] does
+    connected: bool
 
 
 def _trace_all_faces(rotation: dict) -> list:
@@ -227,27 +232,22 @@ def build_plane_graph(
     outer = tuple(outer_face)
     if not outer:
         raise RotationMismatch("outer face walk is empty")
-    if _matching_face(faces, outer) is None:
+    match = _matching_face(faces, outer)
+    if match is None:
         raise RotationMismatch("designated outer face is not a face of the embedding")
-    return PlaneGraph(g, rot, outer, tuple(faces))
+    return PlaneGraph(g, rot, outer, tuple(faces), *match, len(comps) == 1)
 
 
 def _matching_face(faces, walk: tuple) -> Optional[tuple]:
-    """The face with the darts of `walk`, traversed either way, or None."""
+    """(index, traced) of the first face with the darts of `walk`,
+    traversed either way, where traced tells that `walk` runs the way the
+    face does; None if no face has them."""
     target = _walk_darts(walk)
     rev = {(b, a) for a, b in target}
-    for f in faces:
-        if len(f) == len(walk) and _walk_darts(f) in (target, rev):
-            return f
+    for i, f in enumerate(faces):
+        if len(f) == len(walk) and (darts := _walk_darts(f)) in (target, rev):
+            return i, darts == target
     return None
-
-
-def _canonical_outer(pg: PlaneGraph) -> tuple:
-    """The traced face matching the designated outer walk."""
-    f = _matching_face(pg.faces, pg.outer_face)
-    if f is None:
-        raise RotationMismatch("outer face lost")
-    return f
 
 
 def validate_near_triangulation(pg: PlaneGraph) -> VerificationReport:
@@ -257,10 +257,9 @@ def validate_near_triangulation(pg: PlaneGraph) -> VerificationReport:
         return VerificationReport(False, f"boundary walk of length {len(outer)} is not a cycle")
     if len(set(outer)) != len(outer):
         return VerificationReport(False, "boundary walk repeats a vertex")
-    if len(pg.graph.connected_components()) != 1:
+    if not pg.connected:
         return VerificationReport(False, "graph is disconnected")
-    outer_canon = _canonical_outer(pg)
-    bad = [f for f in pg.faces if f != outer_canon and len(f) != 3]
+    bad = [f for i, f in enumerate(pg.faces) if i != pg.outer_index and len(f) != 3]
     if bad:
         return VerificationReport(
             False, f"interior face of length {len(bad[0])}", counterexample=list(bad[0])

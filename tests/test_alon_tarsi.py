@@ -355,6 +355,33 @@ def _sequences(g, k):
     return extend(0, len(g.edges))
 
 
+def _reference_realize(g, edges, eta):
+    """The recursive form of _realize: one call per edge."""
+    need = dict(eta)
+    rem = {v: g.degree(v) for v in g.vertices}
+    chosen = []
+
+    def search(i):
+        if i == len(edges):
+            return True
+        u, v = edges[i]
+        rem[u] -= 1
+        rem[v] -= 1
+        for tail, head in ((u, v), (v, u)):
+            if need[tail] > 0 and need[head] <= rem[head]:
+                need[tail] -= 1
+                chosen.append((tail, head))
+                if search(i + 1):
+                    return True
+                chosen.pop()
+                need[tail] += 1
+        rem[u] += 1
+        rem[v] += 1
+        return False
+
+    return Orientation.build(g, chosen) if search(0) else None
+
+
 def _sequence_find(g, k):
     """find_at_orientation as one exact coefficient per out-degree sequence
     within the budget, in lexicographic order, and an orientation built for
@@ -366,7 +393,7 @@ def _sequence_find(g, k):
         return d
     for eta in _sequences(g, k):
         if _reference_coefficient(g, eta):
-            return _realize(g, _frontier_order(list(g.edges)), eta)
+            return _reference_realize(g, _frontier_order(list(g.edges)), eta)
     return None
 
 
@@ -492,6 +519,31 @@ def test_find_at_orientation_matches_sequence_search():
                 found += d is not None
     # both outcomes of the budget scan occur
     assert found > 15 and scans - found > 15, (scans, found)
+
+
+def test_realize_matches_recursive_reference():
+    # the same orientation, or None, on every out-degree sequence within
+    # budget 3 of the small graphs
+    realized = failed = 0
+    for g in _small_graphs():
+        edges = _frontier_order(list(g.edges))
+        for eta in _sequences(g, 4):
+            got, want = _realize(g, edges, eta), _reference_realize(g, edges, eta)
+            assert (got is None) == (want is None), (g, eta)
+            if got is not None:
+                assert got.arcs == want.arcs, (g, eta)
+            realized += got is not None
+            failed += got is None
+    assert realized > 100 and failed > 100, (realized, failed)
+
+
+def test_realize_depth_does_not_grow_with_n():
+    names = [f"c{i:04d}" for i in range(3000)]
+    g = cycle(names)
+    d = _realize(g, sorted(g.edges), dict.fromkeys(names, 1))
+    # out-degree 1 everywhere on a cycle: one of the two directed cycles
+    assert d is not None and set(d.out_degrees().values()) == {1}
+    assert not d.is_acyclic()
 
 
 def test_at_number_triangulation_starts_at_the_density_bound():

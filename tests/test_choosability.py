@@ -19,7 +19,7 @@ from atforest.choosability import (
 )
 from atforest.errors import BadSelector
 from atforest.graph import Graph
-from atforest.testkit import random_graph
+from atforest.testkit import Rng, random_graph
 
 
 def cycle(names):
@@ -160,6 +160,92 @@ def test_chromatic_numbers():
     ]
     petersen = Graph.build([f"o{i}" for i in range(5)] + [f"i{i}" for i in range(5)], petersen_edges)
     assert chromatic_number(petersen) == 3
+
+
+def _reference_is_l_colorable(g, l):
+    """The recursive search the loop replaced: one call per vertex."""
+    lists = l.as_dict()
+    order = list(g.vertices)
+    domains = {v: sorted(lists[v]) for v in order}
+    adj = g.adjacency
+    coloring = {}
+
+    def assign(i):
+        if i == len(order):
+            return True
+        v = order[i]
+        for color in domains[v]:
+            if any(coloring.get(w) == color for w in adj[v]):
+                continue
+            coloring[v] = color
+            dead = False
+            for w in adj[v]:
+                if w not in coloring and all(
+                    c == color or any(coloring.get(u) == c for u in adj[w])
+                    for c in domains[w]
+                ):
+                    dead = True
+                    break
+            if not dead and assign(i + 1):
+                return True
+            del coloring[v]
+        return False
+
+    return dict(coloring) if assign(0) else None
+
+
+def _reference_chromatic_number(g):
+    """The separate recursive backtracker chromatic_number had: vertices by
+    decreasing degree, a new color only when all used ones fail."""
+    if not g.edges:
+        return 1 if g.vertices else 0
+    order = sorted(g.vertices, key=lambda v: -g.degree(v))
+    adj = g.adjacency
+
+    def colorable(k):
+        coloring = {}
+
+        def rec(i, used):
+            if i == len(order):
+                return True
+            v = order[i]
+            for c in range(min(used + 1, k)):
+                if any(coloring.get(w) == c for w in adj[v]):
+                    continue
+                coloring[v] = c
+                if rec(i + 1, max(used, c + 1)):
+                    return True
+                del coloring[v]
+            return False
+
+        return rec(0, 0)
+
+    return next(k for k in range(2, len(g.vertices) + 1) if colorable(k))
+
+
+def test_coloring_search_matches_recursive_reference():
+    rng = Rng(8100)
+    for seed in range(300):
+        g = random_graph(4 + seed % 6, (0.3, 0.5, 0.7)[seed % 3], 8100 + seed)
+        lists = ListAssignment.build(
+            {v: [c for c in "abcd" if rng.randrange(3)] or ["a"] for v in g.vertices}
+        )
+        got = is_l_colorable(g, lists)
+        assert got == _reference_is_l_colorable(g, lists)
+        # the same vertex order as well as the same colors
+        assert got is None or list(got) == list(g.vertices)
+    for seed in range(150):
+        g = random_graph(3 + seed % 7, (0.3, 0.5, 0.8)[seed % 3], 8500 + seed)
+        assert chromatic_number(g) == _reference_chromatic_number(g)
+
+
+def test_coloring_search_depth_does_not_grow_with_n():
+    names = [f"v{i:04d}" for i in range(3000)]
+    path = Graph.build(names, list(zip(names, names[1:])))
+    lists = ListAssignment.build({v: ["1", "2", "3"] for v in names})
+    coloring = is_l_colorable(path, lists)
+    assert coloring is not None and all(coloring[u] != coloring[v] for u, v in path.edges)
+    assert chromatic_number(path) == 2
 
 
 def test_list_json_round_trip():

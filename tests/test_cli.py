@@ -288,6 +288,12 @@ def test_choose_check(tmp_path):
     # witness mode: C4 with 2-lists is colorable, so "not 2-choosable" fails
     bad = go("choose", "check", "--input", str(c4), "--lists", str(lists), "--k", "2")
     assert bad.exit_code == EXIT_FAIL
+    # the search depth does not grow with n: a 3000-vertex path with 3-lists
+    names = [f"v{i:04d}" for i in range(3000)]
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"vertices": names, "edges": list(zip(names, names[1:]))}))
+    lists.write_text(json.dumps({"lists": {v: ["1", "2", "3"] for v in names}}))
+    assert go("choose", "check", "--input", str(path), "--lists", str(lists)).exit_code == EXIT_PASS
 
 
 def test_gen_graph_deterministic(tmp_path):

@@ -25,7 +25,6 @@ from atforest.errors import (
 )
 from atforest.graph import (
     Orientation,
-    _canonical_outer,
     _walk_darts,
     build_plane_graph,
     edge,
@@ -144,7 +143,7 @@ def test_verifier_rejects_tampered_output():
     bad_arcs = {("u", "y"), ("x", "v")}
     bad = Decomposition(d.handle, d.forest, Orientation.build(pg.graph, bad_arcs), d.trace)
     report = verify_decomposition(pg, bad, "structural")
-    assert not report.verdict and "handle" in report.detail
+    assert not report.verdict and report.detail == "out-degree 1 exceeds bound 0"
     # cycle in the claimed forest
     cyc = Decomposition(
         d.handle,
@@ -153,6 +152,17 @@ def test_verifier_rejects_tampered_output():
         d.trace,
     )
     assert not verify_decomposition(pg, cyc, "structural").verdict
+
+
+def test_arc_leaving_the_handle_fails_at_that_end():
+    # the nice-orientation bound is 0 at both handle ends
+    pg = quad_with_chord()
+    d = decompose(pg, ("x", "y"))
+    assert d.orientation.arcs == {("v", "x"), ("u", "y")}
+    for arcs, end in (({("u", "y"), ("x", "v")}, "x"), ({("v", "x"), ("y", "u")}, "y")):
+        bad = Decomposition(d.handle, d.forest, Orientation.build(pg.graph, arcs), d.trace)
+        report = verify_decomposition(pg, bad, "structural")
+        assert not report.verdict and report.counterexample == end
 
 
 def test_verify_decomposition_rejects_unknown_mode_before_checking():
@@ -206,6 +216,7 @@ def test_any_planar_c4():
         ["a", "b", "c", "d"],
     )
     forest, orientation = decompose_any_planar(c4)
+    assert verify_certificate(c4.graph, forest, orientation, lambda v: 2).verdict
     assert forest <= c4.graph.edges
     assert forest.isdisjoint(orientation.underlying_edges())
     assert forest | orientation.underlying_edges() == c4.graph.edges
@@ -222,6 +233,7 @@ def test_any_planar_tree_is_all_forest():
     )
     forest, orientation = decompose_any_planar(tree)
     assert forest == tree.graph.edges and not orientation.arcs
+    assert verify_certificate(tree.graph, forest, orientation, lambda v: 2).verdict
 
 
 def test_any_planar_rejects_disconnected():
@@ -238,6 +250,7 @@ def test_any_planar_rejects_disconnected():
 def test_any_planar_on_near_triangulation():
     pg = random_near_triangulation(20, 5, 9)
     forest, orientation = decompose_any_planar(pg)
+    assert verify_certificate(pg.graph, forest, orientation, lambda v: 2).verdict
     assert forest | orientation.underlying_edges() == pg.graph.edges
     assert orientation.is_acyclic()
     assert all(v <= 2 for v in orientation.out_degrees().values())
@@ -309,7 +322,9 @@ def _pinned_certificates():
     for build in (_fan, _zigzag):
         pg, handle = build(25)
         yield decompose(pg, handle).to_json_dict()
-    forest, orientation = decompose_any_planar(_sparse(random_near_triangulation(50, 10, 11)))
+    pg = _sparse(random_near_triangulation(50, 10, 11))
+    forest, orientation = decompose_any_planar(pg)
+    assert verify_certificate(pg.graph, forest, orientation, lambda v: 2).verdict
     yield {"forest": sorted(forest), "arcs": sorted(orientation.arcs)}
 
 
@@ -329,7 +344,13 @@ def _reference_decompose(pg, handle):
     the adjacency of every cycle vertex in every frame."""
     x0, y0 = handle
     cycle0 = list(pg.outer_face)
-    traced = _walk_darts(pg.outer_face) == _walk_darts(_canonical_outer(pg))
+    # direction from the first face with the outer walk's darts, either way
+    walk = _walk_darts(pg.outer_face)
+    rev = {(b, a) for a, b in walk}
+    traced = walk == next(
+        _walk_darts(f) for f in pg.faces
+        if len(f) == len(cycle0) and _walk_darts(f) in (walk, rev)
+    )
     g = pg.graph
     forest, arcs, root = set(), [], {}
     stack = [(cycle0, (x0, y0), False, root)]
@@ -517,6 +538,16 @@ def test_triangulation_matches_walk_copying_reference():
         assert got.faces == want.faces
         assert got.outer_face == want.outer_face
         assert got.rotation == want.rotation
+        count += 1
+    assert count == 111
+
+
+def test_any_planar_certificates_verify_on_triangulation_inputs():
+    # the whole certificate, forest acyclicity included, on every input
+    count = 0
+    for pg in _triangulation_instances():
+        forest, orientation = decompose_any_planar(pg)
+        assert verify_certificate(pg.graph, forest, orientation, lambda v: 2).verdict
         count += 1
     assert count == 111
 

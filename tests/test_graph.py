@@ -170,6 +170,45 @@ def test_face_trace_matches_repeated_min_reference():
     assert count == 29
 
 
+def _outer_by_rescan(pg):
+    """(outer index, traced, connected) found again: the first face with the
+    darts of the outer walk, either way round, and a union-find over the
+    edges."""
+    def darts(walk):
+        return {(walk[i], walk[(i + 1) % len(walk)]) for i in range(len(walk))}
+
+    walk = darts(pg.outer_face)
+    index = next(
+        i for i, f in enumerate(pg.faces)
+        if len(f) == len(pg.outer_face) and darts(f) in (walk, {(b, a) for a, b in walk})
+    )
+    parent = {v: v for v in pg.graph.vertices}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in pg.graph.edges:
+        parent[root(u)] = root(v)
+    roots = {root(v) for v in pg.graph.vertices}
+    return index, darts(pg.faces[index]) == walk, len(roots) == 1
+
+
+def test_recorded_outer_face_matches_rescan():
+    seen = set()
+    for pg in _face_trace_instances():
+        flipped = build_plane_graph(
+            pg.graph.vertices, pg.graph.edges, pg.rotation, pg.outer_face[::-1]
+        )
+        for plane in (pg, flipped):
+            facts = (plane.outer_index, plane.outer_traced, plane.connected)
+            assert facts == _outer_by_rescan(plane)
+            seen.add(facts[1:])
+    # both directions, and a disconnected input, occur
+    assert seen >= {(True, True), (False, True), (True, False), (False, False)}, seen
+
+
 def test_near_triangulation_validation():
     pg = triangle_plane()
     assert validate_near_triangulation(pg).verdict
