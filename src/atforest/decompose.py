@@ -17,9 +17,18 @@ neighbours of z inside the cycle, read off the rotation at z between its
 two cycle neighbours; they replace z on the cycle.  An ear with no inside
 neighbour is a bare triangle, the base case.
 
-Each frame carries its cycle's chords, sorted: a split hands the rest of
-them to the two sides, and an ear, which happens only on a chordless
-cycle, finds the new ones among the edges of the vertices it brings in.
+Each frame holds its cycle as a linked ring (`succ`/`pred` dicts) and its
+chords in a list sorted downwards, so the smallest pops off the end;
+`owner` tags every live chord with the frame that holds it.  A split
+walks round the ring from both chord ends in lockstep, and the walk that
+arrives first has traced the shorter side.  That side moves into fresh
+dicts and gathers its chords from the edges of its inner vertices,
+re-tagging them; the longer side keeps the parent's dicts, relinked
+across the chord, and its list, which drops chords tagged for another
+frame as they come up.  So a split costs time in the shorter side, not in
+the whole cycle and all its chords.  An ear, which happens only on a
+chordless cycle, splices its link path into the ring and finds the new
+chords among the edges of the vertices it brings in.
 """
 
 from __future__ import annotations
@@ -75,65 +84,104 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     if not rep.verdict:
         raise NotNearTriangulation(rep.detail)
     x0, y0 = handle
-    cycle0 = list(pg.outer_face)
-    boundary_edges = {
-        edge(cycle0[i], cycle0[(i + 1) % len(cycle0)]) for i in range(len(cycle0))
-    }
-    if edge(x0, y0) not in boundary_edges:
+    cycle0 = pg.outer_face
+    succ0 = dict(zip(cycle0, cycle0[1:] + cycle0[:1]))
+    pred0 = {w: v for v, w in succ0.items()}
+    if x0 not in succ0 or y0 not in (succ0[x0], pred0[x0]):
         raise HandleNotOnBoundary(f"{handle} is not a boundary edge")
     # every sub-cycle keeps the direction of cycle0, so this one flag tells
     # for all of them which way round the rotation runs inside
     traced = pg.outer_traced
     g = pg.graph
+    adj = g.adjacency
     # every vertex that has been on a boundary; one inside the current
     # cycle's region is on that cycle
     reached = set(cycle0)
+    # owner[c]: the tag of the frame whose cycle has chord c
+    chords0 = chords_of_cycle(g, cycle0)[::-1]
+    owner = dict.fromkeys(chords0, 0)
+    last_tag = 0
 
     forest: set = set()
     arcs: list = []
     root_trace: dict = {}
 
-    # frame: (boundary cycle, its chords sorted, handle,
+    # frame: (succ, pred, chords sorted down, tag, handle x, handle y,
     #         drop_handle_from_forest, trace node)
-    stack = [(cycle0, chords_of_cycle(g, cycle0), (x0, y0), False, root_trace)]
+    stack = [(succ0, pred0, chords0, 0, x0, y0, False, root_trace)]
 
     while stack:
-        cycle, chords, (x, y), drop, node = stack.pop()
+        succ, pred, chords, tag, x, y, drop, node = stack.pop()
+        # chords taken by a short side stay behind until they come up
+        while chords and owner.get(chords[-1]) != tag:
+            chords.pop()
 
         if chords:
-            chord = chords[0]
-            i, j = sorted((cycle.index(chord[0]), cycle.index(chord[1])))
-            # the two sides, each in cycle order; path_a keeps the handle
-            path_a = cycle[i : j + 1]
-            path_b = cycle[j:] + cycle[: i + 1]
-            chords_a, chords_b = _split_chords(chords, path_a, path_b)
-            if not (i <= cycle.index(x) <= j and i <= cycle.index(y) <= j):
-                path_a, path_b = path_b, path_a
-                chords_a, chords_b = chords_b, chords_a
+            chord = chords.pop()
+            del owner[chord]
+            a, b = chord
+            # walk a -> .. -> b and b -> .. -> a together: the first to
+            # arrive is the short side s -> .. -> e
+            p, q = succ[a], succ[b]
+            while p != b and q != a:
+                p, q = succ[p], succ[q]
+            s, e = (a, b) if p == b else (b, a)
+            v = succ[s]
+            short_succ, short_pred = {e: s, s: v}, {s: e, v: s}
+            while v != e:
+                w = succ.pop(v)
+                del pred[v]
+                short_succ[v] = w
+                short_pred[w] = v
+                v = w
+            # the parent's cycle is now the long side e -> .. -> s
+            succ[s] = e
+            pred[e] = s
+            last_tag += 1
+            short_chords = []
+            if len(short_succ) > 3:  # a triangle has no chords
+                # every chord of the parent with an end inside the short
+                # side's path is the short side's, and it has no others
+                v = short_succ[s]
+                while v != e:
+                    for w in adj[v]:
+                        if w in short_succ:
+                            c = (v, w) if v < w else (w, v)
+                            if owner.get(c) == tag:
+                                owner[c] = last_tag
+                                short_chords.append(c)
+                    v = short_succ[v]
+                short_chords.sort(reverse=True)
 
             node["case"] = "chord"
-            node["chord"] = [chord[0], chord[1]]
+            node["chord"] = [a, b]
             child_handle: dict = {}
             child_other: dict = {}
             node["children"] = [child_handle, child_other]
-            stack.append((path_b, chords_b, (path_b[0], path_b[-1]), True, child_other))
-            stack.append((path_a, chords_a, (x, y), drop, child_handle))
+            # the side without the handle takes the chord, in cycle order
+            if x in short_succ and y in short_succ:
+                stack.append((succ, pred, chords, tag, e, s, True, child_other))
+                stack.append((short_succ, short_pred, short_chords, last_tag, x, y, drop, child_handle))
+            else:
+                stack.append((short_succ, short_pred, short_chords, last_tag, s, e, True, child_other))
+                stack.append((succ, pred, chords, tag, x, y, drop, child_handle))
             continue
 
         # ear: z is the boundary neighbour of x other than y, w the next one
-        k = len(cycle)
-        ix = cycle.index(x)
-        step = 1 if cycle[(ix + 1) % k] != y else -1
-        iz = (ix + step) % k
-        z, w = cycle[iz], cycle[(iz + step) % k]
-        before, after = cycle[iz - 1], cycle[(iz + 1) % k]
+        z = succ[x]
+        if z != y:
+            w = succ[z]
+        else:
+            z = pred[x]
+            w = pred[z]
+        before, after = pred[z], succ[z]
         inner = _inside_neighbours(pg.rotation[z], before, after, traced)
-        forest.add(edge(z, w))
+        forest.add((z, w) if z < w else (w, z))
         arcs.append((z, x))
 
         if not inner:  # a triangle with nothing inside: w is y
             node["case"] = "base"
-            node["triangle"] = sorted(cycle)
+            node["triangle"] = sorted((x, y, z))
             if not drop:
                 forest.add(edge(x, y))
             continue
@@ -142,29 +190,24 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
         node["vertex"] = z
         child: dict = {}
         node["child"] = child
-        arcs.extend((u, z) for u in inner)
-        new_chords = _ear_chords(g.adjacency, reached, z, [before, *inner, after])
-        stack.append((cycle[:iz] + inner + cycle[iz + 1 :], new_chords, (x, y), drop, child))
+        arcs.extend([(u, z) for u in inner])
+        # z gives way to before, *inner, after
+        link = [before, *inner, after]
+        del succ[z], pred[z]
+        for v, u in zip(link, link[1:]):
+            succ[v] = u
+            pred[u] = v
+        new_chords = _ear_chords(adj, reached, z, link)
+        for c in new_chords:
+            owner[c] = tag
+        stack.append((succ, pred, new_chords, tag, x, y, drop, child))
 
     orientation = Orientation.build(g, arcs)
     return Decomposition((x0, y0), frozenset(forest), orientation, root_trace)
 
 
-def _split_chords(chords: list, path_a: list, path_b: list) -> tuple:
-    """Divide the chords after the first between the two sides of a split
-    along chords[0]; each side's list stays sorted.  A chord lies on the
-    shorter side iff both its ends do."""
-    a_short = len(path_a) <= len(path_b)
-    short = set(path_a if a_short else path_b)
-    on_short: list = []
-    on_long: list = []
-    for c in chords[1:]:
-        (on_short if c[0] in short and c[1] in short else on_long).append(c)
-    return (on_short, on_long) if a_short else (on_long, on_short)
-
-
 def _ear_chords(adj: dict, reached: set, z: str, link: list) -> list:
-    """Chords, sorted, of the cycle where ear z gave way to its inside
+    """Chords, sorted down, of the cycle where ear z gave way to its inside
     neighbours link[1:-1] (link runs between z's two cycle neighbours).
 
     The old cycle had none, so each new chord has a new end u, and its
@@ -177,9 +220,9 @@ def _ear_chords(adj: dict, reached: set, z: str, link: list) -> list:
         u, prev, nxt = link[t], link[t - 1], link[t + 1]
         for v in adj[u]:
             if v in reached and v != z and v != prev and v != nxt:
-                chords.append(edge(u, v))
+                chords.append((u, v) if u < v else (v, u))
         reached.add(u)
-    chords.sort()
+    chords.sort(reverse=True)
     return chords
 
 
@@ -192,9 +235,8 @@ def _inside_neighbours(rot: tuple, before: str, after: str, traced: bool) -> lis
     traced predecessor.
     """
     first, last = (after, before) if traced else (before, after)
-    k = len(rot)
     i, j = rot.index(first), rot.index(last)
-    wedge = [rot[(i + s) % k] for s in range(1, (j - i) % k)]
+    wedge = [*rot[i + 1 : j]] if i < j else [*rot[i + 1 :], *rot[:j]]
     return wedge[::-1] if traced else wedge
 
 
@@ -297,8 +339,9 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
         (edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
     )
     d = decompose(aug, handle)
-    forest = frozenset(e for e in d.forest if e in g.edges)
-    arcs = [(t, h) for t, h in sorted(d.orientation.arcs) if edge(t, h) in g.edges]
+    edges = g.edges
+    arcs = [(t, h) for t, h in d.orientation.arcs if ((t, h) if t < h else (h, t)) in edges]
+    forest = d.forest & edges
     return forest, Orientation.build(g, arcs)
 
 

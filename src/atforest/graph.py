@@ -104,11 +104,14 @@ class Orientation:
 
     @staticmethod
     def build(host: Graph, arcs: Iterable[tuple[str, str]]) -> "Orientation":
+        edges = host.edges
         seen_edges = set()
         out = set()
         for t, h in arcs:
-            e = edge(t, h)
-            if e not in host.edges:
+            e = (t, h) if t < h else (h, t)
+            if e not in edges:
+                if t == h:
+                    raise DuplicateEdge(f"loop at {t!r}")
                 raise UnknownVertex(f"arc {(t, h)} is not over a host edge")
             if e in seen_edges:
                 raise DuplicateEdge(f"two arcs on edge {e}")
@@ -123,7 +126,7 @@ class Orientation:
         return d
 
     def underlying_edges(self) -> frozenset:
-        return frozenset(edge(t, h) for t, h in self.arcs)
+        return frozenset([(t, h) if t < h else (h, t) for t, h in self.arcs])
 
     def is_acyclic(self) -> bool:
         succ: dict[str, list] = {}
@@ -270,15 +273,15 @@ def validate_near_triangulation(pg: PlaneGraph) -> VerificationReport:
 def chords_of_cycle(g: Graph, cycle: list) -> list:
     """Every edge joining two vertices of the cycle that is not a cycle
     edge, sorted."""
-    pos = {v: i for i, v in enumerate(cycle)}
+    adj = g.adjacency
+    on_cycle = set(cycle)
     k = len(cycle)
-    chords = []
-    for u in cycle:
-        i = pos[u]
-        for v in g.adjacency[u]:
-            j = pos.get(v)
-            if j is not None and u < v and (i - j) % k not in (1, k - 1):
-                chords.append((u, v))
+    chords = [
+        (u, v)
+        for i, u in enumerate(cycle)
+        for v in adj[u]
+        if u < v and v in on_cycle and v != cycle[i - 1] and v != cycle[(i + 1) % k]
+    ]
     chords.sort()
     return chords
 

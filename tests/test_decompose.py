@@ -431,6 +431,113 @@ def test_chord_lists_match_rescanning_reference():
     assert count == 205
 
 
+# drawn inputs for the same comparison: each takes a drawn boundary edge as
+# its handle, in a drawn direction
+
+
+def _drawn_handle(data, pg):
+    o = pg.outer_face
+    i = data.draw(st.integers(min_value=0, max_value=len(o) - 1))
+    x, y = o[i], o[(i + 1) % len(o)]
+    return (x, y) if data.draw(st.booleans()) else (y, x)
+
+
+def _assert_matches_reference(data, pg):
+    handle = _drawn_handle(data, pg)
+    assert decompose(pg, handle).to_json_dict() == _reference_decompose(pg, handle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=3, max_value=150),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_shelling_matches_reference_on_fans_and_strips(data, n, seed):
+    pg, _ = _fan(n) if data.draw(st.booleans()) else _zigzag(n, Rng(seed))
+    _assert_matches_reference(data, pg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=3, max_value=120),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_shelling_matches_reference_on_random_near_triangulations(data, n, seed):
+    b = data.draw(st.integers(min_value=3, max_value=n))
+    _assert_matches_reference(data, random_near_triangulation(n, b, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.data(),
+    st.integers(min_value=3, max_value=120),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_shelling_matches_reference_on_reversed_outer_walks(data, n, seed):
+    b = data.draw(st.integers(min_value=3, max_value=n))
+    pg = random_near_triangulation(n, b, seed)
+    flipped = build_plane_graph(
+        pg.graph.vertices, pg.graph.edges, pg.rotation, pg.outer_face[::-1]
+    )
+    _assert_matches_reference(data, flipped)
+
+
+def test_twenty_thousand_vertex_fan_and_strip_decompose_and_verify():
+    # 20 000 nested chord steps each; no time is asserted
+    for pg, handle in (_fan(20000), _zigzag(20000, Rng(5))):
+        assert verify_decomposition(pg, decompose(pg, handle)).verdict
+
+
+# ---------------------------------------------------------------------------
+# the out-degree bounds are what a certificate one arc over them fails on
+
+
+def _one_arc_over(pg, d, on_boundary):
+    """The first vertex v on the boundary (out-degree 1) or inside
+    (out-degree 2) with a forest edge vu such that u does not reach v in
+    the orientation, and the certificate with vu turned into the arc v->u:
+    still a forest plus an acyclic orientation partitioning the edges."""
+    boundary = set(pg.outer_face)
+    out = d.orientation.out_degrees()
+    heads: dict = {}
+    for t, h in d.orientation.arcs:
+        heads.setdefault(t, []).append(h)
+    for v in sorted(pg.graph.vertices):
+        if (v in boundary) != on_boundary or out[v] != (1 if on_boundary else 2):
+            continue
+        for e in sorted(d.forest):
+            if v not in e:
+                continue
+            u = e[1] if e[0] == v else e[0]
+            seen, todo = {u}, [u]
+            while todo:
+                for w in heads.get(todo.pop(), ()):
+                    if w not in seen:
+                        seen.add(w)
+                        todo.append(w)
+            if v not in seen:
+                arcs = Orientation.build(pg.graph, d.orientation.arcs | {(v, u)})
+                return v, Decomposition(d.handle, d.forest - {e}, arcs, d.trace)
+    raise AssertionError("no forest edge can become an arc")
+
+
+@pytest.mark.parametrize(
+    "on_boundary, detail",
+    [(True, "out-degree 2 exceeds bound 1"), (False, "out-degree 3 exceeds bound 2")],
+)
+def test_verifier_fails_a_certificate_one_arc_over_the_bound(on_boundary, detail):
+    pg = random_near_triangulation(40, 8, 3)
+    d = decompose(pg, (pg.outer_face[0], pg.outer_face[1]))
+    v, bad = _one_arc_over(pg, d, on_boundary)
+    report = verify_decomposition(pg, bad)
+    assert not report.verdict
+    assert report.detail == detail and report.counterexample == v
+    # the bound is the only check it fails
+    assert verify_certificate(pg.graph, bad.forest, bad.orientation, lambda _: 3).verdict
+
+
 # ---------------------------------------------------------------------------
 # face triangulation against the walk-copying loop it replaced
 
