@@ -7,10 +7,9 @@ near-triangulations, and fit each family's log-log growth slope.
 `--checkout` names the source tree whose `src/atforest` is timed, so one
 copy of this script measures two commits alike; the inputs always come
 from that tree's `perfbench/gen.py` and `atforest.testkit`.  Each input is
-built untimed, then `decompose` runs `--repeats` times on it and the
-smallest time counts.  `--no-gc` switches the cyclic garbage collector
-off around each timed call.  The result is one JSON object on standard
-output.
+built untimed, then `decompose` runs three times on it and the smallest
+time counts.  `--no-gc` switches the cyclic garbage collector off around
+each timed call.  The result is one JSON object on standard output.
 """
 
 from __future__ import annotations
@@ -22,6 +21,8 @@ import math
 import sys
 import time
 from pathlib import Path
+
+REPEATS = 3
 
 
 def _slope(points: list) -> float:
@@ -37,7 +38,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", default=str(Path(__file__).resolve().parent.parent))
     ap.add_argument("--sizes", type=int, nargs="+", default=[2000, 8000, 16000])
-    ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--no-gc", action="store_true")
     args = ap.parse_args(argv)
 
@@ -55,13 +55,13 @@ def main(argv=None) -> int:
         pg = testkit.random_near_triangulation(n, 8, 1)
         return pg, (pg.outer_face[0], pg.outer_face[1])
 
-    result = {"checkout": str(root), "gc": not args.no_gc, "repeats": args.repeats}
+    result = {"checkout": str(root), "gc": not args.no_gc, "repeats": REPEATS}
     for family in ("fan", "strip", "random"):
         points = []
         for n in args.sizes:
             pg, handle = build(family, n)
             best = math.inf
-            for _ in range(args.repeats):
+            for _ in range(REPEATS):
                 gc.collect()
                 if args.no_gc:
                     gc.disable()

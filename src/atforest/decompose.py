@@ -18,17 +18,16 @@ two cycle neighbours; they replace z on the cycle.  An ear with no inside
 neighbour is a bare triangle, the base case.
 
 Each frame holds its cycle as a linked ring (`succ`/`pred` dicts) and its
-chords in a list sorted downwards, so the smallest pops off the end;
-`owner` tags every live chord with the frame that holds it.  A split
-walks round the ring from both chord ends in lockstep, and the walk that
-arrives first has traced the shorter side.  That side moves into fresh
-dicts and gathers its chords from the edges of its inner vertices,
-re-tagging them; the longer side keeps the parent's dicts, relinked
-across the chord, and its list, which drops chords tagged for another
-frame as they come up.  So a split costs time in the shorter side, not in
-the whole cycle and all its chords.  An ear, which happens only on a
-chordless cycle, splices its link path into the ring and finds the new
-chords among the edges of the vertices it brings in.
+chords in a list sorted downwards, so the smallest pops off the end.  A
+split walks round the ring from both chord ends in lockstep, and the walk
+that arrives first has traced the shorter side.  That side moves into
+fresh dicts and gathers its chords from the edges of its inner vertices;
+the longer side keeps the parent's dicts, relinked across the chord, and
+its list, which drops chords with an end no longer on its ring as they
+come up.  So a split costs time in the shorter side, not in the whole
+cycle and all its chords.  An ear, which happens only on a chordless
+cycle, splices its link path into the ring and finds the new chords among
+the edges of the vertices it brings in.
 """
 
 from __future__ import annotations
@@ -97,29 +96,25 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     # every vertex that has been on a boundary; one inside the current
     # cycle's region is on that cycle
     reached = set(cycle0)
-    # owner[c]: the tag of the frame whose cycle has chord c
-    chords0 = chords_of_cycle(g, cycle0)[::-1]
-    owner = dict.fromkeys(chords0, 0)
-    last_tag = 0
 
     forest: set = set()
     arcs: list = []
     root_trace: dict = {}
 
-    # frame: (succ, pred, chords sorted down, tag, handle x, handle y,
+    # frame: (succ, pred, chords sorted down, handle x, handle y,
     #         drop_handle_from_forest, trace node)
-    stack = [(succ0, pred0, chords0, 0, x0, y0, False, root_trace)]
+    chords0 = chords_of_cycle(g, cycle0)[::-1]
+    stack = [(succ0, pred0, chords0, x0, y0, False, root_trace)]
 
     while stack:
-        succ, pred, chords, tag, x, y, drop, node = stack.pop()
-        # chords taken by a short side stay behind until they come up
-        while chords and owner.get(chords[-1]) != tag:
+        succ, pred, chords, x, y, drop, node = stack.pop()
+        # a chord taken by a short side has an end that left this ring;
+        # it stays behind until it comes up
+        while chords and not (chords[-1][0] in succ and chords[-1][1] in succ):
             chords.pop()
 
         if chords:
-            chord = chords.pop()
-            del owner[chord]
-            a, b = chord
+            a, b = chords.pop()
             # walk a -> .. -> b and b -> .. -> a together: the first to
             # arrive is the short side s -> .. -> e
             p, q = succ[a], succ[b]
@@ -137,20 +132,20 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
             # the parent's cycle is now the long side e -> .. -> s
             succ[s] = e
             pred[e] = s
-            last_tag += 1
             short_chords = []
             if len(short_succ) > 3:  # a triangle has no chords
-                # every chord of the parent with an end inside the short
-                # side's path is the short side's, and it has no others
+                # every chord has an end inside the path s -> .. -> e (se is
+                # a ring edge now); one with both ends there counts once
                 v = short_succ[s]
                 while v != e:
+                    u = short_succ[v]
                     for w in adj[v]:
-                        if w in short_succ:
-                            c = (v, w) if v < w else (w, v)
-                            if owner.get(c) == tag:
-                                owner[c] = last_tag
-                                short_chords.append(c)
-                    v = short_succ[v]
+                        if w in short_succ and w != u and w != short_pred[v]:
+                            if v < w:
+                                short_chords.append((v, w))
+                            elif w == s or w == e:
+                                short_chords.append((w, v))
+                    v = u
                 short_chords.sort(reverse=True)
 
             node["case"] = "chord"
@@ -160,11 +155,11 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
             node["children"] = [child_handle, child_other]
             # the side without the handle takes the chord, in cycle order
             if x in short_succ and y in short_succ:
-                stack.append((succ, pred, chords, tag, e, s, True, child_other))
-                stack.append((short_succ, short_pred, short_chords, last_tag, x, y, drop, child_handle))
+                stack.append((succ, pred, chords, e, s, True, child_other))
+                stack.append((short_succ, short_pred, short_chords, x, y, drop, child_handle))
             else:
-                stack.append((short_succ, short_pred, short_chords, last_tag, s, e, True, child_other))
-                stack.append((succ, pred, chords, tag, x, y, drop, child_handle))
+                stack.append((short_succ, short_pred, short_chords, s, e, True, child_other))
+                stack.append((succ, pred, chords, x, y, drop, child_handle))
             continue
 
         # ear: z is the boundary neighbour of x other than y, w the next one
@@ -176,7 +171,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
             w = pred[z]
         before, after = pred[z], succ[z]
         inner = _inside_neighbours(pg.rotation[z], before, after, traced)
-        forest.add((z, w) if z < w else (w, z))
+        forest.add(edge(z, w))
         arcs.append((z, x))
 
         if not inner:  # a triangle with nothing inside: w is y
@@ -197,10 +192,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
         for v, u in zip(link, link[1:]):
             succ[v] = u
             pred[u] = v
-        new_chords = _ear_chords(adj, reached, z, link)
-        for c in new_chords:
-            owner[c] = tag
-        stack.append((succ, pred, new_chords, tag, x, y, drop, child))
+        stack.append((succ, pred, _ear_chords(adj, reached, z, link), x, y, drop, child))
 
     orientation = Orientation.build(g, arcs)
     return Decomposition((x0, y0), frozenset(forest), orientation, root_trace)
@@ -220,7 +212,7 @@ def _ear_chords(adj: dict, reached: set, z: str, link: list) -> list:
         u, prev, nxt = link[t], link[t - 1], link[t + 1]
         for v in adj[u]:
             if v in reached and v != z and v != prev and v != nxt:
-                chords.append((u, v) if u < v else (v, u))
+                chords.append(edge(u, v))
         reached.add(u)
     chords.sort(reverse=True)
     return chords
@@ -339,9 +331,8 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
         (edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
     )
     d = decompose(aug, handle)
-    edges = g.edges
-    arcs = [(t, h) for t, h in d.orientation.arcs if ((t, h) if t < h else (h, t)) in edges]
-    forest = d.forest & edges
+    forest = d.forest & g.edges
+    arcs = [(t, h) for t, h in d.orientation.arcs if edge(t, h) in g.edges]
     return forest, Orientation.build(g, arcs)
 
 

@@ -104,14 +104,11 @@ class Orientation:
 
     @staticmethod
     def build(host: Graph, arcs: Iterable[tuple[str, str]]) -> "Orientation":
-        edges = host.edges
         seen_edges = set()
         out = set()
         for t, h in arcs:
-            e = (t, h) if t < h else (h, t)
-            if e not in edges:
-                if t == h:
-                    raise DuplicateEdge(f"loop at {t!r}")
+            e = edge(t, h)
+            if e not in host.edges:
                 raise UnknownVertex(f"arc {(t, h)} is not over a host edge")
             if e in seen_edges:
                 raise DuplicateEdge(f"two arcs on edge {e}")
@@ -126,7 +123,7 @@ class Orientation:
         return d
 
     def underlying_edges(self) -> frozenset:
-        return frozenset([(t, h) if t < h else (h, t) for t, h in self.arcs])
+        return frozenset(edge(t, h) for t, h in self.arcs)
 
     def is_acyclic(self) -> bool:
         succ: dict[str, list] = {}
