@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Time `decompose` alone on fans, zigzag strips and random boundary-8
-near-triangulations, and fit each family's log-log growth slope.
+"""Time loading (`graph_from_json`) and `decompose` on fans, zigzag strips
+and random boundary-8 near-triangulations, and fit each stage's log-log
+growth slope per family.
 
     python3 scripts/bench_shelling.py --checkout . --sizes 2000 8000 32000 100000
 
 `--checkout` names the source tree whose `src/atforest` is timed, so one
 copy of this script measures two commits alike; the inputs always come
 from that tree's `perfbench/gen.py` and `atforest.testkit`.  Each input is
-built untimed, then `decompose` runs three times on it and the smallest
-time counts.  `--no-gc` switches the cyclic garbage collector off around
-each timed call.  The result is one JSON object on standard output.
+built and written with `graph_to_json` untimed; then `graph_from_json`
+runs three times on that text and `decompose` three times on the input,
+and the smallest time of each stage counts.  `--no-gc` switches the
+cyclic garbage collector off around each timed call.  The result is one
+JSON object on standard output.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ def main(argv=None) -> int:
     import gen
     from atforest import testkit
     from atforest.decompose import decompose
+    from atforest.graph import graph_from_json, graph_to_json
 
     def build(family: str, n: int):
         if family == "fan":
@@ -55,24 +59,32 @@ def main(argv=None) -> int:
         pg = testkit.random_near_triangulation(n, 8, 1)
         return pg, (pg.outer_face[0], pg.outer_face[1])
 
+    def best_time(call) -> float:
+        best = math.inf
+        for _ in range(REPEATS):
+            gc.collect()
+            if args.no_gc:
+                gc.disable()
+            start = time.perf_counter()
+            call()
+            best = min(best, time.perf_counter() - start)
+            gc.enable()
+        return best
+
     result = {"checkout": str(root), "gc": not args.no_gc, "repeats": REPEATS}
     for family in ("fan", "strip", "random"):
-        points = []
+        points = {"load": [], "decompose": []}
         for n in args.sizes:
             pg, handle = build(family, n)
-            best = math.inf
-            for _ in range(REPEATS):
-                gc.collect()
-                if args.no_gc:
-                    gc.disable()
-                start = time.perf_counter()
-                decompose(pg, handle)
-                best = min(best, time.perf_counter() - start)
-                gc.enable()
-            points.append((n, best))
+            text = graph_to_json(pg.graph, pg)
+            points["load"].append((n, best_time(lambda: graph_from_json(text))))
+            points["decompose"].append((n, best_time(lambda: decompose(pg, handle))))
         result[family] = {
-            "seconds": {str(n): round(t, 4) for n, t in points},
-            "slope": round(_slope(points), 3) if len(points) > 1 else None,
+            stage: {
+                "seconds": {str(n): round(t, 4) for n, t in pts},
+                "slope": round(_slope(pts), 3) if len(pts) > 1 else None,
+            }
+            for stage, pts in points.items()
         }
     print(json.dumps(result, indent=1))
     return 0

@@ -38,7 +38,6 @@ from itertools import islice
 
 from .alon_tarsi import eulerian_diff
 from .errors import (
-    Disconnected,
     HandleNotOnBoundary,
     InvalidEmbedding,
     NotNearTriangulation,
@@ -312,16 +311,38 @@ def _is_forest(edges) -> bool:
 
 def decompose_any_planar(pg: PlaneGraph) -> tuple:
     """Forest F within E(G) and an acyclic orientation of G - E(F) with max
-    out-degree at most 2, for any connected plane graph.
+    out-degree at most 2, for any plane graph.
 
     The input is augmented with chords until every face is a triangle, the
     near-triangulation is decomposed, and the result is restricted to the
     original edges.  Sub-orientations of acyclic orientations stay acyclic,
     so the restricted certificate still witnesses Alon-Tarsi number <= 3.
+    A disconnected input is decomposed one component at a time, each with
+    the rotation restricted to it and its first traced face as outer face;
+    a tree component (an isolated vertex too) goes into the forest whole.
     """
     g = pg.graph
     if not pg.connected:
-        raise Disconnected("decompose components separately")
+        comps = g.connected_components()
+        where = {v: i for i, comp in enumerate(comps) for v in comp}
+        comp_edges = [[] for _ in comps]
+        for e in g.edges:
+            comp_edges[where[e[0]]].append(e)
+        outer = {}
+        for f in pg.faces:
+            outer.setdefault(where[f[0]], f)
+        forest, arcs = set(), set()
+        for i, comp in enumerate(comps):
+            if len(comp_edges[i]) < len(comp):  # connected, so a tree
+                forest.update(comp_edges[i])
+                continue
+            part = build_plane_graph(
+                comp, comp_edges[i], {v: pg.rotation[v] for v in comp}, outer[i]
+            )
+            part_forest, part_orientation = decompose_any_planar(part)
+            forest |= part_forest
+            arcs |= part_orientation.arcs
+        return frozenset(forest), Orientation.build(g, arcs)
     if _is_forest(g.edges):
         return frozenset(g.edges), Orientation.build(g, [])
 

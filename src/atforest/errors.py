@@ -29,10 +29,6 @@ class HandleNotOnBoundary(ArtifactError):
     pass
 
 
-class Disconnected(ArtifactError):
-    pass
-
-
 class InvalidEmbedding(ArtifactError):
     pass
 

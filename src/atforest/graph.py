@@ -157,35 +157,38 @@ class PlaneGraph:
     connected: bool
 
 
-def _trace_all_faces(rotation: dict) -> list:
+def _trace_all_faces(rotation: dict, turn: Optional[dict] = None) -> list:
     """Return the facial walks of the embedding, one per dart cycle.
 
-    The next dart after (u, v) is (v, w) where w follows u in the
-    rotation at v.  Each walk starts at the smallest dart not yet used,
-    found by one sweep over the sorted darts.
+    `turn[v][u] = w` says that the dart (u, v) is followed by (v, w), where
+    w follows u in the rotation at v; `turn` holds these maps for
+    `rotation` and is built here when not given.  Tracing a dart pops it
+    from its map, so `turn` is used up.  Walks start at the tails in sorted
+    order, with the heads sorted at each tail: each walk starts at the
+    smallest dart not yet used.
     """
-    nxt = {}
-    for v, nbrs in rotation.items():
-        k = len(nbrs)
-        for i, u in enumerate(nbrs):
-            nxt[(u, v)] = (v, nbrs[(i + 1) % k])
+    if turn is None:
+        turn = _turn_maps(rotation)
     faces = []
-    used: set = set()
-    for start in sorted(nxt):
-        if start in used:
-            continue
-        walk = []
-        d = start
-        while True:
-            walk.append(d[0])
-            used.add(d)
-            d = nxt[d]
-            if d == start:
-                break
-            if d in used:
-                raise EulerViolation("face trace revisits a consumed dart")
-        faces.append(tuple(walk))
+    for a in sorted(rotation):
+        for b in sorted(rotation[a]):
+            if a not in turn[b]:
+                continue
+            walk = []
+            u, v = a, b
+            while True:
+                walk.append(u)
+                u, v = v, turn[v].pop(u)
+                if u == a and v == b:
+                    break
+                if u not in turn[v]:
+                    raise EulerViolation("face trace revisits a consumed dart")
+            faces.append(tuple(walk))
     return faces
+
+
+def _turn_maps(rotation: dict) -> dict:
+    return {v: dict(zip(nbrs, nbrs[1:] + nbrs[:1])) for v, nbrs in rotation.items()}
 
 
 def _walk_darts(walk: tuple) -> set:
@@ -201,13 +204,16 @@ def build_plane_graph(
 ) -> PlaneGraph:
     g = Graph.build(vertices, edges)
     rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
-    if set(rot) != set(g.vertices):
+    adj = g.adjacency
+    if rot.keys() != adj.keys():
         raise RotationMismatch("rotation must cover exactly the vertex set")
-    for v, nbrs in rot.items():
-        if sorted(nbrs) != sorted(g.adjacency[v]):
+    # a rotation lists each neighbour once iff its turn map is as long
+    turn = _turn_maps(rot)
+    for v, t in turn.items():
+        if len(t) != len(rot[v]) or t.keys() != adj[v]:
             raise RotationMismatch(f"rotation at {v!r} does not list its incident edges")
 
-    faces = _trace_all_faces(rot)
+    faces = _trace_all_faces(rot, turn)
 
     # Euler's formula per connected component; an isolated vertex has the
     # one trivial face around it.

@@ -112,6 +112,18 @@ def test_witness_verification_pass_and_fail():
     assert not verify_witness_not_k_choosable(c4, short, 3).verdict  # size
 
 
+def test_witness_with_one_short_list_fails_on_its_size():
+    # cutting a list only removes colourings, so only the size check can fail
+    g, lists = build_lemma1_lists("abaabb")
+    cut = {v: cols[:2] if v == "d3" else cols for v, cols in lists.lists}
+    short = ListAssignment.build(cut)
+    assert is_l_colorable(g, short) is None
+    report = verify_witness_not_k_choosable(g, short, 3)
+    assert not report.verdict
+    assert report.detail == "list at 'd3' has size 2, not 3"
+    assert report.counterexample == "d3"
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=63))
 def test_all_selectors_not_choosable(idx):

@@ -100,7 +100,26 @@ def test_decompose_disconnected_input_is_input_error(tmp_path):
     result = go("decompose", "--input", str(path), "--handle", "a,b", "--json")
     assert result.exit_code == EXIT_USAGE
     assert "disconnected" in json.loads(result.output())["error"]
-    assert go("decompose", "--input", str(path)).exit_code == EXIT_USAGE
+    # without a handle each component is decomposed on its own
+    assert go("decompose", "--input", str(path)).exit_code == EXIT_PASS
+
+
+def test_decompose_without_handle_passes_on_components_and_isolated_vertex(tmp_path):
+    path = tmp_path / "triangle_square_point.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d", "e", "f", "g", "h"],
+        "edges": [["a", "b"], ["b", "c"], ["a", "c"],
+                  ["d", "e"], ["e", "f"], ["f", "g"], ["d", "g"]],
+        "rotation": {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"],
+                     "d": ["e", "g"], "e": ["f", "d"], "f": ["g", "e"], "g": ["d", "f"],
+                     "h": []},
+        "outer_face": ["a", "b", "c"],
+    }))
+    result = go("decompose", "--input", str(path), "--json")
+    assert result.exit_code == EXIT_PASS
+    data = json.loads(result.output())
+    assert data["report"]["verdict"] == "PASS"
+    assert len(data["forest"]) + len(data["arcs"]) == 7
 
 
 def test_decompose_needs_embedding(k4_file):

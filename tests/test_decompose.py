@@ -18,7 +18,6 @@ from atforest.decompose import (
     verify_decomposition,
 )
 from atforest.errors import (
-    Disconnected,
     HandleNotOnBoundary,
     InvalidEmbedding,
     NotNearTriangulation,
@@ -236,15 +235,37 @@ def test_any_planar_tree_is_all_forest():
     assert verify_certificate(tree.graph, forest, orientation, lambda v: 2).verdict
 
 
-def test_any_planar_rejects_disconnected():
+def test_any_planar_decomposes_each_component():
+    # a triangle, a separate square and an isolated vertex
     pg = build_plane_graph(
+        ["a", "b", "c", "d", "e", "f", "g", "h"],
+        [("a", "b"), ("b", "c"), ("a", "c"),
+         ("d", "e"), ("e", "f"), ("f", "g"), ("d", "g")],
+        {"a": ("b", "c"), "b": ("c", "a"), "c": ("a", "b"),
+         "d": ("e", "g"), "e": ("f", "d"), "f": ("g", "e"), "g": ("d", "f"), "h": ()},
+        ["a", "b", "c"],
+    )
+    assert not pg.connected
+    forest, orientation = decompose_any_planar(pg)
+    assert verify_certificate(pg.graph, forest, orientation, lambda v: 2).verdict
+    # each component gets the certificate it gets on its own
+    for names, outer in (("abc", ("a", "b", "c")), ("defg", ("d", "e", "f", "g"))):
+        part = build_plane_graph(
+            names, [e for e in pg.graph.edges if e[0] in names],
+            {v: pg.rotation[v] for v in names}, outer,
+        )
+        part_forest, part_orientation = decompose_any_planar(part)
+        assert part_forest == {e for e in forest if e[0] in names}
+        assert part_orientation.arcs == {a for a in orientation.arcs if a[0] in names}
+    # trees go into the forest whole
+    two_edges = build_plane_graph(
         ["a", "b", "c", "d"],
         [("a", "b"), ("c", "d")],
         {"a": ("b",), "b": ("a",), "c": ("d",), "d": ("c",)},
         ["a", "b"],
     )
-    with pytest.raises(Disconnected):
-        decompose_any_planar(pg)
+    forest, orientation = decompose_any_planar(two_edges)
+    assert forest == two_edges.graph.edges and not orientation.arcs
 
 
 def test_any_planar_on_near_triangulation():

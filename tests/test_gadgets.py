@@ -26,7 +26,7 @@ from atforest.gadgets import (
     verify_sampled,
     verify_theorem7_core,
 )
-from atforest.graph import edge, find_k4, graph_to_json_dict
+from atforest.graph import Graph, edge, find_k4, graph_to_json_dict
 from atforest.testkit import Rng, random_graph
 
 EXPECTED_SIZES = {
@@ -69,6 +69,16 @@ def test_star_forest_validation():
     # leaf shared by two stars rejected
     shared = StarForest(frozenset({("a", "x"), ("b", "x")}), frozenset({"a", "b"}))
     assert not shared.validate().verdict
+
+
+def test_star_forest_edge_outside_the_host_fails():
+    host = Graph.build("abc", [("a", "b")])
+    stars = StarForest(frozenset({("a", "b"), ("a", "c")}), frozenset({"a"}))
+    assert stars.validate().verdict
+    report = stars.validate(host)
+    assert not report.verdict
+    assert report.detail == "edge ('a', 'c') not in host"
+    assert report.counterexample == ["a", "c"]
 
 
 def test_random_star_forest_always_validates():

@@ -11,6 +11,7 @@ from atforest.errors import (
     DuplicateEdge,
     EulerViolation,
     InvalidEmbedding,
+    RotationMismatch,
     UnknownVertex,
 )
 from atforest.gadgets import build_gadget
@@ -59,6 +60,12 @@ def test_build_rejects_duplicates_and_unknown_vertices():
         Graph.build("ab", [("a", "c")])
 
 
+def test_build_rejects_an_unlisted_smaller_endpoint():
+    # "A" < "b", so the unlisted endpoint is the first of the sorted pair
+    with pytest.raises(UnknownVertex, match=r"edge \('A', 'b'\) has an unlisted endpoint"):
+        Graph.build("ab", [("A", "b")])
+
+
 def test_triangle_has_two_faces():
     pg = triangle_plane()
     assert len(pg.faces) == 2
@@ -96,6 +103,32 @@ def test_bad_rotation_rejected():
              "c": ("a", "b", "d"), "d": ("a", "b", "c")},
             ["a", "b", "c"],
         )
+
+
+C4_VERTICES = ["a", "b", "c", "d"]
+C4_EDGES = [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]
+C4_ROTATION = {"a": ("b", "d"), "b": ("c", "a"), "c": ("d", "b"), "d": ("a", "c")}
+
+
+@pytest.mark.parametrize("rotation, message", [
+    # one neighbour twice in place of another: as long as the adjacency
+    ({**C4_ROTATION, "a": ("b", "b")}, "rotation at 'a' does not list its incident edges"),
+    ({**C4_ROTATION, "c": ("d", "b", "d")}, "rotation at 'c' does not list its incident edges"),
+    # a neighbour left out
+    ({**C4_ROTATION, "b": ("c",)}, "rotation at 'b' does not list its incident edges"),
+    ({**C4_ROTATION, "d": ()}, "rotation at 'd' does not list its incident edges"),
+    # a vertex missing, a vertex added, a vertex replaced
+    ({v: r for v, r in C4_ROTATION.items() if v != "c"},
+     "rotation must cover exactly the vertex set"),
+    ({**C4_ROTATION, "e": ()}, "rotation must cover exactly the vertex set"),
+    ({**{v: r for v, r in C4_ROTATION.items() if v != "d"}, "e": ("a", "c")},
+     "rotation must cover exactly the vertex set"),
+])
+def test_rotation_check_refuses_repeats_omissions_and_other_vertex_sets(rotation, message):
+    with pytest.raises(RotationMismatch) as info:
+        build_plane_graph(C4_VERTICES, C4_EDGES, rotation, C4_VERTICES)
+    assert str(info.value) == message
+    assert build_plane_graph(C4_VERTICES, C4_EDGES, C4_ROTATION, C4_VERTICES).faces
 
 
 def _faces_by_repeated_min(rotation):
