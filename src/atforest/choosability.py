@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .errors import BadSelector, CapExceeded
+from .errors import BadParameters, BadSelector, CapExceeded
 from .graph import Graph
 from .report import VerificationReport
 
@@ -36,50 +36,76 @@ class ListAssignment:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ListAssignment":
-        return ListAssignment.build({str(v): [str(c) for c in cols] for v, cols in data["lists"].items()})
+        lists = data["lists"]
+        bad = [v for v, cols in lists.items() if not isinstance(cols, list)]  # "12" is not ["1", "2"]
+        if bad:
+            raise BadParameters(f"the color list of {bad[0]!r} is not an array")
+        return ListAssignment.build({str(v): [str(c) for c in cols] for v, cols in lists.items()})
 
 
 def is_l_colorable(g: Graph, l: ListAssignment) -> Optional[dict]:
-    """A proper coloring from the lists, by backtracking with forward
-    checking over the sorted vertex order; None if there is none.  A loop,
-    not a recursion: tried[i] counts the colors of the i-th vertex tried."""
-    lists = l.as_dict()
-    if set(lists) != set(g.vertices):
+    """The lexicographically first proper coloring from the lists (sorted
+    vertices, then sorted colors), or None if there is none.  Backtracking
+    on a live color set per vertex: a set left with one color, by coloring
+    or by removals, removes that color from the neighbors' sets, down the
+    chain, and an emptied set is a dead end.  Input singletons and empty
+    lists propagate before any branching.  Only colors that no extension of
+    the partial coloring can use are removed, so the coloring found is plain
+    backtracking's.  Removals go on one trail, undone to a mark per depth.
+    A loop, not a recursion: tried[i] counts the colors of order[i] tried."""
+    live = l.as_dict()
+    if set(live) != set(g.vertices):
         raise BadSelector("lists must cover exactly the vertex set")
-    order = list(g.vertices)
-    domains = {v: sorted(lists[v]) for v in order}
     adj = g.adjacency
-    coloring: dict = {}
+    trail: list = []  # (vertex, color) removals, in order
+
+    def propagate(queue: list) -> bool:  # False once a set empties
+        while queue:
+            u = queue.pop()
+            (color,) = live[u]
+            for w in adj[u]:
+                cols = live[w]
+                if color in cols:
+                    cols.remove(color)
+                    trail.append((w, color))
+                    if not cols:
+                        return False
+                    if len(cols) == 1:
+                        queue.append(w)
+        return True
+
+    order = list(g.vertices)
+    if not all(live.values()) or not propagate([v for v in order if len(live[v]) == 1]):
+        return None
     n = len(order)
+    options: list = [None] * n  # the live colors of order[i] on arrival, sorted
+    marks = [0] * n  # the trail length on arrival at depth i
     tried = [0] * n
     i = 0
     while 0 <= i < n:
         v = order[i]
-        dom = domains[v]
-        nbrs = adj[v]
-        t = tried[i]
+        if not tried[i]:  # arriving at depth i
+            options[i], marks[i] = sorted(live[v]), len(trail)
+        dom, mark, t = options[i], marks[i], tried[i]
         while t < len(dom):
+            while len(trail) > mark:  # back to the sets depth i arrived with
+                w, c = trail.pop()
+                live[w].add(c)
             color = dom[t]
             t += 1
-            if any(coloring.get(w) == color for w in nbrs):
-                continue
-            coloring[v] = color
-            # forward check: an uncolored neighbor must keep an option (v
-            # is among its neighbors, so `color` is already taken there)
-            for w in nbrs:
-                if w not in coloring and {coloring.get(u) for u in adj[w]}.issuperset(domains[w]):
-                    del coloring[v]
-                    break
-            else:  # every neighbor keeps an option: go one vertex deeper
-                tried[i] = t
-                i += 1
-                break
-        else:  # every color failed: undo the vertex before and try its next
+            # a singleton is propagated already; else keep only color at v
+            if len(dom) > 1:
+                live[v] = {color}
+                trail += [(v, c) for c in dom if c != color]
+                if not propagate([v]):
+                    continue
+            tried[i] = t
+            i += 1
+            break
+        else:  # every color failed: retry the vertex before with its next
             tried[i] = 0
             i -= 1
-            if i >= 0:
-                del coloring[order[i]]
-    return dict(coloring) if i == n else None
+    return {v: options[j][tried[j] - 1] for j, v in enumerate(order)} if i == n else None
 
 
 def build_lemma1_lists(selector: str) -> tuple:

@@ -1,5 +1,6 @@
 """List-coloring search and the non-3-choosable list construction."""
 
+import time
 from itertools import product
 
 import pytest
@@ -249,6 +250,47 @@ def test_coloring_search_matches_recursive_reference():
     for seed in range(150):
         g = random_graph(3 + seed % 7, (0.3, 0.5, 0.8)[seed % 3], 8500 + seed)
         assert chromatic_number(g) == _reference_chromatic_number(g)
+
+
+@st.composite
+def graphs_with_lists(draw):
+    """A graph on up to 9 vertices and lists of 0-4 colors from five."""
+    names = [f"v{i}" for i in range(draw(st.integers(min_value=0, max_value=9)))]
+    pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1:]]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    color_lists = st.lists(st.sampled_from("abcde"), max_size=4, unique=True)
+    return Graph.build(names, edges), ListAssignment.build({v: draw(color_lists) for v in names})
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_lists())
+def test_propagating_search_returns_the_reference_coloring(instance):
+    g, lists = instance
+    got, want = is_l_colorable(g, lists), _reference_is_l_colorable(g, lists)
+    assert got == want
+    assert got is None or list(got) == list(want)  # the same key order too
+    assert chromatic_number(g) == _reference_chromatic_number(g)
+
+
+def _dead_singleton_pair(k, last):
+    """k disjoint edges with 3-lists, then the edge y0 y1 with lists {1}
+    and `last`; y0 and y1 come last in the sorted order."""
+    xs = [f"x{i:03d}" for i in range(2 * k)]
+    g = Graph.build(xs + ["y0", "y1"], list(zip(xs[::2], xs[1::2])) + [("y0", "y1")])
+    lists = {v: ["1", "2", "3"] for v in xs}
+    lists["y0"], lists["y1"] = ["1"], last
+    return g, ListAssignment.build(lists)
+
+
+@pytest.mark.parametrize("last", [["1"], []])
+def test_dead_vertex_is_found_before_any_branching(last):
+    # without propagation the search would try all 6^19 colorings of the
+    # 19 free edges before it reached y0 and y1
+    g, lists = _dead_singleton_pair(19, last)
+    assert len(g.vertices) == 40
+    start = time.perf_counter()
+    assert is_l_colorable(g, lists) is None
+    assert time.perf_counter() - start < 1.0
 
 
 def test_coloring_search_depth_does_not_grow_with_n():

@@ -372,6 +372,15 @@ def test_lists_given_as_a_list_is_input_error(k4_file, tmp_path):
     assert go("choose", "check", "--input", str(k4_file), "--lists", str(bad)).exit_code == EXIT_USAGE
 
 
+def test_color_list_given_as_a_string_is_input_error(k4_file, tmp_path):
+    # "12" is not the list ["1", "2"]: any list that is not an array is refused
+    bad = tmp_path / "lists.json"
+    bad.write_text(json.dumps({"lists": {"a": "12", "b": ["1", "2"], "c": ["1", "3"], "d": ["2", "3"]}}))
+    result = go("choose", "check", "--input", str(k4_file), "--lists", str(bad))
+    assert result.exit_code == EXIT_USAGE
+    assert result.output() == "input error: the color list of 'a' is not an array"
+
+
 def test_deeply_nested_input_is_input_error(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
