@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the list-colouring search (`is_l_colorable`) alone.
 
-    python3 scripts/bench_colouring.py --checkout . --cap 30
+    python3 scripts/bench_colouring.py --checkout .
 
 `--checkout` names the source tree whose `src/atforest` is timed, so one
 copy of this script measures two commits alike.  The inputs, built
@@ -19,7 +19,7 @@ untimed:
   the edge y0 y1 whose ends both have {1}, at n = 2k + 2 = 12 ... 18.
 
 Each of the first four is timed several times and the fastest run counts;
-each dead-singleton input runs once, under a SIGALRM timer of `--cap`
+each dead-singleton input runs once, under a SIGALRM timer of `CAP_S`
 seconds (a capped run is reported as such).  The result is one JSON
 object on standard output.
 """
@@ -32,6 +32,8 @@ import signal
 import sys
 import time
 from pathlib import Path
+
+CAP_S = 30.0  # longest a single dead-singleton search may run
 
 
 class _Capped(Exception):
@@ -51,7 +53,6 @@ def _fastest(call, repeats: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", default=".")
-    parser.add_argument("--cap", type=float, default=30.0)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
     from atforest.choosability import (
@@ -118,13 +119,13 @@ def main(argv=None) -> int:
         lists = {v: ["1", "2", "3"] for v in xs}
         lists["y0"] = lists["y1"] = ["1"]
         lists = ListAssignment.build(lists)
-        signal.setitimer(signal.ITIMER_REAL, args.cap)
+        signal.setitimer(signal.ITIMER_REAL, CAP_S)
         try:
             start = time.perf_counter()
             assert is_l_colorable(g, lists) is None
             out["dead_singleton_s"][n] = round(time.perf_counter() - start, 6)
         except _Capped:
-            out["dead_singleton_s"][n] = f"capped at {args.cap} s"
+            out["dead_singleton_s"][n] = f"capped at {CAP_S} s"
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
     print(json.dumps(out))

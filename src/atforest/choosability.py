@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .errors import BadParameters, BadSelector, CapExceeded
+from .errors import BadSelector, CapExceeded
 from .graph import Graph
 from .report import VerificationReport
 
@@ -37,9 +37,9 @@ class ListAssignment:
     @staticmethod
     def from_json_dict(data: dict) -> "ListAssignment":
         lists = data["lists"]
-        bad = [v for v, cols in lists.items() if not isinstance(cols, list)]  # "12" is not ["1", "2"]
-        if bad:
-            raise BadParameters(f"the color list of {bad[0]!r} is not an array")
+        for v, cols in lists.items():
+            if not isinstance(cols, list):  # "12" is not ["1", "2"]
+                raise TypeError(f"the color list of {v!r} is not an array")
         return ListAssignment.build({str(v): [str(c) for c in cols] for v, cols in lists.items()})
 
 

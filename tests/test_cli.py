@@ -378,7 +378,7 @@ def test_color_list_given_as_a_string_is_input_error(k4_file, tmp_path):
     bad.write_text(json.dumps({"lists": {"a": "12", "b": ["1", "2"], "c": ["1", "3"], "d": ["2", "3"]}}))
     result = go("choose", "check", "--input", str(k4_file), "--lists", str(bad))
     assert result.exit_code == EXIT_USAGE
-    assert result.output() == "input error: the color list of 'a' is not an array"
+    assert result.output() == f"usage error: cannot read lists from {str(bad)!r}: the color list of 'a' is not an array"
 
 
 def test_deeply_nested_input_is_input_error(tmp_path):
