@@ -124,7 +124,6 @@ def _build_parser() -> _Parser:
     d = sub.add_parser("decompose", parents=[leaf])
     d.add_argument("--input", required=True)
     d.add_argument("--handle")
-    d.add_argument("--check", choices=("structural", "parity"))
     d.add_argument("--output", default="-")
 
     v = sub.add_parser("verify")
@@ -132,7 +131,6 @@ def _build_parser() -> _Parser:
     vd = vsub.add_parser("decomposition", parents=[leaf])
     vd.add_argument("--input", required=True)
     vd.add_argument("--decomposition", required=True)
-    vd.add_argument("--check", choices=("structural", "parity"), default="structural")
     vl = vsub.add_parser("lemma", parents=[leaf])
     vl.add_argument("--name", required=True)
     vl.add_argument("--selector")
@@ -198,7 +196,7 @@ def _cmd_decompose(args) -> CommandResult:
         if len(parts) != 2:
             raise _UsageError("--handle must be u,v")
         d = decompose(pg, (parts[0], parts[1]))
-        report = verify_decomposition(pg, d, args.check or "structural")
+        report = verify_decomposition(pg, d)
         payload = d.to_json_dict()
     else:
         forest, orientation = decompose_any_planar(pg)
@@ -223,7 +221,7 @@ def _cmd_verify(args) -> CommandResult:
             lambda data: Decomposition.from_json_dict(data, pg.graph),
             "decomposition",
         )
-        return _from_report(verify_decomposition(pg, d, args.check))
+        return _from_report(verify_decomposition(pg, d))
     if args.target_kind == "lemma":
         if args.name == "lemma1":
             if args.selector is not None:

@@ -36,7 +36,6 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
-from .alon_tarsi import eulerian_diff
 from .errors import (
     HandleNotOnBoundary,
     InvalidEmbedding,
@@ -258,33 +257,22 @@ def verify_certificate(g: Graph, forest, orientation: Orientation, bound) -> Ver
     return VerificationReport(True, "forest plus acyclic orientation within bounds", stats=stats)
 
 
-def verify_decomposition(
-    pg: PlaneGraph, d: Decomposition, mode: str = "structural"
-) -> VerificationReport:
-    """Check the nice-orientation conditions (out-degree 0 at both handle
-    ends, at most 1 on the boundary, at most 2 inside); in parity mode also
-    brute-force the even/odd Eulerian sub-digraph difference (must be 1)."""
-    if mode not in ("structural", "parity"):
-        raise ValueError(f"unknown mode {mode!r}")
+def verify_decomposition(pg: PlaneGraph, d: Decomposition) -> VerificationReport:
+    """Check the nice-orientation conditions: the handle in the forest, then
+    `verify_certificate` with out-degree 0 at both handle ends, at most 1 on
+    the boundary and at most 2 inside.  An acyclic orientation's only
+    Eulerian sub-digraph is the empty one, so no parity count is needed.
+
+    The handle check is separate because a certificate read from a file
+    may name a handle that is not an edge, and then only it refuses."""
     x, y = d.handle
-    stats = {"forest_edges": len(d.forest), "arcs": len(d.orientation.arcs)}
     if edge(x, y) not in d.forest:
+        stats = {"forest_edges": len(d.forest), "arcs": len(d.orientation.arcs)}
         return VerificationReport(False, "handle missing from forest", stats=stats)
     boundary = set(pg.outer_face)
-    report = verify_certificate(
+    return verify_certificate(
         pg.graph, d.forest, d.orientation, lambda v: 0 if v in (x, y) else 1 if v in boundary else 2
     )
-    if not report.verdict:
-        return report
-
-    if mode == "parity":
-        pc = eulerian_diff(d.orientation)
-        stats["even"] = pc.even_count
-        stats["odd"] = pc.odd_count
-        if pc.diff != 1:
-            return VerificationReport(False, f"parity difference {pc.diff} != 1", stats=stats)
-        return VerificationReport(True, "structural and parity checks hold", stats=stats)
-    return VerificationReport(True, "structural checks hold", stats=stats)
 
 
 def _is_forest(edges) -> bool:

@@ -132,7 +132,7 @@ def test_c6_decomposition_on_random_near_triangulations(capsys):
         d = decompose(pg, (pg.outer_face[0], pg.outer_face[1]))
         if i == 0:
             big_elapsed = time.time() - t0
-        if not verify_decomposition(pg, d, "structural").verdict:
+        if not verify_decomposition(pg, d).verdict:
             bad.append((n, b, i, "structural"))
         if len(d.orientation.arcs) <= 22:
             parity_checked += 1

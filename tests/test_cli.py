@@ -17,15 +17,18 @@ def go(*argv):
     return run(list(argv))
 
 
-@pytest.fixture
-def tri_file(tmp_path):
-    path = tmp_path / "tri.json"
+def gen_triangulation(path, n, boundary, seed):
     result = go(
-        "gen", "triangulation", "--n", "12", "--boundary", "5",
-        "--seed", "7", "--output", str(path),
+        "gen", "triangulation", "--n", str(n), "--boundary", str(boundary),
+        "--seed", str(seed), "--output", str(path),
     )
     assert result.exit_code == EXIT_PASS
     return path
+
+
+@pytest.fixture
+def tri_file(tmp_path):
+    return gen_triangulation(tmp_path / "tri.json", 12, 5, 7)
 
 
 @pytest.fixture
@@ -55,21 +58,27 @@ def test_gadget_build_unknown_is_usage_error():
     assert go("gadget", "build", "JFamily").exit_code == EXIT_USAGE
 
 
-def test_decompose_and_verify_round_trip(tri_file, tmp_path):
+# the small input of `tri_file`, and a boundary-3 one whose certificate has
+# 3995 arcs
+@pytest.mark.parametrize("n, boundary, seed", [(12, 5, 7), (2000, 3, 1)], ids=["n12", "n2000"])
+def test_decompose_and_verify_round_trip(tmp_path, n, boundary, seed):
+    tri_file = gen_triangulation(tmp_path / "tri.json", n, boundary, seed)
     tri = json.loads(tri_file.read_text())
     handle = f"{tri['outer_face'][0]},{tri['outer_face'][1]}"
     dec = tmp_path / "dec.json"
     result = go(
-        "decompose", "--input", str(tri_file), "--handle", handle,
-        "--check", "parity", "--output", str(dec),
+        "decompose", "--input", str(tri_file), "--handle", handle, "--output", str(dec),
     )
     assert result.exit_code == EXIT_PASS
     verify = go(
         "verify", "decomposition", "--input", str(tri_file),
-        "--decomposition", str(dec), "--check", "parity", "--json",
+        "--decomposition", str(dec), "--json",
     )
     assert verify.exit_code == EXIT_PASS
     assert json.loads(verify.output())["verdict"] == "PASS"
+    # there is one check, so no flag chooses it
+    assert go("decompose", "--input", str(tri_file), "--handle", handle,
+              "--check", "parity").exit_code == EXIT_USAGE
 
 
 def test_decompose_bad_handle_is_usage_error(tri_file):
@@ -202,7 +211,7 @@ def test_at_orientation_stays_within_budget(tmp_path):
     assert max(out.values()) <= 2
 
 
-def test_at_orientation_acyclic_witness_beyond_parity_cap(tri_file):
+def test_at_orientation_acyclic_witness_needs_no_parity_count(tri_file):
     # 28 edges and degeneracy 3: the acyclic witness needs no parity count
     result = go("at", "orientation", "--input", str(tri_file), "--k", "4", "--json")
     assert result.exit_code == EXIT_PASS
@@ -257,21 +266,6 @@ def test_cap_exit_code(tmp_path):
     # at number starts at k = 7 (66 <= 72) below the degeneracy 11, so the
     # budget scan runs, and its live table outgrows TABLE_CAP
     assert go("at", "number", "--input", str(big)).exit_code == EXIT_CAP
-
-
-def test_decompose_parity_check_on_a_large_certificate(tmp_path):
-    # 300 vertices, boundary 3: 595 arcs, far past any arc-count cap, and a
-    # small live table
-    path = tmp_path / "tri.json"
-    assert go("gen", "triangulation", "--n", "300", "--boundary", "3",
-              "--seed", "1", "--output", str(path)).exit_code == EXIT_PASS
-    tri = json.loads(path.read_text())
-    handle = f"{tri['outer_face'][0]},{tri['outer_face'][1]}"
-    result = go("decompose", "--input", str(path), "--handle", handle,
-                "--check", "parity", "--json")
-    assert result.exit_code == EXIT_PASS
-    report = json.loads(result.output())["report"]
-    assert (report["even"], report["odd"]) == (1, 0)
 
 
 def test_closed_pipe_ends_without_a_traceback():

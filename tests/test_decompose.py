@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from atforest.alon_tarsi import ParityCount, eulerian_diff
 from atforest.decompose import (
     Decomposition,
     _far_chord,
@@ -61,7 +62,8 @@ def test_base_case_triangle():
     d = decompose(triangle_plane(), ("x", "y"))
     assert d.forest == {edge("x", "y"), edge("y", "z")}
     assert d.orientation.arcs == {("z", "x")}
-    assert verify_decomposition(triangle_plane(), d, "parity").verdict
+    assert verify_decomposition(triangle_plane(), d).verdict
+    assert eulerian_diff(d.orientation) == ParityCount(1, 0)
 
 
 def test_quadrilateral_chord_case_pinned_output():
@@ -69,14 +71,15 @@ def test_quadrilateral_chord_case_pinned_output():
     d = decompose(pg, ("x", "y"))
     assert d.forest == {edge("x", "y"), edge("y", "v"), edge("u", "v")}
     assert d.orientation.arcs == {("v", "x"), ("u", "y")}
-    report = verify_decomposition(pg, d, "parity")
-    assert report.verdict and report.stats["even"] - report.stats["odd"] == 1
+    assert verify_decomposition(pg, d).verdict
+    assert eulerian_diff(d.orientation) == ParityCount(1, 0)
 
 
 def test_wheel_decomposition_bounds_hub():
     pg = wheel5()
     d = decompose(pg, ("r1", "r2"))
-    assert verify_decomposition(pg, d, "parity").verdict
+    assert verify_decomposition(pg, d).verdict
+    assert eulerian_diff(d.orientation) == ParityCount(1, 0)
     assert d.orientation.out_degrees()["h"] <= 2
 
 
@@ -141,7 +144,7 @@ def test_verifier_rejects_tampered_output():
     # reverse the arc into the handle: out-degree at x becomes 1
     bad_arcs = {("u", "y"), ("x", "v")}
     bad = Decomposition(d.handle, d.forest, Orientation.build(pg.graph, bad_arcs), d.trace)
-    report = verify_decomposition(pg, bad, "structural")
+    report = verify_decomposition(pg, bad)
     assert not report.verdict and report.detail == "out-degree 1 exceeds bound 0"
     # cycle in the claimed forest
     cyc = Decomposition(
@@ -150,7 +153,7 @@ def test_verifier_rejects_tampered_output():
         Orientation.build(pg.graph, [("u", "y"), ("u", "v")]),
         d.trace,
     )
-    assert not verify_decomposition(pg, cyc, "structural").verdict
+    assert not verify_decomposition(pg, cyc).verdict
 
 
 def test_arc_leaving_the_handle_fails_at_that_end():
@@ -160,20 +163,27 @@ def test_arc_leaving_the_handle_fails_at_that_end():
     assert d.orientation.arcs == {("v", "x"), ("u", "y")}
     for arcs, end in (({("u", "y"), ("x", "v")}, "x"), ({("v", "x"), ("y", "u")}, "y")):
         bad = Decomposition(d.handle, d.forest, Orientation.build(pg.graph, arcs), d.trace)
-        report = verify_decomposition(pg, bad, "structural")
+        report = verify_decomposition(pg, bad)
         assert not report.verdict and report.counterexample == end
 
 
-def test_verify_decomposition_rejects_unknown_mode_before_checking():
-    pg = quad_with_chord()
-    d = decompose(pg, ("x", "y"))
-    bad = Decomposition(
-        d.handle, d.forest, Orientation.build(pg.graph, {("u", "y"), ("x", "v")}), d.trace
+def test_handle_that_is_no_edge_fails_though_the_bounds_hold():
+    # 4-cycle x-a-w-b with chord ab; the handle xw read from a file is a
+    # boundary pair but no edge, so only the handle check refuses
+    pg = plane_graph_from_triangles(
+        ["a", "b", "w", "x"], [("x", "a", "b"), ("a", "w", "b")], ("x", "b", "w", "a")
     )
-    # the same error for a broken certificate as for a valid one
-    for cert in (bad, d):
-        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-            verify_decomposition(pg, cert, "bogus")
+    data = {
+        "handle": ["x", "w"],
+        "forest": [["a", "x"], ["a", "w"], ["b", "w"]],
+        "arcs": [["a", "b"], ["b", "x"]],
+    }
+    d = Decomposition.from_json_dict(data, pg.graph)
+    boundary = set(pg.outer_face)
+    nice = lambda v: 0 if v in ("x", "w") else 1 if v in boundary else 2
+    assert verify_certificate(pg.graph, d.forest, d.orientation, nice).verdict
+    report = verify_decomposition(pg, d)
+    assert not report.verdict and report.detail == "handle missing from forest"
 
 
 def test_decompose_deterministic():
@@ -195,7 +205,7 @@ def test_random_near_triangulations_verify(n, b, seed):
     pg = random_near_triangulation(n, b, seed)
     handle = (pg.outer_face[0], pg.outer_face[1])
     d = decompose(pg, handle)
-    assert verify_decomposition(pg, d, "structural").verdict
+    assert verify_decomposition(pg, d).verdict
 
 
 def test_decomposition_json_round_trip():
