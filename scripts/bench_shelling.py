@@ -9,10 +9,15 @@ growth slope per family.
 copy of this script measures two commits alike; the inputs always come
 from that tree's `perfbench/gen.py` and `atforest.testkit`.  Each input is
 built and written with `graph_to_json` untimed; then `graph_from_json`
-runs three times on that text and `decompose` three times on the input,
-and the smallest time of each stage counts.  `--no-gc` switches the
-cyclic garbage collector off around each timed call.  The result is one
-JSON object on standard output.
+runs three times on that text and `decompose` three times on the input.
+Each repeat runs between two calibration rounds (`timed` from the
+checkout's `perfbench/run.py`), so it is also read at the benchmark's
+reference speed (one round = 1 ms): a shared host's speed drifts, and the
+same tree read 0.229 s and 0.112 s raw on two runs.  Per stage the repeat
+fastest at reference speed counts; `ref_seconds` and `ref_slope` hold
+those times, `seconds` and `slope` the same repeats raw.  `--no-gc`
+switches the cyclic garbage collector off around each timed call.  The
+result is one JSON object on standard output.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import gc
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 REPEATS = 3
@@ -47,6 +51,7 @@ def main(argv=None) -> int:
     root = Path(args.checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import gen
+    import run as perfbench_run
     from atforest import testkit
     from atforest.decompose import decompose
     from atforest.graph import graph_from_json, graph_to_json
@@ -59,17 +64,23 @@ def main(argv=None) -> int:
         pg = testkit.random_near_triangulation(n, 8, 1)
         return pg, (pg.outer_face[0], pg.outer_face[1])
 
-    def best_time(call) -> float:
-        best = math.inf
+    def best_time(call) -> tuple:
+        """(reference-speed s, raw s) of the repeat fastest at reference speed."""
+        best = (math.inf, math.inf)
         for _ in range(REPEATS):
             gc.collect()
             if args.no_gc:
                 gc.disable()
-            start = time.perf_counter()
-            call()
-            best = min(best, time.perf_counter() - start)
+            _, raw_ns, ref_ns = perfbench_run.timed(call)
+            best = min(best, (ref_ns / 1e9, raw_ns / 1e9))
             gc.enable()
         return best
+
+    def summary(pts: list) -> dict:
+        return {
+            "seconds": {str(n): round(t, 4) for n, t in pts},
+            "slope": round(_slope(pts), 3) if len(pts) > 1 else None,
+        }
 
     result = {"checkout": str(root), "gc": not args.no_gc, "repeats": REPEATS}
     for family in ("fan", "strip", "random"):
@@ -79,13 +90,14 @@ def main(argv=None) -> int:
             text = graph_to_json(pg.graph, pg)
             points["load"].append((n, best_time(lambda: graph_from_json(text))))
             points["decompose"].append((n, best_time(lambda: decompose(pg, handle))))
-        result[family] = {
-            stage: {
-                "seconds": {str(n): round(t, 4) for n, t in pts},
-                "slope": round(_slope(pts), 3) if len(pts) > 1 else None,
+        result[family] = {}
+        for stage, pts in points.items():
+            ref = summary([(n, t[0]) for n, t in pts])
+            raw = summary([(n, t[1]) for n, t in pts])
+            result[family][stage] = {
+                "seconds": raw["seconds"], "ref_seconds": ref["seconds"],
+                "slope": raw["slope"], "ref_slope": ref["slope"],
             }
-            for stage, pts in points.items()
-        }
     print(json.dumps(result, indent=1))
     return 0
 

@@ -34,7 +34,7 @@ from .choosability import (
 from .errors import BadSelector, PreconditionViolated
 from .graph import Graph, edge, k4s
 from .report import VerificationReport
-from .testkit import Rng
+from .testkit import _M64, _STAR, Rng
 
 
 # ---------------------------------------------------------------------------
@@ -66,17 +66,32 @@ class StarForest:
 
 def random_star_forest(g: Graph, rng: Rng) -> StarForest:
     """Random center election, then each non-center greedily picks at most
-    one adjacent center."""
-    centers = {v for v in g.vertices if rng.randrange(2) == 0}
+    one adjacent center: k = randrange(1 + its adjacent centers), drawn
+    inline, picks none at k = 0."""
+    vertices = g.vertices
+    centers = {v for v, coin in zip(vertices, rng.coins(len(vertices))) if not coin}
     chosen = set()
     neighbors = g.neighbors
-    for v in g.vertices:
+    m64, star = _M64, _STAR
+    x = rng.state
+    for v in vertices:
         if v in centers:
             continue
-        options = [None] + [u for u in neighbors[v] if u in centers]
-        pick = rng.choice(options)
-        if pick is not None:
-            chosen.add(edge(v, pick))
+        options = [u for u in neighbors[v] if u in centers]
+        n = len(options) + 1
+        limit = m64 - (m64 + 1) % n
+        while True:
+            x ^= (x >> 12)
+            x ^= (x << 25) & m64
+            x ^= (x >> 27)
+            y = (x * star) & m64
+            if y <= limit:
+                break
+        k = y % n
+        if k:
+            u = options[k - 1]
+            chosen.add((v, u) if v < u else (u, v))
+    rng.state = x
     return StarForest(frozenset(chosen), frozenset(centers))
 
 
@@ -521,13 +536,18 @@ def _random_max_degree_subgraph(vertices, edges: list, rng: Rng,
     degree = dict.fromkeys(vertices, 0)
     for v in forbidden or ():
         degree[v] = 3  # a full vertex takes no edge
-    out = set()
-    for u, v in order:
-        if degree[u] < 3 and degree[v] < 3:
-            out.add((u, v))
-            degree[u] += 1
-            degree[v] += 1
-    return out
+    out = []
+    keep = out.append
+    for e in order:
+        u, v = e
+        du = degree[u]
+        if du < 3:
+            dv = degree[v]
+            if dv < 3:
+                keep(e)
+                degree[u] = du + 1
+                degree[v] = dv + 1
+    return set(out)
 
 
 def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:

@@ -1,9 +1,9 @@
 """Seeded generators and independent oracles for tests and acceptance runs.
 
 The PRNG is an in-repo xorshift64* so that streams are identical across
-platforms and Python versions.  `randrange` and `shuffle` run the
-xorshift step inline; `tests/test_testkit.py::test_inline_draws_match_next_u64_reference`
-pins their draws and final state to the `next_u64` form.  Substreams are
+platforms and Python versions.  `randrange`, `coins` and `shuffle` run the
+xorshift step inline; `tests/test_testkit.py` pins their draws and final
+state to the `next_u64` form, the rejection loops included.  Substreams are
 derived with `split` so concurrent consumers cannot perturb each other.
 """
 
@@ -59,25 +59,43 @@ class Rng:
                 self.state = x
                 return y % n
 
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
-    def shuffle(self, items: list) -> None:
-        """Fisher-Yates with j = randrange(i + 1) for i from the top, the
-        draws inline as in randrange."""
+    def coins(self, k: int) -> list:
+        """k fair coins, each equal to randrange(2): that never rejects,
+        and as _STAR is odd its result is the parity of the new state."""
         m64 = _M64
         x = self.state
-        for i in range(len(items) - 1, 0, -1):
-            n = i + 1
-            limit = m64 - (m64 + 1) % n
-            while True:
-                x ^= (x >> 12)
-                x ^= (x << 25) & m64
-                x ^= (x >> 27)
-                y = (x * _STAR) & m64
-                if y <= limit:
-                    break
-            j = y % n
+        out = []
+        append = out.append
+        for _ in range(k):
+            x ^= (x >> 12)
+            x ^= (x << 25) & m64
+            x ^= (x >> 27)
+            append(x & 1)
+        self.state = x
+        return out
+
+    def shuffle(self, items: list) -> None:
+        """Fisher-Yates with j = randrange(n) for n from the top, the draws
+        inline as in randrange.  Every rejection limit M64 - 2**64 % n
+        with n <= len(items) exceeds `safe`, so a draw at or below it is
+        accepted without computing the limit."""
+        m64 = _M64
+        star = _STAR
+        safe = m64 - len(items)
+        x = self.state
+        for n in range(len(items), 1, -1):
+            x ^= (x >> 12)
+            x ^= (x << 25) & m64
+            x ^= (x >> 27)
+            y = (x * star) & m64
+            if y > safe:
+                limit = m64 - (m64 + 1) % n
+                while y > limit:
+                    x ^= (x >> 12)
+                    x ^= (x << 25) & m64
+                    x ^= (x >> 27)
+                    y = (x * star) & m64
+            i, j = n - 1, y % n
             items[i], items[j] = items[j], items[i]
         self.state = x
 
@@ -187,9 +205,8 @@ def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
 
 
 def random_orientation(g: Graph, rng: Rng) -> Orientation:
-    arcs = []
-    for u, v in sorted(g.edges):
-        arcs.append((u, v) if rng.randrange(2) == 0 else (v, u))
+    edges = sorted(g.edges)
+    arcs = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, rng.coins(len(edges)))]
     return Orientation.build(g, arcs)
 
 

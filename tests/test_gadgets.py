@@ -321,3 +321,64 @@ def test_sample_streams_match_pinned_digest():
     for item in _sample_streams():
         h.update(json.dumps(item).encode() + b"\n")
     assert h.hexdigest() == SAMPLE_STREAM_DIGEST
+
+
+# the sampling kernels run the xorshift step inline; these references draw
+# through next_u64 and check the outputs and the generator's final state,
+# which the digest above does not see
+
+def _reference_randrange(rng, n):
+    limit = (1 << 64) - 1 - (1 << 64) % n
+    while True:
+        x = rng.next_u64()
+        if x <= limit:
+            return x % n
+
+
+def _reference_star_forest(g, rng):
+    centers = {v for v in g.vertices if _reference_randrange(rng, 2) == 0}
+    chosen = set()
+    for v in g.vertices:
+        if v in centers:
+            continue
+        options = [None] + [u for u in g.neighbors[v] if u in centers]
+        pick = options[_reference_randrange(rng, len(options))]
+        if pick is not None:
+            chosen.add(edge(v, pick))
+    return StarForest(frozenset(chosen), frozenset(centers))
+
+
+def _reference_max_degree_subgraph(vertices, edges, rng, forbidden):
+    order = list(edges)
+    for i in range(len(order) - 1, 0, -1):
+        j = _reference_randrange(rng, i + 1)
+        order[i], order[j] = order[j], order[i]
+    degree = dict.fromkeys(vertices, 0)
+    for v in forbidden or ():
+        degree[v] = 3
+    out = set()
+    for u, v in order:
+        if degree[u] < 3 and degree[v] < 3:
+            out.add((u, v))
+            degree[u] += 1
+            degree[v] += 1
+    return out
+
+
+def test_random_star_forest_matches_reference_and_final_state():
+    g2 = build_gadget("G2")
+    for seed in range(20):
+        fast, ref = Rng(seed), Rng(seed)
+        assert random_star_forest(g2, fast) == _reference_star_forest(g2, ref), seed
+        assert fast.state == ref.state, seed
+
+
+def test_random_max_degree_subgraph_matches_reference_and_final_state():
+    s = build_s()
+    for g, forbidden in ((build_g1().graph, None), (s.graph, {s.a})):
+        edges = sorted(g.edges)
+        for seed in range(10):
+            fast, ref = Rng(seed), Rng(seed)
+            h = _random_max_degree_subgraph(g.vertices, edges, fast, forbidden)
+            assert h == _reference_max_degree_subgraph(g.vertices, edges, ref, forbidden), seed
+            assert fast.state == ref.state, seed

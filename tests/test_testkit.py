@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from atforest.errors import BadParameters
 from atforest.graph import validate_near_triangulation
 from atforest.testkit import (
+    _M64,
+    _STAR,
     Rng,
     random_graph,
     random_near_triangulation,
@@ -76,6 +78,64 @@ def test_inline_draws_match_next_u64_reference():
         fast.shuffle(a)
         _reference_shuffle(ref, b)
         assert a == b and fast.state == ref.state, length
+
+
+def test_coins_match_next_u64_reference():
+    for k in (0, 1, 2, 63, 224, 1000):
+        for seed in range(5):
+            fast, ref = Rng(seed), Rng(seed)
+            assert fast.coins(k) == [_reference_randrange(ref, 2) for _ in range(k)], (k, seed)
+            assert fast.state == ref.state, (k, seed)
+
+
+def test_random_orientation_draws_one_coin_per_sorted_edge():
+    g = random_graph(12, 0.5, 7)
+    d = random_orientation(g, Rng(3))
+    ref = Rng(3)
+    arcs = {(u, v) if _reference_randrange(ref, 2) == 0 else (v, u) for u, v in sorted(g.edges)}
+    assert d.arcs == arcs
+
+
+# xorshift64* run backwards, to build a state whose next output is chosen
+
+def _undo_xor_shift(x, shift, left):
+    """Invert x ^= (x << shift) & M64 (left) or x ^= x >> shift."""
+    y = x
+    for _ in range(64 // shift + 1):
+        y = x ^ (((y << shift) & _M64) if left else (y >> shift))
+    return y
+
+
+def _state_before(output):
+    """The state from which next_u64() returns `output` (nonzero)."""
+    x = output * pow(_STAR, -1, 1 << 64) & _M64
+    x = _undo_xor_shift(x, 27, False)
+    x = _undo_xor_shift(x, 25, True)
+    return _undo_xor_shift(x, 12, False)
+
+
+def test_shuffle_rejection_branch_matches_reference():
+    # the first draw of a shuffle of n items is randrange(n): its limit is
+    # M64 - 2**64 % n, and the fast accept takes draws up to M64 - n
+    for n in (3, 5, 7, 100, 941, 1000):
+        excess = (1 << 64) % n
+        limit, safe = _M64 - excess, _M64 - n
+        for first in (_M64, limit + 1, limit, safe + 1, safe, 12345):
+            probe = Rng(0)
+            probe.state = _state_before(first)
+            assert probe.next_u64() == first
+            fast, ref = Rng(0), Rng(0)
+            fast.state = ref.state = _state_before(first)
+            a, b = list(range(n)), list(range(n))
+            fast.shuffle(a)
+            _reference_shuffle(ref, b)
+            assert a == b and fast.state == ref.state, (n, first)
+            plain = Rng(0)
+            plain.state = _state_before(first)
+            for _ in range(n - 1):
+                plain.next_u64()
+            # a rejected first draw costs one more step than n - 1
+            assert (plain.state != ref.state) == (first > limit), (n, first)
 
 
 def test_shuffle_is_a_permutation():
