@@ -95,7 +95,8 @@ def main(argv=None) -> int:
     for i in range(20):
         n = 4 + i % 9
         pg = random_near_triangulation(n, min(3 + i % 7, n), seed=1100 + i)
-        remainder = pg.graph.subgraph_without_edges(decompose(pg, (pg.outer_face[0], pg.outer_face[1])).forest)
+        forest = decompose(pg, (pg.outer_face[0], pg.outer_face[1])).forest
+        remainder = Graph(pg.graph.vertices, pg.graph.edges - forest)
         rng = Rng(31337 + i)
         for _ in range(500):
             lists = {}

@@ -19,7 +19,6 @@ from .alon_tarsi import (
 from .choosability import (
     ListAssignment,
     build_lemma1_lists,
-    chromatic_number,
     is_l_colorable,
     verify_witness_not_k_choosable,
 )
@@ -27,7 +26,6 @@ from .decompose import (
     Decomposition,
     decompose,
     decompose_any_planar,
-    verify_certificate,
     verify_decomposition,
 )
 from .errors import ArtifactError, CapExceeded
@@ -48,7 +46,6 @@ from .graph import (
     PlaneGraph,
     build_plane_graph,
     edge,
-    find_k4,
     graph_from_json,
     graph_to_json,
     validate_near_triangulation,
@@ -56,7 +53,6 @@ from .graph import (
 from .report import VerificationReport
 from .testkit import (
     Rng,
-    brute_force_eulerian_diff_oracle,
     random_graph,
     random_near_triangulation,
     random_orientation,
@@ -76,18 +72,15 @@ __all__ = [
     "VerificationReport",
     "acyclic_orientation",
     "at_number",
-    "brute_force_eulerian_diff_oracle",
     "build_gadget",
     "build_lemma1_lists",
     "build_plane_graph",
-    "chromatic_number",
     "decompose",
     "decompose_any_planar",
     "edge",
     "eulerian_diff",
     "extract_obstruction",
     "find_at_orientation",
-    "find_k4",
     "graph_from_json",
     "graph_to_json",
     "is_l_colorable",
@@ -96,7 +89,6 @@ __all__ = [
     "random_near_triangulation",
     "random_orientation",
     "validate_near_triangulation",
-    "verify_certificate",
     "verify_decomposition",
     "verify_lemma1",
     "verify_lemma1_all",

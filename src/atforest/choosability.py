@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .errors import BadSelector, CapExceeded
+from .errors import BadSelector
 from .graph import Graph
 from .report import VerificationReport
 
@@ -155,22 +155,3 @@ def verify_witness_not_k_choosable(g: Graph, l: ListAssignment, k: int) -> Verif
     if coloring is not None:
         return VerificationReport(False, "a proper coloring exists", counterexample=coloring)
     return VerificationReport(True, f"no coloring from the {k}-lists")
-
-
-CHROMATIC_COLOR_CAP = 64  # the most colors chromatic_number tries
-
-
-def chromatic_number(g: Graph) -> int:
-    """Least k with a proper k-coloring: the least k for which
-    `is_l_colorable` colors the i-th vertex (in sorted order) from
-    {0, ..., min(i, k - 1)}.  Any k-coloring, its colors renamed in order
-    of first use, fits these lists, which breaks the color symmetry."""
-    if not g.edges:
-        return 1 if g.vertices else 0
-    for k in range(2, len(g.vertices) + 1):
-        if k > CHROMATIC_COLOR_CAP:
-            raise CapExceeded("chromatic search cap exceeded")
-        lists = {v: range(min(i + 1, k)) for i, v in enumerate(g.vertices)}
-        if is_l_colorable(g, ListAssignment.build(lists)) is not None:
-            return k
-    return len(g.vertices)

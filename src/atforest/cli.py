@@ -15,22 +15,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
-from .alon_tarsi import ParityCount, at_number, eulerian_diff, find_at_orientation, poly_coefficient
+from .alon_tarsi import at_number, eulerian_diff, find_at_orientation, poly_coefficient
+from .check import check_at_witness, check_plane_certificate, read_certificate
 from .choosability import (
     ListAssignment,
     is_l_colorable,
     verify_witness_not_k_choosable,
 )
-from .decompose import (
-    Decomposition,
-    decompose,
-    decompose_any_planar,
-    verify_certificate,
-    verify_decomposition,
-)
+from .decompose import decompose, decompose_any_planar, verify_decomposition
 from .errors import ArtifactError, CapExceeded
 from .gadgets import (
     build_gadget,
@@ -200,7 +195,7 @@ def _cmd_decompose(args) -> CommandResult:
         payload = d.to_json_dict()
     else:
         forest, orientation = decompose_any_planar(pg)
-        report = verify_certificate(pg.graph, forest, orientation, lambda v: 2)
+        report = check_plane_certificate(pg.graph.edges, forest, orientation.arcs)
         payload = {
             "forest": [list(e) for e in sorted(forest)],
             "arcs": [list(a) for a in sorted(orientation.arcs)],
@@ -216,12 +211,10 @@ def _cmd_verify(args) -> CommandResult:
         pg = _load(args.input, graph_from_json_dict, "graph")
         if not isinstance(pg, PlaneGraph):
             raise _UsageError("verification needs an embedded input")
-        d = _load(
-            args.decomposition,
-            lambda data: Decomposition.from_json_dict(data, pg.graph),
-            "decomposition",
+        cert = _load(
+            args.decomposition, lambda data: read_certificate(data, pg.graph.edges), "decomposition"
         )
-        return _from_report(verify_decomposition(pg, d))
+        return _from_report(check_plane_certificate(pg.graph.edges, *cert, pg.outer_face))
     if args.target_kind == "lemma":
         if args.name == "lemma1":
             if args.selector is not None:
@@ -258,25 +251,18 @@ def _cmd_at(args) -> CommandResult:
             EXIT_FAIL, f"no orientation within out-degree budget {args.k - 1}",
             {"verdict": "FAIL", "k": args.k},
         )
-    # re-check the witness before reporting it; the only Eulerian
-    # sub-digraph of an acyclic one is the empty one, at any size
-    pc = ParityCount(1, 0) if d.is_acyclic() else eulerian_diff(d)
-    worst = max(d.out_degrees().values(), default=0)
-    if worst > args.k - 1 or pc.diff == 0 or d.underlying_edges() != g.edges:
-        return CommandResult(
-            EXIT_FAIL,
-            f"FAIL: witness has out-degree {worst} (budget {args.k - 1}), "
-            f"even - odd = {pc.diff}, {len(d.arcs)} of {len(g.edges)} edges",
-            {"verdict": "FAIL", "k": args.k, "max_out_degree": worst, "diff": pc.diff},
-        )
+    # re-check the witness before reporting it
+    report = check_at_witness(g.edges, d.arcs, args.k, lambda: astuple(eulerian_diff(d)))
+    even, odd = report.stats["even"], report.stats["odd"]
+    if not report.verdict:
+        worst = report.stats["max_out_degree"]
+        payload = {"verdict": "FAIL", "k": args.k, "max_out_degree": worst, "diff": even - odd}
+        return CommandResult(EXIT_FAIL, str(report), payload)
+    arcs = sorted(d.arcs)
     return CommandResult(
         EXIT_PASS,
-        "\n".join(f"{t} -> {h}" for t, h in sorted(d.arcs)),
-        {
-            "arcs": [list(a) for a in sorted(d.arcs)],
-            "even": pc.even_count,
-            "odd": pc.odd_count,
-        },
+        "\n".join(f"{t} -> {h}" for t, h in arcs),
+        {"arcs": [list(a) for a in arcs], "even": even, "odd": odd},
     )
 
 

@@ -36,13 +36,13 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 
+from .check import check_plane_certificate
 from .errors import (
     HandleNotOnBoundary,
     InvalidEmbedding,
     NotNearTriangulation,
 )
 from .graph import (
-    Graph,
     Orientation,
     PlaneGraph,
     build_plane_graph,
@@ -67,13 +67,6 @@ class Decomposition:
             "arcs": [list(a) for a in sorted(self.orientation.arcs)],
             "trace": self.trace,
         }
-
-    @staticmethod
-    def from_json_dict(data: dict, host: Graph) -> "Decomposition":
-        forest = frozenset(edge(u, v) for u, v in data["forest"])
-        arcs = Orientation.build(host, [tuple(a) for a in data["arcs"]])
-        x, y = data["handle"]
-        return Decomposition((str(x), str(y)), forest, arcs, data.get("trace", {}))
 
 
 def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
@@ -230,68 +223,11 @@ def _inside_neighbours(rot: tuple, before: str, after: str, traced: bool) -> lis
     return wedge[::-1] if traced else wedge
 
 
-def verify_certificate(g: Graph, forest, orientation: Orientation, bound) -> VerificationReport:
-    """Check a forest-plus-orientation certificate of `g`: forest and arcs
-    partition the edge set, the forest has no cycle, every vertex v has
-    out-degree at most bound(v), and the orientation is acyclic."""
-    arcs = orientation.arcs
-    stats = {"forest_edges": len(forest), "arcs": len(arcs)}
-    arc_edges = orientation.underlying_edges()
-    if forest | arc_edges != g.edges or forest & arc_edges:
-        return VerificationReport(
-            False, "forest and arcs do not partition the edge set", stats=stats
-        )
-    if not _is_forest(forest):
-        return VerificationReport(False, "forest contains a cycle", stats=stats)
-    out = orientation.out_degrees()
-    for v in g.vertices:
-        if out[v] > bound(v):
-            return VerificationReport(
-                False,
-                f"out-degree {out[v]} exceeds bound {bound(v)}",
-                counterexample=v,
-                stats=stats,
-            )
-    if not orientation.is_acyclic():
-        return VerificationReport(False, "orientation has a directed cycle", stats=stats)
-    return VerificationReport(True, "forest plus acyclic orientation within bounds", stats=stats)
-
-
 def verify_decomposition(pg: PlaneGraph, d: Decomposition) -> VerificationReport:
-    """Check the nice-orientation conditions: the handle in the forest, then
-    `verify_certificate` with out-degree 0 at both handle ends, at most 1 on
-    the boundary and at most 2 inside.  An acyclic orientation's only
-    Eulerian sub-digraph is the empty one, so no parity count is needed.
-
-    The handle check is separate because a certificate read from a file
-    may name a handle that is not an edge, and then only it refuses."""
-    x, y = d.handle
-    if edge(x, y) not in d.forest:
-        stats = {"forest_edges": len(d.forest), "arcs": len(d.orientation.arcs)}
-        return VerificationReport(False, "handle missing from forest", stats=stats)
-    boundary = set(pg.outer_face)
-    return verify_certificate(
-        pg.graph, d.forest, d.orientation, lambda v: 0 if v in (x, y) else 1 if v in boundary else 2
+    """`check.check_plane_certificate` on d, with its handle."""
+    return check_plane_certificate(
+        pg.graph.edges, d.forest, d.orientation.arcs, d.handle, pg.outer_face
     )
-
-
-def _is_forest(edges) -> bool:
-    parent: dict = {}
-
-    def find(v):
-        root = v
-        while parent.get(root, root) != root:
-            root = parent[root]
-        while parent.get(v, v) != v:
-            parent[v], v = root, parent[v]
-        return root
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +267,7 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
             forest |= part_forest
             arcs |= part_orientation.arcs
         return frozenset(forest), Orientation.build(g, arcs)
-    if _is_forest(g.edges):
+    if len(g.edges) == len(g.vertices) - 1:  # connected, so a tree
         return frozenset(g.edges), Orientation.build(g, [])
 
     aug = _triangulate_embedding(pg)

@@ -25,6 +25,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Optional
 
+from .check import check_star_forest
 from .choosability import (
     ListAssignment,
     _assemble_member,
@@ -44,24 +45,6 @@ from .testkit import _M64, _STAR, Rng
 class StarForest:
     edges: frozenset  # frozenset[Edge]
     centers: frozenset  # designated star centers (covers K2 components)
-
-    def validate(self, host: Optional[Graph] = None) -> VerificationReport:
-        degree: dict = {}
-        for u, v in self.edges:
-            if host is not None and edge(u, v) not in host.edges:
-                return VerificationReport(False, f"edge {(u, v)} not in host", counterexample=[u, v])
-            in_u, in_v = u in self.centers, v in self.centers
-            if in_u == in_v:
-                return VerificationReport(
-                    False,
-                    "edge must join a center to a leaf",
-                    counterexample=[u, v],
-                )
-            leaf = v if in_u else u
-            degree[leaf] = degree.get(leaf, 0) + 1
-            if degree[leaf] > 1:
-                return VerificationReport(False, "leaf in two components", counterexample=leaf)
-        return VerificationReport(True, "star forest")
 
 
 def random_star_forest(g: Graph, rng: Rng) -> StarForest:
@@ -403,14 +386,16 @@ def verify_lemma2() -> VerificationReport:
 
 def _path_configs(path: tuple) -> list:
     """All (center set, internal forest edges) pairs on one 4-path that are
-    locally consistent with a star forest."""
+    locally consistent with a star forest: each chosen edge joins a center
+    to a leaf, no leaf twice."""
     internal = [edge(u, v) for u, v in zip(path, path[1:])]
     configs = []
     for centers in product((False, True), repeat=4):
         cset = {path[i] for i in range(4) if centers[i]}
         for picks in product((False, True), repeat=3):
             chosen = {internal[i] for i in range(3) if picks[i]}
-            if StarForest(frozenset(chosen), frozenset(cset)).validate().verdict:
+            leaves = [v if u in cset else u for u, v in chosen if (u in cset) != (v in cset)]
+            if len(leaves) == len(chosen) == len(set(leaves)):
                 configs.append((cset, chosen))
     return configs
 
@@ -586,23 +571,20 @@ def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
     cliques = _k4_edge_sets(g2)
     for i in range(n):
         forest = random_star_forest(g2, rng.split(i))
-        valid = forest.validate(g2)
+        valid = check_star_forest(forest.edges, forest.centers, g2.edges)
         if not valid.verdict:
-            return VerificationReport(
-                False,
-                f"sample {i}: sampled edge set is not a star forest: {valid.detail}",
-                counterexample=sorted(list(e) for e in forest.edges),
-                stats={"samples": i + 1},
-                seed=seed,
-            )
-        if not any(es.isdisjoint(forest.edges) for es in cliques):
-            return VerificationReport(
-                False,
-                f"sample {i}: star forest kills every K4",
-                counterexample=sorted(list(e) for e in forest.edges),
-                stats={"samples": i + 1},
-                seed=seed,
-            )
+            problem = f"sampled edge set is not a star forest: {valid.detail}"
+        elif not any(es.isdisjoint(forest.edges) for es in cliques):
+            problem = "star forest kills every K4"
+        else:
+            continue
+        return VerificationReport(
+            False,
+            f"sample {i}: {problem}",
+            counterexample=sorted(list(e) for e in forest.edges),
+            stats={"samples": i + 1},
+            seed=seed,
+        )
     return VerificationReport(
         True, "K4 survived every sampled star forest",
         stats={"samples": n, "survivors": n}, seed=seed,

@@ -66,15 +66,8 @@ class Graph:
         """Vertex -> tuple of its neighbors in sorted order."""
         return {v: tuple(sorted(ws)) for v, ws in self.adjacency.items()}
 
-    def has_edge(self, u: str, v: str) -> bool:
-        return edge(u, v) in self.edges
-
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
-
-    def subgraph_without_edges(self, removed: Iterable[tuple[str, str]]) -> "Graph":
-        gone = {edge(u, v) for u, v in removed}
-        return Graph(self.vertices, self.edges - gone)
 
     def connected_components(self) -> list:
         seen: set = set()
@@ -104,44 +97,14 @@ class Orientation:
 
     @staticmethod
     def build(host: Graph, arcs: Iterable[tuple[str, str]]) -> "Orientation":
-        seen_edges = set()
-        out = set()
-        for t, h in arcs:
-            e = edge(t, h)
-            if e not in host.edges:
-                raise UnknownVertex(f"arc {(t, h)} is not over a host edge")
-            if e in seen_edges:
-                raise DuplicateEdge(f"two arcs on edge {e}")
-            seen_edges.add(e)
-            out.add((t, h))
-        return Orientation(host, frozenset(out))
+        """No check here: `check` judges the certificates built on it."""
+        return Orientation(host, frozenset(arcs))
 
     def out_degrees(self) -> dict:
         d = {v: 0 for v in self.host.vertices}
         for t, _ in self.arcs:
             d[t] += 1
         return d
-
-    def underlying_edges(self) -> frozenset:
-        return frozenset(edge(t, h) for t, h in self.arcs)
-
-    def is_acyclic(self) -> bool:
-        succ: dict[str, list] = {}
-        indeg: dict[str, int] = {}
-        for t, h in self.arcs:
-            succ.setdefault(t, []).append(h)
-            indeg[h] = indeg.get(h, 0) + 1
-            indeg.setdefault(t, indeg.get(t, 0))
-        queue = [v for v in indeg if indeg[v] == 0]
-        done = 0
-        while queue:
-            v = queue.pop()
-            done += 1
-            for w in succ.get(v, ()):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        return done == len(indeg)
 
 
 @dataclass(frozen=True)
@@ -301,11 +264,6 @@ def k4s(g: Graph) -> Iterator[tuple]:
                 for d in common[j + 1:]:
                     if d in adj[c]:
                         yield (a, b, c, d)
-
-
-def find_k4(g: Graph) -> Optional[tuple]:
-    """Lexicographically first 4-clique, or None."""
-    return next(k4s(g), None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Seeded generators and independent oracles for tests and acceptance runs.
+"""Seeded generators for the CLI, the benchmark, tests and acceptance runs.
 
 The PRNG is an in-repo xorshift64* so that streams are identical across
 platforms and Python versions.  `randrange`, `coins` and `shuffle` run the
@@ -9,7 +9,7 @@ derived with `split` so concurrent consumers cannot perturb each other.
 
 from __future__ import annotations
 
-from .errors import BadParameters, CapExceeded
+from .errors import BadParameters
 from .graph import Graph, Orientation, PlaneGraph, build_plane_graph, edge
 
 _M64 = (1 << 64) - 1
@@ -208,33 +208,3 @@ def random_orientation(g: Graph, rng: Rng) -> Orientation:
     edges = sorted(g.edges)
     arcs = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, rng.coins(len(edges)))]
     return Orientation.build(g, arcs)
-
-
-ORACLE_ARC_CAP = 20  # brute_force_eulerian_diff_oracle visits 2^m subsets
-
-
-def brute_force_eulerian_diff_oracle(d: Orientation):
-    """Independent parity count: plain DFS over arcs carrying the per-vertex
-    out-minus-in degree vector.  Cross-checks alon_tarsi.eulerian_diff."""
-    from .alon_tarsi import ParityCount  # local import to stay independent
-
-    arcs = sorted(d.arcs)
-    if len(arcs) > ORACLE_ARC_CAP:
-        raise CapExceeded(f"{len(arcs)} arcs exceeds oracle cap {ORACLE_ARC_CAP}")
-    counts = [0, 0]  # even, odd
-
-    def rec(i: int, balance: dict, size: int) -> None:
-        if i == len(arcs):
-            if all(x == 0 for x in balance.values()):
-                counts[size % 2] += 1
-            return
-        rec(i + 1, balance, size)
-        t, h = arcs[i]
-        balance[t] = balance.get(t, 0) + 1
-        balance[h] = balance.get(h, 0) - 1
-        rec(i + 1, balance, size + 1)
-        balance[t] -= 1
-        balance[h] += 1
-
-    rec(0, {}, 0)
-    return ParityCount(counts[0], counts[1])

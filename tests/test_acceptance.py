@@ -17,7 +17,6 @@ from atforest.alon_tarsi import (
 from atforest.choosability import (
     ListAssignment,
     build_lemma1_lists,
-    chromatic_number,
     is_l_colorable,
     verify_witness_not_k_choosable,
 )
@@ -31,11 +30,11 @@ from atforest.gadgets import (
 )
 from atforest.testkit import (
     Rng,
-    brute_force_eulerian_diff_oracle,
     random_graph,
     random_near_triangulation,
     random_orientation,
 )
+from helpers import brute_force_eulerian_diff_oracle, chromatic_number, subgraph_without_edges
 
 
 def announce(capsys, tag, ok, detail):
@@ -223,7 +222,7 @@ def test_c9_deletion_recurrence(capsys):
         d = random_orientation(g, Rng(555 + attempt))
         eta = d.out_degrees()
         u, v = sorted(g.edges)[attempt % len(g.edges)]
-        rest = g.subgraph_without_edges([(u, v)])
+        rest = subgraph_without_edges(g, [(u, v)])
         parts = []
         for vertex in (v, u):
             reduced = dict(eta)
@@ -243,7 +242,7 @@ def test_c10_downstream_three_lists_always_colorable(capsys):
         n = 4 + i % 9  # 4..12 vertices
         pg = random_near_triangulation(n, min(3 + i % 7, n), seed=1100 + i)
         d = decompose(pg, (pg.outer_face[0], pg.outer_face[1]))
-        remainder = pg.graph.subgraph_without_edges(d.forest)
+        remainder = subgraph_without_edges(pg.graph, d.forest)
         rng = Rng(31337 + i)
         for _ in range(500):
             lists = {}

@@ -1,0 +1,193 @@
+"""The certificate checkers of `atforest.check`, and the import boundary
+that keeps them apart from the code they judge."""
+
+import ast
+import re
+import sys
+from dataclasses import astuple
+from pathlib import Path
+
+import pytest
+
+import atforest
+from atforest.alon_tarsi import eulerian_diff
+from atforest.check import (
+    check_at_witness,
+    check_forest_orientation,
+    check_star_forest,
+    read_certificate,
+)
+from atforest.decompose import decompose
+from atforest.graph import Graph, Orientation, edge
+from helpers import is_acyclic, quad_with_chord
+
+SRC = Path(atforest.__file__).parent
+
+# producer -> its module; none of them may call checker code
+PRODUCERS = {
+    "decompose": "decompose",
+    "decompose_any_planar": "decompose",
+    "_triangulate_embedding": "decompose",
+    "_path_configs": "gadgets",
+    "random_star_forest": "gadgets",
+    "find_at_orientation": "alon_tarsi",
+}
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
+def _imports(tree):
+    """(relative level, module) of every import in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            yield node.level, node.module or ""
+        elif isinstance(node, ast.Import):
+            yield from ((0, alias.name) for alias in node.names)
+
+
+def test_check_imports_only_the_stdlib_and_report():
+    found = list(_imports(_trees()["check"]))
+    assert found
+    for level, module in found:
+        if level:
+            assert (level, module) == (1, "report"), module
+        else:
+            assert module.split(".")[0] in sys.stdlib_module_names, module
+
+
+def test_no_producer_references_checker_code():
+    trees = _trees()
+    check_names = {"check"} | {
+        node.name for node in trees["check"].body if isinstance(node, ast.FunctionDef)
+    }
+    for producer, module in PRODUCERS.items():
+        defs = [n for n in trees[module].body if isinstance(n, ast.FunctionDef) and n.name == producer]
+        assert len(defs) == 1, producer
+        used = {n.id for n in ast.walk(defs[0]) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(defs[0]) if isinstance(n, ast.Attribute)}
+        assert not used & check_names, (producer, used & check_names)
+    # only the command line and the verifiers import the checker
+    importers = {
+        name for name, tree in trees.items()
+        if any(m == "check" or m.endswith(".check") for _, m in _imports(tree))
+    }
+    assert importers <= {"cli", "decompose", "gadgets"}, importers
+
+
+def test_certificate_rejects_cycle_and_dropped_arc():
+    pg = quad_with_chord()
+    g = pg.graph
+    d = decompose(pg, ("x", "y"))
+    two = lambda v: 2
+    arcs = d.orientation.arcs
+    assert check_forest_orientation(g.edges, d.forest, arcs, two).verdict
+    # the forest x-y-v closes a triangle
+    cyc = frozenset({edge("x", "y"), edge("y", "v"), edge("x", "v")})
+    report = check_forest_orientation(g.edges, cyc, {("u", "y"), ("u", "v")}, two)
+    assert not report.verdict and report.detail == "forest contains a cycle"
+    # dropping an arc leaves its edge uncovered
+    dropped = set(sorted(arcs)[1:])
+    report = check_forest_orientation(g.edges, d.forest, dropped, two)
+    assert not report.verdict and "partition" in report.detail
+    # out-degree bound and directed cycles
+    assert not check_forest_orientation(g.edges, d.forest, arcs, lambda v: 0).verdict
+    loop = {("x", "y"), ("y", "u"), ("u", "v"), ("v", "x")}
+    report = check_forest_orientation(g.edges, frozenset({edge("y", "v")}), loop, two)
+    assert not report.verdict and report.detail == "orientation has a directed cycle"
+    # two arcs on one edge, with a forest edge dropped to keep the count
+    t, h = min(arcs)
+    report = check_forest_orientation(g.edges, d.forest - {min(d.forest)}, arcs | {(h, t)}, two)
+    assert not report.verdict and "partition" in report.detail
+    # the counts add up, but an edge is in both, or an arc or a forest pair
+    # is over no edge, so one edge is left out
+    assert d.forest == {edge("u", "v"), edge("v", "y"), edge("x", "y")}
+    for forest, arc_set in (
+        ({edge("u", "v"), edge("u", "y"), edge("x", "y")}, arcs),
+        (d.forest, {("u", "y"), ("x", "u")}),
+        ({edge("u", "v"), edge("u", "x"), edge("x", "y")}, arcs),
+    ):
+        report = check_forest_orientation(g.edges, frozenset(forest), arc_set, two)
+        assert not report.verdict and "partition" in report.detail
+
+
+def test_is_acyclic():
+    assert is_acyclic([("a", "b"), ("b", "c"), ("a", "c")])
+    assert not is_acyclic([("a", "b"), ("b", "c"), ("c", "a")])
+    assert is_acyclic([])
+    # a loop, not a recursion: a directed cycle through 10^5 vertices
+    names = [f"v{i:05d}" for i in range(100_000)]
+    path = list(zip(names, names[1:]))
+    assert is_acyclic(path)
+    assert not is_acyclic(path + [(names[-1], names[0])])
+
+
+def test_star_forest_validation():
+    # each forest is its own host, so only the star rules can refuse it
+    star = frozenset({("a", "b"), ("a", "c")})
+    assert check_star_forest(star, frozenset({"a"}), star).verdict
+    # a path on 4 vertices is not a star forest under any center choice
+    path = frozenset({("a", "b"), ("b", "c"), ("c", "d")})
+    for centers in ({"b"}, {"b", "c"}, {"a", "c"}, {"a", "b", "c", "d"}):
+        assert not check_star_forest(path, frozenset(centers), path).verdict
+    # two-center edge rejected
+    ab = frozenset({("a", "b")})
+    assert not check_star_forest(ab, frozenset({"a", "b"}), ab).verdict
+    # leaf shared by two stars rejected
+    two = frozenset({("a", "x"), ("b", "x")})
+    shared = check_star_forest(two, frozenset({"a", "b"}), two)
+    assert not shared.verdict
+
+
+def test_star_forest_edge_outside_the_host_fails():
+    host = Graph.build("abc", [("a", "b")])
+    edges, centers = frozenset({("a", "b"), ("a", "c")}), frozenset({"a"})
+    assert check_star_forest(edges, centers, edges).verdict
+    report = check_star_forest(edges, centers, host.edges)
+    assert not report.verdict
+    assert report.detail == "edge ('a', 'c') not in host"
+    assert report.counterexample == ["a", "c"]
+
+
+def test_at_witness_counts_parity_only_for_a_cyclic_witness():
+    g = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+
+    def no_count():
+        raise AssertionError("an acyclic witness needs no parity count")
+
+    acyclic = {("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")}
+    report = check_at_witness(g.edges, acyclic, 3, no_count)
+    assert report.verdict and report.stats == {"max_out_degree": 2, "even": 1, "odd": 0}
+    assert not check_at_witness(g.edges, acyclic, 2, no_count).verdict  # a has 2 > 1
+    cycle = {("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")}
+    count = lambda: astuple(eulerian_diff(Orientation.build(g, cycle)))
+    report = check_at_witness(g.edges, cycle, 2, count)
+    assert report.verdict and (report.stats["even"], report.stats["odd"]) == (2, 0)
+    assert not check_at_witness(g.edges, cycle, 2, lambda: (1, 1)).verdict
+    report = check_at_witness(g.edges, cycle - {("d", "a")}, 2, no_count)
+    assert not report.verdict and report.detail.endswith("3 of 4 edges")
+
+
+@pytest.mark.parametrize("data, sentence", [
+    ([], "the certificate has no 'forest' array"),
+    ({"arcs": []}, "the certificate has no 'forest' array"),
+    ({"forest": [], "arcs": {"a": "b"}}, "the certificate has no 'arcs' array"),
+    ({"forest": [["a", "b", "c"]], "arcs": []}, "forest entry ['a', 'b', 'c'] is not two distinct"),
+    ({"forest": [["a", "a"]], "arcs": []}, "forest entry ['a', 'a'] is not two distinct"),
+    ({"forest": [], "arcs": [["a", "c"]]}, "an arc is over no edge of the graph"),
+    ({"forest": [], "arcs": [["a", "b"], ["b", "a"]]}, "or two arcs are over one"),
+    ({"forest": [], "arcs": [["a", "b"], ["a", "b"]]}, "or two arcs are over one"),
+    ({"forest": [], "arcs": [], "handle": ["a"]}, "the handle ['a'] is not two distinct"),
+])
+def test_read_certificate_refuses_a_malformed_file_with_a_sentence(data, sentence):
+    with pytest.raises(ValueError, match=re.escape(sentence)):
+        read_certificate(data, {("a", "b")})
+
+
+def test_read_certificate_sorts_the_forest_and_keeps_the_arcs():
+    data = {"forest": [["b", "a"]], "arcs": [["c", "b"]], "trace": {}}
+    edges = {("a", "b"), ("b", "c")}
+    assert read_certificate(data, edges) == ({("a", "b")}, {("c", "b")}, None)
+    data["handle"] = ["b", "a"]
+    assert read_certificate(data, edges)[2] == ("b", "a")

@@ -409,3 +409,70 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
     assert json.loads(result.output()) == {"verdict": "ERROR", "error": "RuntimeError: kaput"}
     plain = go("gen", "graph", "--n", "5", "--p", "0.5", "--seed", "1")
     assert plain.output() == "internal error: RuntimeError: kaput"
+
+
+def _handleless_files(tri_file, tmp_path):
+    cert = tmp_path / "any.json"
+    assert go("decompose", "--input", str(tri_file), "--output", str(cert)).exit_code == EXIT_PASS
+    return json.loads(cert.read_text()), cert
+
+
+def test_handleless_certificate_round_trips(tri_file, tmp_path):
+    data, cert = _handleless_files(tri_file, tmp_path)
+    assert "handle" not in data
+    result = go("verify", "decomposition", "--input", str(tri_file),
+                "--decomposition", str(cert), "--json")
+    assert result.exit_code == EXIT_PASS
+    assert json.loads(result.output())["verdict"] == "PASS"
+
+
+def test_handleless_certificate_with_a_reversed_arc_fails(tri_file, tmp_path):
+    data, cert = _handleless_files(tri_file, tmp_path)
+    out = {}
+    for t, _ in data["arcs"]:
+        out[t] = out.get(t, 0) + 1
+    # reverse an arc into a vertex that already has out-degree 2
+    i = next(i for i, (_, h) in enumerate(data["arcs"]) if out.get(h) == 2)
+    data["arcs"][i].reverse()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = _verify_decomposition(tri_file, bad)
+    assert result.exit_code == EXIT_FAIL
+    assert result.output() == "FAIL: out-degree 3 exceeds bound 2"
+
+
+@pytest.mark.parametrize("key, sentence", [
+    ("forest", "the certificate has no 'forest' array"),
+    ("arcs", "the certificate has no 'arcs' array"),
+])
+def test_certificate_without_a_list_is_input_error_with_a_sentence(tri_file, tmp_path, key, sentence):
+    data, _ = _handleless_files(tri_file, tmp_path)
+    if key == "forest":
+        del data["forest"]
+    else:
+        data["arcs"] = {"a": "b"}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = _verify_decomposition(tri_file, bad)
+    assert result.exit_code == EXIT_USAGE
+    assert result.output() == f"usage error: cannot read decomposition from {str(bad)!r}: {sentence}"
+
+
+def test_decomposition_with_an_arc_off_the_graph_is_input_error(tri_file, tmp_path):
+    data, bad = _decomposition_files(tri_file, tmp_path)
+    tri = json.loads(tri_file.read_text())
+    edges = {tuple(sorted(e)) for e in tri["edges"]}
+    u, v = next((u, v) for u in tri["vertices"] for v in tri["vertices"]
+                if u < v and (u, v) not in edges)
+    data["arcs"][0] = [u, v]
+    bad.write_text(json.dumps(data))
+    assert _verify_decomposition(tri_file, bad).exit_code == EXIT_USAGE
+
+
+def test_decomposition_with_two_arcs_on_one_edge_is_input_error(tri_file, tmp_path):
+    data, bad = _decomposition_files(tri_file, tmp_path)
+    data["arcs"].append(list(reversed(data["arcs"][0])))
+    bad.write_text(json.dumps(data))
+    result = _verify_decomposition(tri_file, bad)
+    assert result.exit_code == EXIT_USAGE
+    assert "two arcs are over one" in result.output()

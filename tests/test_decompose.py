@@ -2,12 +2,16 @@
 
 import hashlib
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import atforest.cli as cli
 from atforest.alon_tarsi import ParityCount, eulerian_diff
+from atforest.check import check_forest_orientation, check_plane_certificate, read_certificate
 from atforest.decompose import (
     Decomposition,
     _far_chord,
@@ -15,7 +19,6 @@ from atforest.decompose import (
     _triangulate_embedding,
     decompose,
     decompose_any_planar,
-    verify_certificate,
     verify_decomposition,
 )
 from atforest.errors import (
@@ -25,29 +28,20 @@ from atforest.errors import (
 )
 from atforest.graph import (
     Orientation,
+    _trace_all_faces,
     _walk_darts,
     build_plane_graph,
     edge,
+    graph_to_json,
     validate_near_triangulation,
 )
 from atforest.testkit import Rng, plane_graph_from_triangles, random_near_triangulation
+from helpers import is_acyclic, quad_with_chord
 
 
 def triangle_plane():
     return plane_graph_from_triangles(
         ["x", "y", "z"], [("z", "x", "y")], ("x", "z", "y")
-    )
-
-
-def quad_with_chord():
-    """4-cycle x-y-u-v with chord yv, outer walk designated as x,y,u,v."""
-    pg = plane_graph_from_triangles(
-        ["x", "y", "u", "v"],
-        [("v", "x", "y"), ("y", "u", "v")],
-        ("x", "v", "u", "y"),
-    )
-    return build_plane_graph(
-        sorted(pg.graph.vertices), pg.graph.edges, pg.rotation, ["x", "y", "u", "v"]
     )
 
 
@@ -117,27 +111,6 @@ def test_disconnected_input_rejected():
         decompose(pg, ("a", "b"))
 
 
-def test_verify_certificate_rejects_cycle_and_dropped_arc():
-    pg = quad_with_chord()
-    g = pg.graph
-    d = decompose(pg, ("x", "y"))
-    two = lambda v: 2
-    assert verify_certificate(g, d.forest, d.orientation, two).verdict
-    # the forest x-y-v closes a triangle
-    cyc = frozenset({edge("x", "y"), edge("y", "v"), edge("x", "v")})
-    report = verify_certificate(g, cyc, Orientation.build(g, [("u", "y"), ("u", "v")]), two)
-    assert not report.verdict and report.detail == "forest contains a cycle"
-    # dropping an arc leaves its edge uncovered
-    dropped = Orientation.build(g, sorted(d.orientation.arcs)[1:])
-    report = verify_certificate(g, d.forest, dropped, two)
-    assert not report.verdict and "partition" in report.detail
-    # out-degree bound and directed cycles
-    assert not verify_certificate(g, d.forest, d.orientation, lambda v: 0).verdict
-    loop = Orientation.build(g, [("x", "y"), ("y", "u"), ("u", "v"), ("v", "x")])
-    report = verify_certificate(g, frozenset({edge("y", "v")}), loop, two)
-    assert not report.verdict and report.detail == "orientation has a directed cycle"
-
-
 def test_verifier_rejects_tampered_output():
     pg = quad_with_chord()
     d = decompose(pg, ("x", "y"))
@@ -178,11 +151,11 @@ def test_handle_that_is_no_edge_fails_though_the_bounds_hold():
         "forest": [["a", "x"], ["a", "w"], ["b", "w"]],
         "arcs": [["a", "b"], ["b", "x"]],
     }
-    d = Decomposition.from_json_dict(data, pg.graph)
+    forest, arcs, handle = read_certificate(data, pg.graph.edges)
     boundary = set(pg.outer_face)
     nice = lambda v: 0 if v in ("x", "w") else 1 if v in boundary else 2
-    assert verify_certificate(pg.graph, d.forest, d.orientation, nice).verdict
-    report = verify_decomposition(pg, d)
+    assert check_forest_orientation(pg.graph.edges, forest, arcs, nice).verdict
+    report = check_plane_certificate(pg.graph.edges, forest, arcs, handle, pg.outer_face)
     assert not report.verdict and report.detail == "handle missing from forest"
 
 
@@ -211,10 +184,10 @@ def test_random_near_triangulations_verify(n, b, seed):
 def test_decomposition_json_round_trip():
     pg = random_near_triangulation(25, 6, 4)
     d = decompose(pg, (pg.outer_face[0], pg.outer_face[1]))
-    back = Decomposition.from_json_dict(d.to_json_dict(), pg.graph)
-    assert back.handle == d.handle
-    assert back.forest == d.forest
-    assert back.orientation.arcs == d.orientation.arcs
+    forest, arcs, handle = read_certificate(d.to_json_dict(), pg.graph.edges)
+    assert handle == d.handle
+    assert forest == d.forest
+    assert arcs == d.orientation.arcs
 
 
 def test_any_planar_c4():
@@ -225,11 +198,11 @@ def test_any_planar_c4():
         ["a", "b", "c", "d"],
     )
     forest, orientation = decompose_any_planar(c4)
-    assert verify_certificate(c4.graph, forest, orientation, lambda v: 2).verdict
+    assert check_forest_orientation(c4.graph.edges, forest, orientation.arcs, lambda v: 2).verdict
     assert forest <= c4.graph.edges
-    assert forest.isdisjoint(orientation.underlying_edges())
-    assert forest | orientation.underlying_edges() == c4.graph.edges
-    assert orientation.is_acyclic()
+    assert forest.isdisjoint({edge(t, h) for t, h in orientation.arcs})
+    assert forest | {edge(t, h) for t, h in orientation.arcs} == c4.graph.edges
+    assert is_acyclic(orientation.arcs)
     assert all(v <= 2 for v in orientation.out_degrees().values())
 
 
@@ -242,7 +215,7 @@ def test_any_planar_tree_is_all_forest():
     )
     forest, orientation = decompose_any_planar(tree)
     assert forest == tree.graph.edges and not orientation.arcs
-    assert verify_certificate(tree.graph, forest, orientation, lambda v: 2).verdict
+    assert check_forest_orientation(tree.graph.edges, forest, orientation.arcs, lambda v: 2).verdict
 
 
 def test_any_planar_decomposes_each_component():
@@ -257,7 +230,7 @@ def test_any_planar_decomposes_each_component():
     )
     assert not pg.connected
     forest, orientation = decompose_any_planar(pg)
-    assert verify_certificate(pg.graph, forest, orientation, lambda v: 2).verdict
+    assert check_forest_orientation(pg.graph.edges, forest, orientation.arcs, lambda v: 2).verdict
     # each component gets the certificate it gets on its own
     for names, outer in (("abc", ("a", "b", "c")), ("defg", ("d", "e", "f", "g"))):
         part = build_plane_graph(
@@ -281,10 +254,42 @@ def test_any_planar_decomposes_each_component():
 def test_any_planar_on_near_triangulation():
     pg = random_near_triangulation(20, 5, 9)
     forest, orientation = decompose_any_planar(pg)
-    assert verify_certificate(pg.graph, forest, orientation, lambda v: 2).verdict
-    assert forest | orientation.underlying_edges() == pg.graph.edges
-    assert orientation.is_acyclic()
+    assert check_forest_orientation(pg.graph.edges, forest, orientation.arcs, lambda v: 2).verdict
+    assert forest | {edge(t, h) for t, h in orientation.arcs} == pg.graph.edges
+    assert is_acyclic(orientation.arcs)
     assert all(v <= 2 for v in orientation.out_degrees().values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=40),
+    st.integers(min_value=3, max_value=10),
+    st.integers(min_value=0, max_value=10**6),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_sparse_plane_subgraphs_certify_and_round_trip(n, b, seed, keep):
+    # any edge subset of a near-triangulation, with the rotation restricted
+    # to it: possibly disconnected, with isolated vertices and tree
+    # components; the first edge stays, so that some face is the outer one
+    pg = random_near_triangulation(n, min(b, n), seed)
+    rng = Rng(seed)
+    edges = sorted(pg.graph.edges)
+    kept = {edges[0]} | {e for e in edges[1:] if rng.random() < keep}
+    rotation = {v: tuple(w for w in nbrs if edge(v, w) in kept) for v, nbrs in pg.rotation.items()}
+    sub = build_plane_graph(pg.graph.vertices, kept, rotation, _trace_all_faces(rotation)[0])
+    forest, orientation = decompose_any_planar(sub)
+    assert check_plane_certificate(sub.graph.edges, forest, orientation.arcs).verdict
+    with tempfile.TemporaryDirectory() as tmp:
+        graph_file, cert_file = os.path.join(tmp, "sub.json"), os.path.join(tmp, "any.json")
+        with open(graph_file, "w", encoding="utf-8") as fh:
+            fh.write(graph_to_json(sub.graph, sub))
+        assert cli.run(["decompose", "--input", graph_file, "--output", cert_file]).exit_code == 0
+        with open(cert_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        assert data == {"forest": [list(e) for e in sorted(forest)],
+                        "arcs": [list(a) for a in sorted(orientation.arcs)]}
+        verify = ["verify", "decomposition", "--input", graph_file, "--decomposition", cert_file]
+        assert cli.run(verify).exit_code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +360,7 @@ def _pinned_certificates():
         yield decompose(pg, handle).to_json_dict()
     pg = _sparse(random_near_triangulation(50, 10, 11))
     forest, orientation = decompose_any_planar(pg)
-    assert verify_certificate(pg.graph, forest, orientation, lambda v: 2).verdict
+    assert check_forest_orientation(pg.graph.edges, forest, orientation.arcs, lambda v: 2).verdict
     yield {"forest": sorted(forest), "arcs": sorted(orientation.arcs)}
 
 
@@ -566,7 +571,7 @@ def test_verifier_fails_a_certificate_one_arc_over_the_bound(on_boundary, detail
     assert not report.verdict
     assert report.detail == detail and report.counterexample == v
     # the bound is the only check it fails
-    assert verify_certificate(pg.graph, bad.forest, bad.orientation, lambda _: 3).verdict
+    assert check_forest_orientation(pg.graph.edges, bad.forest, bad.orientation.arcs, lambda _: 3).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +690,7 @@ def test_any_planar_certificates_verify_on_triangulation_inputs():
     count = 0
     for pg in _triangulation_instances():
         forest, orientation = decompose_any_planar(pg)
-        assert verify_certificate(pg.graph, forest, orientation, lambda v: 2).verdict
+        assert check_forest_orientation(pg.graph.edges, forest, orientation.arcs, lambda v: 2).verdict
         count += 1
     assert count == 111
 

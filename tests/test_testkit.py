@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atforest.errors import BadParameters
-from atforest.graph import validate_near_triangulation
+from atforest.graph import edge, validate_near_triangulation
 from atforest.testkit import (
     _M64,
     _STAR,
@@ -178,5 +178,5 @@ def test_random_graph_deterministic_and_simple():
 def test_random_orientation_covers_every_edge_once():
     g = random_graph(10, 0.5, 3)
     d = random_orientation(g, Rng(0))
-    assert d.underlying_edges() == g.edges
+    assert {edge(t, h) for t, h in d.arcs} == g.edges
     assert len(d.arcs) == len(g.edges)
