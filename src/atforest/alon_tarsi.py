@@ -55,10 +55,12 @@ def _frontier_order(pairs) -> list:
         adj[a].add(b)
         adj[b].add(a)
     unseen = {v: len(nbrs) + 1 for v, nbrs in adj.items()}  # in v and N(v)
+    rest = sorted(adj)  # the unplaced vertices, in name order
     pos: dict = {}
     seen: set = set()  # placed vertices and their neighbours
-    while len(pos) < len(adj):
-        _, v = min((c, u) for u, c in unseen.items() if u not in pos)
+    while rest:
+        v = min(rest, key=unseen.__getitem__)  # the first least: by name
+        rest.remove(v)
         pos[v] = len(pos)
         for x in (v, *adj[v]):
             if x not in seen:
@@ -73,52 +75,74 @@ def _frontier_order(pairs) -> list:
     return sorted(pairs, key=key)
 
 
+def _layout(verts: list, hi: dict) -> tuple:
+    """How an out-degree vector over the sorted `verts` packs into one int:
+    each out-degree in a field of max(hi).bit_length() bits, the first
+    vertex in the highest field, so ints order as the vectors do
+    lexicographically.  (width, the shift of each vertex's field)."""
+    width = max((hi[v] for v in verts), default=0).bit_length()
+    return width, {v: width * i for i, v in enumerate(reversed(verts))}
+
+
+def _unpack(key: int, verts: list, hi: dict) -> dict:
+    """The out-degree vector in a key of `_flip_counts(arcs, lo, hi)`, whose
+    arcs have the sorted vertices `verts`."""
+    width, shift = _layout(verts, hi)
+    return {v: key >> s & ((1 << width) - 1) for v, s in shift.items()}
+
+
 def _flip_counts(arcs: list, lo: dict, hi: dict) -> dict:
     """The subsets of arcs whose reversal leaves an out-degree between lo[v]
     and hi[v] at every vertex v of the arcs, counted by the parity of their
-    size: a table from the out-degree tuple over the sorted vertices to
-    (even, odd).
+    size: a table from the out-degree vector, packed by `_layout`, to
+    [even, odd].
 
     One scan over the arcs in the order given (callers pass
     `_frontier_order`).  A state is the vector of out-degrees so far, kept
-    with its (even, odd) counts; an arc t -> h is either kept (+1 at t) or
+    with its [even, odd] counts; an arc t -> h is either kept (+1 at t) or
     reversed (+1 at h, the counts swap).  A state is dropped when the end
     that gains goes above hi, or the other end is below lo by more than
     the arcs still to scan there.  The live table (states x coordinates per
     state) is checked against TABLE_CAP after each arc.
     """
     verts = sorted({v for a in arcs for v in a})
-    index = {v: i for i, v in enumerate(verts)}
-    low = tuple(lo[v] for v in verts)
-    high = tuple(hi[v] for v in verts)
-    rem = [0] * len(verts)  # arcs at each vertex not scanned yet
+    width, shift = _layout(verts, hi)
+    mask = (1 << width) - 1
+    rem = dict.fromkeys(verts, 0)  # arcs at each vertex not scanned yet
     for t, h in arcs:
-        rem[index[t]] += 1
-        rem[index[h]] += 1
+        rem[t] += 1
+        rem[h] += 1
 
-    states: dict = {(0,) * len(verts): (1, 0)}
+    states: dict = {0: [1, 0]}
     for t, h in arcs:
-        i, j = index[t], index[h]
-        rem[i] -= 1
-        rem[j] -= 1
+        rem[t] -= 1
+        rem[h] -= 1
+        at, ah = shift[t], shift[h]
+        up_t, up_h = 1 << at, 1 << ah
+        top_t, top_h = hi[t], hi[h]
         # the least out-degree from which each end can still reach lo;
         # only the two ends of this arc change state or rem
-        need_t, need_h = low[i] - rem[i], low[j] - rem[j]
+        need_t, need_h = lo[t] - rem[t], lo[h] - rem[h]
         nxt: dict = {}
+        get = nxt.get
         for state, (ev, od) in states.items():
-            st, sh = state[i], state[j]
-            if st < high[i] and sh >= need_h:  # keep t -> h
-                s = list(state)
-                s[i] = st + 1
-                key = tuple(s)
-                e0, o0 = nxt.get(key, (0, 0))
-                nxt[key] = (e0 + ev, o0 + od)
-            if sh < high[j] and st >= need_t:  # reverse it: parity flips
-                s = list(state)
-                s[j] = sh + 1
-                key = tuple(s)
-                e0, o0 = nxt.get(key, (0, 0))
-                nxt[key] = (e0 + od, o0 + ev)
+            st, sh = state >> at & mask, state >> ah & mask
+            if st < top_t and sh >= need_h:  # keep t -> h
+                key = state + up_t
+                pair = get(key)
+                if pair is None:
+                    nxt[key] = [ev, od]
+                else:
+                    pair[0] += ev
+                    pair[1] += od
+            if sh < top_h and st >= need_t:  # reverse it: parity flips
+                key = state + up_h
+                pair = get(key)
+                if pair is None:
+                    nxt[key] = [od, ev]
+                else:
+                    pair[0] += od
+                    pair[1] += ev
         states = nxt
         if len(states) * len(verts) > TABLE_CAP:
             raise CapExceeded(
@@ -133,7 +157,7 @@ def _target_counts(arcs: list, target: dict) -> tuple:
     is at most the target everywhere and sums to the arc count, which the
     target sums to at most, so the one entry that can survive is the
     target itself."""
-    return next(iter(_flip_counts(arcs, target, target).values()), (0, 0))
+    return tuple(next(iter(_flip_counts(arcs, target, target).values()), (0, 0)))
 
 
 def eulerian_diff(d: Orientation) -> ParityCount:
@@ -253,14 +277,13 @@ def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
     if degeneracy <= k - 1:
         return d
     edges = _frontier_order(list(g.edges))
-    table = _flip_counts(
-        [(v, u) for u, v in edges], dict.fromkeys(g.vertices, 0), dict.fromkeys(g.vertices, k - 1)
-    )
-    found = [key for key, (even, odd) in table.items() if even != odd]
-    if not found:
+    budget = dict.fromkeys(g.vertices, k - 1)
+    table = _flip_counts([(v, u) for u, v in edges], dict.fromkeys(g.vertices, 0), budget)
+    least = min((key for key, (even, odd) in table.items() if even != odd), default=None)
+    if least is None:
         return None
     eta = dict.fromkeys(g.vertices, 0)  # vertices without edges take 0
-    eta.update(zip(sorted({v for e in edges for v in e}), min(found)))
+    eta.update(_unpack(least, sorted({v for e in edges for v in e}), budget))
     return _realize(g, edges, eta)
 
 

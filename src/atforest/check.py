@@ -3,8 +3,9 @@
 Each rule has its one definition here, no producer calls this module, and
 it imports the standard library and `report` only: it shares no helper
 with the code it judges ("Certifying algorithms", McConnell, Mehlhorn,
-Naeher, Schweitzer, 2011).  Edges and forests are sets of sorted pairs, as
-`Graph.edges` holds them; arcs are (tail, head) pairs.
+Naeher, Schweitzer, 2011).  Edges are a set of sorted pairs, as
+`Graph.edges` holds them; forest pairs are sorted too, and arcs are
+(tail, head) pairs, both in any collection, repeats counted.
 """
 
 from __future__ import annotations
@@ -12,18 +13,13 @@ from __future__ import annotations
 from .report import VerificationReport
 
 
-def _arc_edges(arcs, edges):
-    """The edges under `arcs` as sorted pairs, or None if an arc is over no
-    edge of `edges` or two arcs are over one."""
-    under = {(t, h) if t < h else (h, t) for t, h in arcs}
-    return under if len(under) == len(arcs) and edges.issuperset(under) else None
-
-
 def _partition(edges, forest, arcs) -> bool:
-    """The forest and the arcs' edges split `edges`, one arc per edge."""
-    under = _arc_edges(arcs, edges)
-    return (under is not None and len(forest) + len(arcs) == len(edges)
-            and under.isdisjoint(forest) and edges.issuperset(forest))
+    """The forest pairs and the arcs' edges split `edges`: each is over an
+    edge, and no edge is under two of them (an entry listed twice, or both
+    ways, is under one edge twice)."""
+    under = {(t, h) if t < h else (h, t) for t, h in arcs}
+    under.update(forest)
+    return len(under) == len(forest) + len(arcs) == len(edges) and edges.issuperset(under)
 
 
 def _orient(arcs) -> tuple:
@@ -96,20 +92,19 @@ def _names(item, what: str) -> tuple:
     return tuple(item)
 
 
-def read_certificate(data, edges) -> tuple:
+def read_certificate(data) -> tuple:
     """(forest as sorted pairs, arcs, handle or None) of a certificate's
-    JSON, for the graph with these edges.  A file that is none (a list
-    missing, an entry or the handle not two names, an arc over no edge or
-    sharing one) raises ValueError with a sentence."""
+    JSON.  Both lists keep every entry as listed, repeats too, so that the
+    partition rule judges them; a file that is no certificate (a list
+    missing, an entry or the handle not two names) raises ValueError with
+    a sentence."""
     pairs = {}
     for key in ("forest", "arcs"):
         if not isinstance(data, dict) or not isinstance(data.get(key), list):
             raise ValueError(f"the certificate has no {key!r} array")
         pairs[key] = [_names(item, f"{key} entry") for item in data[key]]
-    if _arc_edges(pairs["arcs"], edges) is None:
-        raise ValueError("an arc is over no edge of the graph, or two arcs are over one")
     handle = None if data.get("handle") is None else _names(data["handle"], "the handle")
-    return {(min(e), max(e)) for e in pairs["forest"]}, set(pairs["arcs"]), handle
+    return [(min(e), max(e)) for e in pairs["forest"]], pairs["arcs"], handle
 
 
 def check_at_witness(edges, arcs, k: int, eulerian_diff) -> VerificationReport:

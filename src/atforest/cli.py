@@ -102,6 +102,14 @@ def _from_report(report: VerificationReport) -> CommandResult:
     )
 
 
+def _positive(text: str) -> int:
+    """An integer of at least 1 (an out-degree budget k), else a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is below 1")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="atforest", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -143,14 +151,14 @@ def _build_parser() -> _Parser:
     ac.add_argument("--eta", required=True, help="comma list vertex=exponent")
     ao = asub.add_parser("orientation", parents=[leaf])
     ao.add_argument("--input", required=True)
-    ao.add_argument("--k", type=int, required=True)
+    ao.add_argument("--k", type=_positive, required=True)
 
     c = sub.add_parser("choose")
     csub = c.add_subparsers(dest="action", required=True)
     cc = csub.add_parser("check", parents=[leaf])
     cc.add_argument("--input", required=True)
     cc.add_argument("--lists", required=True)
-    cc.add_argument("--k", type=int)
+    cc.add_argument("--k", type=_positive)
 
     gen = sub.add_parser("gen")
     gensub = gen.add_subparsers(dest="kind", required=True)
@@ -211,9 +219,7 @@ def _cmd_verify(args) -> CommandResult:
         pg = _load(args.input, graph_from_json_dict, "graph")
         if not isinstance(pg, PlaneGraph):
             raise _UsageError("verification needs an embedded input")
-        cert = _load(
-            args.decomposition, lambda data: read_certificate(data, pg.graph.edges), "decomposition"
-        )
+        cert = _load(args.decomposition, read_certificate, "decomposition")
         return _from_report(check_plane_certificate(pg.graph.edges, *cert, pg.outer_face))
     if args.target_kind == "lemma":
         if args.name == "lemma1":

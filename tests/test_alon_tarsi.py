@@ -11,8 +11,11 @@ import atforest.alon_tarsi as alon_tarsi
 from atforest.alon_tarsi import (
     ParityCount,
     _degeneracy_order,
+    _flip_counts,
     _frontier_order,
     _realize,
+    _target_counts,
+    _unpack,
     acyclic_orientation,
     at_number,
     eulerian_diff,
@@ -563,3 +566,219 @@ def test_find_at_orientation_ignores_isolated_vertices():
     d = find_at_orientation(g, 2)  # the shortcut misses: degeneracy 2
     assert d is not None and max(d.out_degrees().values()) == 1
     assert at_number(g) == 2
+
+
+# ---------------------------------------------------------------------------
+# the packed-int kernel and the name-order frontier placement against the
+# tuple-keyed kernel and the (count, name) placement they replaced
+
+
+def _reference_frontier_order(pairs):
+    """Placement by the least (new vertices, name) tuple over the unplaced
+    vertices; pairs sorted by (later position, earlier position)."""
+    adj = defaultdict(set)
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    unseen = {v: len(nbrs) + 1 for v, nbrs in adj.items()}
+    pos = {}
+    seen = set()
+    while len(pos) < len(adj):
+        _, v = min((c, u) for u, c in unseen.items() if u not in pos)
+        pos[v] = len(pos)
+        for x in (v, *adj[v]):
+            if x not in seen:
+                seen.add(x)
+                for w in (x, *adj[x]):
+                    unseen[w] -= 1
+
+    def key(pair):
+        i, j = pos[pair[0]], pos[pair[1]]
+        return (i, j) if i > j else (j, i)
+
+    return sorted(pairs, key=key)
+
+
+def _reference_flip_counts(arcs, lo, hi, sizes=None):
+    """The same scan with out-degree tuples over the sorted vertices as
+    keys and (even, odd) tuples as values; the same TABLE_CAP check after
+    each arc.  Appends the table size after each arc to `sizes`."""
+    verts = sorted({v for a in arcs for v in a})
+    index = {v: i for i, v in enumerate(verts)}
+    low = tuple(lo[v] for v in verts)
+    high = tuple(hi[v] for v in verts)
+    rem = [0] * len(verts)
+    for t, h in arcs:
+        rem[index[t]] += 1
+        rem[index[h]] += 1
+    states = {(0,) * len(verts): (1, 0)}
+    for t, h in arcs:
+        i, j = index[t], index[h]
+        rem[i] -= 1
+        rem[j] -= 1
+        need_t, need_h = low[i] - rem[i], low[j] - rem[j]
+        nxt = {}
+        for state, (ev, od) in states.items():
+            st, sh = state[i], state[j]
+            if st < high[i] and sh >= need_h:
+                s = list(state)
+                s[i] = st + 1
+                e0, o0 = nxt.get(tuple(s), (0, 0))
+                nxt[tuple(s)] = (e0 + ev, o0 + od)
+            if sh < high[j] and st >= need_t:
+                s = list(state)
+                s[j] = sh + 1
+                e0, o0 = nxt.get(tuple(s), (0, 0))
+                nxt[tuple(s)] = (e0 + od, o0 + ev)
+        states = nxt
+        if sizes is not None:
+            sizes.append(len(states))
+        if len(states) * len(verts) > alon_tarsi.TABLE_CAP:
+            raise CapExceeded(
+                f"{len(states)} states of {len(verts)} vertices exceed "
+                f"table cap {alon_tarsi.TABLE_CAP}"
+            )
+    return states
+
+
+def _decoded(table, arcs, hi):
+    """The packed table as {out-degree tuple: (even, odd)}, in key order."""
+    verts = sorted({v for a in arcs for v in a})
+    out = {}
+    for key in sorted(table):
+        eta = _unpack(key, verts, hi)
+        out[tuple(eta[v] for v in verts)] = tuple(table[key])
+    return out
+
+
+def _kernel_graphs():
+    for seed in range(16):  # near-triangulations
+        yield random_near_triangulation(6 + seed % 5, 3 + seed % 4, 7500 + seed).graph
+    for seed in range(12):  # dense random graphs
+        yield random_graph(6 + seed % 3, (0.7, 0.85, 1.0)[seed % 3], 7600 + seed)
+
+
+def _assert_same_table(arcs, lo, hi):
+    got, want = _flip_counts(arcs, lo, hi), _reference_flip_counts(arcs, lo, hi)
+    decoded = _decoded(got, arcs, hi)
+    assert decoded == want
+    # int order is the tuples' lexicographic order
+    assert list(decoded) == sorted(want)
+    return len(want)
+
+
+def test_budget_tables_match_tuple_reference():
+    entries = 0
+    for g in _kernel_graphs():
+        arcs = [(v, u) for u, v in _reference_frontier_order(list(g.edges))]
+        for k in (2, 3, 4):
+            hi = dict.fromkeys(g.vertices, k - 1)
+            entries += _assert_same_table(arcs, dict.fromkeys(g.vertices, 0), hi)
+    assert entries > 20000, entries
+
+
+def test_target_pairs_match_tuple_reference():
+    rng = Rng(17)
+    nonzero = 0
+    for g in _kernel_graphs():
+        for _ in range(3):
+            d = random_orientation(g, rng)
+            arcs = _frontier_order(list(d.arcs))
+            eta = d.out_degrees()
+            want = next(iter(_reference_flip_counts(arcs, eta, eta).values()), (0, 0))
+            assert _target_counts(arcs, eta) == want
+            # the same target on the arcs v -> u of the graph polynomial
+            arcs = _frontier_order([(v, u) for u, v in g.edges])
+            want = next(iter(_reference_flip_counts(arcs, eta, eta).values()), (0, 0))
+            assert _target_counts(arcs, eta) == want
+            nonzero += want[0] != want[1]
+    assert nonzero > 20, nonzero
+
+
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 7, 8])
+def test_field_width_edges(top):
+    # the center of an 8-leaf star may reach out-degree `top`, each leaf
+    # 1: fields of width top.bit_length(), full at 1, 3 and 7 (2**w - 1)
+    # and one bit wider at 2, 4 and 8 (2**w)
+    names = ["c"] + [f"l{i}" for i in range(8)]
+    arcs = [("c", leaf) for leaf in names[1:]]
+    hi = {v: (top if v == "c" else 1) for v in names}
+    _assert_same_table(arcs, dict.fromkeys(names, 0), hi)
+    table = _reference_flip_counts(arcs, dict.fromkeys(names, 0), hi)
+    assert max(eta[0] for eta in table) == top
+    # K9 with one vertex at out-degree `top`, as a target
+    k9 = random_graph(9, 1.0, 0)
+    v = k9.vertices[0]
+    arcs = [(v, u) for u in k9.vertices[1:1 + top]] + [(u, v) for u in k9.vertices[1 + top:]]
+    arcs += [(a, b) for a, b in sorted(k9.edges) if v not in (a, b)]
+    eta = Orientation.build(k9, arcs).out_degrees()
+    assert eta[v] == top
+    order = _frontier_order(arcs)
+    assert _target_counts(order, eta) == next(iter(_reference_flip_counts(order, eta, eta).values()))
+
+
+class _Counted(list):
+    """A list that counts the items its latest iteration has yielded."""
+
+    def __iter__(self):
+        self.taken = 0
+        for item in list.__iter__(self):
+            self.taken += 1
+            yield item
+
+
+def test_cap_fires_at_the_same_arc(monkeypatch):
+    # a cap just below and at the table after arc j: both kernels raise the
+    # same sentence at the first arc whose table outgrows it, or none
+    cases = []
+    for g in list(_kernel_graphs())[::3]:
+        arcs = _Counted((v, u) for u, v in _frontier_order(list(g.edges)))
+        lo, hi = dict.fromkeys(g.vertices, 0), dict.fromkeys(g.vertices, 3)
+        sizes = []
+        _reference_flip_counts(arcs, lo, hi, sizes)  # under the real cap
+        cases.append((arcs, lo, hi, sizes))
+    fired = 0
+    for arcs, lo, hi, sizes in cases:
+        n = len({v for a in arcs for v in a})
+        for j in (len(sizes) // 3, len(sizes) // 2, sizes.index(max(sizes))):
+            for cap in (sizes[j] * n - 1, sizes[j] * n):  # below it, and at it
+                monkeypatch.setattr(alon_tarsi, "TABLE_CAP", cap)
+                first = next((i for i, size in enumerate(sizes) if size * n > cap), None)
+                for kernel in (_reference_flip_counts, _flip_counts):
+                    if first is None:  # a table at the cap passes
+                        kernel(arcs, lo, hi)
+                        continue
+                    with pytest.raises(CapExceeded, match=f"^{sizes[first]} states of {n} vertices "
+                                                          f"exceed table cap {cap}$"):
+                        kernel(arcs, lo, hi)
+                    assert arcs.taken == first + 1, kernel
+                fired += first is not None
+    assert fired > 20
+
+
+def _frontier_inputs():
+    rng = Rng(23)
+    for seed in range(600):
+        n = 3 + seed % 14
+        yield sorted(random_graph(n, (0.15, 0.3, 0.5, 0.8, 1.0)[seed % 5], 7700 + seed).edges)
+    for seed in range(150):
+        yield sorted(random_near_triangulation(5 + seed % 20, 3 + seed % 5, 7800 + seed).graph.edges)
+    for n in range(3, 40):  # cycles, stars and paths: ties everywhere
+        names = [f"v{i:02d}" for i in range(n)]
+        yield list(zip(names, names[1:])) + [(names[0], names[-1])]
+        yield [(names[0], v) for v in names[1:]]
+        yield list(zip(names[::2], names[1::2]))  # a matching
+    for seed in range(100):  # shuffled pairs, and arcs of random orientations
+        edges = sorted(random_graph(4 + seed % 9, 0.5, 7900 + seed).edges)
+        rng.shuffle(edges)
+        yield edges
+        yield list(random_orientation(Graph.build(sorted({v for e in edges for v in e}), edges), rng).arcs)
+
+
+def test_frontier_order_matches_tuple_placement():
+    count = 0
+    for pairs in _frontier_inputs():
+        for given in (pairs, [(b, a) for a, b in pairs]):
+            assert _frontier_order(given) == _reference_frontier_order(given), given
+            count += 1
+    assert count >= 2000, count

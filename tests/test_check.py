@@ -175,19 +175,37 @@ def test_at_witness_counts_parity_only_for_a_cyclic_witness():
     ({"forest": [], "arcs": {"a": "b"}}, "the certificate has no 'arcs' array"),
     ({"forest": [["a", "b", "c"]], "arcs": []}, "forest entry ['a', 'b', 'c'] is not two distinct"),
     ({"forest": [["a", "a"]], "arcs": []}, "forest entry ['a', 'a'] is not two distinct"),
-    ({"forest": [], "arcs": [["a", "c"]]}, "an arc is over no edge of the graph"),
-    ({"forest": [], "arcs": [["a", "b"], ["b", "a"]]}, "or two arcs are over one"),
-    ({"forest": [], "arcs": [["a", "b"], ["a", "b"]]}, "or two arcs are over one"),
+    ({"forest": [], "arcs": [["a"]]}, "arcs entry ['a'] is not two distinct"),
+    ({"forest": [], "arcs": [["a", 1]]}, "arcs entry ['a', 1] is not two distinct"),
+    ({"forest": [], "arcs": [], "handle": "ab"}, "the handle 'ab' is not two distinct"),
     ({"forest": [], "arcs": [], "handle": ["a"]}, "the handle ['a'] is not two distinct"),
 ])
 def test_read_certificate_refuses_a_malformed_file_with_a_sentence(data, sentence):
     with pytest.raises(ValueError, match=re.escape(sentence)):
-        read_certificate(data, {("a", "b")})
+        read_certificate(data)
 
 
 def test_read_certificate_sorts_the_forest_and_keeps_the_arcs():
     data = {"forest": [["b", "a"]], "arcs": [["c", "b"]], "trace": {}}
-    edges = {("a", "b"), ("b", "c")}
-    assert read_certificate(data, edges) == ({("a", "b")}, {("c", "b")}, None)
+    assert read_certificate(data) == ([("a", "b")], [("c", "b")], None)
     data["handle"] = ["b", "a"]
-    assert read_certificate(data, edges)[2] == ("b", "a")
+    assert read_certificate(data)[2] == ("b", "a")
+
+
+@pytest.mark.parametrize("forest, arcs", [
+    ([["c", "a"]], [["b", "c"]]),
+    ([["a", "b"]], [["c", "a"]]),
+    ([["a", "b"], ["b", "a"]], [["b", "c"]]),
+    ([["a", "b"], ["a", "b"]], [["b", "c"]]),
+    ([], [["a", "b"], ["b", "c"], ["b", "c"]]),
+    ([], [["a", "b"], ["b", "c"], ["c", "b"]]),
+], ids=["forest-pair-over-no-edge", "arc-over-no-edge", "forest-entry-reversed",
+        "forest-entry-twice", "arc-twice", "two-arcs-on-one-edge"])
+def test_read_certificate_keeps_what_only_the_partition_rule_refuses(forest, arcs):
+    # a path a-b-c: each file reads, repeats kept, and fails the partition
+    edges = {("a", "b"), ("b", "c")}
+    read_forest, read_arcs, _ = read_certificate({"forest": forest, "arcs": arcs})
+    assert (len(read_forest), len(read_arcs)) == (len(forest), len(arcs))
+    report = check_forest_orientation(edges, read_forest, read_arcs, lambda v: 2)
+    assert not report.verdict and report.detail == "forest and arcs do not partition the edge set"
+    assert check_forest_orientation(edges, [("a", "b")], [("b", "c")], lambda v: 2).verdict

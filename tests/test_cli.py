@@ -458,21 +458,52 @@ def test_certificate_without_a_list_is_input_error_with_a_sentence(tri_file, tmp
     assert result.output() == f"usage error: cannot read decomposition from {str(bad)!r}: {sentence}"
 
 
-def test_decomposition_with_an_arc_off_the_graph_is_input_error(tri_file, tmp_path):
-    data, bad = _decomposition_files(tri_file, tmp_path)
+def _non_edge(tri_file):
     tri = json.loads(tri_file.read_text())
     edges = {tuple(sorted(e)) for e in tri["edges"]}
-    u, v = next((u, v) for u in tri["vertices"] for v in tri["vertices"]
+    return next([u, v] for u in tri["vertices"] for v in tri["vertices"]
                 if u < v and (u, v) not in edges)
-    data["arcs"][0] = [u, v]
-    bad.write_text(json.dumps(data))
-    assert _verify_decomposition(tri_file, bad).exit_code == EXIT_USAGE
 
 
-def test_decomposition_with_two_arcs_on_one_edge_is_input_error(tri_file, tmp_path):
-    data, bad = _decomposition_files(tri_file, tmp_path)
-    data["arcs"].append(list(reversed(data["arcs"][0])))
+@pytest.mark.parametrize("case", [
+    "valid", "arc-over-no-edge", "forest-pair-over-no-edge", "forest-entry-twice",
+    "forest-entry-reversed", "arc-twice", "arc-and-its-reverse",
+])
+def test_certificate_entries_that_do_not_partition_fail(tri_file, tmp_path, case):
+    # forest entries and arcs alike: a pair over no edge or a repeated
+    # entry is a false claim (exit 1), not a malformed file (exit 2)
+    data, _ = _handleless_files(tri_file, tmp_path)
+    forest, arcs = data["forest"], data["arcs"]
+    if case == "arc-over-no-edge":
+        arcs[0] = _non_edge(tri_file)
+    elif case == "forest-pair-over-no-edge":
+        forest[0] = _non_edge(tri_file)
+    elif case == "forest-entry-twice":
+        forest.append(list(forest[0]))
+    elif case == "forest-entry-reversed":
+        forest.append(forest[0][::-1])
+    elif case == "arc-twice":
+        arcs.append(list(arcs[0]))
+    elif case == "arc-and-its-reverse":
+        arcs.append(arcs[0][::-1])
+    bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     result = _verify_decomposition(tri_file, bad)
-    assert result.exit_code == EXIT_USAGE
-    assert "two arcs are over one" in result.output()
+    if case == "valid":
+        assert result.exit_code == EXIT_PASS
+    else:
+        assert result.exit_code == EXIT_FAIL
+        assert result.output() == "FAIL: forest and arcs do not partition the edge set"
+
+
+def test_budget_below_one_is_usage_error(k4_file, tmp_path):
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"lists": {v: ["1", "2", "3"] for v in "abcd"}}))
+    for k in ("0", "-1"):
+        result = go("at", "orientation", "--input", str(k4_file), "--k", k)
+        assert result.exit_code == EXIT_USAGE
+        assert result.output() == f"usage error: argument --k: {k} is below 1"
+        result = go("choose", "check", "--input", str(k4_file), "--lists", str(lists), "--k", k)
+        assert result.exit_code == EXIT_USAGE
+    assert go("at", "orientation", "--input", str(k4_file), "--k", "x").exit_code == EXIT_USAGE
+    assert go("at", "orientation", "--input", str(k4_file), "--k", "1").exit_code == EXIT_FAIL
