@@ -17,7 +17,8 @@ same tree read 0.229 s and 0.112 s raw on two runs.  Per stage the repeat
 fastest at reference speed counts; `ref_seconds` and `ref_slope` hold
 those times, `seconds` and `slope` the same repeats raw.  `--no-gc`
 switches the cyclic garbage collector off around each timed call.  The
-result is one JSON object on standard output.
+result is one JSON object on standard output; a reader that closes it
+early gets no traceback.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -98,7 +100,12 @@ def main(argv=None) -> int:
                 "seconds": raw["seconds"], "ref_seconds": ref["seconds"],
                 "slope": raw["slope"], "ref_slope": ref["slope"],
             }
-    print(json.dumps(result, indent=1))
+    try:
+        print(json.dumps(result, indent=1), flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early; send what is left to devnull
+        # so the interpreter's last flush does not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

@@ -5,6 +5,7 @@ Usage: python scripts/run_verifications.py [--samples N] [--seed S]
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -17,13 +18,22 @@ from atforest.gadgets import (
 )
 
 
+def say(line):
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early: the rest goes to devnull, and
+        # the verdicts still decide the exit code
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def timed(label, fn):
     start = time.perf_counter()
     report = fn()
     elapsed = time.perf_counter() - start
     tag = "PASS" if report.verdict else "FAIL"
     stats = ", ".join(f"{k}={v}" for k, v in sorted(report.stats.items()))
-    print(f"{label:<28} {tag}  {elapsed:7.2f}s  {stats}")
+    say(f"{label:<28} {tag}  {elapsed:7.2f}s  {stats}")
     return report.verdict
 
 
@@ -43,7 +53,7 @@ def main() -> int:
             f"sampled {target} (n={args.samples})",
             lambda t=target: verify_sampled(t, args.samples, args.seed),
         )
-    print("overall:", "PASS" if ok else "FAIL")
+    say(f"overall: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 
 

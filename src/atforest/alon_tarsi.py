@@ -277,6 +277,15 @@ def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
     if degeneracy <= k - 1:
         return d
     edges = _frontier_order(list(g.edges))
+    eta = _least_sequence(g, edges, k)
+    return None if eta is None else _realize(g, edges, eta)
+
+
+def _least_sequence(g: Graph, edges: list, k: int) -> Optional[dict]:
+    """The lexicographically least out-degree sequence below k with even !=
+    odd, from one budget scan over `edges` (in frontier order), or None.
+    Every key of the table is reached by some orientation, so `_realize`
+    finds one for it."""
     budget = dict.fromkeys(g.vertices, k - 1)
     table = _flip_counts([(v, u) for u, v in edges], dict.fromkeys(g.vertices, 0), budget)
     least = min((key for key, (even, odd) in table.items() if even != odd), default=None)
@@ -284,16 +293,22 @@ def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
         return None
     eta = dict.fromkeys(g.vertices, 0)  # vertices without edges take 0
     eta.update(_unpack(least, sorted({v for e in edges for v in e}), budget))
-    return _realize(g, edges, eta)
+    return eta
 
 
 def at_number(g: Graph) -> int:
     """Least k admitting an orientation with out-degrees < k and nonzero
     Eulerian parity difference.  Starts at ceil(|E| / |V|) + 1: the
     out-degrees sum to |E|, so some vertex has out-degree >= |E| / |V|.
-    Terminates: degeneracy + 1 always works."""
+    Ends by degeneracy + 1, which the acyclic orientation meets; below it
+    each k takes one budget scan.  The degeneracy and the frontier order
+    are computed once for all k."""
     m = len(g.edges)
     k = 1 + (-(-m // len(g.vertices)) if m else 0)
-    while find_at_orientation(g, k) is None:
+    _, degeneracy = _degeneracy_order(g)
+    if degeneracy < k:
+        return k
+    edges = _frontier_order(list(g.edges))
+    while k <= degeneracy and _least_sequence(g, edges, k) is None:
         k += 1
     return k

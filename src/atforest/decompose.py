@@ -58,14 +58,42 @@ class Decomposition:
     handle: tuple  # ordered (x, y)
     forest: frozenset  # frozenset[Edge]
     orientation: Orientation
-    trace: dict  # nested case tags: base | chord | ear
+    # one tuple per shelling step, in pre-order with the handle side first:
+    # ("chord", a, b) with a < b, ("ear", z), ("base", t0, t1, t2) sorted.
+    # A chord step is followed by its two sides, an ear by one piece, a
+    # base by nothing, so the arities alone rebuild the tree.
+    steps: list
+
+    @property
+    def trace(self) -> dict:
+        """The steps as a nested dict: {case, chord, children} for a chord
+        (the handle side first), {case, vertex, child} for an ear and
+        {case, triangle} for a base.  Nothing in the package reads it;
+        it is kept for `perfbench/checks.trace_steps`, which walks it in
+        `--trace 1` runs."""
+        root: dict = {}
+        slots = [root]  # the nodes still to fill, the next one last
+        for case, *payload in self.steps:
+            node = slots.pop()
+            node["case"] = case
+            if case == "chord":
+                node["chord"] = payload
+                node["children"] = [{}, {}]
+                slots.extend(reversed(node["children"]))
+            elif case == "ear":
+                node["vertex"] = payload[0]
+                node["child"] = {}
+                slots.append(node["child"])
+            else:
+                node["triangle"] = payload
+        return root
 
     def to_json_dict(self) -> dict:
         return {
             "handle": list(self.handle),
             "forest": [list(e) for e in sorted(self.forest)],
             "arcs": [list(a) for a in sorted(self.orientation.arcs)],
-            "trace": self.trace,
+            "trace": [list(step) for step in self.steps],
         }
 
 
@@ -90,15 +118,15 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
 
     forest: set = set()
     arcs: list = []
-    root_trace: dict = {}
+    steps: list = []
 
     # frame: (succ, pred, chords sorted down, handle x, handle y,
-    #         drop_handle_from_forest, trace node)
+    #         drop_handle_from_forest); frames pop in pre-order
     chords0 = chords_of_cycle(g, cycle0)[::-1]
-    stack = [(succ0, pred0, chords0, x0, y0, False, root_trace)]
+    stack = [(succ0, pred0, chords0, x0, y0, False)]
 
     while stack:
-        succ, pred, chords, x, y, drop, node = stack.pop()
+        succ, pred, chords, x, y, drop = stack.pop()
         # a chord taken by a short side has an end that left this ring;
         # it stays behind until it comes up
         while chords and not (chords[-1][0] in succ and chords[-1][1] in succ):
@@ -139,18 +167,15 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
                     v = u
                 short_chords.sort(reverse=True)
 
-            node["case"] = "chord"
-            node["chord"] = [a, b]
-            child_handle: dict = {}
-            child_other: dict = {}
-            node["children"] = [child_handle, child_other]
-            # the side without the handle takes the chord, in cycle order
+            steps.append(("chord", a, b))
+            # the side without the handle takes the chord, in cycle order;
+            # the handle side pops first
             if x in short_succ and y in short_succ:
-                stack.append((succ, pred, chords, e, s, True, child_other))
-                stack.append((short_succ, short_pred, short_chords, x, y, drop, child_handle))
+                stack.append((succ, pred, chords, e, s, True))
+                stack.append((short_succ, short_pred, short_chords, x, y, drop))
             else:
-                stack.append((short_succ, short_pred, short_chords, s, e, True, child_other))
-                stack.append((succ, pred, chords, x, y, drop, child_handle))
+                stack.append((short_succ, short_pred, short_chords, s, e, True))
+                stack.append((succ, pred, chords, x, y, drop))
             continue
 
         # ear: z is the boundary neighbour of x other than y, w the next one
@@ -166,16 +191,12 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
         arcs.append((z, x))
 
         if not inner:  # a triangle with nothing inside: w is y
-            node["case"] = "base"
-            node["triangle"] = sorted((x, y, z))
+            steps.append(("base", *sorted((x, y, z))))
             if not drop:
                 forest.add(edge(x, y))
             continue
 
-        node["case"] = "ear"
-        node["vertex"] = z
-        child: dict = {}
-        node["child"] = child
+        steps.append(("ear", z))
         arcs.extend([(u, z) for u in inner])
         # z gives way to before, *inner, after
         link = [before, *inner, after]
@@ -183,10 +204,10 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
         for v, u in zip(link, link[1:]):
             succ[v] = u
             pred[u] = v
-        stack.append((succ, pred, _ear_chords(adj, reached, z, link), x, y, drop, child))
+        stack.append((succ, pred, _ear_chords(adj, reached, z, link), x, y, drop))
 
     orientation = Orientation.build(g, arcs)
-    return Decomposition((x0, y0), frozenset(forest), orientation, root_trace)
+    return Decomposition((x0, y0), frozenset(forest), orientation, steps)
 
 
 def _ear_chords(adj: dict, reached: set, z: str, link: list) -> list:

@@ -496,6 +496,33 @@ def test_at_search_matches_reference():
                 assert eulerian_diff(d).diff != 0
 
 
+def test_at_number_orders_each_graph_once(monkeypatch):
+    # the same values as asking find_at_orientation for k = 1, 2, ..., with
+    # one degeneracy order and at most one frontier order per graph
+    graphs = list(_small_graphs())
+    graphs += [random_near_triangulation(9 + seed, 3 + seed % 4, 7300 + seed).graph
+               for seed in range(6)]
+    expected = []
+    for g in graphs:
+        k = 1
+        while find_at_orientation(g, k) is None:
+            k += 1
+        expected.append(k)
+    calls = defaultdict(int)
+    for name in ("_degeneracy_order", "_frontier_order"):
+        def counted(*args, _original=getattr(alon_tarsi, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(alon_tarsi, name, counted)
+    searched = 0
+    for g, k in zip(graphs, expected):
+        calls.clear()
+        assert at_number(g) == k
+        assert calls["_degeneracy_order"] == 1 and calls["_frontier_order"] <= 1
+        searched += calls["_frontier_order"]
+    assert searched > 10  # the budget scan ran, not only the acyclic shortcut
+
+
 def test_find_at_orientation_matches_sequence_search():
     # the same arcs, or None, as the per-sequence loop the budget scan
     # replaced, on the small graphs and the at-kernels benchmark shapes;

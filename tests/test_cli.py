@@ -287,6 +287,26 @@ def test_closed_pipe_ends_without_a_traceback():
     assert "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("script, args", [
+    ("run_verifications.py", ["--samples", "20", "--seed", "1"]),
+    ("bench_shelling.py", ["--sizes", "40", "60"]),
+])
+def test_scripts_end_quietly_on_a_closed_pipe(script, args):
+    # the pipe is closed before the script writes, so every write fails
+    root = Path(cli.__file__).resolve().parents[2]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, str(root / "scripts" / script), *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_PASS
+    assert "Traceback" not in err, err
+
+
 def test_choose_check(tmp_path):
     c4 = tmp_path / "c4.json"
     c4.write_text(json.dumps({
@@ -384,19 +404,23 @@ def test_deeply_nested_input_is_input_error(tmp_path):
 
 
 def test_deep_fan_returns_an_exit_code(tmp_path):
-    # the nested trace of a 1500-vertex fan is deeper than the JSON
-    # encoder's recursion allows; run must still return, and not with
-    # "verification failed"
+    # a 6000-vertex fan with the apex on the handle nests 6000 chord steps;
+    # the flat step log keeps the certificate's JSON depth the same at
+    # every n, so it is written and verified
     from atforest.graph import graph_to_json
     from atforest.testkit import plane_graph_from_triangles
 
-    names = [f"v{i:04d}" for i in range(1500)]
+    names = [f"v{i:04d}" for i in range(6000)]
     tris = [(names[0], names[i + 1], names[i]) for i in range(1, len(names) - 1)]
     pg = plane_graph_from_triangles(names, tris, tuple(names))
     fan = tmp_path / "fan.json"
     fan.write_text(graph_to_json(pg.graph, pg))
-    result = go("decompose", "--input", str(fan), "--handle", "v0000,v1499")
-    assert result.exit_code != EXIT_FAIL
+    cert = tmp_path / "dec.json"
+    result = go("decompose", "--input", str(fan), "--handle", "v0000,v5999",
+                "--output", str(cert))
+    assert result.exit_code == EXIT_PASS, result.output()
+    verify = go("verify", "decomposition", "--input", str(fan), "--decomposition", str(cert))
+    assert verify.exit_code == EXIT_PASS, verify.output()
 
 
 def test_unexpected_exception_is_internal_error(monkeypatch):

@@ -116,7 +116,7 @@ def test_verifier_rejects_tampered_output():
     d = decompose(pg, ("x", "y"))
     # reverse the arc into the handle: out-degree at x becomes 1
     bad_arcs = {("u", "y"), ("x", "v")}
-    bad = Decomposition(d.handle, d.forest, Orientation.build(pg.graph, bad_arcs), d.trace)
+    bad = Decomposition(d.handle, d.forest, Orientation.build(pg.graph, bad_arcs), d.steps)
     report = verify_decomposition(pg, bad)
     assert not report.verdict and report.detail == "out-degree 1 exceeds bound 0"
     # cycle in the claimed forest
@@ -124,7 +124,7 @@ def test_verifier_rejects_tampered_output():
         d.handle,
         frozenset({edge("x", "y"), edge("y", "v"), edge("x", "v")}),
         Orientation.build(pg.graph, [("u", "y"), ("u", "v")]),
-        d.trace,
+        d.steps,
     )
     assert not verify_decomposition(pg, cyc).verdict
 
@@ -135,7 +135,7 @@ def test_arc_leaving_the_handle_fails_at_that_end():
     d = decompose(pg, ("x", "y"))
     assert d.orientation.arcs == {("v", "x"), ("u", "y")}
     for arcs, end in (({("u", "y"), ("x", "v")}, "x"), ({("v", "x"), ("y", "u")}, "y")):
-        bad = Decomposition(d.handle, d.forest, Orientation.build(pg.graph, arcs), d.trace)
+        bad = Decomposition(d.handle, d.forest, Orientation.build(pg.graph, arcs), d.steps)
         report = verify_decomposition(pg, bad)
         assert not report.verdict and report.counterexample == end
 
@@ -294,9 +294,31 @@ def test_sparse_plane_subgraphs_certify_and_round_trip(n, b, seed, keep):
 
 # ---------------------------------------------------------------------------
 # pinned certificates: any change to the chord choice, the ear link or the
-# trace shows up as a different digest
+# trace shows up as a different digest.  The handle, forest and arcs alone
+# have a digest of their own, pinned before the trace became a flat step
+# log; CERTIFICATE_DIGEST was derived from the nested traces of the same
+# certificates, flattened by `_flatten`.
 
-CERTIFICATE_DIGEST = "ce4f1afc479d235c8baacd7a92a603eacec68fc59752d23a6d3f1075ad41179b"
+CERTIFICATE_DIGEST = "32841cfc1b7212e5d6644970517769159ab7cd5604a7b0ead723ac593de240b1"
+FOREST_ARC_DIGEST = "81205af3a79593f71226e686bf38792e9a21d82a0a3f9591c96e1e11b85ce13d"
+
+
+def _flatten(trace):
+    """A nested trace ({case, chord, children} | {case, vertex, child} |
+    {case, triangle}) as the flat step log: the steps in pre-order, the
+    handle side first, each a JSON array."""
+    steps, stack = [], [trace]
+    while stack:
+        node = stack.pop()
+        if node["case"] == "chord":
+            steps.append(["chord", *node["chord"]])
+            stack.extend(reversed(node["children"]))
+        elif node["case"] == "ear":
+            steps.append(["ear", node["vertex"]])
+            stack.append(node["child"])
+        else:
+            steps.append(["base", *node["triangle"]])
+    return steps
 
 
 def _fan(n):
@@ -364,11 +386,20 @@ def _pinned_certificates():
     yield {"forest": sorted(forest), "arcs": sorted(orientation.arcs)}
 
 
-def test_certificates_match_pinned_digest():
+def _digest(certs):
     h = hashlib.sha256()
-    for cert in _pinned_certificates():
+    for cert in certs:
         h.update(json.dumps(cert, sort_keys=True).encode() + b"\n")
-    assert h.hexdigest() == CERTIFICATE_DIGEST
+    return h.hexdigest()
+
+
+def test_certificates_match_pinned_digest():
+    assert _digest(_pinned_certificates()) == CERTIFICATE_DIGEST
+
+
+def test_handles_forests_and_arcs_match_pinned_digest():
+    certs = ({k: v for k, v in cert.items() if k != "trace"} for cert in _pinned_certificates())
+    assert _digest(certs) == FOREST_ARC_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +490,22 @@ def _chord_list_instances():
         yield pg, (pg.outer_face[seed % 3], pg.outer_face[(seed + 1) % 3])
 
 
+def _assert_same_as_reference(pg, handle):
+    """decompose matches the reference: handle, forest and arcs as they
+    are, the flat trace against the reference's nested one flattened, and
+    the nested view against the reference's nested trace."""
+    d = decompose(pg, handle)
+    ref = _reference_decompose(pg, handle)
+    got = d.to_json_dict()
+    assert got.pop("trace") == _flatten(ref["trace"])
+    assert got == {k: v for k, v in ref.items() if k != "trace"}
+    assert d.trace == ref["trace"]
+
+
 def test_chord_lists_match_rescanning_reference():
     count = 0
     for pg, handle in _chord_list_instances():
-        assert decompose(pg, handle).to_json_dict() == _reference_decompose(pg, handle)
+        _assert_same_as_reference(pg, handle)
         count += 1
     assert count == 205
 
@@ -478,11 +521,6 @@ def _drawn_handle(data, pg):
     return (x, y) if data.draw(st.booleans()) else (y, x)
 
 
-def _assert_matches_reference(data, pg):
-    handle = _drawn_handle(data, pg)
-    assert decompose(pg, handle).to_json_dict() == _reference_decompose(pg, handle)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.data(),
@@ -491,7 +529,7 @@ def _assert_matches_reference(data, pg):
 )
 def test_shelling_matches_reference_on_fans_and_strips(data, n, seed):
     pg, _ = _fan(n) if data.draw(st.booleans()) else _zigzag(n, Rng(seed))
-    _assert_matches_reference(data, pg)
+    _assert_same_as_reference(pg, _drawn_handle(data, pg))
 
 
 @settings(max_examples=40, deadline=None)
@@ -502,7 +540,8 @@ def test_shelling_matches_reference_on_fans_and_strips(data, n, seed):
 )
 def test_shelling_matches_reference_on_random_near_triangulations(data, n, seed):
     b = data.draw(st.integers(min_value=3, max_value=n))
-    _assert_matches_reference(data, random_near_triangulation(n, b, seed))
+    pg = random_near_triangulation(n, b, seed)
+    _assert_same_as_reference(pg, _drawn_handle(data, pg))
 
 
 @settings(max_examples=30, deadline=None)
@@ -517,7 +556,7 @@ def test_shelling_matches_reference_on_reversed_outer_walks(data, n, seed):
     flipped = build_plane_graph(
         pg.graph.vertices, pg.graph.edges, pg.rotation, pg.outer_face[::-1]
     )
-    _assert_matches_reference(data, flipped)
+    _assert_same_as_reference(flipped, _drawn_handle(data, flipped))
 
 
 def test_twenty_thousand_vertex_fan_and_strip_decompose_and_verify():
@@ -555,7 +594,7 @@ def _one_arc_over(pg, d, on_boundary):
                         todo.append(w)
             if v not in seen:
                 arcs = Orientation.build(pg.graph, d.orientation.arcs | {(v, u)})
-                return v, Decomposition(d.handle, d.forest - {e}, arcs, d.trace)
+                return v, Decomposition(d.handle, d.forest - {e}, arcs, d.steps)
     raise AssertionError("no forest edge can become an arc")
 
 
