@@ -10,15 +10,18 @@ copy of this script measures two commits alike; the inputs always come
 from that tree's `perfbench/gen.py` and `atforest.testkit`.  Each input is
 built and written with `graph_to_json` untimed; then `graph_from_json`
 runs three times on that text and `decompose` three times on the input.
-Each repeat runs between two calibration rounds (`timed` from the
-checkout's `perfbench/run.py`), so it is also read at the benchmark's
-reference speed (one round = 1 ms): a shared host's speed drifts, and the
-same tree read 0.229 s and 0.112 s raw on two runs.  Per stage the repeat
-fastest at reference speed counts; `ref_seconds` and `ref_slope` hold
-those times, `seconds` and `slope` the same repeats raw.  `--no-gc`
-switches the cyclic garbage collector off around each timed call.  The
-result is one JSON object on standard output; a reader that closes it
-early gets no traceback.
+Each repeat runs between two sets of CAL_ROUNDS calibration rounds
+(`calibrate` from the checkout's `perfbench/run.py`) and is also read at
+the benchmark's reference speed (one round = 1 ms) by the median round:
+a shared host's speed drifts, and the same tree read 0.229 s and 0.112 s
+raw on two runs.  The rounds run after `gc.collect()` with the collector
+paused, so the garbage a timed call leaves is not collected inside one,
+and the median keeps one stalled 1 ms round from rescaling a 1 s call.
+Per stage the repeat fastest at reference speed counts; `ref_seconds`
+and `ref_slope` hold those times, `seconds` and `slope` the same repeats
+raw.  `--no-gc` switches the cyclic garbage collector off around each
+timed call.  The result is one JSON object on standard output; a reader
+that closes it early gets no traceback.
 """
 
 from __future__ import annotations
@@ -28,10 +31,13 @@ import gc
 import json
 import math
 import os
+import statistics
 import sys
+import time
 from pathlib import Path
 
 REPEATS = 3
+CAL_ROUNDS = 5  # calibration rounds before and after each repeat
 
 
 def _slope(points: list) -> float:
@@ -66,16 +72,27 @@ def main(argv=None) -> int:
         pg = testkit.random_near_triangulation(n, 8, 1)
         return pg, (pg.outer_face[0], pg.outer_face[1])
 
+    def calibrate() -> list:
+        gc.collect()
+        gc.disable()
+        rounds = [perfbench_run.calibrate() for _ in range(CAL_ROUNDS)]
+        gc.enable()
+        return rounds
+
     def best_time(call) -> tuple:
         """(reference-speed s, raw s) of the repeat fastest at reference speed."""
         best = (math.inf, math.inf)
         for _ in range(REPEATS):
-            gc.collect()
+            before = calibrate()
             if args.no_gc:
                 gc.disable()
-            _, raw_ns, ref_ns = perfbench_run.timed(call)
-            best = min(best, (ref_ns / 1e9, raw_ns / 1e9))
+            start = time.perf_counter_ns()
+            result = call()
+            raw_ns = time.perf_counter_ns() - start
             gc.enable()
+            del result  # freed outside the timed span
+            ref_ns = raw_ns * perfbench_run.CAL_REF_NS / statistics.median(before + calibrate())
+            best = min(best, (ref_ns / 1e9, raw_ns / 1e9))
         return best
 
     def summary(pts: list) -> dict:

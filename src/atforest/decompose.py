@@ -25,7 +25,10 @@ fresh dicts and gathers its chords from the edges of its inner vertices;
 the longer side keeps the parent's dicts, relinked across the chord, and
 its list, which drops chords with an end no longer on its ring as they
 come up.  So a split costs time in the shorter side, not in the whole
-cycle and all its chords.  An ear, which happens only on a chordless
+cycle and all its chords.  A short side that is a triangle s -> v -> e
+without the handle waits as the bare tuple (s, v, e), not as a frame, so
+a fan's n waiting triangles hold no dicts for the collector to walk; it
+gets a frame only if it pops with vertices inside.  An ear, which happens only on a chordless
 cycle, splices its link path into the ring and finds the new chords among
 the edges of the vertices it brings in.
 """
@@ -121,12 +124,24 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     steps: list = []
 
     # frame: (succ, pred, chords sorted down, handle x, handle y,
-    #         drop_handle_from_forest); frames pop in pre-order
+    #         drop_handle_from_forest), or (s, v, e) for a triangle side
+    #         s -> v -> e that took the chord es as its handle; frames pop
+    #         in pre-order
     chords0 = chords_of_cycle(g, cycle0)[::-1]
     stack = [(succ0, pred0, chords0, x0, y0, False)]
 
     while stack:
-        succ, pred, chords, x, y, drop = stack.pop()
+        frame = stack.pop()
+        if len(frame) == 3:  # a triangle s -> v -> e waiting with handle se
+            s, v, e = frame
+            if not _inside_neighbours(pg.rotation[v], s, e, traced):
+                # the base step its frame would take: the ear is v
+                forest.add(edge(v, e))
+                arcs.append((v, s))
+                steps.append(("base", *sorted(frame)))
+                continue
+            frame = ({s: v, v: e, e: s}, {v: s, e: v, s: e}, [], s, e, True)
+        succ, pred, chords, x, y, drop = frame
         # a chord taken by a short side has an end that left this ring;
         # it stays behind until it comes up
         while chords and not (chords[-1][0] in succ and chords[-1][1] in succ):
@@ -141,6 +156,18 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
                 p, q = succ[p], succ[q]
             s, e = (a, b) if p == b else (b, a)
             v = succ[s]
+            steps.append(("chord", a, b))
+            # the handle is a ring edge, so it is on a triangle side only
+            # if it ends at v
+            if succ[v] == e and v != x and v != y:
+                # the triangle waits as a bare tuple under the long side,
+                # which keeps the parent's dicts
+                del succ[v], pred[v]
+                succ[s] = e
+                pred[e] = s
+                stack.append((s, v, e))
+                stack.append((succ, pred, chords, x, y, drop))
+                continue
             short_succ, short_pred = {e: s, s: v}, {s: e, v: s}
             while v != e:
                 w = succ.pop(v)
@@ -167,7 +194,6 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
                     v = u
                 short_chords.sort(reverse=True)
 
-            steps.append(("chord", a, b))
             # the side without the handle takes the chord, in cycle order;
             # the handle side pops first
             if x in short_succ and y in short_succ:

@@ -274,7 +274,8 @@ def _max_degree(edges) -> int:
 
 
 def _k4_edge_sets(g: Graph) -> list:
-    return [{edge(u, v) for u, v in combinations(q, 2)} for q in k4s(g)]
+    # k4s yields sorted quadruples, so every pair is already an edge
+    return [set(combinations(q, 2)) for q in k4s(g)]
 
 
 def _extract_from_copy(copy: J3Copy, h: set):
@@ -351,20 +352,32 @@ def verify_lemma1_all() -> VerificationReport:
 
 def verify_lemma2() -> VerificationReport:
     """Exhaustive over all max-degree-3 subsets H of the 12 J3 edges not
-    touching a or b: J3 - E(H) contains K4 or an anchored J1/J2 piece."""
+    touching a or b: J3 - E(H) contains K4 or an anchored J1/J2 piece.
+
+    H is a 12-bit mask over `copy.free_edges()`.  Its degree at a vertex
+    is the bit count of the mask against the vertex's incident-edge mask
+    (only a vertex on more than three free edges can exceed 3), and a K4
+    survives when the mask misses the K4's edges.  The edge set H is built
+    only for the cases that go on to `_extract_from_copy`.
+    """
     g, copy = build_j3()
-    cliques = _k4_edge_sets(g)
     free = copy.free_edges()
-    examined = 0
-    tally = {"k4": 0, "j_piece": 0}
-    for mask in range(1 << len(free)):
-        h = {free[i] for i in range(len(free)) if mask >> i & 1}
-        if _max_degree(h) > 3:
-            continue
-        examined += 1
-        if any(c.isdisjoint(h) for c in cliques):
-            tally["k4"] += 1
-            continue
+    bits = {e: 1 << i for i, e in enumerate(free)}
+    incident: dict = {}
+    for (u, v), b in bits.items():
+        incident[u] = incident.get(u, 0) | b
+        incident[v] = incident.get(v, 0) | b
+    cases = range(1 << len(free))
+    for m in incident.values():
+        if m.bit_count() > 3:  # on four or more free edges
+            cases = [mask for mask in cases if (mask & m).bit_count() <= 3]
+    # the cases that hit every K4 must leave an anchored piece
+    no_k4 = cases
+    for es in _k4_edge_sets(g):
+        c = sum(bits.get(e, 0) for e in es)
+        no_k4 = [mask for mask in no_k4 if mask & c]
+    for mask in no_k4:
+        h = {e for e, b in bits.items() if mask & b}
         try:
             got = _extract_from_copy(copy, h)
         except PreconditionViolated:
@@ -374,13 +387,13 @@ def verify_lemma2() -> VerificationReport:
                 False,
                 "no K4 and no anchored J1/J2 piece",
                 counterexample=sorted(list(e) for e in h),
-                stats={"cases_examined": examined},
+                stats={"cases_examined": cases.index(mask) + 1},
             )
-        tally["j_piece"] += 1
     return VerificationReport(
         True,
         "every deletion leaves K4 or an anchored piece",
-        stats={"cases_examined": examined, **tally},
+        stats={"cases_examined": len(cases), "k4": len(cases) - len(no_k4),
+               "j_piece": len(no_k4)},
     )
 
 
@@ -408,36 +421,46 @@ def verify_lemma6() -> VerificationReport:
     a K4 of the form {x, y, u, v} survives or not per path, depending only
     on that path's configuration and on where x and y attach.  A combined
     case fails only if every path has a blocked configuration.
+
+    A configuration is a center mask over A's vertices and a mask over
+    its path's three links.  With the attachment ends as a vertex mask, it
+    is compatible when it centers every end on its path, and blocked when
+    it takes every link that no end touches.
     """
     a = build_a()
-    # per path: its vertex set, its links (u, v, edge) and its configurations
-    paths = [
-        (set(p), [(u, v, edge(u, v)) for u, v in zip(p, p[1:])], _path_configs(p))
-        for p in a.paths
-    ]
-    all_path_verts = [v for p in a.paths for v in p]
-    attach_options = [None] + all_path_verts
+    bit = {v: 1 << i for i, v in enumerate(a.vertices())}
+    bit[None] = 0
+    # per path: its vertex mask, each link's end mask and its
+    # configurations as (center mask, link mask, centers, links)
+    paths = []
+    for p in a.paths:
+        links = [edge(u, v) for u, v in zip(p, p[1:])]
+        link_bit = {e: 1 << i for i, e in enumerate(links)}
+        cfgs = [
+            (sum(bit[v] for v in cset), sum(link_bit[e] for e in chosen), cset, chosen)
+            for cset, chosen in _path_configs(p)
+        ]
+        paths.append((sum(bit[v] for v in p), [bit[u] | bit[v] for u, v in links], cfgs))
+    attach_options = [None] + [v for p in a.paths for v in p]
     examined = 0
 
     for cx in attach_options:
         for cy in attach_options:
-            ends = (cx, cy)
+            ends = bit[cx] | bit[cy]
             total = 1
             blocked_all = True
             blocked_example = []
-            for path_verts, links, cfgs in paths:
-                x_on, y_on = cx in path_verts, cy in path_verts
+            for path_mask, link_ends, cfgs in paths:
+                need = ends & path_mask
+                # links no end touches: a blocked configuration takes them all
+                open_links = sum(1 << i for i, m in enumerate(link_ends) if not m & ends)
                 compatible = 0
                 blocked_cfg = None
-                for cset, chosen in cfgs:
-                    if x_on and cx not in cset:
-                        continue
-                    if y_on and cy not in cset:
-                        continue
-                    compatible += 1
-                    hit = all(e in chosen or u in ends or v in ends for u, v, e in links)
-                    if hit and blocked_cfg is None:
-                        blocked_cfg = (cset, chosen)
+                for cmask, lmask, cset, chosen in cfgs:
+                    if cmask & need == need:
+                        compatible += 1
+                        if blocked_cfg is None and lmask & open_links == open_links:
+                            blocked_cfg = (cset, chosen)
                 total *= compatible
                 if blocked_cfg is None:
                     blocked_all = False
@@ -472,32 +495,36 @@ def verify_lemma6() -> VerificationReport:
 
 def verify_theorem7_core() -> VerificationReport:
     """Exhaustive over center sets C covering every edge of D and leaf-edge
-    sets F crossing C, with each leaf used once: D - F keeps a K4."""
+    sets F crossing C, with each leaf used once: D - F keeps a K4.
+
+    C is a mask over D's vertices and F a mask over its edges, so a K4
+    survives when F misses the K4's edges."""
     g = build_d()
     verts = list(g.vertices)
-    cliques = _k4_edge_sets(g)
+    vbit = {v: 1 << i for i, v in enumerate(verts)}
+    ebit = {e: 1 << i for i, e in enumerate(sorted(g.edges))}
+    center_sets = range(1 << len(verts))
+    for u, v in g.edges:
+        cover = vbit[u] | vbit[v]
+        center_sets = [c for c in center_sets if c & cover]
+    cliques = [sum(ebit[e] for e in es) for es in _k4_edge_sets(g)]
     examined = 0
-    for bits in range(1 << len(verts)):
-        centers = {verts[i] for i in range(len(verts)) if bits >> i & 1}
-        if any(u not in centers and v not in centers for u, v in g.edges):
-            continue
-        outside = sorted(set(verts) - centers)
+    for bits in center_sets:
         leaf_options = [
-            [None] + sorted(
-                edge(v, u) for u in g.adjacency[v] if u in centers
-            )
-            for v in outside
+            # sorted neighbours give the edges at v in sorted order
+            [0] + [ebit[edge(v, u)] for u in g.neighbors[v] if vbit[u] & bits]
+            for v in verts if not vbit[v] & bits
         ]
         for picks in product(*leaf_options):
-            forest = {e for e in picks if e is not None}
+            forest = sum(picks)
             examined += 1
-            if not any(es.isdisjoint(forest) for es in cliques):
+            if all(forest & c for c in cliques):
                 return VerificationReport(
                     False,
                     "a center configuration kills every K4",
                     counterexample={
-                        "centers": sorted(centers),
-                        "forest": sorted(list(e) for e in forest),
+                        "centers": [v for v in verts if vbit[v] & bits],
+                        "forest": sorted(list(e) for e, b in ebit.items() if forest & b),
                     },
                     stats={"cases_examined": examined},
                 )
@@ -511,27 +538,33 @@ def verify_theorem7_core() -> VerificationReport:
 # ---------------------------------------------------------------------------
 # seeded sampling over the glued giants
 
-def _random_max_degree_subgraph(vertices, edges: list, rng: Rng,
-                                forbidden: Optional[set]) -> set:
-    """Greedy maximal edge set with all degrees <= 3, avoiding the
-    forbidden vertices, over a shuffled copy of the host's sorted edge
-    list `edges`."""
-    order = list(edges)
+def _indexed_host(vertices, edges: list, forbidden: Optional[set]) -> tuple:
+    """The host for `_random_max_degree_subgraph`: its sorted edge list
+    `edges` as (i, j, edge) triples over the positions in `vertices`, and
+    the starting degrees, 3 at a forbidden vertex (a full vertex takes no
+    edge) and 0 elsewhere."""
+    index = {v: i for i, v in enumerate(vertices)}
+    triples = [(index[u], index[v], (u, v)) for u, v in edges]
+    forbidden = forbidden or ()
+    return triples, [3 if v in forbidden else 0 for v in vertices]
+
+
+def _random_max_degree_subgraph(triples: list, degrees: list, rng: Rng) -> set:
+    """Greedy maximal edge set with all degrees <= 3 over a shuffled copy
+    of an `_indexed_host`'s triples, from its starting degrees."""
+    order = list(triples)
     rng.shuffle(order)
-    degree = dict.fromkeys(vertices, 0)
-    for v in forbidden or ():
-        degree[v] = 3  # a full vertex takes no edge
+    degree = list(degrees)
     out = []
     keep = out.append
-    for e in order:
-        u, v = e
-        du = degree[u]
+    for i, j, e in order:
+        du = degree[i]
         if du < 3:
-            dv = degree[v]
+            dv = degree[j]
             if dv < 3:
                 keep(e)
-                degree[u] = du + 1
-                degree[v] = dv + 1
+                degree[i] = du + 1
+                degree[j] = dv + 1
     return set(out)
 
 
@@ -597,9 +630,9 @@ def _sample_obstructions(n: int, rng: Rng, seed: int, host: Graph, s_gadgets: tu
     obstruction from the first S copy whose handle end a keeps all its
     edges, and recheck an assembled member's lists."""
     tally = {"k4": 0, "j_member": 0}
-    edges = sorted(host.edges)
+    triples, degrees = _indexed_host(host.vertices, sorted(host.edges), forbidden)
     for i in range(n):
-        h = _random_max_degree_subgraph(host.vertices, edges, rng.split(i), forbidden)
+        h = _random_max_degree_subgraph(triples, degrees, rng.split(i))
         for s in s_gadgets:
             h_local = h & s.graph.edges
             if not any(s.a in e for e in h_local):

@@ -1,10 +1,14 @@
 """Shared test fixtures and the oracles that only tests use."""
 
+from itertools import combinations, product
+
+from atforest import gadgets
 from atforest.alon_tarsi import ParityCount
 from atforest.check import check_forest_orientation
 from atforest.choosability import ListAssignment, is_l_colorable
-from atforest.errors import CapExceeded
+from atforest.errors import CapExceeded, PreconditionViolated
 from atforest.graph import Graph, Orientation, build_plane_graph, edge, k4s
+from atforest.report import VerificationReport
 from atforest.testkit import plane_graph_from_triangles
 
 
@@ -87,3 +91,148 @@ def brute_force_eulerian_diff_oracle(d: Orientation) -> ParityCount:
 
     rec(0, {}, 0)
     return ParityCount(counts[0], counts[1])
+
+
+# set-based references for the mask-based gadget verifiers: one edge set
+# per case, checked edge by edge.  They call `gadgets._extract_from_copy`
+# and `gadgets._path_configs` through the module, so a test that patches
+# those patches both sides.
+
+def _edge_set_max_degree(edges) -> int:
+    degree: dict = {}
+    for u, v in edges:
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
+    return max(degree.values(), default=0)
+
+
+def reference_lemma2() -> VerificationReport:
+    """`gadgets.verify_lemma2` with an edge set H and a degree dict per
+    subset of the 12 free J3 edges."""
+    g, copy = gadgets.build_j3()
+    cliques = [{edge(u, v) for u, v in combinations(q, 2)} for q in k4s(g)]
+    free = copy.free_edges()
+    examined = 0
+    tally = {"k4": 0, "j_piece": 0}
+    for mask in range(1 << len(free)):
+        h = {free[i] for i in range(len(free)) if mask >> i & 1}
+        if _edge_set_max_degree(h) > 3:
+            continue
+        examined += 1
+        if any(c.isdisjoint(h) for c in cliques):
+            tally["k4"] += 1
+            continue
+        try:
+            got = gadgets._extract_from_copy(copy, h)
+        except PreconditionViolated:
+            got = None
+        if got is None or got[0] != "j":
+            return VerificationReport(
+                False,
+                "no K4 and no anchored J1/J2 piece",
+                counterexample=sorted(list(e) for e in h),
+                stats={"cases_examined": examined},
+            )
+        tally["j_piece"] += 1
+    return VerificationReport(
+        True,
+        "every deletion leaves K4 or an anchored piece",
+        stats={"cases_examined": examined, **tally},
+    )
+
+
+def reference_lemma6() -> VerificationReport:
+    """`gadgets.verify_lemma6` with vertex and edge sets: per attachment
+    pair and path, each configuration is tested by set membership."""
+    a = gadgets.build_a()
+    paths = [
+        (set(p), [(u, v, edge(u, v)) for u, v in zip(p, p[1:])], gadgets._path_configs(p))
+        for p in a.paths
+    ]
+    attach_options = [None] + [v for p in a.paths for v in p]
+    examined = 0
+    for cx in attach_options:
+        for cy in attach_options:
+            ends = (cx, cy)
+            total = 1
+            blocked_all = True
+            blocked_example = []
+            for path_verts, links, cfgs in paths:
+                x_on, y_on = cx in path_verts, cy in path_verts
+                compatible = 0
+                blocked_cfg = None
+                for cset, chosen in cfgs:
+                    if x_on and cx not in cset:
+                        continue
+                    if y_on and cy not in cset:
+                        continue
+                    compatible += 1
+                    hit = all(e in chosen or u in ends or v in ends for u, v, e in links)
+                    if hit and blocked_cfg is None:
+                        blocked_cfg = (cset, chosen)
+                total *= compatible
+                if blocked_cfg is None:
+                    blocked_all = False
+                else:
+                    blocked_example.append(blocked_cfg)
+            examined += total
+            if blocked_all and total > 0:
+                forest_edges = set()
+                centers = set()
+                for cset, chosen in blocked_example:
+                    forest_edges |= chosen
+                    centers |= cset
+                if cx is not None:
+                    forest_edges.add(edge(a.x, cx))
+                if cy is not None:
+                    forest_edges.add(edge(a.y, cy))
+                return VerificationReport(
+                    False,
+                    "a star forest kills every K4 candidate",
+                    counterexample={
+                        "forest": sorted(list(e) for e in forest_edges),
+                        "centers": sorted(centers),
+                    },
+                    stats={"cases_examined": examined},
+                )
+    return VerificationReport(
+        True,
+        "K4 survives every star forest with centers off the handle",
+        stats={"cases_examined": examined},
+    )
+
+
+def reference_theorem7_core() -> VerificationReport:
+    """`gadgets.verify_theorem7_core` with a center set and a forest edge
+    set per case; the K4s come from `gadgets._k4_edge_sets`."""
+    g = gadgets.build_d()
+    verts = list(g.vertices)
+    cliques = gadgets._k4_edge_sets(g)
+    examined = 0
+    for bits in range(1 << len(verts)):
+        centers = {verts[i] for i in range(len(verts)) if bits >> i & 1}
+        if any(u not in centers and v not in centers for u, v in g.edges):
+            continue
+        outside = sorted(set(verts) - centers)
+        leaf_options = [
+            [None] + sorted(edge(v, u) for u in g.adjacency[v] if u in centers)
+            for v in outside
+        ]
+        for picks in product(*leaf_options):
+            forest = {e for e in picks if e is not None}
+            examined += 1
+            if not any(es.isdisjoint(forest) for es in cliques):
+                return VerificationReport(
+                    False,
+                    "a center configuration kills every K4",
+                    counterexample={
+                        "centers": sorted(centers),
+                        "forest": sorted(list(e) for e in forest),
+                    },
+                    stats={"cases_examined": examined},
+                )
+    return VerificationReport(
+        True,
+        "K4 survives every center-covered deletion",
+        stats={"cases_examined": examined},
+    )

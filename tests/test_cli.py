@@ -1,5 +1,6 @@
 """Command-line surface: grammar, exit codes, JSON round-trips."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -305,6 +306,22 @@ def test_scripts_end_quietly_on_a_closed_pipe(script, args):
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_PASS
     assert "Traceback" not in err, err
+
+
+def test_run_verifications_pins_the_exhaustive_counts(monkeypatch, capsys):
+    root = Path(cli.__file__).resolve().parents[2]
+    spec = importlib.util.spec_from_file_location(
+        "run_verifications", root / "scripts" / "run_verifications.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--samples", "2"]) == EXIT_PASS
+    # a passing verdict with one count off fails the run
+    report = script.verify_lemma2()
+    report.stats["k4"] -= 1
+    monkeypatch.setattr(script, "verify_lemma2", lambda: report)
+    assert script.main(["--samples", "2"]) == EXIT_FAIL
+    out = capsys.readouterr().out
+    assert "expected k4=2392" in out and out.rstrip().endswith("overall: FAIL")
 
 
 def test_choose_check(tmp_path):

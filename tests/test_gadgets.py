@@ -13,6 +13,7 @@ from atforest.choosability import ListAssignment, verify_witness_not_k_choosable
 from atforest.errors import BadSelector, PreconditionViolated
 from atforest.gadgets import (
     StarForest,
+    _indexed_host,
     _random_max_degree_subgraph,
     build_g1,
     build_gadget,
@@ -29,7 +30,14 @@ from atforest.gadgets import (
 )
 from atforest.graph import edge, graph_to_json_dict
 from atforest.testkit import Rng, random_graph
-from helpers import find_k4, has_edge, subgraph_without_edges
+from helpers import (
+    find_k4,
+    has_edge,
+    reference_lemma2,
+    reference_lemma6,
+    reference_theorem7_core,
+    subgraph_without_edges,
+)
 
 EXPECTED_SIZES = {
     "J1": (5, 8),
@@ -109,13 +117,67 @@ def test_sampled_theorem7_reports_invalid_star_forest(monkeypatch):
 def test_lemma6_exhaustive():
     report = verify_lemma6()
     assert report.verdict
-    assert report.stats["cases_examined"] > 0
+    assert report.stats["cases_examined"] == 5433984
     assert verify_lemma6().stats["cases_examined"] == report.stats["cases_examined"]
 
 
 def test_theorem7_core_exhaustive():
     report = verify_theorem7_core()
-    assert report.verdict and report.stats["cases_examined"] > 0
+    assert report.verdict and report.stats["cases_examined"] == 765
+
+
+# the exhaustive verifiers run on bit masks; the set-based references in
+# helpers give the same full report (verdict, detail, counts, tally and
+# counterexample), on the real gadgets and on forced failures
+
+def _assert_same_report(fast, ref):
+    got, want = fast(), ref()
+    assert got == want, fast.__name__
+    assert got.to_json_dict() == want.to_json_dict(), fast.__name__
+
+
+def test_mask_verifiers_match_set_references():
+    _assert_same_report(verify_lemma2, reference_lemma2)
+    _assert_same_report(verify_lemma6, reference_lemma6)
+    _assert_same_report(verify_theorem7_core, reference_theorem7_core)
+    assert verify_lemma2().stats == {"cases_examined": 2437, "k4": 2392, "j_piece": 45}
+
+
+def test_lemma2_failure_matches_set_reference(monkeypatch):
+    def no_piece(copy, h):
+        raise PreconditionViolated("forced")
+
+    monkeypatch.setattr(gadgets, "_extract_from_copy", no_piece)
+    report = verify_lemma2()
+    assert not report.verdict and report.counterexample
+    _assert_same_report(verify_lemma2, reference_lemma2)
+
+    monkeypatch.setattr(gadgets, "_extract_from_copy", lambda copy, h: ("k4", ()))
+    assert not verify_lemma2().verdict
+    _assert_same_report(verify_lemma2, reference_lemma2)
+
+
+def test_lemma6_failure_matches_set_reference(monkeypatch):
+    configs = gadgets._path_configs
+
+    def with_all_links(path):
+        # no centers yet every link taken: not a star forest, and it
+        # blocks every K4 through its path
+        links = {edge(u, v) for u, v in zip(path, path[1:])}
+        return configs(path) + [(set(), links)]
+
+    monkeypatch.setattr(gadgets, "_path_configs", with_all_links)
+    report = verify_lemma6()
+    assert not report.verdict and report.counterexample["forest"]
+    _assert_same_report(verify_lemma6, reference_lemma6)
+
+
+def test_theorem7_core_failure_matches_set_reference(monkeypatch):
+    # one "clique", the edge ab: the first forest that takes ab kills it
+    monkeypatch.setattr(gadgets, "_k4_edge_sets", lambda g: [{("a", "b")}])
+    report = verify_theorem7_core()
+    assert not report.verdict and ["a", "b"] in report.counterexample["forest"]
+    _assert_same_report(verify_theorem7_core, reference_theorem7_core)
 
 
 def test_extract_obstruction_empty_deletion_gives_k4():
@@ -175,7 +237,8 @@ def test_sampled_verifiers_deterministic_and_passing():
 def test_random_max_degree_subgraph_is_maximal(n, p, seed, mask):
     g = random_graph(n, p, seed)
     forbidden = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
-    h = _random_max_degree_subgraph(g.vertices, sorted(g.edges), Rng(seed), forbidden)
+    triples, degrees = _indexed_host(g.vertices, sorted(g.edges), forbidden)
+    h = _random_max_degree_subgraph(triples, degrees, Rng(seed))
     assert h <= g.edges
     degree = dict.fromkeys(g.vertices, 0)
     for u, v in h:
@@ -288,8 +351,8 @@ def _sample_streams():
     g2 = build_gadget("G2")
     for seed in range(200):
         for g, forbidden in ((g1, None), (s.graph, {s.a})):
-            edges = sorted(g.edges)
-            yield sorted(_random_max_degree_subgraph(g.vertices, edges, Rng(seed), forbidden))
+            triples, degrees = _indexed_host(g.vertices, sorted(g.edges), forbidden)
+            yield sorted(_random_max_degree_subgraph(triples, degrees, Rng(seed)))
         forest = random_star_forest(g2, Rng(seed))
         yield [sorted(forest.edges), sorted(forest.centers)]
 
@@ -355,8 +418,9 @@ def test_random_max_degree_subgraph_matches_reference_and_final_state():
     s = build_s()
     for g, forbidden in ((build_g1().graph, None), (s.graph, {s.a})):
         edges = sorted(g.edges)
+        triples, degrees = _indexed_host(g.vertices, edges, forbidden)
         for seed in range(10):
             fast, ref = Rng(seed), Rng(seed)
-            h = _random_max_degree_subgraph(g.vertices, edges, fast, forbidden)
+            h = _random_max_degree_subgraph(triples, degrees, fast)
             assert h == _reference_max_degree_subgraph(g.vertices, edges, ref, forbidden), seed
             assert fast.state == ref.state, seed
