@@ -245,6 +245,8 @@ def _cmd_at(args) -> CommandResult:
             if "=" not in item:
                 raise _UsageError("--eta items must be vertex=exponent")
             name, _, val = item.partition("=")
+            if name in eta:
+                raise _UsageError(f"--eta names vertex {name!r} twice")
             try:
                 eta[name] = int(val)
             except ValueError:

@@ -293,7 +293,9 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
     a tree component (an isolated vertex too) goes into the forest whole.
     """
     g = pg.graph
-    if not pg.connected:
+    if pg.connected:  # one component, and pg is its plane graph
+        parts = [(g.vertices, g.edges, None)]
+    else:
         comps = g.connected_components()
         where = {v: i for i, comp in enumerate(comps) for v in comp}
         comp_edges = [[] for _ in comps]
@@ -302,30 +304,21 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
         outer = {}
         for f in pg.faces:
             outer.setdefault(where[f[0]], f)
-        forest, arcs = set(), set()
-        for i, comp in enumerate(comps):
-            if len(comp_edges[i]) < len(comp):  # connected, so a tree
-                forest.update(comp_edges[i])
-                continue
-            part = build_plane_graph(
-                comp, comp_edges[i], {v: pg.rotation[v] for v in comp}, outer[i]
-            )
-            part_forest, part_orientation = decompose_any_planar(part)
-            forest |= part_forest
-            arcs |= part_orientation.arcs
-        return frozenset(forest), Orientation.build(g, arcs)
-    if len(g.edges) == len(g.vertices) - 1:  # connected, so a tree
-        return frozenset(g.edges), Orientation.build(g, [])
-
-    aug = _triangulate_embedding(pg)
-    cycle = aug.outer_face
-    handle = min(
-        (edge(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle)))
-    )
-    d = decompose(aug, handle)
-    forest = d.forest & g.edges
-    arcs = [(t, h) for t, h in d.orientation.arcs if edge(t, h) in g.edges]
-    return forest, Orientation.build(g, arcs)
+        parts = [(comp, comp_edges[i], outer.get(i)) for i, comp in enumerate(comps)]
+    forest, arcs = set(), []
+    for comp, edges, outer_face in parts:
+        if len(edges) < len(comp):  # connected, so a tree
+            forest.update(edges)
+            continue
+        part = pg if pg.connected else build_plane_graph(
+            comp, edges, {v: pg.rotation[v] for v in comp}, outer_face
+        )
+        aug = _triangulate_embedding(part)
+        cycle = aug.outer_face
+        d = decompose(aug, min(edge(cycle[i - 1], cycle[i]) for i in range(len(cycle))))
+        forest |= d.forest & g.edges
+        arcs += [(t, h) for t, h in d.orientation.arcs if edge(t, h) in g.edges]
+    return frozenset(forest), Orientation.build(g, arcs)
 
 
 def _triangulate_embedding(pg: PlaneGraph) -> PlaneGraph:

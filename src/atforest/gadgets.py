@@ -13,6 +13,13 @@ The pieces, glued along designated handle edges:
 * D: K4 plus one apex per face.  G2: one A glued on each of D's 18 edges;
   no star forest of G2 can kill every K4.
 
+J3 and A are role tables, lists of edges over role names (`_J3`, `_A`).
+A copy of one is a dict from role to vertex name: the handle roles a and
+b take the names of the edge the copy is glued on, every other role is
+prefix + role.  `_glue` builds J3, S, G1, A and G2 with one `Graph.build`
+over their copies' renamed edges.  J1/J2 are
+`choosability._assemble_member` with one piece.
+
 Exhaustive verification where the space is small (J3 subsets, A star
 forests, D center configurations); the glued giants are checked through
 the pigeonhole reduction plus seeded random sampling.
@@ -21,7 +28,6 @@ the pigeonhole reduction plus seeded random sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, product
 from typing import Optional
 
@@ -81,62 +87,41 @@ def random_star_forest(g: Graph, rng: Rng) -> StarForest:
 # ---------------------------------------------------------------------------
 # builders
 
-_J1_EDGES = [
-    ("a", "b"), ("a", "c"), ("b", "c"), ("a", "e"), ("b", "e"),
-    ("c", "d"), ("d", "e"), ("a", "d"),
-]
-_J2_EDGES = [e for e in _J1_EDGES if e != ("a", "d")] + [("b", "d")]
-
-_J3_ROLES = "cdefghijk"
-_J3_PATH = ["c", "d", "e", "f", "g"]
+_J3_PATH = "cdefg"
 # apex -> (attachment, consecutive path pair)
-_J3_APEXES = {"h": ("a", ("d", "e")), "i": ("a", ("e", "f")),
-              "j": ("b", ("d", "e")), "k": ("b", ("e", "f"))}
+_J3_APEXES = {"h": ("a", "d", "e"), "i": ("a", "e", "f"),
+              "j": ("b", "d", "e"), "k": ("b", "e", "f")}
+_J3_LINKS = list(zip(_J3_PATH, _J3_PATH[1:]))
+# the twelve edges touching neither a nor b, in Lemma 2's bit order
+_J3_FREE = _J3_LINKS + [(m, r) for m, (_, p, q) in _J3_APEXES.items() for r in (p, q)]
+_J3 = ([("a", "b")] + [(end, r) for r in _J3_PATH for end in "ab"] + _J3_FREE
+       + [(m, attach) for m, (attach, _, _) in _J3_APEXES.items()])
+
+_A_PATHS = [tuple(f"{i}{j}" for j in range(1, 5)) for i in range(1, 4)]
+_A = ([("a", "b")] + [link for p in _A_PATHS for link in zip(p, p[1:])]
+      + [(end, r) for p in _A_PATHS for r in p for end in "ab"])
 
 
-@dataclass(frozen=True)
-class J3Copy:
-    a: str
-    b: str
-    verts: dict  # role letter -> vertex name
-
-    def path_edges(self) -> list:
-        return [edge(self.verts[p], self.verts[q])
-                for p, q in zip(_J3_PATH, _J3_PATH[1:])]
-
-    def free_edges(self) -> list:
-        out = self.path_edges()
-        for m, (_, (p, q)) in sorted(_J3_APEXES.items()):
-            out.append(edge(self.verts[m], self.verts[p]))
-            out.append(edge(self.verts[m], self.verts[q]))
-        return out
-
-    def all_edges(self) -> list:
-        out = [edge(self.a, self.b)]
-        for r in _J3_PATH:
-            out.append(edge(self.a, self.verts[r]))
-            out.append(edge(self.b, self.verts[r]))
-        out.extend(self.path_edges())
-        for m, (attach, (p, q)) in sorted(_J3_APEXES.items()):
-            anchor = self.a if attach == "a" else self.b
-            out.append(edge(self.verts[m], anchor))
-            out.append(edge(self.verts[m], self.verts[p]))
-            out.append(edge(self.verts[m], self.verts[q]))
-        return out
-
-    @cached_property
-    def b_incident_edges(self) -> frozenset:
-        return frozenset(e for e in self.all_edges() if self.b in e and self.a not in e)
+def _copy(table: list, a: str, b: str, prefix: str) -> dict:
+    roles = dict.fromkeys(r for pair in table for r in pair)
+    return {r: a if r == "a" else b if r == "b" else prefix + r for r in roles}
 
 
-def _j3_copy(a: str, b: str, prefix: str) -> J3Copy:
-    return J3Copy(a, b, {r: f"{prefix}{r}" for r in _J3_ROLES})
+def _edges(copy: dict, table: list) -> list:
+    return [edge(copy[p], copy[q]) for p, q in table]
+
+
+def _glue(table: list, copies) -> Graph:
+    """One graph from the renamed table edges of every copy."""
+    edges = set()
+    for copy in copies:
+        edges.update(_edges(copy, table))
+    return Graph.build({v for e in edges for v in e}, edges)
 
 
 def build_j3(a: str = "a", b: str = "b", prefix: str = "") -> tuple:
-    copy = _j3_copy(a, b, prefix)
-    verts = [a, b] + [copy.verts[r] for r in _J3_ROLES]
-    return Graph.build(verts, set(copy.all_edges())), copy
+    copy = _copy(_J3, a, b, prefix)
+    return _glue(_J3, [copy]), copy
 
 
 @dataclass(frozen=True)
@@ -144,60 +129,24 @@ class SGadget:
     graph: Graph
     a: str
     b: str
-    copies: tuple  # 9 J3Copy
+    copies: tuple  # 9 J3 role dicts
 
 
 def build_s(a: str = "a", b: str = "b", prefix: str = "s") -> SGadget:
-    copies = tuple(_j3_copy(a, b, f"{prefix}{j}") for j in range(1, 10))
-    verts = {a, b}
-    edges = set()
-    for copy in copies:
-        verts.update(copy.verts.values())
-        edges.update(copy.all_edges())
-    return SGadget(Graph.build(verts, edges), a, b, copies)
+    copies = tuple(_copy(_J3, a, b, f"{prefix}{j}") for j in range(1, 10))
+    return SGadget(_glue(_J3, copies), a, b, copies)
 
 
-@dataclass(frozen=True)
-class G1Gadget:
-    graph: Graph
-    s_gadgets: tuple  # one SGadget per star edge, handle center-leaf
-
-
-def build_g1() -> G1Gadget:
-    """A 4-star at c with one S per star edge c-v_i, handle end a = c."""
+def build_g1() -> tuple:
+    """A 4-star at c with one S per star edge c-v_i, handle end a = c:
+    the glued graph and its four S gadgets."""
     s_gadgets = tuple(build_s("c", f"v{i}", prefix=f"g{i}s") for i in range(1, 5))
-    verts = set()
-    edges = set()
-    for s in s_gadgets:
-        verts.update(s.graph.vertices)
-        edges.update(s.graph.edges)
-    return G1Gadget(Graph.build(verts, edges), s_gadgets)
+    return _glue(_J3, [copy for s in s_gadgets for copy in s.copies]), s_gadgets
 
 
-@dataclass(frozen=True)
-class AGadget:
-    x: str
-    y: str
-    paths: tuple  # three 4-tuples of vertex names
-
-    def vertices(self) -> list:
-        return [self.x, self.y] + [v for p in self.paths for v in p]
-
-    def edges(self) -> list:
-        out = [edge(self.x, self.y)]
-        for p in self.paths:
-            out.extend(edge(u, v) for u, v in zip(p, p[1:]))
-            for v in p:
-                out.append(edge(self.x, v))
-                out.append(edge(self.y, v))
-        return out
-
-
-def build_a(x: str = "x", y: str = "y", prefix: str = "p") -> AGadget:
-    paths = tuple(
-        tuple(f"{prefix}{i}{j}" for j in range(1, 5)) for i in range(1, 4)
-    )
-    return AGadget(x, y, paths)
+def build_a(x: str = "x", y: str = "y", prefix: str = "p") -> dict:
+    """The role dict of an A glued on xy: its handle roles a, b are x, y."""
+    return _copy(_A, x, y, prefix)
 
 
 def build_d() -> Graph:
@@ -211,32 +160,22 @@ def build_d() -> Graph:
     return Graph.build(list(core) + apexes, edges)
 
 
-def build_g2() -> Graph:
-    """One A glued on each edge of D, with that edge as its handle."""
-    d = build_d()
-    verts = set(d.vertices)
-    edges = set(d.edges)
-    for u, v in sorted(d.edges):
-        a = build_a(u, v, prefix=f"A_{u}_{v}_p")
-        verts.update(a.vertices())
-        edges.update(a.edges())
-    return Graph.build(verts, edges)
-
-
-def _build_a_graph() -> Graph:
-    a = build_a()
-    return Graph.build(a.vertices(), a.edges())
+def build_g2() -> tuple:
+    """One A glued on each edge of D, with that edge as its handle: the
+    glued graph and the A role dicts.  The handles cover D."""
+    copies = [build_a(u, v, prefix=f"A_{u}_{v}_p") for u, v in sorted(build_d().edges)]
+    return _glue(_A, copies), copies
 
 
 _GADGET_BUILDERS = {
-    "J1": lambda: Graph.build("abcde", _J1_EDGES),
-    "J2": lambda: Graph.build("abcde", _J2_EDGES),
+    "J1": lambda: _assemble_member("a", "b", [("a", "c", "e", "d")])[1],
+    "J2": lambda: _assemble_member("a", "b", [("b", "c", "e", "d")])[1],
     "J3": lambda: build_j3()[0],
     "S": lambda: build_s().graph,
-    "G1": lambda: build_g1().graph,
-    "A": _build_a_graph,
+    "G1": lambda: build_g1()[0],
+    "A": lambda: _glue(_A, [build_a()]),
     "D": build_d,
-    "G2": build_g2,
+    "G2": lambda: build_g2()[0],
 }
 
 
@@ -278,16 +217,15 @@ def _k4_edge_sets(g: Graph) -> list:
     return [set(combinations(q, 2)) for q in k4s(g)]
 
 
-def _extract_from_copy(copy: J3Copy, h: set):
+def _extract_from_copy(copy: dict, h: set):
     """K4 or a surviving J1/J2 piece inside one J3 copy whose a- and
     b-incident edges avoid h."""
-    v = copy.verts
-    for p, q in zip(_J3_PATH, _J3_PATH[1:]):
-        if edge(v[p], v[q]) not in h:
-            return ("k4", (copy.a, copy.b, v[p], v[q]))
-    for m, (attach, (p, q)) in sorted(_J3_APEXES.items()):
-        if edge(v[m], v[p]) not in h and edge(v[m], v[q]) not in h:
-            return ("j", attach, v[p], v[q], v[m])
+    for p, q in _J3_LINKS:
+        if edge(copy[p], copy[q]) not in h:
+            return ("k4", (copy["a"], copy["b"], copy[p], copy[q]))
+    for m, (attach, p, q) in _J3_APEXES.items():
+        if edge(copy[m], copy[p]) not in h and edge(copy[m], copy[q]) not in h:
+            return ("j", attach, copy[p], copy[q], copy[m])
     raise PreconditionViolated(
         "no apex survives; the deleted set has a vertex of degree > 3"
     )
@@ -306,7 +244,9 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
     if _max_degree(h) > 3:
         raise PreconditionViolated("deleted set has maximum degree > 3")
 
-    clear = [c for c in s.copies if c.b_incident_edges.isdisjoint(h)]
+    # a copy is clear when no edge of h joins b to one of its vertices
+    joined = {u if v == s.b else v for u, v in h if s.b in (u, v)}
+    clear = [c for c in s.copies if joined.isdisjoint(c.values())]
     if len(clear) < 6:
         raise PreconditionViolated("fewer than six clear copies; pigeonhole violated")
 
@@ -354,14 +294,14 @@ def verify_lemma2() -> VerificationReport:
     """Exhaustive over all max-degree-3 subsets H of the 12 J3 edges not
     touching a or b: J3 - E(H) contains K4 or an anchored J1/J2 piece.
 
-    H is a 12-bit mask over `copy.free_edges()`.  Its degree at a vertex
-    is the bit count of the mask against the vertex's incident-edge mask
-    (only a vertex on more than three free edges can exceed 3), and a K4
-    survives when the mask misses the K4's edges.  The edge set H is built
+    H is a 12-bit mask over the copy's `_J3_FREE` edges.  Its degree at a
+    vertex is the bit count of the mask against the vertex's incident-edge
+    mask (only a vertex on more than three free edges can exceed 3), and a
+    K4 survives when the mask misses the K4's edges.  The edge set H is built
     only for the cases that go on to `_extract_from_copy`.
     """
     g, copy = build_j3()
-    free = copy.free_edges()
+    free = _edges(copy, _J3_FREE)
     bits = {e: 1 << i for i, e in enumerate(free)}
     incident: dict = {}
     for (u, v), b in bits.items():
@@ -428,12 +368,13 @@ def verify_lemma6() -> VerificationReport:
     it takes every link that no end touches.
     """
     a = build_a()
-    bit = {v: 1 << i for i, v in enumerate(a.vertices())}
+    a_paths = [tuple(a[r] for r in p) for p in _A_PATHS]
+    bit = {v: 1 << i for i, v in enumerate(a.values())}
     bit[None] = 0
     # per path: its vertex mask, each link's end mask and its
     # configurations as (center mask, link mask, centers, links)
     paths = []
-    for p in a.paths:
+    for p in a_paths:
         links = [edge(u, v) for u, v in zip(p, p[1:])]
         link_bit = {e: 1 << i for i, e in enumerate(links)}
         cfgs = [
@@ -441,7 +382,7 @@ def verify_lemma6() -> VerificationReport:
             for cset, chosen in _path_configs(p)
         ]
         paths.append((sum(bit[v] for v in p), [bit[u] | bit[v] for u, v in links], cfgs))
-    attach_options = [None] + [v for p in a.paths for v in p]
+    attach_options = [None] + [v for p in a_paths for v in p]
     examined = 0
 
     for cx in attach_options:
@@ -474,9 +415,9 @@ def verify_lemma6() -> VerificationReport:
                     forest_edges |= chosen
                     centers |= cset
                 if cx is not None:
-                    forest_edges.add(edge(a.x, cx))
+                    forest_edges.add(edge(a["a"], cx))
                 if cy is not None:
-                    forest_edges.add(edge(a.y, cy))
+                    forest_edges.add(edge(a["b"], cy))
                 return VerificationReport(
                     False,
                     "a star forest kills every K4 candidate",
@@ -588,9 +529,8 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     if target == "theorem7":
         return _sample_theorem7(n, rng, seed)
     if target == "theorem2":
-        g1 = build_g1()
         return _sample_obstructions(
-            n, rng, seed, g1.graph, g1.s_gadgets, None,
+            n, rng, seed, *build_g1(), None,
             "every sample produced a verified obstruction",
         )
     s = build_s()
@@ -600,7 +540,7 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
 
 
 def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
-    g2 = build_g2()
+    g2 = build_g2()[0]
     cliques = _k4_edge_sets(g2)
     for i in range(n):
         forest = random_star_forest(g2, rng.split(i))

@@ -111,7 +111,7 @@ def reference_lemma2() -> VerificationReport:
     subset of the 12 free J3 edges."""
     g, copy = gadgets.build_j3()
     cliques = [{edge(u, v) for u, v in combinations(q, 2)} for q in k4s(g)]
-    free = copy.free_edges()
+    free = gadgets._edges(copy, gadgets._J3_FREE)
     examined = 0
     tally = {"k4": 0, "j_piece": 0}
     for mask in range(1 << len(free)):
@@ -145,11 +145,12 @@ def reference_lemma6() -> VerificationReport:
     """`gadgets.verify_lemma6` with vertex and edge sets: per attachment
     pair and path, each configuration is tested by set membership."""
     a = gadgets.build_a()
+    a_paths = [tuple(a[r] for r in p) for p in gadgets._A_PATHS]
     paths = [
         (set(p), [(u, v, edge(u, v)) for u, v in zip(p, p[1:])], gadgets._path_configs(p))
-        for p in a.paths
+        for p in a_paths
     ]
-    attach_options = [None] + [v for p in a.paths for v in p]
+    attach_options = [None] + [v for p in a_paths for v in p]
     examined = 0
     for cx in attach_options:
         for cy in attach_options:
@@ -183,9 +184,9 @@ def reference_lemma6() -> VerificationReport:
                     forest_edges |= chosen
                     centers |= cset
                 if cx is not None:
-                    forest_edges.add(edge(a.x, cx))
+                    forest_edges.add(edge(a["a"], cx))
                 if cy is not None:
-                    forest_edges.add(edge(a.y, cy))
+                    forest_edges.add(edge(a["b"], cy))
                 return VerificationReport(
                     False,
                     "a star forest kills every K4 candidate",

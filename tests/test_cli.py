@@ -183,6 +183,15 @@ def test_at_number_and_coefficient(k4_file, tmp_path):
     assert go("at", "coefficient", "--input", str(k3), "--eta", "1=9,2=0,3=0").exit_code == EXIT_USAGE
 
 
+def test_at_coefficient_rejects_a_vertex_named_twice(tmp_path):
+    ab = tmp_path / "ab.json"
+    ab.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    # the coefficient of x_a in x_b - x_a, which a=5,a=1 used to print
+    assert go("at", "coefficient", "--input", str(ab), "--eta", "a=1,b=0").output() == "-1"
+    result = go("at", "coefficient", "--input", str(ab), "--eta", "a=5,a=1,b=0")
+    assert result.exit_code == EXIT_USAGE and "'a' twice" in result.output()
+
+
 def test_at_orientation(k4_file, tmp_path):
     c4 = tmp_path / "c4.json"
     c4.write_text(json.dumps({

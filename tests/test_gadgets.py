@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,17 @@ from atforest.check import check_star_forest
 from atforest.choosability import ListAssignment, verify_witness_not_k_choosable
 from atforest.errors import BadSelector, PreconditionViolated
 from atforest.gadgets import (
+    _A,
+    _J3,
+    _J3_FREE,
+    _J3_LINKS,
     StarForest,
+    _edges,
     _indexed_host,
     _random_max_degree_subgraph,
+    build_d,
     build_g1,
+    build_g2,
     build_gadget,
     build_j3,
     build_s,
@@ -60,6 +68,31 @@ def test_gadget_sizes_and_planarity_bound():
     assert (len(fam.vertices), len(fam.edges)) == (20, 43)
 
 
+def test_gluing_premises_on_the_role_dicts():
+    s = build_s()
+    for c1, c2 in combinations(s.copies, 2):  # the J3 copies of S meet in ab
+        assert set(c1.values()) & set(c2.values()) == {s.a, s.b}
+    g1, s_gadgets = build_g1()
+    for s1, s2 in combinations(s_gadgets, 2):  # the S gadgets of G1 meet in c
+        assert set(s1.graph.vertices) & set(s2.graph.vertices) == {"c"}
+    g2, a_copies = build_g2()
+    for c1, c2 in combinations(a_copies, 2):  # the A copies of G2 meet in handle ends
+        assert set(c1.values()) & set(c2.values()) == {c1["a"], c1["b"]} & {c2["a"], c2["b"]}
+    # each edge of D is the handle of one A copy
+    assert sorted(edge(c["a"], c["b"]) for c in a_copies) == sorted(build_d().edges)
+    # each copy's renamed template edges lie in the glued graph, and the
+    # copies cover all of it
+    g1_copies = [c for t in s_gadgets for c in t.copies]
+    for g, table, copies in ((s.graph, _J3, s.copies), (g1, _J3, g1_copies), (g2, _A, a_copies)):
+        covered = set()
+        for copy in copies:
+            renamed = set(_edges(copy, table))
+            assert len(renamed) == len(table) and renamed <= g.edges
+            covered |= renamed
+        assert covered == g.edges
+        assert {v for c in copies for v in c.values()} == set(g.vertices)
+
+
 def test_unknown_gadget_and_missing_selector():
     with pytest.raises(BadSelector):
         build_gadget("nosuch")
@@ -87,7 +120,7 @@ def test_lemma2_pinned_cases():
     # nothing deleted: K4 on {a, b, c, d}
     assert find_k4(g) == ("a", "b", "c", "d")
     # all four path edges deleted: wheel piece on {a, b, d, h, e}
-    h = set(copy.path_edges())
+    h = set(_edges(copy, _J3_LINKS))
     remaining = subgraph_without_edges(g, h)
     assert find_k4(remaining) is None
     from atforest.gadgets import _extract_from_copy
@@ -185,8 +218,6 @@ def test_extract_obstruction_empty_deletion_gives_k4():
     ob = extract_obstruction(s, set())
     assert ob.kind == "k4"
     quad = set(ob.vertices)
-    from itertools import combinations
-
     assert all(has_edge(s.graph, u, v) for u, v in combinations(sorted(quad), 2))
 
 
@@ -194,7 +225,7 @@ def test_extract_obstruction_path_deletion_gives_family_member():
     s = build_s()
     h = set()
     for copy in s.copies:
-        h.update(copy.path_edges())
+        h.update(_edges(copy, _J3_LINKS))
     ob = extract_obstruction(s, h)
     assert ob.kind == "j_member"
     assert len(ob.graph.vertices) == 20 and len(ob.graph.edges) == 43
@@ -203,14 +234,23 @@ def test_extract_obstruction_path_deletion_gives_family_member():
     assert verify_witness_not_k_choosable(ob.graph, ob.lists, 3).verdict
 
 
+def test_extract_obstruction_skips_copies_joined_to_b():
+    s = build_s()
+    h = {e for copy in s.copies for e in _edges(copy, _J3_LINKS)}
+    h |= {edge(s.b, copy["d"]) for copy in s.copies[:3]}  # b-d is in each piece
+    ob = extract_obstruction(s, h)
+    assert ob.kind == "j_member" and not (ob.graph.edges & h)
+    assert {v for p in ob.pieces for v in p[2:]} <= {v for c in s.copies[3:] for v in c.values()}
+
+
 def test_extract_obstruction_preconditions():
     s = build_s()
     a_edge = next(e for e in s.graph.edges if s.a in e)
     with pytest.raises(PreconditionViolated):
         extract_obstruction(s, {a_edge})
     # degree-4 deletion set at one vertex
-    e_vertex = s.copies[0].verts["e"]
-    too_many = {e for e in s.copies[0].free_edges() if e_vertex in e}
+    e_vertex = s.copies[0]["e"]
+    too_many = {e for e in _edges(s.copies[0], _J3_FREE) if e_vertex in e}
     assert len(too_many) >= 4
     with pytest.raises(PreconditionViolated):
         extract_obstruction(s, too_many)
@@ -253,9 +293,9 @@ def test_random_max_degree_subgraph_is_maximal(n, p, seed, mask):
 
 def _delete_every_j3_path_edge(monkeypatch):
     path_edges = set()
-    for s in (build_s(),) + build_g1().s_gadgets:
+    for s in (build_s(),) + build_g1()[1]:
         for copy in s.copies:
-            path_edges.update(copy.path_edges())
+            path_edges.update(_edges(copy, _J3_LINKS))
     monkeypatch.setattr(
         gadgets, "_random_max_degree_subgraph", lambda *args: set(path_edges)
     )
@@ -327,7 +367,7 @@ def _pinned_gadget_reports():
             yield verify_sampled(target, 30, seed).to_json_dict()
     s = build_s()
     yield _obstruction_json(extract_obstruction(s, set()))
-    path_edges = {e for copy in s.copies for e in copy.path_edges()}
+    path_edges = {e for copy in s.copies for e in _edges(copy, _J3_LINKS)}
     yield _obstruction_json(extract_obstruction(s, path_edges))
 
 
@@ -416,7 +456,7 @@ def test_random_star_forest_matches_reference_and_final_state():
 
 def test_random_max_degree_subgraph_matches_reference_and_final_state():
     s = build_s()
-    for g, forbidden in ((build_g1().graph, None), (s.graph, {s.a})):
+    for g, forbidden in ((build_g1()[0], None), (s.graph, {s.a})):
         edges = sorted(g.edges)
         triples, degrees = _indexed_host(g.vertices, edges, forbidden)
         for seed in range(10):
