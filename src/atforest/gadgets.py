@@ -119,8 +119,8 @@ def _glue(table: list, copies) -> Graph:
     return Graph.build({v for e in edges for v in e}, edges)
 
 
-def build_j3(a: str = "a", b: str = "b", prefix: str = "") -> tuple:
-    copy = _copy(_J3, a, b, prefix)
+def build_j3() -> tuple:
+    copy = _copy(_J3, "a", "b", "")
     return _glue(_J3, [copy]), copy
 
 
