@@ -18,19 +18,21 @@ two cycle neighbours; they replace z on the cycle.  An ear with no inside
 neighbour is a bare triangle, the base case.
 
 Each frame holds its cycle as a linked ring (`succ`/`pred` dicts) and its
-chords in a list sorted downwards, so the smallest pops off the end.  A
-split walks round the ring from both chord ends in lockstep, and the walk
-that arrives first has traced the shorter side.  That side moves into
-fresh dicts and gathers its chords from the edges of its inner vertices;
-the longer side keeps the parent's dicts, relinked across the chord, and
-its list, which drops chords with an end no longer on its ring as they
-come up.  So a split costs time in the shorter side, not in the whole
-cycle and all its chords.  A short side that is a triangle s -> v -> e
-without the handle waits as the bare tuple (s, v, e), not as a frame, so
-a fan's n waiting triangles hold no dicts for the collector to walk; it
-gets a frame only if it pops with vertices inside.  An ear, which happens only on a chordless
-cycle, splices its link path into the ring and finds the new chords among
-the edges of the vertices it brings in.
+chords in a list sorted downwards, so the smallest pops off the end.  One
+rule, `_chords`, lists the chords of a ring that have an end among the
+vertices a step brought onto it: every vertex of the first cycle, a short
+side's inner vertices, an ear's inside neighbours.  A split walks round
+the ring from both chord ends in lockstep, and the walk that arrives
+first has traced the shorter side.  That side moves into fresh dicts and
+takes its chords from `_chords`; the longer side keeps the parent's dicts,
+relinked across the chord, and its list, which drops chords with an end
+no longer on its ring as they come up.  So a split costs time in the
+shorter side, not in the whole cycle and all its chords.  A short side
+that is a triangle s -> v -> e without the handle waits as the bare tuple
+(s, v, e), not as a frame, so a fan's n waiting triangles hold no dicts
+for the collector to walk; it gets a frame only if it pops with vertices
+inside.  An ear happens only on a chordless cycle and splices its link
+path into the ring.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .graph import (
     Orientation,
     PlaneGraph,
     build_plane_graph,
-    chords_of_cycle,
+    components,
     edge,
     validate_near_triangulation,
 )
@@ -115,9 +117,6 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     traced = pg.outer_traced
     g = pg.graph
     adj = g.adjacency
-    # every vertex that has been on a boundary; one inside the current
-    # cycle's region is on that cycle
-    reached = set(cycle0)
 
     forest: set = set()
     arcs: list = []
@@ -127,8 +126,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     #         drop_handle_from_forest), or (s, v, e) for a triangle side
     #         s -> v -> e that took the chord es as its handle; frames pop
     #         in pre-order
-    chords0 = chords_of_cycle(g, cycle0)[::-1]
-    stack = [(succ0, pred0, chords0, x0, y0, False)]
+    stack = [(succ0, pred0, _chords(adj, succ0, pred0, succ0), x0, y0, False)]
 
     while stack:
         frame = stack.pop()
@@ -178,21 +176,10 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
             # the parent's cycle is now the long side e -> .. -> s
             succ[s] = e
             pred[e] = s
+            # every chord has an end inside s -> .. -> e, as se is a ring edge now
             short_chords = []
             if len(short_succ) > 3:  # a triangle has no chords
-                # every chord has an end inside the path s -> .. -> e (se is
-                # a ring edge now); one with both ends there counts once
-                v = short_succ[s]
-                while v != e:
-                    u = short_succ[v]
-                    for w in adj[v]:
-                        if w in short_succ and w != u and w != short_pred[v]:
-                            if v < w:
-                                short_chords.append((v, w))
-                            elif w == s or w == e:
-                                short_chords.append((w, v))
-                    v = u
-                short_chords.sort(reverse=True)
+                short_chords = _chords(adj, short_succ, short_pred, short_succ.keys() - {s, e})
 
             # the side without the handle takes the chord, in cycle order;
             # the handle side pops first
@@ -230,28 +217,26 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
         for v, u in zip(link, link[1:]):
             succ[v] = u
             pred[u] = v
-        stack.append((succ, pred, _ear_chords(adj, reached, z, link), x, y, drop))
+        # the old ring had no chords, so each new one has an end in inner
+        stack.append((succ, pred, _chords(adj, succ, pred, set(inner)), x, y, drop))
 
     orientation = Orientation.build(g, arcs)
     return Decomposition((x0, y0), frozenset(forest), orientation, steps)
 
 
-def _ear_chords(adj: dict, reached: set, z: str, link: list) -> list:
-    """Chords, sorted down, of the cycle where ear z gave way to its inside
-    neighbours link[1:-1] (link runs between z's two cycle neighbours).
-
-    The old cycle had none, so each new chord has a new end u, and its
-    other end is on the new cycle, that is, reached and not z, without
-    being next to u on the link.  The new vertices join `reached` one by
-    one, so a chord between two of them is found once.
-    """
+def _chords(adj: dict, succ: dict, pred: dict, new) -> list:
+    """Chords of the ring `succ`/`pred` with an end in the vertex set `new`
+    (edges to a ring vertex not next to that end), sorted downwards; one
+    with both ends in `new` is listed once."""
     chords = []
-    for t in range(1, len(link) - 1):
-        u, prev, nxt = link[t], link[t - 1], link[t + 1]
-        for v in adj[u]:
-            if v in reached and v != z and v != prev and v != nxt:
-                chords.append(edge(u, v))
-        reached.add(u)
+    for v in new:
+        after, before = succ[v], pred[v]
+        for w in adj[v]:
+            if w in succ and w != after and w != before:
+                if v < w:
+                    chords.append((v, w))
+                elif w not in new:
+                    chords.append((w, v))
     chords.sort(reverse=True)
     return chords
 
@@ -288,32 +273,18 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
     near-triangulation is decomposed, and the result is restricted to the
     original edges.  Sub-orientations of acyclic orientations stay acyclic,
     so the restricted certificate still witnesses Alon-Tarsi number <= 3.
-    A disconnected input is decomposed one component at a time, each with
-    the rotation restricted to it and its first traced face as outer face;
-    a tree component (an isolated vertex too) goes into the forest whole.
+    A disconnected input is decomposed one component at a time, each from
+    its own vertices, edges, rotations and traced faces (`components`); a
+    tree component (an isolated vertex too) goes into the forest whole.
     """
     g = pg.graph
-    if pg.connected:  # one component, and pg is its plane graph
-        parts = [(g.vertices, g.edges, None)]
-    else:
-        comps = g.connected_components()
-        where = {v: i for i, comp in enumerate(comps) for v in comp}
-        comp_edges = [[] for _ in comps]
-        for e in g.edges:
-            comp_edges[where[e[0]]].append(e)
-        outer = {}
-        for f in pg.faces:
-            outer.setdefault(where[f[0]], f)
-        parts = [(comp, comp_edges[i], outer.get(i)) for i, comp in enumerate(comps)]
+    parts = [(g.vertices, g.edges, pg.faces)] if pg.connected else components(g, pg.faces)
     forest, arcs = set(), []
-    for comp, edges, outer_face in parts:
-        if len(edges) < len(comp):  # connected, so a tree
+    for vertices, edges, faces in parts:
+        if len(edges) < len(vertices):  # connected, so a tree
             forest.update(edges)
             continue
-        part = pg if pg.connected else build_plane_graph(
-            comp, edges, {v: pg.rotation[v] for v in comp}, outer_face
-        )
-        aug = _triangulate_embedding(part)
+        aug = _triangulate_embedding(vertices, edges, pg.rotation, faces)
         cycle = aug.outer_face
         d = decompose(aug, min(edge(cycle[i - 1], cycle[i]) for i in range(len(cycle))))
         forest |= d.forest & g.edges
@@ -321,23 +292,25 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
     return frozenset(forest), Orientation.build(g, arcs)
 
 
-def _triangulate_embedding(pg: PlaneGraph) -> PlaneGraph:
-    """Add chords until every face (outer included) is a triangle, then
-    re-designate one face as the boundary.
+def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph:
+    """Add chords to a connected plane graph, given by its vertices, edges
+    and traced faces and a rotation covering its vertices, until every
+    face (outer included) is a triangle, and build that with one of them
+    as the boundary.
 
     A long face is a deque turned so that the corner a, b, c being tried
     is at its front; the chord a-c clips the triangle off, and the deque
     turns past the corner and drops its tip b, so nothing is copied.  Each
     split lowers the sum of len - 3 over the pending walks.
     """
-    rotation = {v: list(nbrs) for v, nbrs in pg.rotation.items()}
-    edges = set(pg.graph.edges)
+    rotation = {v: list(rotation[v]) for v in vertices}
+    edges = set(edges)
 
     def insert_after(v: str, anchor: str, new: str) -> None:
         rotation[v].insert(rotation[v].index(anchor) + 1, new)
 
-    pending = [deque(f) for f in pg.faces if len(f) > 3]
-    done = [f for f in pg.faces if len(f) <= 3]
+    pending = [deque(f) for f in faces if len(f) > 3]
+    done = [f for f in faces if len(f) <= 3]
     while pending:
         walk = pending.pop()
         # prefer a triangle-splitting chord two steps apart
@@ -366,7 +339,7 @@ def _triangulate_embedding(pg: PlaneGraph) -> PlaneGraph:
     for piece in done:
         if len(piece) != 3:
             raise InvalidEmbedding(f"face {list(piece)} not a triangle after augmentation")
-    return build_plane_graph(pg.graph.vertices, edges, rot, tuple(done[0]))
+    return build_plane_graph(vertices, edges, rot, tuple(done[0]))
 
 
 def _far_chord(walk: list, edges: set) -> tuple:

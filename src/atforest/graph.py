@@ -69,24 +69,6 @@ class Graph:
     def degree(self, v: str) -> int:
         return len(self.adjacency[v])
 
-    def connected_components(self) -> list:
-        seen: set = set()
-        comps = []
-        for s in self.vertices:
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in self.adjacency[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
-
 
 @dataclass(frozen=True)
 class Orientation:
@@ -128,12 +110,15 @@ def _trace_all_faces(rotation: dict, turn: Optional[dict] = None) -> list:
     `rotation` and is built here when not given.  Tracing a dart pops it
     from its map, so `turn` is used up.  Walks start at the tails in sorted
     order, with the heads sorted at each tail: each walk starts at the
-    smallest dart not yet used.
+    smallest dart not yet used.  An isolated vertex v has the one trivial
+    face (v,), in its place among the tails.
     """
     if turn is None:
         turn = _turn_maps(rotation)
     faces = []
     for a in sorted(rotation):
+        if not rotation[a]:
+            faces.append((a,))
         for b in sorted(rotation[a]):
             if a not in turn[b]:
                 continue
@@ -178,24 +163,12 @@ def build_plane_graph(
 
     faces = _trace_all_faces(rot, turn)
 
-    # Euler's formula per connected component; an isolated vertex has the
-    # one trivial face around it.
-    comps = g.connected_components()
-    vert_comp = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            vert_comp[v] = i
-    e_count = [0] * len(comps)
-    f_count = [0] * len(comps)
-    for u, v in g.edges:
-        e_count[vert_comp[u]] += 1
-    for f in faces:
-        f_count[vert_comp[f[0]]] += 1
-    for i, comp in enumerate(comps):
-        fc = f_count[i] if e_count[i] > 0 else 1
-        if len(comp) - e_count[i] + fc != 2:
+    # Euler's formula per connected component
+    parts = components(g, faces)
+    for i, (vs, es, fs) in enumerate(parts):
+        if len(vs) - len(es) + len(fs) != 2:
             raise EulerViolation(
-                f"component {i}: V-E+F = {len(comp)}-{e_count[i]}+{fc} != 2"
+                f"component {i}: V-E+F = {len(vs)}-{len(es)}+{len(fs)} != 2"
             )
 
     outer = tuple(outer_face)
@@ -204,7 +177,35 @@ def build_plane_graph(
     match = _matching_face(faces, outer)
     if match is None:
         raise RotationMismatch("designated outer face is not a face of the embedding")
-    return PlaneGraph(g, rot, outer, tuple(faces), *match, len(comps) == 1)
+    return PlaneGraph(g, rot, outer, tuple(faces), *match, len(parts) == 1)
+
+
+def components(g: Graph, faces) -> list:
+    """Each connected component of g as (vertex set, edges, faces), in the
+    order of its smallest vertex; a face of `faces` goes with the
+    component of its first vertex."""
+    adj = g.adjacency
+    where: dict = {}
+    parts = []
+    for s in g.vertices:
+        if s in where:
+            continue
+        i = len(parts)
+        comp = {s}
+        where[s] = i
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in where:
+                    where[w] = i
+                    comp.add(w)
+                    stack.append(w)
+        parts.append((comp, [], []))
+    for e in g.edges:
+        parts[where[e[0]]][1].append(e)
+    for f in faces:
+        parts[where[f[0]]][2].append(f)
+    return parts
 
 
 def _matching_face(faces, walk: tuple) -> Optional[tuple]:
@@ -234,22 +235,6 @@ def validate_near_triangulation(pg: PlaneGraph) -> VerificationReport:
             False, f"interior face of length {len(bad[0])}", counterexample=list(bad[0])
         )
     return VerificationReport(True, "near-triangulation")
-
-
-def chords_of_cycle(g: Graph, cycle: list) -> list:
-    """Every edge joining two vertices of the cycle that is not a cycle
-    edge, sorted."""
-    adj = g.adjacency
-    on_cycle = set(cycle)
-    k = len(cycle)
-    chords = [
-        (u, v)
-        for i, u in enumerate(cycle)
-        for v in adj[u]
-        if u < v and v in on_cycle and v != cycle[i - 1] and v != cycle[(i + 1) % k]
-    ]
-    chords.sort()
-    return chords
 
 
 def k4s(g: Graph) -> Iterator[tuple]:

@@ -132,6 +132,23 @@ def test_decompose_without_handle_passes_on_components_and_isolated_vertex(tmp_p
     assert len(data["forest"]) + len(data["arcs"]) == 7
 
 
+@pytest.mark.parametrize("names", [["a"], ["a", "b"]], ids=["one", "two"])
+def test_decompose_and_verify_pass_on_an_edgeless_graph(tmp_path, names):
+    # an isolated vertex has its trivial face, so one vertex is an outer face
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({
+        "vertices": names, "edges": [], "rotation": {v: [] for v in names},
+        "outer_face": names[:1],
+    }))
+    dec = tmp_path / "dec.json"
+    assert go("decompose", "--input", str(path), "--output", str(dec)).exit_code == EXIT_PASS
+    assert json.loads(dec.read_text()) == {"arcs": [], "forest": []}
+    verify = go("verify", "decomposition", "--input", str(path), "--decomposition", str(dec))
+    assert verify.exit_code == EXIT_PASS
+    # with a handle it needs a near-triangulation, and this is none
+    assert go("decompose", "--input", str(path), "--handle", "a,b").exit_code == EXIT_USAGE
+
+
 def test_decompose_needs_embedding(k4_file):
     assert go("decompose", "--input", str(k4_file), "--handle", "a,b").exit_code == EXIT_USAGE
 

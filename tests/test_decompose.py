@@ -14,6 +14,7 @@ from atforest.alon_tarsi import ParityCount, eulerian_diff
 from atforest.check import check_forest_orientation, check_plane_certificate, read_certificate
 from atforest.decompose import (
     Decomposition,
+    _chords,
     _far_chord,
     _inside_neighbours,
     _triangulate_embedding,
@@ -270,11 +271,10 @@ def test_any_planar_on_near_triangulation():
 def test_sparse_plane_subgraphs_certify_and_round_trip(n, b, seed, keep):
     # any edge subset of a near-triangulation, with the rotation restricted
     # to it: possibly disconnected, with isolated vertices and tree
-    # components; the first edge stays, so that some face is the outer one
+    # components, or with no edges at all
     pg = random_near_triangulation(n, min(b, n), seed)
     rng = Rng(seed)
-    edges = sorted(pg.graph.edges)
-    kept = {edges[0]} | {e for e in edges[1:] if rng.random() < keep}
+    kept = {e for e in sorted(pg.graph.edges) if rng.random() < keep}
     rotation = {v: tuple(w for w in nbrs if edge(v, w) in kept) for v, nbrs in pg.rotation.items()}
     sub = build_plane_graph(pg.graph.vertices, kept, rotation, _trace_all_faces(rotation)[0])
     forest, orientation = decompose_any_planar(sub)
@@ -290,6 +290,43 @@ def test_sparse_plane_subgraphs_certify_and_round_trip(n, b, seed, keep):
                         "arcs": [list(a) for a in sorted(orientation.arcs)]}
         verify = ["verify", "decomposition", "--input", graph_file, "--decomposition", cert_file]
         assert cli.run(verify).exit_code == 0
+
+
+def _ring(names, edges):
+    """succ, pred and adjacency of the ring names[0] -> names[1] -> .. with
+    the extra `edges`."""
+    succ = dict(zip(names, names[1:] + names[:1]))
+    pred = {w: v for v, w in succ.items()}
+    adj = {}
+    for u, v in [*succ.items(), *edges]:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return succ, pred, adj
+
+
+def test_chords_lists_each_chord_with_an_end_in_new_once_sorted_down():
+    # a whole ring, every vertex new: each chord once, ring edges and the
+    # edge to the vertex i off the ring left out
+    succ, pred, adj = _ring(list("abcdef"), [("a", "c"), ("a", "d"), ("d", "f"), ("b", "i")])
+    assert _chords(adj, succ, pred, succ) == [("d", "f"), ("a", "d"), ("a", "c")]
+    # a short side s -> p -> q -> r -> e, relinked e -> s: chords at the old
+    # ends s and e are found from their inner ends, and p-r, with both ends
+    # inner, once
+    succ, pred, adj = _ring(
+        ["s", "p", "q", "r", "e"], [("q", "s"), ("e", "q"), ("p", "r"), ("e", "o"), ("o", "q")]
+    )
+    assert _chords(adj, succ, pred, {"p", "q", "r"}) == [("q", "s"), ("p", "r"), ("e", "q")]
+    assert _chords(adj, succ, pred, {"q"}) == [("q", "s"), ("e", "q")]
+    # an ear z gave way to u1 u2 u3 between its ring neighbours b0 and a0:
+    # z is off the ring now, w is on it, u1-u3 joins two new vertices
+    succ, pred, adj = _ring(
+        ["a0", "m", "w", "b0", "u1", "u2", "u3"],
+        [("u1", "u3"), ("u2", "w"), ("u2", "z"), ("u1", "z"), ("u3", "k")],
+    )
+    assert _chords(adj, succ, pred, {"u1", "u2", "u3"}) == [("u2", "w"), ("u1", "u3")]
+    # a triangle has none
+    succ, pred, adj = _ring(list("xyz"), [("x", "o")])
+    assert _chords(adj, succ, pred, succ) == []
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +752,9 @@ def _triangulation_instances():
 def test_triangulation_matches_walk_copying_reference():
     count = 0
     for pg in _triangulation_instances():
-        got, want = _triangulate_embedding(pg), _reference_triangulate(pg)
+        g = pg.graph
+        got = _triangulate_embedding(g.vertices, g.edges, pg.rotation, pg.faces)
+        want = _reference_triangulate(pg)
         assert got.graph.edges == want.graph.edges
         assert got.faces == want.faces
         assert got.outer_face == want.outer_face

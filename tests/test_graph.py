@@ -20,7 +20,7 @@ from atforest.graph import (
     Orientation,
     _trace_all_faces,
     build_plane_graph,
-    chords_of_cycle,
+    components,
     edge,
     graph_from_json,
     graph_to_dot,
@@ -29,6 +29,7 @@ from atforest.graph import (
     validate_near_triangulation,
 )
 from atforest.testkit import (
+    Rng,
     plane_graph_from_triangles,
     random_graph,
     random_near_triangulation,
@@ -132,15 +133,21 @@ def test_rotation_check_refuses_repeats_omissions_and_other_vertex_sets(rotation
 
 
 def _faces_by_repeated_min(rotation):
-    """Reference face trace: each walk starts at min(remaining darts)."""
+    """Reference face trace: each walk starts at min(remaining darts).  An
+    isolated vertex v stands as the 1-tuple (v,), which sorts just before
+    the darts leaving v, and is its own face."""
     succ = {}
     for v, nbrs in rotation.items():
         for i, u in enumerate(nbrs):
             succ[(v, u)] = nbrs[(i + 1) % len(nbrs)]
-    remaining = set(succ)
+    remaining = set(succ) | {(v,) for v, nbrs in rotation.items() if not nbrs}
     faces = []
     while remaining:
         start = min(remaining)
+        if len(start) == 1:
+            faces.append(start)
+            remaining.discard(start)
+            continue
         walk, d = [], start
         while True:
             walk.append(d[0])
@@ -203,6 +210,20 @@ def test_face_trace_matches_repeated_min_reference():
     assert count == 29
 
 
+def _union_find_roots(g):
+    """Vertex -> the root of its tree in a union-find over the edges."""
+    parent = {v: v for v in g.vertices}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        parent[root(u)] = root(v)
+    return {v: root(v) for v in g.vertices}
+
+
 def _outer_by_rescan(pg):
     """(outer index, traced, connected) found again: the first face with the
     darts of the outer walk, either way round, and a union-find over the
@@ -215,16 +236,7 @@ def _outer_by_rescan(pg):
         i for i, f in enumerate(pg.faces)
         if len(f) == len(pg.outer_face) and darts(f) in (walk, {(b, a) for a, b in walk})
     )
-    parent = {v: v for v in pg.graph.vertices}
-
-    def root(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for u, v in pg.graph.edges:
-        parent[root(u)] = root(v)
-    roots = {root(v) for v in pg.graph.vertices}
+    roots = set(_union_find_roots(pg.graph).values())
     return index, darts(pg.faces[index]) == walk, len(roots) == 1
 
 
@@ -282,13 +294,6 @@ def test_find_k4_matches_brute_force_on_random_graphs():
     assert counts == {"D": 5, "A": 9, "G2": 167}
 
 
-def test_chords_of_cycle():
-    g = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d"), ("b", "d")])
-    assert chords_of_cycle(g, ["a", "b", "c", "d"]) == [("b", "d")]
-    c4 = Graph.build("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
-    assert chords_of_cycle(c4, ["a", "b", "c", "d"]) == []
-
-
 def test_json_round_trip_plain_graph():
     g = random_graph(8, 0.4, 7)
     back = graph_from_json(graph_to_json(g))
@@ -311,9 +316,40 @@ def test_dot_export_lists_all_edges():
     assert '"a" -- "b";' in dot
 
 
-def test_connected_components():
-    g = Graph.build("abcd", [("a", "b"), ("c", "d")])
-    assert len(g.connected_components()) == 2
+def _edge_subsets():
+    """Edge subsets of near-triangulations with the rotation restricted to
+    them: disconnected, with tree components and isolated vertices, down
+    to no edges at all."""
+    for n, seed in ((6, 1), (25, 2), (80, 3)):
+        pg = random_near_triangulation(n, min(6, n), seed)
+        for keep in (0, 0.2, 0.5, 1):
+            rng = Rng(seed * 10 + int(keep * 10))
+            kept = {e for e in sorted(pg.graph.edges) if rng.random() < keep}
+            rotation = {v: tuple(w for w in nbrs if edge(v, w) in kept)
+                        for v, nbrs in pg.rotation.items()}
+            yield build_plane_graph(pg.graph.vertices, kept, rotation, _trace_all_faces(rotation)[0])
+
+
+def test_components_partition_vertices_edges_and_faces_as_union_find_does():
+    count = 0
+    for pg in (*_face_trace_instances(), *_edge_subsets()):
+        g = pg.graph
+        parts = components(g, pg.faces)
+        # each vertex, edge and face is in exactly one part
+        assert sorted(v for vs, _, _ in parts for v in vs) == list(g.vertices)
+        assert sorted(e for _, es, _ in parts for e in es) == sorted(g.edges)
+        assert sorted(f for _, _, fs in parts for f in fs) == sorted(pg.faces)
+        # the parts are the union-find's classes, in the order of their
+        # smallest vertex, and every edge and face lies inside its part
+        classes = {}
+        for v, root in _union_find_roots(g).items():
+            classes.setdefault(root, set()).add(v)
+        assert [vs for vs, _, _ in parts] == sorted(classes.values(), key=min)
+        assert all(set(e) <= vs for vs, es, _ in parts for e in es)
+        assert all(set(f) <= vs for vs, _, fs in parts for f in fs)
+        assert pg.connected == (len(parts) == 1)
+        count += 1
+    assert count == 41
 
 
 @settings(max_examples=50, deadline=None)
