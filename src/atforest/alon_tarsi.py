@@ -13,13 +13,13 @@ computes both.  Given out-degree bounds rather than one target, the same
 scan counts every out-degree vector within a budget at once, which is the
 whole Alon-Tarsi search.  Its cost is capped by the size of its live
 table (`TABLE_CAP`), the one limit of this module, not by the number of
-arcs or of out-degree sequences.
+arcs or of out-degree sequences.  Each call numbers the vertices once, in
+name order (`_frontier_order`); the kernel reads only those numbers.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,61 +41,56 @@ class ParityCount:
         return self.even_count - self.odd_count
 
 
-def _frontier_order(pairs) -> list:
-    """The pairs (arcs or edges) in an order that finishes each vertex early.
+def _frontier_order(pairs) -> tuple:
+    """Number the vertices of the pairs (arcs or edges) in name order, and
+    order the pairs so that each vertex finishes early: (the sorted names,
+    the pairs over those numbers in scan order).
 
     Vertices are placed greedily: next comes the one that brings in the
     fewest new vertices (itself and its neighbours, unless placed or next
-    to a placed one), ties broken on the name.  A pair is scanned as soon
-    as both its ends are placed: sorted by (later position, earlier
-    position).
+    to a placed one: one AND of bit masks and a bit count), ties broken on
+    the number, so on the name.  A pair is scanned as soon as both its
+    ends are placed: sorted by (later position, earlier position).
     """
-    adj: dict = defaultdict(set)
+    names = sorted({v for pair in pairs for v in pair})
+    n = len(names)
+    num = {v: i for i, v in enumerate(names)}
+    closed = [1 << i for i in range(n)]
+    arcs = []
     for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    unseen = {v: len(nbrs) + 1 for v, nbrs in adj.items()}  # in v and N(v)
-    rest = sorted(adj)  # the unplaced vertices, in name order
-    pos: dict = {}
-    seen: set = set()  # placed vertices and their neighbours
-    while rest:
-        v = min(rest, key=unseen.__getitem__)  # the first least: by name
+        i, j = num[a], num[b]
+        arcs.append((i, j))
+        closed[i] |= 1 << j
+        closed[j] |= 1 << i
+    pos = [0] * n
+    rest = list(range(n))  # the unplaced vertices, in number order
+    unseen = (1 << n) - 1  # neither placed nor next to a placed vertex
+    for p in range(n):
+        least = n + 1
+        for u in rest:
+            count = (closed[u] & unseen).bit_count()
+            if count < least:  # the first least: by number
+                least, v = count, u
         rest.remove(v)
-        pos[v] = len(pos)
-        for x in (v, *adj[v]):
-            if x not in seen:
-                seen.add(x)
-                for w in (x, *adj[x]):
-                    unseen[w] -= 1
+        pos[v] = p
+        unseen &= ~closed[v]
 
-    def key(pair):
-        i, j = pos[pair[0]], pos[pair[1]]
-        return (i, j) if i > j else (j, i)
+    def key(arc):
+        i, j = pos[arc[0]], pos[arc[1]]
+        return i * n + j if i > j else j * n + i
 
-    return sorted(pairs, key=key)
+    return names, sorted(arcs, key=key)
 
 
-def _layout(verts: list, hi: dict) -> tuple:
-    """How an out-degree vector over the sorted `verts` packs into one int:
-    each out-degree in a field of max(hi).bit_length() bits, the first
-    vertex in the highest field, so ints order as the vectors do
-    lexicographically.  (width, the shift of each vertex's field)."""
-    width = max((hi[v] for v in verts), default=0).bit_length()
-    return width, {v: width * i for i, v in enumerate(reversed(verts))}
-
-
-def _unpack(key: int, verts: list, hi: dict) -> dict:
-    """The out-degree vector in a key of `_flip_counts(arcs, lo, hi)`, whose
-    arcs have the sorted vertices `verts`."""
-    width, shift = _layout(verts, hi)
-    return {v: key >> s & ((1 << width) - 1) for v, s in shift.items()}
-
-
-def _flip_counts(arcs: list, lo: dict, hi: dict) -> dict:
+def _flip_counts(arcs: list, lo: list, hi: list) -> dict:
     """The subsets of arcs whose reversal leaves an out-degree between lo[v]
-    and hi[v] at every vertex v of the arcs, counted by the parity of their
-    size: a table from the out-degree vector, packed by `_layout`, to
-    [even, odd].
+    and hi[v] at every vertex v, counted by the parity of their size: a
+    table from the out-degree vector, packed into one int, to [even, odd].
+    The vertices are the numbers 0 .. len(hi) - 1 of a `_frontier_order`
+    numbering, and lo and hi are lists over them.  Packing: each
+    out-degree in a field of max(hi).bit_length() bits, vertex 0 (the least
+    name) in the highest field, so ints order as the vectors do
+    lexicographically.
 
     One scan over the arcs in the order given (callers pass
     `_frontier_order`).  A state is the vector of out-degrees so far, kept
@@ -105,10 +100,11 @@ def _flip_counts(arcs: list, lo: dict, hi: dict) -> dict:
     the arcs still to scan there.  The live table (states x coordinates per
     state) is checked against TABLE_CAP after each arc.
     """
-    verts = sorted({v for a in arcs for v in a})
-    width, shift = _layout(verts, hi)
+    n = len(hi)
+    width = max(hi, default=0).bit_length()
     mask = (1 << width) - 1
-    rem = dict.fromkeys(verts, 0)  # arcs at each vertex not scanned yet
+    shift = [width * (n - 1 - v) for v in range(n)]
+    rem = [0] * n  # arcs at each vertex not scanned yet
     for t, h in arcs:
         rem[t] += 1
         rem[h] += 1
@@ -144,15 +140,15 @@ def _flip_counts(arcs: list, lo: dict, hi: dict) -> dict:
                     pair[0] += od
                     pair[1] += ev
         states = nxt
-        if len(states) * len(verts) > TABLE_CAP:
+        if len(states) * n > TABLE_CAP:
             raise CapExceeded(
-                f"{len(states)} states of {len(verts)} vertices exceed "
+                f"{len(states)} states of {n} vertices exceed "
                 f"table cap {TABLE_CAP}"
             )
     return states
 
 
-def _target_counts(arcs: list, target: dict) -> tuple:
+def _target_counts(arcs: list, target: list) -> tuple:
     """(even, odd) of `_flip_counts` with lo = hi = target.  A final state
     is at most the target everywhere and sums to the arc count, which the
     target sums to at most, so the one entry that can survive is the
@@ -168,7 +164,9 @@ def eulerian_diff(d: Orientation) -> ParityCount:
     out-degree, so this is `_flip_counts` with the out-degrees of d as
     target.
     """
-    return ParityCount(*_target_counts(_frontier_order(list(d.arcs)), d.out_degrees()))
+    names, arcs = _frontier_order(list(d.arcs))
+    out = d.out_degrees()
+    return ParityCount(*_target_counts(arcs, [out[v] for v in names]))
 
 
 def poly_coefficient(g: Graph, eta: dict) -> int:
@@ -187,7 +185,8 @@ def poly_coefficient(g: Graph, eta: dict) -> int:
         raise DegreeMismatch(
             f"sum of exponents {sum(eta.values())} != edge count {len(g.edges)}"
         )
-    even, odd = _target_counts(_frontier_order([(v, u) for u, v in g.edges]), eta)
+    names, arcs = _frontier_order([(v, u) for u, v in g.edges])
+    even, odd = _target_counts(arcs, [eta[v] for v in names])
     return even - odd
 
 
@@ -276,23 +275,26 @@ def find_at_orientation(g: Graph, k: int) -> Optional[Orientation]:
     d, degeneracy = acyclic_orientation(g)
     if degeneracy <= k - 1:
         return d
-    edges = _frontier_order(list(g.edges))
-    eta = _least_sequence(g, edges, k)
-    return None if eta is None else _realize(g, edges, eta)
+    names, arcs = _frontier_order([(v, u) for u, v in g.edges])
+    eta = _least_sequence(g, names, arcs, k)
+    # the edges u - v (u < v) in frontier order, each first tried as u -> v
+    return None if eta is None else _realize(g, [(names[h], names[t]) for t, h in arcs], eta)
 
 
-def _least_sequence(g: Graph, edges: list, k: int) -> Optional[dict]:
+def _least_sequence(g: Graph, names: list, arcs: list, k: int) -> Optional[dict]:
     """The lexicographically least out-degree sequence below k with even !=
-    odd, from one budget scan over `edges` (in frontier order), or None.
-    Every key of the table is reached by some orientation, so `_realize`
-    finds one for it."""
-    budget = dict.fromkeys(g.vertices, k - 1)
-    table = _flip_counts([(v, u) for u, v in edges], dict.fromkeys(g.vertices, 0), budget)
+    odd, from one budget scan over the number `arcs` (in frontier order)
+    of `names`, or None.  Every key of the table is reached by some
+    orientation, so `_realize` finds one for it."""
+    table = _flip_counts(arcs, [0] * len(names), [k - 1] * len(names))
     least = min((key for key, (even, odd) in table.items() if even != odd), default=None)
     if least is None:
         return None
+    width = (k - 1).bit_length()  # the packing of `_flip_counts`, decoded
     eta = dict.fromkeys(g.vertices, 0)  # vertices without edges take 0
-    eta.update(_unpack(least, sorted({v for e in edges for v in e}), budget))
+    for v in reversed(names):  # the last name in the lowest field
+        eta[v] = least & ((1 << width) - 1)
+        least >>= width
     return eta
 
 
@@ -301,14 +303,16 @@ def at_number(g: Graph) -> int:
     Eulerian parity difference.  Starts at ceil(|E| / |V|) + 1: the
     out-degrees sum to |E|, so some vertex has out-degree >= |E| / |V|.
     Ends by degeneracy + 1, which the acyclic orientation meets; below it
-    each k takes one budget scan.  The degeneracy and the frontier order
-    are computed once for all k."""
+    each k takes one budget scan, asked only whether some entry has even
+    != odd.  The degeneracy and the frontier order are computed once."""
     m = len(g.edges)
     k = 1 + (-(-m // len(g.vertices)) if m else 0)
     _, degeneracy = _degeneracy_order(g)
     if degeneracy < k:
         return k
-    edges = _frontier_order(list(g.edges))
-    while k <= degeneracy and _least_sequence(g, edges, k) is None:
-        k += 1
-    return k
+    names, arcs = _frontier_order([(v, u) for u, v in g.edges])
+    n = len(names)
+    for k in range(k, degeneracy + 1):
+        if any(even != odd for even, odd in _flip_counts(arcs, [0] * n, [k - 1] * n).values()):
+            return k
+    return degeneracy + 1

@@ -141,7 +141,9 @@ def build_g1() -> tuple:
     """A 4-star at c with one S per star edge c-v_i, handle end a = c:
     the glued graph and its four S gadgets."""
     s_gadgets = tuple(build_s("c", f"v{i}", prefix=f"g{i}s") for i in range(1, 5))
-    return _glue(_J3, [copy for s in s_gadgets for copy in s.copies]), s_gadgets
+    # the union of the four S graphs, each already built and checked
+    vertices = sorted({v for s in s_gadgets for v in s.graph.vertices})
+    return Graph(tuple(vertices), frozenset().union(*(s.graph.edges for s in s_gadgets))), s_gadgets
 
 
 def build_a(x: str = "x", y: str = "y", prefix: str = "p") -> dict:

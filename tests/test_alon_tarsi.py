@@ -12,10 +12,8 @@ from atforest.alon_tarsi import (
     ParityCount,
     _degeneracy_order,
     _flip_counts,
-    _frontier_order,
     _realize,
     _target_counts,
-    _unpack,
     acyclic_orientation,
     at_number,
     eulerian_diff,
@@ -46,6 +44,38 @@ def k_complete(names):
     return Graph.build(names, [(u, v) for i, u in enumerate(names) for v in names[i + 1 :]])
 
 
+def _frontier_order(pairs):
+    """The pairs, by name, in the package's frontier order."""
+    names, order = alon_tarsi._frontier_order(pairs)
+    return [(names[i], names[j]) for i, j in order]
+
+
+def _numbered(arcs, *vectors):
+    """The kernels' input: `arcs` over the numbers of their vertices in
+    name order, and each name-keyed vector as a list over those numbers."""
+    names = sorted({v for a in arcs for v in a})
+    num = {v: i for i, v in enumerate(names)}
+    return ([(num[t], num[h]) for t, h in arcs], *([vec[v] for v in names] for vec in vectors))
+
+
+# names that sort unlike the order they are given in and unlike their
+# numbers ("10" < "9" < "a1" < "b"), so that a kernel numbering vertices
+# by anything but their names' sort order breaks its ties differently
+_NAME_POOL = [name for i in range(40) for name in (str(i), f"a{i}")] + ["b", "B", "z", "_"]
+
+
+def _renaming(vertices, rng):
+    """A seeded one-to-one renaming of `vertices` into _NAME_POOL."""
+    pool = list(_NAME_POOL)
+    rng.shuffle(pool)
+    return dict(zip(vertices, pool))
+
+
+def _renamed(g, rng):
+    new = _renaming(g.vertices, rng)
+    return Graph.build(new.values(), [(new[u], new[v]) for u, v in g.edges])
+
+
 def test_acyclic_orientation_has_difference_one():
     g = k_complete("abcd")
     d, deg = acyclic_orientation(g)
@@ -65,6 +95,28 @@ def test_directed_four_cycle_parity():
     d = Orientation.build(g, [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
     # empty and the full 4-cycle, both even
     assert eulerian_diff(d) == ParityCount(2, 0)
+
+
+def test_no_arcs_and_isolated_vertices():
+    # no arcs: only the empty sub-digraph, which is even
+    assert eulerian_diff(Orientation.build(Graph.build(["b", "a"], []), [])) == ParityCount(1, 0)
+    assert eulerian_diff(Orientation.build(Graph.build([], []), [])) == ParityCount(1, 0)
+    # an isolated vertex, its name sorting first, inside or last: exponent
+    # 0 keeps the coefficient of the graph without it, exponent 1 gives 0
+    rng = Rng(41)
+    checked = 0
+    for g in _small_graphs():
+        if not g.edges:
+            continue
+        eta = random_orientation(g, rng).out_degrees()
+        v = next(u for u in g.vertices if eta[u])
+        coefficient = poly_coefficient(g, eta)
+        for z in ("!", g.vertices[len(g.vertices) // 2] + "!", "~"):
+            h = Graph.build([*g.vertices, z], g.edges)
+            assert poly_coefficient(h, {**eta, z: 0}) == coefficient, (g, z)
+            assert poly_coefficient(h, {**eta, v: eta[v] - 1, z: 1}) == 0, (g, z)
+        checked += coefficient != 0
+    assert checked > 100, checked
 
 
 def test_parity_cap_enforced(monkeypatch):
@@ -404,14 +456,18 @@ def _sequence_find(g, k):
 
 
 def _small_graphs():
-    for seed in range(60):
-        yield random_graph(4 + seed % 3, (0.4, 0.6, 0.8)[seed // 3 % 3], 7000 + seed)
-    for seed in range(12):
-        yield random_near_triangulation(5 + seed % 2, 3 + seed % 3, 7100 + seed).graph
+    graphs = [random_graph(4 + seed % 3, (0.4, 0.6, 0.8)[seed // 3 % 3], 7000 + seed)
+              for seed in range(60)]
+    graphs += [random_near_triangulation(5 + seed % 2, 3 + seed % 3, 7100 + seed).graph
+               for seed in range(12)]
     for seed in range(12):  # bipartite, where the acyclic shortcut often misses
         g = random_graph(6 + seed % 2, 0.8, 7200 + seed)
         half = set(g.vertices[::2])
-        yield Graph.build(g.vertices, [e for e in g.edges if (e[0] in half) != (e[1] in half)])
+        graphs.append(Graph.build(g.vertices, [e for e in g.edges if (e[0] in half) != (e[1] in half)]))
+    rng = Rng(37)
+    for g in graphs:  # each also under names that sort unlike its own
+        yield g
+        yield _renamed(g, rng)
 
 
 def test_degeneracy_order_matches_reference():
@@ -596,8 +652,9 @@ def test_find_at_orientation_ignores_isolated_vertices():
 
 
 # ---------------------------------------------------------------------------
-# the packed-int kernel and the name-order frontier placement against the
-# tuple-keyed kernel and the (count, name) placement they replaced
+# the packed-int kernel and the bit-mask frontier placement, on vertex
+# numbers, against the name-keyed tuple kernel and the (count, name)
+# placement they replaced
 
 
 def _reference_frontier_order(pairs):
@@ -669,24 +726,33 @@ def _reference_flip_counts(arcs, lo, hi, sizes=None):
 
 
 def _decoded(table, arcs, hi):
-    """The packed table as {out-degree tuple: (even, odd)}, in key order."""
+    """The packed table as {out-degree tuple over the sorted vertices of
+    `arcs`: (even, odd)}, in key order, read by the documented layout: one
+    field of max(hi).bit_length() bits per vertex, the least vertex in the
+    highest field."""
     verts = sorted({v for a in arcs for v in a})
+    width = max(hi[v] for v in verts).bit_length()
     out = {}
     for key in sorted(table):
-        eta = _unpack(key, verts, hi)
-        out[tuple(eta[v] for v in verts)] = tuple(table[key])
+        assert key >> width * len(verts) == 0  # no bits above the fields
+        fields = [key >> width * i & ((1 << width) - 1) for i in range(len(verts))]
+        out[tuple(reversed(fields))] = tuple(table[key])
     return out
 
 
 def _kernel_graphs():
-    for seed in range(16):  # near-triangulations
-        yield random_near_triangulation(6 + seed % 5, 3 + seed % 4, 7500 + seed).graph
-    for seed in range(12):  # dense random graphs
-        yield random_graph(6 + seed % 3, (0.7, 0.85, 1.0)[seed % 3], 7600 + seed)
+    graphs = [random_near_triangulation(6 + seed % 5, 3 + seed % 4, 7500 + seed).graph
+              for seed in range(16)]
+    graphs += [random_graph(6 + seed % 3, (0.7, 0.85, 1.0)[seed % 3], 7600 + seed)
+               for seed in range(12)]  # dense random graphs
+    rng = Rng(29)
+    for g in graphs:  # each also under names that sort unlike its own
+        yield g
+        yield _renamed(g, rng)
 
 
 def _assert_same_table(arcs, lo, hi):
-    got, want = _flip_counts(arcs, lo, hi), _reference_flip_counts(arcs, lo, hi)
+    got, want = _flip_counts(*_numbered(arcs, lo, hi)), _reference_flip_counts(arcs, lo, hi)
     decoded = _decoded(got, arcs, hi)
     assert decoded == want
     # int order is the tuples' lexicographic order
@@ -713,11 +779,11 @@ def test_target_pairs_match_tuple_reference():
             arcs = _frontier_order(list(d.arcs))
             eta = d.out_degrees()
             want = next(iter(_reference_flip_counts(arcs, eta, eta).values()), (0, 0))
-            assert _target_counts(arcs, eta) == want
+            assert _target_counts(*_numbered(arcs, eta)) == want
             # the same target on the arcs v -> u of the graph polynomial
             arcs = _frontier_order([(v, u) for u, v in g.edges])
             want = next(iter(_reference_flip_counts(arcs, eta, eta).values()), (0, 0))
-            assert _target_counts(arcs, eta) == want
+            assert _target_counts(*_numbered(arcs, eta)) == want
             nonzero += want[0] != want[1]
     assert nonzero > 20, nonzero
 
@@ -741,7 +807,7 @@ def test_field_width_edges(top):
     eta = Orientation.build(k9, arcs).out_degrees()
     assert eta[v] == top
     order = _frontier_order(arcs)
-    assert _target_counts(order, eta) == next(iter(_reference_flip_counts(order, eta, eta).values()))
+    assert _target_counts(*_numbered(order, eta)) == next(iter(_reference_flip_counts(order, eta, eta).values()))
 
 
 class _Counted(list):
@@ -763,15 +829,16 @@ def test_cap_fires_at_the_same_arc(monkeypatch):
         lo, hi = dict.fromkeys(g.vertices, 0), dict.fromkeys(g.vertices, 3)
         sizes = []
         _reference_flip_counts(arcs, lo, hi, sizes)  # under the real cap
-        cases.append((arcs, lo, hi, sizes))
+        numbered, *bounds = _numbered(arcs, lo, hi)
+        cases.append(((arcs, lo, hi), (_Counted(numbered), *bounds), sizes))
     fired = 0
-    for arcs, lo, hi, sizes in cases:
-        n = len({v for a in arcs for v in a})
+    for named, numbered, sizes in cases:
+        n = len(numbered[2])
         for j in (len(sizes) // 3, len(sizes) // 2, sizes.index(max(sizes))):
             for cap in (sizes[j] * n - 1, sizes[j] * n):  # below it, and at it
                 monkeypatch.setattr(alon_tarsi, "TABLE_CAP", cap)
                 first = next((i for i, size in enumerate(sizes) if size * n > cap), None)
-                for kernel in (_reference_flip_counts, _flip_counts):
+                for kernel, (arcs, lo, hi) in ((_reference_flip_counts, named), (_flip_counts, numbered)):
                     if first is None:  # a table at the cap passes
                         kernel(arcs, lo, hi)
                         continue
@@ -783,7 +850,7 @@ def test_cap_fires_at_the_same_arc(monkeypatch):
     assert fired > 20
 
 
-def _frontier_inputs():
+def _frontier_pairs():
     rng = Rng(23)
     for seed in range(600):
         n = 3 + seed % 14
@@ -800,6 +867,15 @@ def _frontier_inputs():
         rng.shuffle(edges)
         yield edges
         yield list(random_orientation(Graph.build(sorted({v for e in edges for v in e}), edges), rng).arcs)
+
+
+def _frontier_inputs():
+    # each input, and the same pairs under names that sort unlike their own
+    rng = Rng(31)
+    for pairs in _frontier_pairs():
+        yield pairs
+        new = _renaming(sorted({v for p in pairs for v in p}), rng)
+        yield [(new[a], new[b]) for a, b in pairs]
 
 
 def test_frontier_order_matches_tuple_placement():

@@ -93,6 +93,15 @@ def test_gluing_premises_on_the_role_dicts():
         assert {v for c in copies for v in c.values()} == set(g.vertices)
 
 
+def test_g1_is_the_glue_of_its_36_j3_copies():
+    # G1 is the union of its four S graphs; gluing the 36 J3 copies of
+    # those S gadgets in one `_glue` builds the same graph
+    g1, s_gadgets = build_g1()
+    copies = [c for s in s_gadgets for c in s.copies]
+    assert len(copies) == 36
+    assert g1 == gadgets._glue(_J3, copies)
+
+
 def test_unknown_gadget_and_missing_selector():
     with pytest.raises(BadSelector):
         build_gadget("nosuch")
