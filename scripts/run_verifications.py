@@ -12,6 +12,7 @@ import os
 import sys
 import time
 
+from atforest.cli import _seed
 from atforest.gadgets import (
     verify_lemma1_all,
     verify_lemma2,
@@ -46,7 +47,7 @@ def timed(label, fn, expected=None):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=1000)
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=_seed, default=1)
     args = parser.parse_args(argv)
 
     ok = True

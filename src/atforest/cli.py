@@ -43,7 +43,7 @@ from .graph import (
     graph_to_json,
 )
 from .report import VerificationReport
-from .testkit import random_graph, random_near_triangulation
+from .testkit import _M64, random_graph, random_near_triangulation
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -110,6 +110,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed in 0 ... 2**64 - 1, else a usage error: `Rng` reduces seeds
+    mod 2**64, so any other value would alias one of these."""
+    value = int(text)
+    if not 0 <= value <= _M64:
+        raise argparse.ArgumentTypeError(f"{value} is outside 0 ... 2**64 - 1")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="atforest", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -140,7 +149,7 @@ def _build_parser() -> _Parser:
     vs = vsub.add_parser("sampled", parents=[leaf])
     vs.add_argument("--target", required=True)
     vs.add_argument("--count", type=int, required=True)
-    vs.add_argument("--seed", type=int, required=True)
+    vs.add_argument("--seed", type=_seed, required=True)
 
     a = sub.add_parser("at")
     asub = a.add_subparsers(dest="quantity", required=True)
@@ -165,12 +174,12 @@ def _build_parser() -> _Parser:
     gt = gensub.add_parser("triangulation", parents=[leaf])
     gt.add_argument("--n", type=int, required=True)
     gt.add_argument("--boundary", type=int, required=True)
-    gt.add_argument("--seed", type=int, required=True)
+    gt.add_argument("--seed", type=_seed, required=True)
     gt.add_argument("--output", default="-")
     gg = gensub.add_parser("graph", parents=[leaf])
     gg.add_argument("--n", type=int, required=True)
     gg.add_argument("--p", type=float, required=True)
-    gg.add_argument("--seed", type=int, required=True)
+    gg.add_argument("--seed", type=_seed, required=True)
     gg.add_argument("--output", default="-")
     return p
 

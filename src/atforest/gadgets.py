@@ -27,8 +27,10 @@ the pigeonhole reduction plus seeded random sampling.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import itemgetter
 from typing import Optional
 
 from .check import check_star_forest
@@ -96,6 +98,8 @@ _J3_LINKS = list(zip(_J3_PATH, _J3_PATH[1:]))
 _J3_FREE = _J3_LINKS + [(m, r) for m, (_, p, q) in _J3_APEXES.items() for r in (p, q)]
 _J3 = ([("a", "b")] + [(end, r) for r in _J3_PATH for end in "ab"] + _J3_FREE
        + [(m, attach) for m, (attach, _, _) in _J3_APEXES.items()])
+# the edges at a and at b (ab in both): a deleted b-edge joins b to its copy
+_J3_AT_A, _J3_AT_B = ([e for e in _J3 if end in e] for end in "ab")
 
 _A_PATHS = [tuple(f"{i}{j}" for j in range(1, 5)) for i in range(1, 4)]
 _A = ([("a", "b")] + [link for p in _A_PATHS for link in zip(p, p[1:])]
@@ -206,31 +210,47 @@ class Obstruction:
     pieces: tuple = ()
 
 
-def _max_degree(edges) -> int:
-    degree: dict = {}
-    for u, v in edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    return max(degree.values(), default=0)
-
-
 def _k4_edge_sets(g: Graph) -> list:
     # k4s yields sorted quadruples, so every pair is already an edge
     return [set(combinations(q, 2)) for q in k4s(g)]
 
 
-def _extract_from_copy(copy: dict, h: set):
+def _extract_from_copy(copy: dict, mask: int):
     """K4 or a surviving J1/J2 piece inside one J3 copy whose a- and
-    b-incident edges avoid h."""
-    for p, q in _J3_LINKS:
-        if edge(copy[p], copy[q]) not in h:
+    b-incident edges survive.  `mask` marks the copy's deleted `_J3_FREE`
+    edges in Lemma 2's bit order: the path links in bits 0-3, then each
+    apex's two path edges."""
+    for bit, (p, q) in enumerate(_J3_LINKS):
+        if not mask >> bit & 1:
             return ("k4", (copy["a"], copy["b"], copy[p], copy[q]))
-    for m, (attach, p, q) in _J3_APEXES.items():
-        if edge(copy[m], copy[p]) not in h and edge(copy[m], copy[q]) not in h:
+    for t, (m, (attach, p, q)) in enumerate(_J3_APEXES.items()):
+        if not mask >> (len(_J3_LINKS) + 2 * t) & 3:
             return ("j", attach, copy[p], copy[q], copy[m])
-    raise PreconditionViolated(
-        "no apex survives; the deleted set has a vertex of degree > 3"
+    raise PreconditionViolated("no apex survives; the deleted set has a vertex of degree > 3")
+
+
+def _pigeonhole(s: SGadget, clear: list, mask) -> Obstruction:
+    """The reduction on S: `clear` lists the indices of the J3 copies that
+    no deleted edge joins to b, and mask(j) is copy j's `_J3_FREE` mask.
+    At least six copies must be clear; in order they give a K4 or the
+    first six pieces, assembled into a family member with its bad lists."""
+    if len(clear) < 6:
+        raise PreconditionViolated("fewer than six clear copies; pigeonhole violated")
+
+    pieces = []
+    for j in clear:
+        got = _extract_from_copy(s.copies[j], mask(j))
+        if got[0] == "k4":
+            return Obstruction("k4", got[1])
+        pieces.append(got)
+        if len(pieces) == 6:
+            break
+
+    verts, witness, lists = _assemble_member(
+        s.a, s.b, [(attach, p, q, m) for _, attach, p, q, m in pieces]
     )
+    selector = "".join(attach for _, attach, _, _, _ in pieces)
+    return Obstruction("j_member", tuple(verts), selector, witness, lists, tuple(pieces))
 
 
 def extract_obstruction(s: SGadget, h: set) -> Obstruction:
@@ -243,29 +263,11 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
         raise PreconditionViolated(f"edge {unknown[0]} not in the gadget")
     if any(s.a in e for e in h):
         raise PreconditionViolated("deleted set touches the protected handle end")
-    if _max_degree(h) > 3:
+    if max(Counter(v for e in h for v in e).values(), default=0) > 3:
         raise PreconditionViolated("deleted set has maximum degree > 3")
-
-    # a copy is clear when no edge of h joins b to one of its vertices
-    joined = {u if v == s.b else v for u, v in h if s.b in (u, v)}
-    clear = [c for c in s.copies if joined.isdisjoint(c.values())]
-    if len(clear) < 6:
-        raise PreconditionViolated("fewer than six clear copies; pigeonhole violated")
-
-    pieces = []
-    for copy in clear:
-        got = _extract_from_copy(copy, h)
-        if got[0] == "k4":
-            return Obstruction("k4", got[1])
-        pieces.append(got)
-        if len(pieces) == 6:
-            break
-
-    verts, witness, lists = _assemble_member(
-        s.a, s.b, [(attach, p, q, m) for _, attach, p, q, m in pieces]
-    )
-    selector = "".join(attach for _, attach, _, _, _ in pieces)
-    return Obstruction("j_member", tuple(verts), selector, witness, lists, tuple(pieces))
+    clear = [j for j, copy in enumerate(s.copies) if h.isdisjoint(_edges(copy, _J3_AT_B))]
+    return _pigeonhole(s, clear, lambda j: sum(
+        1 << k for k, e in enumerate(_edges(s.copies[j], _J3_FREE)) if e in h))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +301,8 @@ def verify_lemma2() -> VerificationReport:
     H is a 12-bit mask over the copy's `_J3_FREE` edges.  Its degree at a
     vertex is the bit count of the mask against the vertex's incident-edge
     mask (only a vertex on more than three free edges can exceed 3), and a
-    K4 survives when the mask misses the K4's edges.  The edge set H is built
-    only for the cases that go on to `_extract_from_copy`.
+    K4 survives when the mask misses the K4's edges.  The cases that hit
+    every K4 go to `_extract_from_copy` as masks.
     """
     g, copy = build_j3()
     free = _edges(copy, _J3_FREE)
@@ -319,16 +321,15 @@ def verify_lemma2() -> VerificationReport:
         c = sum(bits.get(e, 0) for e in es)
         no_k4 = [mask for mask in no_k4 if mask & c]
     for mask in no_k4:
-        h = {e for e, b in bits.items() if mask & b}
         try:
-            got = _extract_from_copy(copy, h)
+            got = _extract_from_copy(copy, mask)
         except PreconditionViolated:
             got = None
         if got is None or got[0] != "j":
             return VerificationReport(
                 False,
                 "no K4 and no anchored J1/J2 piece",
-                counterexample=sorted(list(e) for e in h),
+                counterexample=sorted(list(e) for e, b in bits.items() if mask & b),
                 stats={"cases_examined": cases.index(mask) + 1},
             )
     return VerificationReport(
@@ -483,32 +484,32 @@ def verify_theorem7_core() -> VerificationReport:
 
 def _indexed_host(vertices, edges: list, forbidden: Optional[set]) -> tuple:
     """The host for `_random_max_degree_subgraph`: its sorted edge list
-    `edges` as (i, j, edge) triples over the positions in `vertices`, and
-    the starting degrees, 3 at a forbidden vertex (a full vertex takes no
-    edge) and 0 elsewhere."""
+    `edges` as (i, j, p) triples, the positions of the ends in `vertices`
+    and of the edge in `edges`, and the starting degrees, 3 at a forbidden
+    vertex (a full vertex takes no edge) and 0 elsewhere."""
     index = {v: i for i, v in enumerate(vertices)}
-    triples = [(index[u], index[v], (u, v)) for u, v in edges]
+    triples = [(index[u], index[v], p) for p, (u, v) in enumerate(edges)]
     forbidden = forbidden or ()
     return triples, [3 if v in forbidden else 0 for v in vertices]
 
 
-def _random_max_degree_subgraph(triples: list, degrees: list, rng: Rng) -> set:
+def _random_max_degree_subgraph(triples: list, degrees: list, rng: Rng) -> tuple:
     """Greedy maximal edge set with all degrees <= 3 over a shuffled copy
-    of an `_indexed_host`'s triples, from its starting degrees."""
+    of an `_indexed_host`'s triples, from its starting degrees: a bytearray
+    with 1 at each kept edge's position, and the final degrees."""
     order = list(triples)
     rng.shuffle(order)
     degree = list(degrees)
-    out = []
-    keep = out.append
-    for i, j, e in order:
+    kept = bytearray(len(order))
+    for i, j, p in order:
         du = degree[i]
         if du < 3:
             dv = degree[j]
             if dv < 3:
-                keep(e)
+                kept[p] = 1
                 degree[i] = du + 1
                 degree[j] = dv + 1
-    return set(out)
+    return kept, degree
 
 
 def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
@@ -531,14 +532,30 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     if target == "theorem7":
         return _sample_theorem7(n, rng, seed)
     if target == "theorem2":
-        return _sample_obstructions(
-            n, rng, seed, *build_g1(), None,
-            "every sample produced a verified obstruction",
-        )
-    s = build_s()
-    return _sample_obstructions(
-        n, rng, seed, s.graph, (s,), {s.a}, "every sample produced an obstruction"
-    )
+        host, s_gadgets, forbidden = *build_g1(), None
+    else:
+        s = build_s()
+        host, s_gadgets, forbidden = s.graph, (s,), {s.a}
+    tally = {"k4": 0, "j_member": 0}
+    for i, (t, obstruction) in enumerate(_sampled_obstructions(n, rng, host, s_gadgets, forbidden)):
+        if t is None:
+            return VerificationReport(
+                False, f"sample {i}: center degree exceeds 3", stats={"samples": i + 1}, seed=seed
+            )
+        if obstruction.kind == "j_member":
+            recheck = verify_witness_not_k_choosable(obstruction.graph, obstruction.lists, 3)
+            if not recheck.verdict:
+                return VerificationReport(
+                    False,
+                    f"sample {i}: assembled member is 3-choosable after all",
+                    counterexample=recheck.counterexample,
+                    stats={"samples": i + 1},
+                    seed=seed,
+                )
+        tally[obstruction.kind] += 1
+    passed = ("every sample produced a verified obstruction" if target == "theorem2"
+              else "every sample produced an obstruction")
+    return VerificationReport(True, passed, stats={"samples": n, **tally}, seed=seed)
 
 
 def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
@@ -566,33 +583,32 @@ def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
     )
 
 
-def _sample_obstructions(n: int, rng: Rng, seed: int, host: Graph, s_gadgets: tuple,
-                         forbidden: Optional[set], passed: str) -> VerificationReport:
-    """Draw a random maximal max-degree-3 deletion from the host, extract an
-    obstruction from the first S copy whose handle end a keeps all its
-    edges, and recheck an assembled member's lists."""
-    tally = {"k4": 0, "j_member": 0}
-    triples, degrees = _indexed_host(host.vertices, sorted(host.edges), forbidden)
+def _sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple,
+                          forbidden: Optional[set]):
+    """Per sample i, a random maximal max-degree-3 deletion from the host
+    drawn from rng.split(i): the index of the first S gadget whose handle
+    end a keeps all its edges and its obstruction, or (None, None).  Each S
+    is laid out on edge positions: its a-edges, and per J3 copy its b-edges
+    and its `_J3_FREE` edges in bit order."""
+    edges = sorted(host.edges)
+    triples, degrees = _indexed_host(host.vertices, edges, forbidden)
+    position = {e: p for p, e in enumerate(edges)}
+    layout = [
+        (itemgetter(*{position[e] for copy in s.copies for e in _edges(copy, _J3_AT_A)}),
+         [itemgetter(*(position[e] for e in _edges(copy, _J3_AT_B))) for copy in s.copies],
+         [[position[e] for e in _edges(copy, _J3_FREE)] for copy in s.copies])
+        for s in s_gadgets
+    ]
     for i in range(n):
-        h = _random_max_degree_subgraph(triples, degrees, rng.split(i))
-        for s in s_gadgets:
-            h_local = h & s.graph.edges
-            if not any(s.a in e for e in h_local):
+        kept, degree = _random_max_degree_subgraph(triples, degrees, rng.split(i))
+        for t, (a_edges, b_edges, free) in enumerate(layout):
+            if not any(a_edges(kept)):
                 break
         else:
-            return VerificationReport(
-                False, f"sample {i}: center degree exceeds 3", stats={"samples": i + 1}, seed=seed
-            )
-        obstruction = extract_obstruction(s, h_local)
-        if obstruction.kind == "j_member":
-            recheck = verify_witness_not_k_choosable(obstruction.graph, obstruction.lists, 3)
-            if not recheck.verdict:
-                return VerificationReport(
-                    False,
-                    f"sample {i}: assembled member is 3-choosable after all",
-                    counterexample=recheck.counterexample,
-                    stats={"samples": i + 1},
-                    seed=seed,
-                )
-        tally[obstruction.kind] += 1
-    return VerificationReport(True, passed, stats={"samples": n, **tally}, seed=seed)
+            yield None, None
+            continue
+        if max(degree) > 3:
+            raise PreconditionViolated("deleted set has maximum degree > 3")
+        clear = [j for j, b in enumerate(b_edges) if not any(b(kept))]
+        yield t, _pigeonhole(s_gadgets[t], clear, lambda j: sum(
+            kept[p] << k for k, p in enumerate(free[j])))

@@ -9,7 +9,7 @@ from atforest.choosability import ListAssignment, is_l_colorable
 from atforest.errors import CapExceeded, PreconditionViolated
 from atforest.graph import Graph, Orientation, build_plane_graph, edge, k4s
 from atforest.report import VerificationReport
-from atforest.testkit import plane_graph_from_triangles
+from atforest.testkit import Rng, plane_graph_from_triangles
 
 
 def quad_with_chord():
@@ -95,8 +95,8 @@ def brute_force_eulerian_diff_oracle(d: Orientation) -> ParityCount:
 
 # set-based references for the mask-based gadget verifiers: one edge set
 # per case, checked edge by edge.  They call `gadgets._extract_from_copy`
-# and `gadgets._path_configs` through the module, so a test that patches
-# those patches both sides.
+# (with the case's 12-bit mask) and `gadgets._path_configs` through the
+# module, so a test that patches those patches both sides.
 
 def _edge_set_max_degree(edges) -> int:
     degree: dict = {}
@@ -123,7 +123,7 @@ def reference_lemma2() -> VerificationReport:
             tally["k4"] += 1
             continue
         try:
-            got = gadgets._extract_from_copy(copy, h)
+            got = gadgets._extract_from_copy(copy, mask)
         except PreconditionViolated:
             got = None
         if got is None or got[0] != "j":
@@ -237,3 +237,95 @@ def reference_theorem7_core() -> VerificationReport:
         "K4 survives every center-covered deletion",
         stats={"cases_examined": examined},
     )
+
+
+# name-set references for the sampled theorem2 / corollary3 loop: the
+# greedy keeps a set of edge names, each sample intersects it with every
+# S gadget's edges, and the obstruction is extracted edge by edge.  They
+# share nothing with the package's position-based loop but the builders,
+# `Rng` and `_assemble_member`.
+
+def reference_indexed_host(vertices, edges: list, forbidden) -> tuple:
+    index = {v: i for i, v in enumerate(vertices)}
+    triples = [(index[u], index[v], (u, v)) for u, v in edges]
+    forbidden = forbidden or ()
+    return triples, [3 if v in forbidden else 0 for v in vertices]
+
+
+def reference_random_max_degree_subgraph(triples: list, degrees: list, rng: Rng) -> set:
+    order = list(triples)
+    rng.shuffle(order)
+    degree = list(degrees)
+    out = []
+    keep = out.append
+    for i, j, e in order:
+        du = degree[i]
+        if du < 3:
+            dv = degree[j]
+            if dv < 3:
+                keep(e)
+                degree[i] = du + 1
+                degree[j] = dv + 1
+    return set(out)
+
+
+def reference_extract_from_copy(copy: dict, h: set):
+    for p, q in gadgets._J3_LINKS:
+        if edge(copy[p], copy[q]) not in h:
+            return ("k4", (copy["a"], copy["b"], copy[p], copy[q]))
+    for m, (attach, p, q) in gadgets._J3_APEXES.items():
+        if edge(copy[m], copy[p]) not in h and edge(copy[m], copy[q]) not in h:
+            return ("j", attach, copy[p], copy[q], copy[m])
+    raise PreconditionViolated(
+        "no apex survives; the deleted set has a vertex of degree > 3"
+    )
+
+
+def reference_extract_obstruction(s, h: set):
+    """`gadgets.extract_obstruction` on edge-name sets."""
+    h = {edge(u, v) for u, v in h}
+    unknown = [e for e in h if e not in s.graph.edges]
+    if unknown:
+        raise PreconditionViolated(f"edge {unknown[0]} not in the gadget")
+    if any(s.a in e for e in h):
+        raise PreconditionViolated("deleted set touches the protected handle end")
+    if _edge_set_max_degree(h) > 3:
+        raise PreconditionViolated("deleted set has maximum degree > 3")
+
+    # a copy is clear when no edge of h joins b to one of its vertices
+    joined = {u if v == s.b else v for u, v in h if s.b in (u, v)}
+    clear = [c for c in s.copies if joined.isdisjoint(c.values())]
+    if len(clear) < 6:
+        raise PreconditionViolated("fewer than six clear copies; pigeonhole violated")
+
+    pieces = []
+    for copy in clear:
+        got = reference_extract_from_copy(copy, h)
+        if got[0] == "k4":
+            return gadgets.Obstruction("k4", got[1])
+        pieces.append(got)
+        if len(pieces) == 6:
+            break
+
+    verts, witness, lists = gadgets._assemble_member(
+        s.a, s.b, [(attach, p, q, m) for _, attach, p, q, m in pieces]
+    )
+    selector = "".join(attach for _, attach, _, _, _ in pieces)
+    return gadgets.Obstruction("j_member", tuple(verts), selector, witness, lists, tuple(pieces))
+
+
+def reference_sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple, forbidden):
+    """`gadgets._sampled_obstructions` on edge-name sets: per sample, the
+    index of the first S gadget whose handle end a keeps all its edges and
+    its obstruction, or (None, None) when there is none."""
+    triples, degrees = reference_indexed_host(host.vertices, sorted(host.edges), forbidden)
+    for i in range(n):
+        h = reference_random_max_degree_subgraph(triples, degrees, rng.split(i))
+        for t, s in enumerate(s_gadgets):
+            h_local = h & s.graph.edges
+            if not any(s.a in e for e in h_local):
+                break
+        else:
+            yield None, None
+            continue
+        yield t, reference_extract_obstruction(s, h_local)

@@ -380,6 +380,27 @@ def test_gen_graph_deterministic(tmp_path):
     assert len(g.vertices) == 9
 
 
+_SEEDED = (
+    ("gen", "triangulation", "--n", "5", "--boundary", "3"),
+    ("gen", "graph", "--n", "5", "--p", "0.5"),
+    ("verify", "sampled", "--target", "corollary3", "--count", "1"),
+)
+
+
+@pytest.mark.parametrize("command", _SEEDED, ids=lambda c: " ".join(c[:2]))
+def test_seed_range(command):
+    # `Rng` reduces seeds mod 2**64: -1 and 2**64 - 1 (or 0 and 2**64)
+    # would give byte-identical output, so only 0 ... 2**64 - 1 parse
+    for seed in (-1, 2**64):
+        result = go(*command, "--seed", str(seed))
+        assert result.exit_code == EXIT_USAGE and "--seed" in result.output(), seed
+    for seed in (0, 2**64 - 1):
+        result = go(*command, "--seed", str(seed), "--json")
+        assert result.exit_code == EXIT_PASS, seed
+        if command[0] == "verify":
+            assert json.loads(result.output())["seed"] == seed
+
+
 def test_usage_errors():
     assert go().exit_code == EXIT_USAGE
     assert go("nosuch").exit_code == EXIT_USAGE

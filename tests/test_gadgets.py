@@ -5,7 +5,7 @@ import json
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from atforest import gadgets
@@ -41,8 +41,10 @@ from atforest.testkit import Rng, random_graph
 from helpers import (
     find_k4,
     has_edge,
+    reference_extract_obstruction,
     reference_lemma2,
     reference_lemma6,
+    reference_sampled_obstructions,
     reference_theorem7_core,
     subgraph_without_edges,
 )
@@ -134,7 +136,8 @@ def test_lemma2_pinned_cases():
     assert find_k4(remaining) is None
     from atforest.gadgets import _extract_from_copy
 
-    kind, attach, p, q, m = _extract_from_copy(copy, h)
+    mask = sum(1 << _J3_FREE.index(link) for link in _J3_LINKS)
+    kind, attach, p, q, m = _extract_from_copy(copy, mask)
     assert kind == "j" and attach == "a" and {p, q, m} == {"d", "e", "h"}
 
 
@@ -186,7 +189,7 @@ def test_mask_verifiers_match_set_references():
 
 
 def test_lemma2_failure_matches_set_reference(monkeypatch):
-    def no_piece(copy, h):
+    def no_piece(copy, mask):
         raise PreconditionViolated("forced")
 
     monkeypatch.setattr(gadgets, "_extract_from_copy", no_piece)
@@ -194,7 +197,7 @@ def test_lemma2_failure_matches_set_reference(monkeypatch):
     assert not report.verdict and report.counterexample
     _assert_same_report(verify_lemma2, reference_lemma2)
 
-    monkeypatch.setattr(gadgets, "_extract_from_copy", lambda copy, h: ("k4", ()))
+    monkeypatch.setattr(gadgets, "_extract_from_copy", lambda copy, mask: ("k4", ()))
     assert not verify_lemma2().verdict
     _assert_same_report(verify_lemma2, reference_lemma2)
 
@@ -265,6 +268,65 @@ def test_extract_obstruction_preconditions():
         extract_obstruction(s, too_many)
     with pytest.raises(PreconditionViolated):
         extract_obstruction(s, {("a", "nope")})
+    # a max-degree-3 set joins b to at most three copies, so only the
+    # S-level rule itself can see four
+    with pytest.raises(PreconditionViolated, match="fewer than six clear copies"):
+        gadgets._pigeonhole(s, [0, 1, 2, 3, 4], lambda j: 0)
+
+
+# extract_obstruction turns a name set into per-copy masks; the name-set
+# reference in helpers gives the same obstruction, or raises the same
+# exception with the same message, on any edge set
+
+_S = build_s()
+_S_EDGES = sorted(_S.graph.edges)
+_S_PATH_EDGES = {e for copy in _S.copies for e in _edges(copy, _J3_LINKS)}
+_S_B_JOINED = _S_PATH_EDGES | {edge(_S.b, copy["d"]) for copy in _S.copies[:3]}
+
+
+# per J3 copy: every path link deleted, and at most one apex edge
+_PIECE_MASKS = [15] + [15 | 1 << k for k in range(len(_J3_LINKS), len(_J3_FREE))]
+
+
+@st.composite
+def _s_deletions(draw):
+    """Any edges of S; edges off a; or per J3 copy a random `_J3_FREE` mask
+    or one that leaves no K4, and now and then one b-edge.  Then maybe each
+    edge reversed, and now and then an edge not in S."""
+    kind = draw(st.sampled_from(("any", "off_a", "masks", "pieces")))
+    if kind == "any":
+        h = draw(st.sets(st.sampled_from(_S_EDGES), max_size=12))
+    elif kind == "off_a":
+        h = draw(st.sets(st.sampled_from([e for e in _S_EDGES if _S.a not in e]), max_size=60))
+    else:
+        masks = st.integers(0, 4095) if kind == "masks" else st.sampled_from(_PIECE_MASKS)
+        h = set()
+        for copy in _S.copies:
+            mask = draw(masks)
+            h |= {e for k, e in enumerate(_edges(copy, _J3_FREE)) if mask >> k & 1}
+            if draw(st.sampled_from([False] * 5 + [True])):
+                h.add(edge(_S.b, copy[draw(st.sampled_from("cdefgjk"))]))
+    if draw(st.booleans()):
+        h = {(v, u) for u, v in h}
+    if draw(st.sampled_from([False] * 9 + [True])):
+        h.add((_S.a, "nope"))
+    return h
+
+
+def _outcome(extract, h):
+    try:
+        return extract(_S, set(h))
+    except PreconditionViolated as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_s_deletions())
+@example(set())
+@example(_S_PATH_EDGES)
+@example(_S_B_JOINED)
+def test_extract_obstruction_matches_name_set_reference(h):
+    assert _outcome(extract_obstruction, h) == _outcome(reference_extract_obstruction, h)
 
 
 def test_sampled_verifiers_deterministic_and_passing():
@@ -274,6 +336,11 @@ def test_sampled_verifiers_deterministic_and_passing():
         assert r1.verdict, target
         assert r1.stats == r2.stats
         assert r1.seed == 99
+
+
+def _kept_edges(edges, kept):
+    """The edges at the positions `_random_max_degree_subgraph` kept."""
+    return {e for e, k in zip(edges, kept) if k}
 
 
 @settings(max_examples=60, deadline=None)
@@ -286,13 +353,16 @@ def test_sampled_verifiers_deterministic_and_passing():
 def test_random_max_degree_subgraph_is_maximal(n, p, seed, mask):
     g = random_graph(n, p, seed)
     forbidden = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
-    triples, degrees = _indexed_host(g.vertices, sorted(g.edges), forbidden)
-    h = _random_max_degree_subgraph(triples, degrees, Rng(seed))
+    edges = sorted(g.edges)
+    triples, degrees = _indexed_host(g.vertices, edges, forbidden)
+    kept, final = _random_max_degree_subgraph(triples, degrees, Rng(seed))
+    h = _kept_edges(edges, kept)
     assert h <= g.edges
     degree = dict.fromkeys(g.vertices, 0)
     for u, v in h:
         degree[u] += 1
         degree[v] += 1
+    assert final == [3 if v in forbidden else degree[v] for v in g.vertices]
     assert max(degree.values()) <= 3
     assert not any(u in forbidden or v in forbidden for u, v in h)
     # maximal: every edge left out has a forbidden or a full endpoint
@@ -301,13 +371,29 @@ def test_random_max_degree_subgraph_is_maximal(n, p, seed, mask):
 
 
 def _delete_every_j3_path_edge(monkeypatch):
+    # every sample deletes the path links of every J3 copy: the host's
+    # sorted edge list, recorded as it is indexed, names the positions
     path_edges = set()
     for s in (build_s(),) + build_g1()[1]:
         for copy in s.copies:
             path_edges.update(_edges(copy, _J3_LINKS))
-    monkeypatch.setattr(
-        gadgets, "_random_max_degree_subgraph", lambda *args: set(path_edges)
-    )
+    host_edges = []
+    indexed_host = gadgets._indexed_host
+
+    def recording_host(vertices, edges, forbidden):
+        host_edges[:] = edges
+        return indexed_host(vertices, edges, forbidden)
+
+    def delete_path_edges(triples, degrees, rng):
+        kept = bytearray(e in path_edges for e in host_edges)
+        degree = list(degrees)
+        for i, j, p in triples:
+            degree[i] += kept[p]
+            degree[j] += kept[p]
+        return kept, degree
+
+    monkeypatch.setattr(gadgets, "_indexed_host", recording_host)
+    monkeypatch.setattr(gadgets, "_random_max_degree_subgraph", delete_path_edges)
 
 
 def test_sampled_obstructions_reach_the_member_recheck(monkeypatch):
@@ -333,6 +419,20 @@ def test_sampled_obstructions_fail_on_colorable_member(monkeypatch):
         assert not report.verdict, target
         assert "assembled member is 3-choosable after all" in report.detail
         assert report.stats["samples"] == 1
+
+
+def test_sampled_obstructions_refuse_a_degree_above_3(monkeypatch):
+    greedy = gadgets._random_max_degree_subgraph
+
+    def one_vertex_over(triples, degrees, rng):
+        kept, degree = greedy(triples, degrees, rng)
+        degree[-1] = 4
+        return kept, degree
+
+    monkeypatch.setattr(gadgets, "_random_max_degree_subgraph", one_vertex_over)
+    for target in ("theorem2", "corollary3"):
+        with pytest.raises(PreconditionViolated, match="maximum degree > 3"):
+            verify_sampled(target, 1, seed=3)
 
 
 def test_sampled_zero_is_vacuous_pass():
@@ -400,8 +500,10 @@ def _sample_streams():
     g2 = build_gadget("G2")
     for seed in range(200):
         for g, forbidden in ((g1, None), (s.graph, {s.a})):
-            triples, degrees = _indexed_host(g.vertices, sorted(g.edges), forbidden)
-            yield sorted(_random_max_degree_subgraph(triples, degrees, Rng(seed)))
+            edges = sorted(g.edges)
+            triples, degrees = _indexed_host(g.vertices, edges, forbidden)
+            kept, _ = _random_max_degree_subgraph(triples, degrees, Rng(seed))
+            yield sorted(_kept_edges(edges, kept))
         forest = random_star_forest(g2, Rng(seed))
         yield [sorted(forest.edges), sorted(forest.centers)]
 
@@ -470,6 +572,39 @@ def test_random_max_degree_subgraph_matches_reference_and_final_state():
         triples, degrees = _indexed_host(g.vertices, edges, forbidden)
         for seed in range(10):
             fast, ref = Rng(seed), Rng(seed)
-            h = _random_max_degree_subgraph(triples, degrees, fast)
+            kept, _ = _random_max_degree_subgraph(triples, degrees, fast)
+            h = _kept_edges(edges, kept)
             assert h == _reference_max_degree_subgraph(g.vertices, edges, ref, forbidden), seed
             assert fast.state == ref.state, seed
+
+
+# pinned per-sample obstructions: which S gadget each theorem2 and
+# corollary3 sample uses and what it extracts there, which neither digest
+# above sees.  The package's position-based loop must equal the name-set
+# reference in helpers sample by sample, and the digest pins the reference.
+
+SAMPLE_OBSTRUCTION_DIGEST = "3fec8c07a310dad6db03e34d9c0a382a353f439903bebd04ead4236475a627ff"
+
+
+def _sampling_hosts():
+    s = build_s()
+    yield "theorem2", (*build_g1(), None)
+    yield "corollary3", (s.graph, (s,), {s.a})
+
+
+def test_sampled_obstructions_match_name_set_reference():
+    for target, host in _sampling_hosts():
+        for seed in range(50):
+            got = list(gadgets._sampled_obstructions(25, Rng(seed), *host))
+            want = list(reference_sampled_obstructions(25, Rng(seed), *host))
+            assert got == want, (target, seed)
+
+
+def test_sampled_obstructions_match_pinned_digest():
+    h = hashlib.sha256()
+    for target, host in _sampling_hosts():
+        for seed in range(50):
+            for t, ob in reference_sampled_obstructions(25, Rng(seed), *host):
+                item = [target, seed, t, None if ob is None else _obstruction_json(ob)]
+                h.update(json.dumps(item, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == SAMPLE_OBSTRUCTION_DIGEST
