@@ -40,7 +40,7 @@ from .graph import (
     PlaneGraph,
     graph_from_json_dict,
     graph_to_dot,
-    graph_to_json,
+    graph_to_json_dict,
 )
 from .report import VerificationReport
 from .testkit import _M64, random_graph, random_near_triangulation
@@ -86,8 +86,8 @@ def _load(path: str, parse, what: str):
         raise _UsageError(f"cannot read {what} from {path!r}: {exc}")
 
 
-def _emit(result: CommandResult, path: Optional[str], content: str) -> None:
-    if path is None or path == "-":
+def _emit(result: CommandResult, path: str, content: str) -> None:
+    if path == "-":
         result.text = content if not result.text else result.text + "\n" + content
     else:
         with open(path, "w", encoding="utf-8") as fh:
@@ -102,9 +102,18 @@ def _from_report(report: VerificationReport) -> CommandResult:
     )
 
 
+def _integer(text: str) -> int:
+    """int(text), else a usage error that says so (on a ValueError,
+    argparse would name the type function instead)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
 def _positive(text: str) -> int:
     """An integer of at least 1 (an out-degree budget k), else a usage error."""
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"{value} is below 1")
     return value
@@ -113,7 +122,7 @@ def _positive(text: str) -> int:
 def _seed(text: str) -> int:
     """A seed in 0 ... 2**64 - 1, else a usage error: `Rng` reduces seeds
     mod 2**64, so any other value would alias one of these."""
-    value = int(text)
+    value = _integer(text)
     if not 0 <= value <= _M64:
         raise argparse.ArgumentTypeError(f"{value} is outside 0 ... 2**64 - 1")
     return value
@@ -191,11 +200,20 @@ _LEMMA_VERIFIERS = {
 }
 
 
+def _graph_json(data: dict, path: str) -> CommandResult:
+    """A graph's JSON dict as the --json payload, written to path as the
+    text `graph.graph_to_json` gives."""
+    result = CommandResult(EXIT_PASS, payload=data)
+    _emit(result, path, json.dumps(data, sort_keys=True, separators=(",", ":")))
+    return result
+
+
 def _cmd_gadget(args) -> CommandResult:
     g = build_gadget(args.name, args.selector)
-    content = graph_to_json(g) if args.format == "json" else graph_to_dot(g)
-    result = CommandResult(EXIT_PASS, payload=json.loads(content) if args.format == "json" else None)
-    _emit(result, args.output, content)
+    if args.format == "json":
+        return _graph_json(graph_to_json_dict(g), args.output)
+    result = CommandResult(EXIT_PASS)
+    _emit(result, args.output, graph_to_dot(g))
     return result
 
 
@@ -238,6 +256,8 @@ def _cmd_verify(args) -> CommandResult:
         verifier = _LEMMA_VERIFIERS.get(args.name)
         if verifier is None:
             raise _UsageError(f"unknown lemma {args.name!r}")
+        if args.selector is not None:
+            raise _UsageError(f"only lemma1 takes --selector, not {args.name!r}")
         return _from_report(verifier())
     return _from_report(verify_sampled(args.target, args.count, args.seed))
 
@@ -301,13 +321,8 @@ def _cmd_choose(args) -> CommandResult:
 def _cmd_gen(args) -> CommandResult:
     if args.kind == "triangulation":
         pg = random_near_triangulation(args.n, args.boundary, args.seed)
-        content = graph_to_json(pg.graph, pg)
-    else:
-        g = random_graph(args.n, args.p, args.seed)
-        content = graph_to_json(g)
-    result = CommandResult(EXIT_PASS, payload=json.loads(content))
-    _emit(result, args.output, content)
-    return result
+        return _graph_json(graph_to_json_dict(pg.graph, pg), args.output)
+    return _graph_json(graph_to_json_dict(random_graph(args.n, args.p, args.seed)), args.output)
 
 
 def run(argv) -> CommandResult:

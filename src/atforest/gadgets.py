@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import prod
 from operator import itemgetter
 from typing import Optional
 
@@ -194,6 +195,8 @@ def build_gadget(gadget_id: str, selector: Optional[str] = None) -> Graph:
     builder = _GADGET_BUILDERS.get(gadget_id.upper())
     if builder is None:
         raise BadSelector(f"unknown gadget {gadget_id!r}")
+    if selector is not None:
+        raise BadSelector(f"only JFamily takes a selector, not {gadget_id!r}")
     return builder()
 
 
@@ -340,94 +343,56 @@ def verify_lemma2() -> VerificationReport:
     )
 
 
-def _path_configs(path: tuple) -> list:
-    """All (center set, internal forest edges) pairs on one 4-path that are
-    locally consistent with a star forest: each chosen edge joins a center
-    to a leaf, no leaf twice."""
-    internal = [edge(u, v) for u, v in zip(path, path[1:])]
+def _path_configs() -> list:
+    """The (center mask, link mask) pairs of one 4-path that are locally
+    consistent with a star forest (each chosen link joins a center to a
+    leaf, no leaf twice); bit i is position i, or link i = (i, i + 1)."""
     configs = []
-    for centers in product((False, True), repeat=4):
-        cset = {path[i] for i in range(4) if centers[i]}
-        for picks in product((False, True), repeat=3):
-            chosen = {internal[i] for i in range(3) if picks[i]}
-            leaves = [v if u in cset else u for u, v in chosen if (u in cset) != (v in cset)]
-            if len(leaves) == len(chosen) == len(set(leaves)):
-                configs.append((cset, chosen))
+    for centers in product((0, 1), repeat=4):
+        for picks in product((0, 1), repeat=3):
+            links = [i for i in range(3) if picks[i]]
+            # link i's leaf is i + 1 when position i is its center
+            leaves = {i + centers[i] for i in links if centers[i] != centers[i + 1]}
+            if len(leaves) == len(links):
+                configs.append((sum(c << i for i, c in enumerate(centers)),
+                                sum(p << i for i, p in enumerate(picks))))
     return configs
 
 
 def verify_lemma6() -> VerificationReport:
     """Exhaustive over all star forests of A whose centers avoid x and y.
 
-    The enumeration factorizes: a forest is an independent combination of
-    x's leaf edge, y's leaf edge, and one local configuration per 4-path;
-    a K4 of the form {x, y, u, v} survives or not per path, depending only
-    on that path's configuration and on where x and y attach.  A combined
-    case fails only if every path has a blocked configuration.
-
-    A configuration is a center mask over A's vertices and a mask over
-    its path's three links.  With the attachment ends as a vertex mask, it
-    is compatible when it centers every end on its path, and blocked when
-    it takes every link that no end touches.
+    A forest is x's leaf edge, y's leaf edge and one configuration per
+    4-path, chosen independently, and a case fails only if every path
+    blocks, that is, kills each K4 {x, y, u, v} on it.  The paths share one
+    `_path_configs` table: on a path, the entries that center its ends
+    `need` fit, and a fit that takes every link no end touches blocks.
+    An end is bit 4k + i for position i of path k, or 0 for none.
     """
-    a = build_a()
-    a_paths = [tuple(a[r] for r in p) for p in _A_PATHS]
-    bit = {v: 1 << i for i, v in enumerate(a.values())}
-    bit[None] = 0
-    # per path: its vertex mask, each link's end mask and its
-    # configurations as (center mask, link mask, centers, links)
-    paths = []
-    for p in a_paths:
-        links = [edge(u, v) for u, v in zip(p, p[1:])]
-        link_bit = {e: 1 << i for i, e in enumerate(links)}
-        cfgs = [
-            (sum(bit[v] for v in cset), sum(link_bit[e] for e in chosen), cset, chosen)
-            for cset, chosen in _path_configs(p)
-        ]
-        paths.append((sum(bit[v] for v in p), [bit[u] | bit[v] for u, v in links], cfgs))
-    attach_options = [None] + [v for p in a_paths for v in p]
+    table = _path_configs()
+    by_need = []  # per need: the fitting count and the first blocking fit
+    for need in range(16):
+        open_links = sum(1 << i for i in range(3) if not need >> i & 3)
+        fits = [(c, l) for c, l in table if c & need == need]
+        by_need.append((len(fits), next((f for f in fits if f[1] & open_links == open_links), None)))
+    attach_options = [0] + [1 << j for j in range(4 * len(_A_PATHS))]
     examined = 0
-
     for cx in attach_options:
         for cy in attach_options:
-            ends = bit[cx] | bit[cy]
-            total = 1
-            blocked_all = True
-            blocked_example = []
-            for path_mask, link_ends, cfgs in paths:
-                need = ends & path_mask
-                # links no end touches: a blocked configuration takes them all
-                open_links = sum(1 << i for i, m in enumerate(link_ends) if not m & ends)
-                compatible = 0
-                blocked_cfg = None
-                for cmask, lmask, cset, chosen in cfgs:
-                    if cmask & need == need:
-                        compatible += 1
-                        if blocked_cfg is None and lmask & open_links == open_links:
-                            blocked_cfg = (cset, chosen)
-                total *= compatible
-                if blocked_cfg is None:
-                    blocked_all = False
-                else:
-                    blocked_example.append(blocked_cfg)
-            examined += total
-            if blocked_all and total > 0:
-                forest_edges = set()
-                centers = set()
-                for cset, chosen in blocked_example:
-                    forest_edges |= chosen
-                    centers |= cset
-                if cx is not None:
-                    forest_edges.add(edge(a["a"], cx))
-                if cy is not None:
-                    forest_edges.add(edge(a["b"], cy))
+            counts, blocked = zip(*(by_need[(cx | cy) >> 4 * k & 15] for k in range(len(_A_PATHS))))
+            examined += prod(counts)
+            if None not in blocked:
+                a = build_a()
+                names = [a[r] for p in _A_PATHS for r in p]
+                forest = {edge(a[r], names[end.bit_length() - 1]) for r, end in (("a", cx), ("b", cy)) if end}
+                centers = []
+                for k, (c, l) in enumerate(blocked):
+                    p = names[4 * k:4 * k + 4]
+                    centers += [p[i] for i in range(4) if c >> i & 1]
+                    forest |= {edge(p[i], p[i + 1]) for i in range(3) if l >> i & 1}
                 return VerificationReport(
-                    False,
-                    "a star forest kills every K4 candidate",
-                    counterexample={
-                        "forest": sorted(list(e) for e in forest_edges),
-                        "centers": sorted(centers),
-                    },
+                    False, "a star forest kills every K4 candidate",
+                    counterexample={"forest": sorted(list(e) for e in forest), "centers": sorted(centers)},
                     stats={"cases_examined": examined},
                 )
     return VerificationReport(

@@ -102,19 +102,17 @@ class PlaneGraph:
     connected: bool
 
 
-def _trace_all_faces(rotation: dict, turn: Optional[dict] = None) -> list:
+def _trace_all_faces(rotation: dict, turn: dict) -> list:
     """Return the facial walks of the embedding, one per dart cycle.
 
     `turn[v][u] = w` says that the dart (u, v) is followed by (v, w), where
     w follows u in the rotation at v; `turn` holds these maps for
-    `rotation` and is built here when not given.  Tracing a dart pops it
-    from its map, so `turn` is used up.  Walks start at the tails in sorted
+    `rotation`, as `_turn_maps` builds them.  Tracing a dart pops it from
+    its map, so `turn` is used up.  Walks start at the tails in sorted
     order, with the heads sorted at each tail: each walk starts at the
     smallest dart not yet used.  An isolated vertex v has the one trivial
     face (v,), in its place among the tails.
     """
-    if turn is None:
-        turn = _turn_maps(rotation)
     faces = []
     for a in sorted(rotation):
         if not rotation[a]:
@@ -284,8 +282,8 @@ def graph_from_json(text: str):
     return graph_from_json_dict(json.loads(text))
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     for v in g.vertices:
         lines.append(f'  "{v}";')
     for u, v in sorted(g.edges):

@@ -141,13 +141,23 @@ def reference_lemma2() -> VerificationReport:
     )
 
 
+def _named_configs(path: tuple) -> list:
+    """`gadgets._path_configs` laid over one path: each (center mask,
+    link mask) entry as its center set and its set of link edges."""
+    links = [edge(u, v) for u, v in zip(path, path[1:])]
+    return [
+        ({path[i] for i in range(4) if cmask >> i & 1}, {links[i] for i in range(3) if lmask >> i & 1})
+        for cmask, lmask in gadgets._path_configs()
+    ]
+
+
 def reference_lemma6() -> VerificationReport:
     """`gadgets.verify_lemma6` with vertex and edge sets: per attachment
     pair and path, each configuration is tested by set membership."""
     a = gadgets.build_a()
     a_paths = [tuple(a[r] for r in p) for p in gadgets._A_PATHS]
     paths = [
-        (set(p), [(u, v, edge(u, v)) for u, v in zip(p, p[1:])], gadgets._path_configs(p))
+        (set(p), [(u, v, edge(u, v)) for u, v in zip(p, p[1:])], _named_configs(p))
         for p in a_paths
     ]
     attach_options = [None] + [v for p in a_paths for v in p]

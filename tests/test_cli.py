@@ -11,7 +11,9 @@ import pytest
 
 import atforest.cli as cli
 from atforest.cli import EXIT_CAP, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, run
-from atforest.graph import graph_from_json
+from atforest.gadgets import build_gadget
+from atforest.graph import graph_from_json, graph_to_json
+from atforest.testkit import random_graph, random_near_triangulation
 
 
 def go(*argv):
@@ -334,12 +336,17 @@ def test_scripts_end_quietly_on_a_closed_pipe(script, args):
     assert "Traceback" not in err, err
 
 
-def test_run_verifications_pins_the_exhaustive_counts(monkeypatch, capsys):
+def _run_verifications_script():
     root = Path(cli.__file__).resolve().parents[2]
     spec = importlib.util.spec_from_file_location(
         "run_verifications", root / "scripts" / "run_verifications.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_run_verifications_pins_the_exhaustive_counts(monkeypatch, capsys):
+    script = _run_verifications_script()
     assert script.main(["--samples", "2"]) == EXIT_PASS
     # a passing verdict with one count off fails the run
     report = script.verify_lemma2()
@@ -399,6 +406,55 @@ def test_seed_range(command):
         assert result.exit_code == EXIT_PASS, seed
         if command[0] == "verify":
             assert json.loads(result.output())["seed"] == seed
+
+
+def test_integer_options_name_no_private_function(k4_file, tmp_path, capsys):
+    # argparse names the type function in its message when int() raises
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"lists": {v: ["1", "2", "3"] for v in "abcd"}}))
+    commands = [(*c, "--seed") for c in _SEEDED] + [
+        ("at", "orientation", "--input", str(k4_file), "--k"),
+        ("choose", "check", "--input", str(k4_file), "--lists", str(lists), "--k"),
+    ]
+    for command in commands:
+        result = go(*command, "x")
+        assert result.exit_code == EXIT_USAGE, command
+        assert result.output() == f"usage error: argument {command[-1]}: 'x' is not an integer"
+    with pytest.raises(SystemExit) as exit_info:
+        _run_verifications_script().main(["--seed", "x"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == EXIT_USAGE
+    assert "argument --seed: 'x' is not an integer" in err
+    assert "_seed" not in err and "_positive" not in err
+
+
+def test_selector_where_it_means_nothing_is_usage_error():
+    for name in ("lemma2", "lemma6", "theorem7core"):
+        result = go("verify", "lemma", "--name", name, "--selector", "ab")
+        assert result.exit_code == EXIT_USAGE, name
+        assert result.output() == f"usage error: only lemma1 takes --selector, not {name!r}"
+    for name in ("J3", "G2"):
+        result = go("gadget", "build", name, "--selector", "zz")
+        assert result.exit_code == EXIT_USAGE, name
+        assert result.output() == f"input error: only JFamily takes a selector, not {name!r}"
+    assert go("gadget", "build", "jfamily", "--selector", "ababab").exit_code == EXIT_PASS
+
+
+def test_graph_output_is_graph_to_json_and_its_payload(tmp_path):
+    # the text of `graph_to_json`, and the --json payload is that text parsed
+    pg = random_near_triangulation(40, 5, 3)
+    built = [
+        (("gen", "triangulation", "--n", "40", "--boundary", "5", "--seed", "3"), graph_to_json(pg.graph, pg)),
+        (("gen", "graph", "--n", "9", "--p", "0.4", "--seed", "3"), graph_to_json(random_graph(9, 0.4, 3))),
+        (("gadget", "build", "G2"), graph_to_json(build_gadget("G2"))),
+    ]
+    for i, (command, text) in enumerate(built):
+        assert go(*command).output() == text, command
+        assert go(*command, "--json").output() == json.dumps(json.loads(text), sort_keys=True), command
+        path = tmp_path / f"out{i}.json"
+        result = go(*command, "--output", str(path), "--json")
+        assert path.read_text() == text + "\n"
+        assert result.output() == json.dumps(json.loads(text), sort_keys=True), command
 
 
 def test_usage_errors():

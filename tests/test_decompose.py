@@ -30,6 +30,7 @@ from atforest.errors import (
 from atforest.graph import (
     Orientation,
     _trace_all_faces,
+    _turn_maps,
     _walk_darts,
     build_plane_graph,
     edge,
@@ -276,7 +277,8 @@ def test_sparse_plane_subgraphs_certify_and_round_trip(n, b, seed, keep):
     rng = Rng(seed)
     kept = {e for e in sorted(pg.graph.edges) if rng.random() < keep}
     rotation = {v: tuple(w for w in nbrs if edge(v, w) in kept) for v, nbrs in pg.rotation.items()}
-    sub = build_plane_graph(pg.graph.vertices, kept, rotation, _trace_all_faces(rotation)[0])
+    outer = _trace_all_faces(rotation, _turn_maps(rotation))[0]
+    sub = build_plane_graph(pg.graph.vertices, kept, rotation, outer)
     forest, orientation = decompose_any_planar(sub)
     assert check_plane_certificate(sub.graph.edges, forest, orientation.arcs).verdict
     with tempfile.TemporaryDirectory() as tmp:

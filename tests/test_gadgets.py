@@ -205,15 +205,19 @@ def test_lemma2_failure_matches_set_reference(monkeypatch):
 def test_lemma6_failure_matches_set_reference(monkeypatch):
     configs = gadgets._path_configs
 
-    def with_all_links(path):
+    def with_all_links():
         # no centers yet every link taken: not a star forest, and it
         # blocks every K4 through its path
-        links = {edge(u, v) for u, v in zip(path, path[1:])}
-        return configs(path) + [(set(), links)]
+        return configs() + [(0, 0b111)]
 
     monkeypatch.setattr(gadgets, "_path_configs", with_all_links)
     report = verify_lemma6()
     assert not report.verdict and report.counterexample["forest"]
+    _assert_same_report(verify_lemma6, reference_lemma6)
+
+    # two blocking entries: each path's first one in table order is reported
+    monkeypatch.setattr(gadgets, "_path_configs", lambda: with_all_links() + [(0b0101, 0b111)])
+    assert verify_lemma6().counterexample["centers"] == []
     _assert_same_report(verify_lemma6, reference_lemma6)
 
 
@@ -433,6 +437,39 @@ def test_sampled_obstructions_refuse_a_degree_above_3(monkeypatch):
     for target in ("theorem2", "corollary3"):
         with pytest.raises(PreconditionViolated, match="maximum degree > 3"):
             verify_sampled(target, 1, seed=3)
+
+
+def test_sampled_obstructions_report_a_quiet_center_missing(monkeypatch):
+    # from the third sample on, a greedy that keeps every edge: every S
+    # keeps an a-edge, so no S is quiet at its handle end
+    greedy = gadgets._random_max_degree_subgraph
+    calls = []
+
+    def keep_all_from_the_third(triples, degrees, rng):
+        calls.append(rng)
+        if len(calls) < 3:
+            return greedy(triples, degrees, rng)
+        return bytearray([1]) * len(triples), list(degrees)
+
+    monkeypatch.setattr(gadgets, "_random_max_degree_subgraph", keep_all_from_the_third)
+    for target in ("theorem2", "corollary3"):
+        calls.clear()
+        report = verify_sampled(target, 5, seed=11)
+        assert not report.verdict, target
+        assert report.detail == "sample 2: center degree exceeds 3", target
+        assert (report.stats, report.seed, report.counterexample) == ({"samples": 3}, 11, None), target
+
+
+def test_sampled_theorem7_reports_a_forest_that_kills_every_k4(monkeypatch):
+    # one "K4" made of every edge of G2: any non-empty forest hits it
+    monkeypatch.setattr(gadgets, "_k4_edge_sets", lambda g: [set(g.edges)])
+    report = verify_sampled("theorem7", 5, seed=13)
+    forest = random_star_forest(build_g2()[0], Rng(13).split(0))
+    assert forest.edges
+    assert not report.verdict
+    assert report.detail == "sample 0: star forest kills every K4"
+    assert (report.stats, report.seed) == ({"samples": 1}, 13)
+    assert report.counterexample == sorted(list(e) for e in forest.edges)
 
 
 def test_sampled_zero_is_vacuous_pass():

@@ -19,6 +19,7 @@ from atforest.graph import (
     Graph,
     Orientation,
     _trace_all_faces,
+    _turn_maps,
     build_plane_graph,
     components,
     edge,
@@ -204,7 +205,7 @@ def test_face_trace_matches_repeated_min_reference():
     count = 0
     for pg in _face_trace_instances():
         expected = _faces_by_repeated_min(pg.rotation)
-        assert _trace_all_faces(pg.rotation) == expected
+        assert _trace_all_faces(pg.rotation, _turn_maps(pg.rotation)) == expected
         assert list(pg.faces) == expected
         count += 1
     assert count == 29
@@ -327,7 +328,8 @@ def _edge_subsets():
             kept = {e for e in sorted(pg.graph.edges) if rng.random() < keep}
             rotation = {v: tuple(w for w in nbrs if edge(v, w) in kept)
                         for v, nbrs in pg.rotation.items()}
-            yield build_plane_graph(pg.graph.vertices, kept, rotation, _trace_all_faces(rotation)[0])
+            outer = _trace_all_faces(rotation, _turn_maps(rotation))[0]
+            yield build_plane_graph(pg.graph.vertices, kept, rotation, outer)
 
 
 def test_components_partition_vertices_edges_and_faces_as_union_find_does():
