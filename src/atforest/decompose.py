@@ -167,19 +167,21 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
                 stack.append((succ, pred, chords, x, y, drop))
                 continue
             short_succ, short_pred = {e: s, s: v}, {s: e, v: s}
+            inner = set()
             while v != e:
                 w = succ.pop(v)
                 del pred[v]
                 short_succ[v] = w
                 short_pred[w] = v
+                inner.add(v)
                 v = w
             # the parent's cycle is now the long side e -> .. -> s
             succ[s] = e
             pred[e] = s
             # every chord has an end inside s -> .. -> e, as se is a ring edge now
             short_chords = []
-            if len(short_succ) > 3:  # a triangle has no chords
-                short_chords = _chords(adj, short_succ, short_pred, short_succ.keys() - {s, e})
+            if len(inner) > 1:  # a triangle has no chords
+                short_chords = _chords(adj, short_succ, short_pred, inner)
 
             # the side without the handle takes the chord, in cycle order;
             # the handle side pops first
@@ -288,7 +290,7 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
         cycle = aug.outer_face
         d = decompose(aug, min(edge(cycle[i - 1], cycle[i]) for i in range(len(cycle))))
         forest |= d.forest & g.edges
-        arcs += [(t, h) for t, h in d.orientation.arcs if edge(t, h) in g.edges]
+        arcs += [(t, h) for t, h in d.orientation.arcs if (t, h) in g.edges or (h, t) in g.edges]
     return frozenset(forest), Orientation.build(g, arcs)
 
 
@@ -306,26 +308,27 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph
     rotation = {v: list(rotation[v]) for v in vertices}
     edges = set(edges)
 
-    def insert_after(v: str, anchor: str, new: str) -> None:
-        rotation[v].insert(rotation[v].index(anchor) + 1, new)
-
     pending = [deque(f) for f in faces if len(f) > 3]
     done = [f for f in faces if len(f) <= 3]
     while pending:
         walk = pending.pop()
         # prefer a triangle-splitting chord two steps apart
         for _ in range(len(walk)):
-            if walk[0] != walk[2] and edge(walk[0], walk[2]) not in edges:
+            a, c = walk[0], walk[2]
+            if a != c and ((a, c) if a < c else (c, a)) not in edges:
                 s = 2
                 break
             walk.rotate(-1)
         else:  # a full turn has brought the walk back to its first vertex
             i, s = _far_chord(list(walk), edges)
             walk.rotate(-i)
-        a, c = walk[0], walk[s]
-        insert_after(a, walk[-1], c)
-        insert_after(c, walk[s - 1], a)
-        edges.add(edge(a, c))
+            a, c = walk[0], walk[s]
+        # c goes in after the walk's last vertex round a, a after c's
+        # predecessor round c
+        at_a, at_c = rotation[a], rotation[c]
+        at_a.insert(at_a.index(walk[-1]) + 1, c)
+        at_c.insert(at_c.index(walk[s - 1]) + 1, a)
+        edges.add((a, c) if a < c else (c, a))
         piece = list(islice(walk, s + 1))  # a .. c
         walk.rotate(-s)  # c .. a, then the s - 1 vertices between a and c
         for _ in range(s - 1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .errors import (
@@ -40,9 +41,17 @@ class Graph:
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]]) -> "Graph":
         vs = tuple(sorted(vertices))
-        if len(vs) != len(set(vs)):
+        vset = frozenset(vs)
+        if len(vs) != len(vset):
             raise DuplicateEdge("duplicate vertex identifiers")
-        vset = set(vs)
+        edges = list(edges)  # read twice when a check below fails
+        # sorted pairs, with None for a loop; the edge set is fine when the
+        # pairs are distinct, none is None and every end is listed
+        pairs = [(u, v) if u < v else (v, u) if v < u else None for u, v in edges]
+        es = frozenset(pairs)
+        if len(es) == len(pairs) and None not in es and vset.issuperset(chain.from_iterable(es)):
+            return Graph(vs, es)
+        # name the first fault in input order
         es = set()
         for u, v in edges:
             e = edge(u, v)
@@ -161,13 +170,16 @@ def build_plane_graph(
 
     faces = _trace_all_faces(rot, turn)
 
-    # Euler's formula per connected component
-    parts = components(g, faces)
-    for i, (vs, es, fs) in enumerate(parts):
-        if len(vs) - len(es) + len(fs) != 2:
-            raise EulerViolation(
-                f"component {i}: V-E+F = {len(vs)}-{len(es)}+{len(fs)} != 2"
-            )
+    # Euler's formula: a traced rotation system of a connected graph has
+    # V - E + F = 2 - 2 * genus <= 2, so the sum over the components is
+    # 2 per component exactly when each of them is plane
+    count = len(_vertex_sets(g))
+    if len(adj) - len(g.edges) + len(faces) != 2 * count:
+        for i, (vs, es, fs) in enumerate(components(g, faces)):
+            if len(vs) - len(es) + len(fs) != 2:
+                raise EulerViolation(
+                    f"component {i}: V-E+F = {len(vs)}-{len(es)}+{len(fs)} != 2"
+                )
 
     outer = tuple(outer_face)
     if not outer:
@@ -175,29 +187,39 @@ def build_plane_graph(
     match = _matching_face(faces, outer)
     if match is None:
         raise RotationMismatch("designated outer face is not a face of the embedding")
-    return PlaneGraph(g, rot, outer, tuple(faces), *match, len(parts) == 1)
+    return PlaneGraph(g, rot, outer, tuple(faces), *match, count == 1)
+
+
+def _vertex_sets(g: Graph) -> list:
+    """The vertex set of each connected component of g, in the order of
+    its smallest vertex."""
+    adj = g.adjacency
+    parts: list = []
+    seen: set = set()
+    for s in g.vertices:
+        if len(seen) == len(adj):
+            break
+        if s in seen:
+            continue
+        comp = {s}
+        reached = [s]
+        for v in reached:  # a breadth-first search: `reached` grows as it is read
+            new = adj[v] - comp
+            comp |= new
+            reached += new
+        seen |= comp
+        parts.append(comp)
+    return parts
 
 
 def components(g: Graph, faces) -> list:
     """Each connected component of g as (vertex set, edges, faces), in the
     order of its smallest vertex; a face of `faces` goes with the
     component of its first vertex."""
-    adj = g.adjacency
-    where: dict = {}
     parts = []
-    for s in g.vertices:
-        if s in where:
-            continue
-        i = len(parts)
-        comp = {s}
-        where[s] = i
-        stack = [s]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in where:
-                    where[w] = i
-                    comp.add(w)
-                    stack.append(w)
+    where: dict = {}
+    for i, comp in enumerate(_vertex_sets(g)):
+        where.update(dict.fromkeys(comp, i))
         parts.append((comp, [], []))
     for e in g.edges:
         parts[where[e[0]]][1].append(e)
@@ -269,13 +291,40 @@ def graph_to_json(g: Graph, pg: Optional[PlaneGraph] = None) -> str:
 
 def graph_from_json_dict(data: dict):
     """Parse the Graph JSON format; returns a PlaneGraph when an embedding
-    is present, a bare Graph otherwise."""
-    vertices = [str(v) for v in data["vertices"]]
-    edges = [(str(u), str(v)) for u, v in data["edges"]]
+    is present, a bare Graph otherwise.  A vertex name is a JSON string
+    or an integer (read as its decimal string); any other name, or a
+    list that is not an array, raises TypeError."""
+    vertices = _names(data["vertices"], "'vertices'")
+    edges = data["edges"]
+    if type(edges) is not list or set(map(type, edges)) - {list} or set(map(len, edges)) - {2}:
+        raise TypeError("'edges' is not an array of two-name arrays")
+    if _needs_str(chain.from_iterable(edges), "'edges'"):
+        edges = [(str(u), str(v)) for u, v in edges]
     if "rotation" in data and "outer_face" in data:
-        rotation = {str(v): tuple(str(u) for u in nbrs) for v, nbrs in data["rotation"].items()}
-        return build_plane_graph(vertices, edges, rotation, [str(v) for v in data["outer_face"]])
+        rotation = data["rotation"]
+        if type(rotation) is not dict or set(map(type, rotation.values())) - {list}:
+            raise TypeError("'rotation' is not an object of arrays")
+        if _needs_str(chain.from_iterable(rotation.values()), "'rotation'"):
+            rotation = {v: [str(u) for u in nbrs] for v, nbrs in rotation.items()}
+        return build_plane_graph(vertices, edges, rotation, _names(data["outer_face"], "'outer_face'"))
     return Graph.build(vertices, edges)
+
+
+def _names(items, what: str) -> list:
+    if type(items) is not list:
+        raise TypeError(f"{what} is not an array")
+    return [str(v) for v in items] if _needs_str(items, what) else items
+
+
+def _needs_str(names: Iterable, what: str) -> bool:
+    """Whether the names, judged by their set of JSON types, need str():
+    not strings, integers do; any other type (bool too) is no name."""
+    kinds = set(map(type, names))
+    if kinds <= {str}:
+        return False
+    if kinds <= {str, int}:
+        return True
+    raise TypeError(f"{what} holds a name that is neither a string nor an integer")
 
 
 def graph_from_json(text: str):

@@ -6,8 +6,25 @@ from atforest import gadgets
 from atforest.alon_tarsi import ParityCount
 from atforest.check import check_forest_orientation
 from atforest.choosability import ListAssignment, is_l_colorable
-from atforest.errors import CapExceeded, PreconditionViolated
-from atforest.graph import Graph, Orientation, build_plane_graph, edge, k4s
+from atforest.errors import (
+    CapExceeded,
+    DuplicateEdge,
+    EulerViolation,
+    PreconditionViolated,
+    RotationMismatch,
+    UnknownVertex,
+)
+from atforest.graph import (
+    Graph,
+    Orientation,
+    PlaneGraph,
+    _matching_face,
+    _trace_all_faces,
+    _turn_maps,
+    build_plane_graph,
+    edge,
+    k4s,
+)
 from atforest.report import VerificationReport
 from atforest.testkit import Rng, plane_graph_from_triangles
 
@@ -339,3 +356,81 @@ def reference_sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tup
             yield None, None
             continue
         yield t, reference_extract_obstruction(s, h_local)
+
+
+# per-element references for the whole-set checks of `Graph.build` and
+# `build_plane_graph`: the same checks one edge, vertex and component at a
+# time, in the order that fixes which fault is named first.
+
+def reference_graph_build(vertices, edges) -> Graph:
+    vs = tuple(sorted(vertices))
+    if len(vs) != len(set(vs)):
+        raise DuplicateEdge("duplicate vertex identifiers")
+    vset = set(vs)
+    es = set()
+    for u, v in edges:
+        e = edge(u, v)
+        if e[0] not in vset or e[1] not in vset:
+            raise UnknownVertex(f"edge {e} has an unlisted endpoint")
+        if e in es:
+            raise DuplicateEdge(f"edge {e} listed twice")
+        es.add(e)
+    return Graph(vs, frozenset(es))
+
+
+def reference_build_plane_graph(vertices, edges, rotation: dict, outer_face) -> PlaneGraph:
+    g = reference_graph_build(vertices, edges)
+    rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
+    adj = g.adjacency
+    if rot.keys() != adj.keys():
+        raise RotationMismatch("rotation must cover exactly the vertex set")
+    # a rotation lists each neighbour once iff its turn map is as long
+    turn = _turn_maps(rot)
+    for v, t in turn.items():
+        if len(t) != len(rot[v]) or t.keys() != adj[v]:
+            raise RotationMismatch(f"rotation at {v!r} does not list its incident edges")
+
+    faces = _trace_all_faces(rot, turn)
+
+    # Euler's formula per connected component
+    parts = reference_components(g, faces)
+    for i, (vs, es, fs) in enumerate(parts):
+        if len(vs) - len(es) + len(fs) != 2:
+            raise EulerViolation(
+                f"component {i}: V-E+F = {len(vs)}-{len(es)}+{len(fs)} != 2"
+            )
+
+    outer = tuple(outer_face)
+    if not outer:
+        raise RotationMismatch("outer face walk is empty")
+    match = _matching_face(faces, outer)
+    if match is None:
+        raise RotationMismatch("designated outer face is not a face of the embedding")
+    return PlaneGraph(g, rot, outer, tuple(faces), *match, len(parts) == 1)
+
+
+def reference_components(g: Graph, faces) -> list:
+    """`graph.components` with a depth-first search that labels one
+    neighbour at a time."""
+    adj = g.adjacency
+    where: dict = {}
+    parts = []
+    for s in g.vertices:
+        if s in where:
+            continue
+        i = len(parts)
+        comp = {s}
+        where[s] = i
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in where:
+                    where[w] = i
+                    comp.add(w)
+                    stack.append(w)
+        parts.append((comp, [], []))
+    for e in g.edges:
+        parts[where[e[0]]][1].append(e)
+    for f in faces:
+        parts[where[f[0]]][2].append(f)
+    return parts

@@ -500,6 +500,61 @@ def test_graph_with_list_rotation_is_input_error(tri_file, tmp_path):
     assert go("decompose", "--input", str(bad)).exit_code == EXIT_USAGE
 
 
+STRING_TRIANGLE = {"vertices": "abc", "edges": ["ab", "bc", "ac"],
+                   "rotation": {"a": "bc", "b": "ca", "c": "ab"}, "outer_face": "abc"}
+STRING_TRIANGLE_ARRAYS = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]],
+                          "rotation": {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"]},
+                          "outer_face": ["a", "b", "c"]}
+
+
+@pytest.mark.parametrize("command, data, sentence", [
+    # a string is not the array of its characters
+    (("decompose",), STRING_TRIANGLE, "'vertices' is not an array"),
+    (("decompose",), {**STRING_TRIANGLE_ARRAYS, "edges": ["ab", "bc", "ac"]},
+     "'edges' is not an array of two-name arrays"),
+    (("decompose",), {**STRING_TRIANGLE_ARRAYS, "rotation": {"a": "bc", "b": ["c", "a"], "c": ["a", "b"]}},
+     "'rotation' is not an object of arrays"),
+    (("decompose",), {**STRING_TRIANGLE_ARRAYS, "outer_face": "abc"}, "'outer_face' is not an array"),
+    (("decompose",), {**STRING_TRIANGLE_ARRAYS, "edges": {"a": "b"}}, "'edges' is not an array of two-name arrays"),
+    (("decompose",), {**STRING_TRIANGLE_ARRAYS, "rotation": [["b", "c"]]}, "'rotation' is not an object of arrays"),
+    # an edge of one or three names
+    (("at", "number"), {"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]},
+     "'edges' is not an array of two-name arrays"),
+    (("at", "number"), {"vertices": ["a", "b"], "edges": [["a"]]}, "'edges' is not an array of two-name arrays"),
+    # names that are neither strings nor integers: arrays, null, booleans, floats
+    (("at", "number"), {"vertices": [["a"], "b", None, True], "edges": [[["a"], "b"], [None, True]]},
+     "'vertices' holds a name that is neither a string nor an integer"),
+    (("at", "number"), {"vertices": ["a", "b"], "edges": [["a", True]]},
+     "'edges' holds a name that is neither a string nor an integer"),
+    (("decompose",), {**STRING_TRIANGLE_ARRAYS, "rotation": {"a": ["b", "c"], "b": ["c", 1.5], "c": ["a", "b"]}},
+     "'rotation' holds a name that is neither a string nor an integer"),
+    (("decompose",), {**STRING_TRIANGLE_ARRAYS, "outer_face": ["a", "b", None]},
+     "'outer_face' holds a name that is neither a string nor an integer"),
+])
+def test_graph_json_of_the_wrong_shape_is_usage_error(tmp_path, command, data, sentence):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = go(*command, "--input", str(bad))
+    assert result.exit_code == EXIT_USAGE
+    assert result.output() == f"usage error: cannot read graph from {str(bad)!r}: {sentence}"
+
+
+def test_graph_json_with_integer_names_reads_them_as_strings(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({
+        "vertices": [1, 2, 3, "x"], "edges": [[1, 2], [2, 3], [1, 3], [3, "x"]],
+        "rotation": {"1": [2, 3], "2": [3, 1], "3": [1, "x", 2], "x": [3]}, "outer_face": [1, 2, 3, "x", 3],
+    }))
+    pg = graph_from_json(path.read_text())
+    assert pg.graph.vertices == ("1", "2", "3", "x")
+    assert pg.graph.edges == {("1", "2"), ("1", "3"), ("2", "3"), ("3", "x")}
+    assert pg.rotation["3"] == ("1", "x", "2") and pg.outer_face == ("1", "2", "3", "x", "3")
+    assert go("decompose", "--input", str(path)).exit_code == EXIT_PASS
+    k3 = tmp_path / "k3.json"
+    k3.write_text(json.dumps({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [0, 2]]}))
+    assert go("at", "number", "--input", str(k3)).output() == "3"
+
+
 def test_lists_given_as_a_list_is_input_error(k4_file, tmp_path):
     bad = tmp_path / "lists.json"
     bad.write_text(json.dumps({"lists": [["a", ["1", "2", "3"]]]}))

@@ -35,7 +35,7 @@ from atforest.testkit import (
     random_graph,
     random_near_triangulation,
 )
-from helpers import find_k4, has_edge
+from helpers import find_k4, has_edge, reference_build_plane_graph, reference_graph_build
 
 
 def k_complete(names):
@@ -374,3 +374,107 @@ def test_isomorphic_wheels():
             found = True
             break
     assert found
+
+
+def _outcome(build, *args):
+    """What a build gives: ("ok", its result), or ("raises", the exception's
+    class and message)."""
+    try:
+        return "ok", build(*args)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+
+
+K4_EDGES = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+TRIANGLE = {"p": ("q", "r"), "q": ("r", "p"), "r": ("p", "q")}
+
+# each build_plane_graph argument list holds one fault, or two where the
+# per-edge order decides which one is named
+FAULTY_PLANE_INPUTS = [
+    # a loop after an unlisted endpoint, and before one
+    (C4_VERTICES, C4_EDGES + [("a", "z"), ("b", "b")], C4_ROTATION, C4_VERTICES),
+    (C4_VERTICES, C4_EDGES + [("b", "b"), ("a", "z")], C4_ROTATION, C4_VERTICES),
+    # a repeated edge before a loop, and a repeat written the other way round
+    (C4_VERTICES, C4_EDGES + [("a", "b"), ("c", "c")], C4_ROTATION, C4_VERTICES),
+    (C4_VERTICES, C4_EDGES + [("d", "c")], C4_ROTATION, C4_VERTICES),
+    # a duplicate vertex
+    (C4_VERTICES + ["b"], C4_EDGES, C4_ROTATION, C4_VERTICES),
+    # a rotation missing a vertex, or with an extra one
+    (C4_VERTICES, C4_EDGES, {v: r for v, r in C4_ROTATION.items() if v != "a"}, C4_VERTICES),
+    (C4_VERTICES, C4_EDGES, {**C4_ROTATION, "z": ()}, C4_VERTICES),
+    # a repeated or a foreign neighbour in a rotation
+    (C4_VERTICES, C4_EDGES, {**C4_ROTATION, "b": ("c", "c")}, C4_VERTICES),
+    (C4_VERTICES, C4_EDGES, {**C4_ROTATION, "b": ("c", "d")}, C4_VERTICES),
+    # an empty outer walk, and an outer walk that is not a face
+    (C4_VERTICES, C4_EDGES, C4_ROTATION, []),
+    (C4_VERTICES, C4_EDGES, C4_ROTATION, ["a", "c", "b", "d"]),
+    # a plane triangle and a second component, K4 with sorted rotations,
+    # of genus 1
+    ([*"abcd", *"pqr"], K4_EDGES + [("p", "q"), ("q", "r"), ("p", "r")],
+     {"a": tuple("bcd"), "b": tuple("acd"), "c": tuple("abd"), "d": tuple("abc"), **TRIANGLE},
+     ["p", "q", "r"]),
+    # a non-plane K4 with an isolated vertex: the Euler check names K4
+    ([*"abcde"], K4_EDGES,
+     {"a": tuple("bcd"), "b": tuple("acd"), "c": tuple("abd"), "d": tuple("abc"), "e": ()},
+     ["a", "b", "c"]),
+]
+
+
+@pytest.mark.parametrize("args", FAULTY_PLANE_INPUTS)
+def test_whole_set_checks_raise_what_the_per_element_checks_raise(args):
+    new = _outcome(build_plane_graph, *args)
+    assert new[0] == "raises"
+    assert new == _outcome(reference_build_plane_graph, *args)
+    vertices, edges = args[:2]
+    assert _outcome(Graph.build, vertices, edges) == _outcome(reference_graph_build, vertices, edges)
+
+
+def _drawn_rotation_system(n, boundary, seed, shuffled, keep, doubled):
+    """A random near-triangulation's rotation system, the rotations at
+    `shuffled` vertices shuffled, restricted to a random share `keep` of
+    its edges (isolated vertices stay), and with a renamed copy beside it
+    when `doubled`.  The outer walk is the first traced face, or the
+    original boundary when that is no longer a face."""
+    pg = random_near_triangulation(n, boundary, seed)
+    rng = Rng(seed)
+    rotation = {v: list(nbrs) for v, nbrs in pg.rotation.items()}
+    for v in sorted(rotation)[:shuffled]:
+        rng.shuffle(rotation[v])
+    kept = {e for e in sorted(pg.graph.edges) if rng.random() < keep}
+    rotation = {v: tuple(w for w in nbrs if edge(v, w) in kept) for v, nbrs in rotation.items()}
+    vertices, edges = list(pg.graph.vertices), sorted(kept)
+    if doubled:
+        copy = {v: "w" + v for v in vertices}
+        vertices += copy.values()
+        edges += [(copy[u], copy[v]) for u, v in edges]
+        rotation.update({copy[v]: tuple(copy[w] for w in nbrs) for v, nbrs in rotation.items()})
+    outer = _trace_all_faces(rotation, _turn_maps(rotation))[0] if rng.random() < 0.7 else pg.outer_face
+    return vertices, edges, rotation, outer
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=40),
+    st.integers(min_value=3, max_value=40),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([1.0, 0.7, 0.3, 0.0]),
+    st.booleans(),
+)
+def test_whole_set_checks_match_per_element_checks_on_drawn_rotations(n, boundary, seed, shuffled, keep, doubled):
+    args = _drawn_rotation_system(n, min(boundary, n), seed, shuffled, keep, doubled)
+    # PlaneGraph is a frozen dataclass: == compares every field
+    assert _outcome(build_plane_graph, *args) == _outcome(reference_build_plane_graph, *args)
+
+
+def test_drawn_rotations_reach_every_outcome():
+    """The drawn systems above reach plane connected and disconnected
+    input, a genus above 0 and an outer walk that is no face."""
+    seen = set()
+    for seed in range(40):
+        args = _drawn_rotation_system(12 + seed % 20, 3 + seed % 7, seed, seed % 3, (1.0, 0.3)[seed % 2], seed % 4 == 1)
+        new = _outcome(build_plane_graph, *args)
+        assert new == _outcome(reference_build_plane_graph, *args)
+        seen.add(("ok", new[1].connected) if new[0] == "ok" else (new[1].__name__, new[2].split()[0]))
+    assert seen >= {("ok", True), ("ok", False), ("EulerViolation", "component"),
+                    ("RotationMismatch", "designated")}, seen
