@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 from .check import check_plane_certificate
 from .errors import (
@@ -300,10 +299,18 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph
     face (outer included) is a triangle, and build that with one of them
     as the boundary.
 
-    A long face is a deque turned so that the corner a, b, c being tried
-    is at its front; the chord a-c clips the triangle off, and the deque
-    turns past the corner and drops its tip b, so nothing is copied.  Each
-    split lowers the sum of len - 3 over the pending walks.
+    A long face is a deque turned until its front corner a, b, c is a
+    two-step corner: a != c, not adjacent.  The chord a-c clips the
+    triangle a, b, c off, and the deque turns past it and drops b, so
+    nothing is copied.  Clipping always finds such a corner on a face walk
+    w0 ... w(L-1), L >= 4, of a simple plane graph.  (a) If w(i) = w(i+2),
+    w(i+1) has degree 1 and corner i-1 is one (w(i-1) = w(i+1) would
+    repeat the dart (w(i+1), w(i)), so L = 2).  (b) Else some w(i) differs
+    from w(i+3) (or the dart (w0, w1) repeats, so L = 3); drawn in the
+    face, the chords (i, i+2) and (i+1, i+3) cross once, and were both
+    edges already, outside the open face and with no end in common, they
+    would close two curves that cross once, against the Jordan curve
+    theorem.  A walk is done at length 3; only a tree has shorter ones.
     """
     rotation = {v: list(rotation[v]) for v in vertices}
     edges = set(edges)
@@ -312,47 +319,20 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph
     done = [f for f in faces if len(f) <= 3]
     while pending:
         walk = pending.pop()
-        # prefer a triangle-splitting chord two steps apart
         for _ in range(len(walk)):
-            a, c = walk[0], walk[2]
+            a, b, c = walk[0], walk[1], walk[2]
             if a != c and ((a, c) if a < c else (c, a)) not in edges:
-                s = 2
                 break
             walk.rotate(-1)
-        else:  # a full turn has brought the walk back to its first vertex
-            i, s = _far_chord(list(walk), edges)
-            walk.rotate(-i)
-            a, c = walk[0], walk[s]
-        # c goes in after the walk's last vertex round a, a after c's
-        # predecessor round c
+        else:  # only on a walk that is not a face, by the lemma above
+            raise InvalidEmbedding(f"no two-step corner in face {list(walk)}")
+        # c goes in after the walk's last vertex round a, a after b round c
         at_a, at_c = rotation[a], rotation[c]
         at_a.insert(at_a.index(walk[-1]) + 1, c)
-        at_c.insert(at_c.index(walk[s - 1]) + 1, a)
+        at_c.insert(at_c.index(b) + 1, a)
         edges.add((a, c) if a < c else (c, a))
-        piece = list(islice(walk, s + 1))  # a .. c
-        walk.rotate(-s)  # c .. a, then the s - 1 vertices between a and c
-        for _ in range(s - 1):
-            walk.pop()
-        for part in (piece, walk):
-            (pending if len(part) > 3 else done).append(part)
-
-    rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
-    # length-2 walks (bridges) cannot appear: the graph contains a cycle
-    # and triangulation only shortens walks to length 3
-    for piece in done:
-        if len(piece) != 3:
-            raise InvalidEmbedding(f"face {list(piece)} not a triangle after augmentation")
-    return build_plane_graph(vertices, edges, rot, tuple(done[0]))
-
-
-def _far_chord(walk: list, edges: set) -> tuple:
-    """First positions i < j, not neighbours round the walk, whose vertices
-    differ and are not adjacent yet; returns i and j - i."""
-    k = len(walk)
-    for i in range(k):
-        for j in range(i + 2, k):
-            if (j + 1) % k == i:
-                continue
-            if walk[i] != walk[j] and edge(walk[i], walk[j]) not in edges:
-                return i, j - i
-    raise InvalidEmbedding(f"cannot triangulate face {walk}")
+        done.append([a, b, c])
+        walk.rotate(-2)  # c .. a, b
+        walk.pop()
+        (pending if len(walk) > 3 else done).append(walk)
+    return build_plane_graph(vertices, edges, rotation, tuple(done[0]))

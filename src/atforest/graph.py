@@ -49,18 +49,17 @@ class Graph:
         # pairs are distinct, none is None and every end is listed
         pairs = [(u, v) if u < v else (v, u) if v < u else None for u, v in edges]
         es = frozenset(pairs)
-        if len(es) == len(pairs) and None not in es and vset.issuperset(chain.from_iterable(es)):
-            return Graph(vs, es)
-        # name the first fault in input order
-        es = set()
-        for u, v in edges:
-            e = edge(u, v)
-            if e[0] not in vset or e[1] not in vset:
-                raise UnknownVertex(f"edge {e} has an unlisted endpoint")
-            if e in es:
-                raise DuplicateEdge(f"edge {e} listed twice")
-            es.add(e)
-        return Graph(vs, frozenset(es))
+        if len(es) != len(pairs) or None in es or not vset.issuperset(chain.from_iterable(es)):
+            # name the first fault in input order; one of these raises
+            seen = set()
+            for u, v in edges:
+                e = edge(u, v)
+                if e[0] not in vset or e[1] not in vset:
+                    raise UnknownVertex(f"edge {e} has an unlisted endpoint")
+                if e in seen:
+                    raise DuplicateEdge(f"edge {e} listed twice")
+                seen.add(e)
+        return Graph(vs, es)
 
     @cached_property
     def adjacency(self) -> dict:
@@ -136,8 +135,6 @@ def _trace_all_faces(rotation: dict, turn: dict) -> list:
                 u, v = v, turn[v].pop(u)
                 if u == a and v == b:
                     break
-                if u not in turn[v]:
-                    raise EulerViolation("face trace revisits a consumed dart")
             faces.append(tuple(walk))
     return faces
 

@@ -142,6 +142,8 @@ def test_coefficient_rejects_bad_exponents():
         poly_coefficient(g, {"a": 1, "b": 1})  # missing vertex
     with pytest.raises(DegreeMismatch):
         poly_coefficient(g, {"a": 1, "b": 1, "c": 2})  # wrong total
+    with pytest.raises(DegreeMismatch, match="non-negative"):
+        poly_coefficient(g, {"a": 2, "b": 2, "c": -1})  # right total
 
 
 def test_identity_coefficient_equals_parity_difference():

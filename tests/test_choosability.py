@@ -35,6 +35,12 @@ def test_k3_with_two_colors_uncolorable():
     assert is_l_colorable(cycle("abc"), uniform_lists(cycle("abc"), "12")) is None
 
 
+def test_lists_must_cover_the_vertex_set():
+    g = cycle("abc")
+    with pytest.raises(BadSelector, match="cover exactly"):
+        is_l_colorable(g, ListAssignment.build({"a": ["1"], "b": ["2"]}))
+
+
 def test_c4_with_two_colors_alternates():
     g = cycle("abcd")
     coloring = is_l_colorable(g, uniform_lists(g, "12"))

@@ -1,6 +1,7 @@
 """Command-line surface: grammar, exit codes, JSON round-trips."""
 
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -153,6 +154,29 @@ def test_decompose_and_verify_pass_on_an_edgeless_graph(tmp_path, names):
 
 def test_decompose_needs_embedding(k4_file):
     assert go("decompose", "--input", str(k4_file), "--handle", "a,b").exit_code == EXIT_USAGE
+    # a certificate that fits k4 still needs the embedding to be verified
+    cert = k4_file.parent / "cert.json"
+    cert.write_text(json.dumps({"forest": [["a", "b"]], "arcs": []}))
+    result = go("verify", "decomposition", "--input", str(k4_file), "--decomposition", str(cert))
+    assert result.exit_code == EXIT_USAGE and "needs an embedded input" in result.output()
+
+
+def test_input_from_standard_input(tri_file, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(tri_file.read_text()))
+    from_stdin = go("decompose", "--input", "-")
+    assert from_stdin.exit_code == EXIT_PASS
+    assert from_stdin.output() == go("decompose", "--input", str(tri_file)).output()
+
+
+def test_main_prints_the_output_and_returns_the_exit_code(k4_file, capsys):
+    assert cli.main(["at", "number", "--input", str(k4_file)]) == EXIT_PASS
+    assert capsys.readouterr().out == "4\n"
+    # a command with nothing to print prints nothing
+    assert cli.main(["gen", "graph", "--n", "3", "--p", "0", "--seed", "1",
+                     "--output", str(k4_file.parent / "g3.json")]) == EXIT_PASS
+    assert capsys.readouterr().out == ""
+    assert cli.main(["at", "number"]) == EXIT_USAGE
+    assert capsys.readouterr().out.startswith("usage error:")
 
 
 def test_verify_lemma_exit_codes():
@@ -200,6 +224,10 @@ def test_at_number_and_coefficient(k4_file, tmp_path):
     result = go("at", "coefficient", "--input", str(k3), "--eta", "1=2,2=1,3=0")
     assert result.exit_code == EXIT_PASS and result.output() == "-1"
     assert go("at", "coefficient", "--input", str(k3), "--eta", "1=9,2=0,3=0").exit_code == EXIT_USAGE
+    # an item without "=", and an exponent that is no integer
+    for eta, detail in (("1=2,2,3=0", "vertex=exponent"), ("1=2,2=x,3=0", "bad exponent 'x'")):
+        result = go("at", "coefficient", "--input", str(k3), "--eta", eta)
+        assert result.exit_code == EXIT_USAGE and detail in result.output(), eta
 
 
 def test_at_coefficient_rejects_a_vertex_named_twice(tmp_path):
@@ -371,6 +399,10 @@ def test_choose_check(tmp_path):
     # witness mode: C4 with 2-lists is colorable, so "not 2-choosable" fails
     bad = go("choose", "check", "--input", str(c4), "--lists", str(lists), "--k", "2")
     assert bad.exit_code == EXIT_FAIL
+    # the same list at both ends of an edge: no colouring
+    lists.write_text(json.dumps({"lists": {**{v: ["1", "2"] for v in "abcd"}, "a": ["1"], "b": ["1"]}}))
+    none = go("choose", "check", "--input", str(c4), "--lists", str(lists), "--json")
+    assert none.exit_code == EXIT_FAIL and json.loads(none.output()) == {"verdict": "FAIL"}
     # the search depth does not grow with n: a 3000-vertex path with 3-lists
     names = [f"v{i:04d}" for i in range(3000)]
     path = tmp_path / "path.json"

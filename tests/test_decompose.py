@@ -15,7 +15,6 @@ from atforest.check import check_forest_orientation, check_plane_certificate, re
 from atforest.decompose import (
     Decomposition,
     _chords,
-    _far_chord,
     _inside_neighbours,
     _triangulate_embedding,
     decompose,
@@ -109,6 +108,14 @@ def test_disconnected_input_rejected():
     pg = triangle_and_floating_triangle()
     report = validate_near_triangulation(pg)
     assert not report.verdict and report.detail == "graph is disconnected"
+    with pytest.raises(NotNearTriangulation):
+        decompose(pg, ("a", "b"))
+
+
+def test_boundary_walk_repeating_a_vertex_rejected():
+    pg = _bowtie()
+    report = validate_near_triangulation(pg)
+    assert not report.verdict and report.detail == "boundary walk repeats a vertex"
     with pytest.raises(NotNearTriangulation):
         decompose(pg, ("a", "b"))
 
@@ -736,6 +743,25 @@ def _cycle_plane(n, pendants=()):
     return build_plane_graph(vertices, edges, rotation, names)
 
 
+def _pendants_both_sides():
+    """Square a, d, e, f with a pendant of a in each face: both walks
+    start a, pendant, a, a corner whose ends coincide (the corner lemma's
+    case (a))."""
+    edges = [("a", "b"), ("a", "c"), ("a", "d"), ("d", "e"), ("e", "f"), ("a", "f")]
+    rotation = {"a": ("d", "b", "f", "c"), "b": ("a",), "c": ("a",),
+                "d": ("a", "e"), "e": ("d", "f"), "f": ("e", "a")}
+    return build_plane_graph("abcdef", edges, rotation, ("a", "b", "a", "f", "e", "d"))
+
+
+def _bowtie():
+    """Triangles abc and ade joined at a: the outer walk a, b, c, a, d, e
+    repeats a, and its first two corners are edges already (case (b))."""
+    edges = [("a", "b"), ("b", "c"), ("a", "c"), ("a", "d"), ("d", "e"), ("a", "e")]
+    rotation = {"a": ("b", "c", "d", "e"), "b": ("a", "c"), "c": ("a", "b"),
+                "d": ("a", "e"), "e": ("a", "d")}
+    return build_plane_graph("abcde", edges, rotation, ("a", "b", "c", "a", "d", "e"))
+
+
 def _triangulation_instances():
     for n, seed in ((8, 1), (30, 2), (90, 3)):
         for b in sorted({3, n // 2, n}):
@@ -749,6 +775,8 @@ def _triangulation_instances():
         yield _cycle_plane(n, [(0, 1)])
         yield _cycle_plane(n, [(i, i % 2) for i in range(0, n, 2)])
         yield _cycle_plane(n, [(n // 2, 0), (n // 2, 0), (n // 2, 1)])
+    yield _pendants_both_sides()
+    yield _bowtie()
 
 
 def test_triangulation_matches_walk_copying_reference():
@@ -762,7 +790,7 @@ def test_triangulation_matches_walk_copying_reference():
         assert got.outer_face == want.outer_face
         assert got.rotation == want.rotation
         count += 1
-    assert count == 111
+    assert count == 113
 
 
 def test_any_planar_certificates_verify_on_triangulation_inputs():
@@ -772,15 +800,12 @@ def test_any_planar_certificates_verify_on_triangulation_inputs():
         forest, orientation = decompose_any_planar(pg)
         assert check_forest_orientation(pg.graph.edges, forest, orientation.arcs, lambda v: 2).verdict
         count += 1
-    assert count == 111
+    assert count == 113
 
 
-def test_far_chord_takes_the_first_free_long_diagonal():
-    # a hexagon whose six two-step diagonals all exist leaves only the
-    # three long ones
-    walk = list("abcdef")
-    edges = {edge(walk[i], walk[(i + 2) % 6]) for i in range(6)}
-    assert _far_chord(walk, edges) == (0, 3)
-    assert _far_chord(walk, edges | {edge("a", "d")}) == (1, 3)
-    with pytest.raises(InvalidEmbedding):
-        _far_chord(walk, edges | {edge("a", "d"), edge("b", "e"), edge("c", "f")})
+def test_triangulation_refuses_a_walk_without_a_two_step_corner():
+    # not a face: both diagonals of the 4-walk are edges of K4; the corner
+    # search stops after one turn instead of clipping forever
+    k4 = [edge(u, v) for u, v in ("ab", "ac", "ad", "bc", "bd", "cd")]
+    with pytest.raises(InvalidEmbedding, match="no two-step corner"):
+        _triangulate_embedding("abcd", k4, dict.fromkeys("abcd", ()), [tuple("abcd")])

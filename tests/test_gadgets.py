@@ -276,6 +276,10 @@ def test_extract_obstruction_preconditions():
     # S-level rule itself can see four
     with pytest.raises(PreconditionViolated, match="fewer than six clear copies"):
         gadgets._pigeonhole(s, [0, 1, 2, 3, 4], lambda j: 0)
+    # every link and an edge at each apex deleted, as only a set with a
+    # vertex of degree > 3 does: only the per-copy rule itself can see it
+    with pytest.raises(PreconditionViolated, match="no apex survives"):
+        gadgets._extract_from_copy(s.copies[0], (1 << len(_J3_FREE)) - 1)
 
 
 # extract_obstruction turns a name set into per-copy masks; the name-set
@@ -458,6 +462,11 @@ def test_sampled_obstructions_report_a_quiet_center_missing(monkeypatch):
         assert not report.verdict, target
         assert report.detail == "sample 2: center degree exceeds 3", target
         assert (report.stats, report.seed, report.counterexample) == ({"samples": 3}, 11, None), target
+    # the sampler itself goes on past such a sample
+    for target, host in _sampling_hosts():
+        calls.clear()
+        got = [t for t, _ in gadgets._sampled_obstructions(4, Rng(11), *host)]
+        assert got[2:] == [None, None] and None not in got[:2], target
 
 
 def test_sampled_theorem7_reports_a_forest_that_kills_every_k4(monkeypatch):

@@ -10,6 +10,7 @@ from atforest.testkit import (
     _M64,
     _STAR,
     Rng,
+    plane_graph_from_triangles,
     random_graph,
     random_near_triangulation,
     random_orientation,
@@ -173,6 +174,23 @@ def test_random_graph_deterministic_and_simple():
     g2 = random_graph(12, 0.3, 5)
     assert g1 == g2
     assert all(u != v for u, v in g1.edges)
+
+
+def test_random_graph_rejects_bad_parameters():
+    for n, p in ((0, 0.5), (3, -0.1), (3, 1.5)):
+        with pytest.raises(BadParameters):
+            random_graph(n, p, 0)
+
+
+def test_randrange_rejects_an_empty_range():
+    for n in (0, -1):
+        with pytest.raises(BadParameters):
+            Rng(1).randrange(n)
+
+
+def test_plane_graph_from_triangles_keeps_an_isolated_vertex():
+    pg = plane_graph_from_triangles(["x", "y", "z", "w"], [("z", "x", "y")], ("x", "z", "y"))
+    assert pg.rotation["w"] == () and ("w",) in pg.faces and not pg.connected
 
 
 def test_random_orientation_covers_every_edge_once():
