@@ -560,12 +560,11 @@ def _sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple,
         kept, degree = _random_max_degree_subgraph(triples, degrees, rng.split(i))
         for t, (a_edges, b_edges, free) in enumerate(layout):
             if not any(a_edges(kept)):
+                if max(degree) > 3:
+                    raise PreconditionViolated("deleted set has maximum degree > 3")
+                clear = [j for j, b in enumerate(b_edges) if not any(b(kept))]
+                yield t, _pigeonhole(s_gadgets[t], clear, lambda j: sum(
+                    kept[p] << k for k, p in enumerate(free[j])))
                 break
         else:
             yield None, None
-            continue
-        if max(degree) > 3:
-            raise PreconditionViolated("deleted set has maximum degree > 3")
-        clear = [j for j, b in enumerate(b_edges) if not any(b(kept))]
-        yield t, _pigeonhole(s_gadgets[t], clear, lambda j: sum(
-            kept[p] << k for k, p in enumerate(free[j])))
