@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CapExceeded, DegreeMismatch
+from .errors import ArtifactError, CapExceeded
 from .graph import Graph, Orientation
 
 # the most slots (live states x coordinates per state) the `_flip_counts`
@@ -178,11 +178,11 @@ def poly_coefficient(g: Graph, eta: dict) -> int:
     `_flip_counts` on the arcs v -> u with eta as target.
     """
     if set(eta) != set(g.vertices):
-        raise DegreeMismatch("exponent vector must cover exactly the vertex set")
+        raise ArtifactError("exponent vector must cover exactly the vertex set")
     if any(e < 0 for e in eta.values()):
-        raise DegreeMismatch("exponents must be non-negative")
+        raise ArtifactError("exponents must be non-negative")
     if sum(eta.values()) != len(g.edges):
-        raise DegreeMismatch(
+        raise ArtifactError(
             f"sum of exponents {sum(eta.values())} != edge count {len(g.edges)}"
         )
     names, arcs = _frontier_order([(v, u) for u, v in g.edges])

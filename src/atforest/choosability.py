@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from .errors import BadSelector
+from .errors import ArtifactError
 from .graph import Graph
 from .report import VerificationReport
 
@@ -55,7 +55,7 @@ def is_l_colorable(g: Graph, l: ListAssignment) -> Optional[dict]:
     A loop, not a recursion: tried[i] counts the colors of order[i] tried."""
     live = l.as_dict()
     if set(live) != set(g.vertices):
-        raise BadSelector("lists must cover exactly the vertex set")
+        raise ArtifactError("lists must cover exactly the vertex set")
     adj = g.adjacency
     trail: list = []  # (vertex, color) removals, in order
 
@@ -118,7 +118,7 @@ def build_lemma1_lists(selector: str) -> tuple:
     {y, z, omega} when attached to b.
     """
     if len(selector) != 6 or any(ch not in "ab" for ch in selector):
-        raise BadSelector(f"selector must be a length-6 word over {{a,b}}: {selector!r}")
+        raise ArtifactError(f"selector must be a length-6 word over {{a,b}}: {selector!r}")
     pieces = [(ch, f"c{i}", f"e{i}", f"d{i}") for i, ch in enumerate(selector, start=1)]
     _, g, lists = _assemble_member("a", "b", pieces)
     return g, lists

@@ -41,11 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .check import check_plane_certificate
-from .errors import (
-    HandleNotOnBoundary,
-    InvalidEmbedding,
-    NotNearTriangulation,
-)
+from .errors import ArtifactError
 from .graph import (
     Orientation,
     PlaneGraph,
@@ -104,13 +100,13 @@ class Decomposition:
 def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     rep = validate_near_triangulation(pg)
     if not rep.verdict:
-        raise NotNearTriangulation(rep.detail)
+        raise ArtifactError(rep.detail)
     x0, y0 = handle
     cycle0 = pg.outer_face
     succ0 = dict(zip(cycle0, cycle0[1:] + cycle0[:1]))
     pred0 = {w: v for v, w in succ0.items()}
     if x0 not in succ0 or y0 not in (succ0[x0], pred0[x0]):
-        raise HandleNotOnBoundary(f"{handle} is not a boundary edge")
+        raise ArtifactError(f"{handle} is not a boundary edge")
     # every sub-cycle keeps the direction of cycle0, so this one flag tells
     # for all of them which way round the rotation runs inside
     traced = pg.outer_traced
@@ -325,7 +321,7 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph
                 break
             walk.rotate(-1)
         else:  # only on a walk that is not a face, by the lemma above
-            raise InvalidEmbedding(f"no two-step corner in face {list(walk)}")
+            raise ArtifactError(f"no two-step corner in face {list(walk)}")
         # c goes in after the walk's last vertex round a, a after b round c
         at_a, at_c = rotation[a], rotation[c]
         at_a.insert(at_a.index(walk[-1]) + 1, c)

@@ -41,10 +41,10 @@ from .choosability import (
     build_lemma1_lists,
     verify_witness_not_k_choosable,
 )
-from .errors import BadSelector, PreconditionViolated
+from .errors import ArtifactError
 from .graph import Graph, edge, k4s
 from .report import VerificationReport
-from .testkit import _M64, _STAR, Rng
+from .testkit import Rng
 
 
 # ---------------------------------------------------------------------------
@@ -58,32 +58,20 @@ class StarForest:
 
 def random_star_forest(g: Graph, rng: Rng) -> StarForest:
     """Random center election, then each non-center greedily picks at most
-    one adjacent center: k = randrange(1 + its adjacent centers), drawn
-    inline, picks none at k = 0."""
+    one adjacent center: k = randrange(1 + its adjacent centers) picks none
+    at k = 0."""
     vertices = g.vertices
     centers = {v for v, coin in zip(vertices, rng.coins(len(vertices))) if not coin}
     chosen = set()
     neighbors = g.neighbors
-    m64, star = _M64, _STAR
-    x = rng.state
     for v in vertices:
         if v in centers:
             continue
         options = [u for u in neighbors[v] if u in centers]
-        n = len(options) + 1
-        limit = m64 - (m64 + 1) % n
-        while True:
-            x ^= (x >> 12)
-            x ^= (x << 25) & m64
-            x ^= (x >> 27)
-            y = (x * star) & m64
-            if y <= limit:
-                break
-        k = y % n
+        k = rng.randrange(len(options) + 1)
         if k:
             u = options[k - 1]
             chosen.add((v, u) if v < u else (u, v))
-    rng.state = x
     return StarForest(frozenset(chosen), frozenset(centers))
 
 
@@ -190,13 +178,13 @@ def build_gadget(gadget_id: str, selector: Optional[str] = None) -> Graph:
     """Gadget graph by name; JFamily needs a length-6 selector over {a,b}."""
     if gadget_id.lower() == "jfamily":
         if selector is None:
-            raise BadSelector("JFamily needs --selector, a length-6 word over {a,b}")
+            raise ArtifactError("JFamily needs --selector, a length-6 word over {a,b}")
         return build_lemma1_lists(selector)[0]
     builder = _GADGET_BUILDERS.get(gadget_id.upper())
     if builder is None:
-        raise BadSelector(f"unknown gadget {gadget_id!r}")
+        raise ArtifactError(f"unknown gadget {gadget_id!r}")
     if selector is not None:
-        raise BadSelector(f"only JFamily takes a selector, not {gadget_id!r}")
+        raise ArtifactError(f"only JFamily takes a selector, not {gadget_id!r}")
     return builder()
 
 
@@ -229,7 +217,7 @@ def _extract_from_copy(copy: dict, mask: int):
     for t, (m, (attach, p, q)) in enumerate(_J3_APEXES.items()):
         if not mask >> (len(_J3_LINKS) + 2 * t) & 3:
             return ("j", attach, copy[p], copy[q], copy[m])
-    raise PreconditionViolated("no apex survives; the deleted set has a vertex of degree > 3")
+    raise ArtifactError("no apex survives; the deleted set has a vertex of degree > 3")
 
 
 def _pigeonhole(s: SGadget, clear: list, mask) -> Obstruction:
@@ -238,7 +226,7 @@ def _pigeonhole(s: SGadget, clear: list, mask) -> Obstruction:
     At least six copies must be clear; in order they give a K4 or the
     first six pieces, assembled into a family member with its bad lists."""
     if len(clear) < 6:
-        raise PreconditionViolated("fewer than six clear copies; pigeonhole violated")
+        raise ArtifactError("fewer than six clear copies; pigeonhole violated")
 
     pieces = []
     for j in clear:
@@ -263,11 +251,11 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
     h = {edge(u, v) for u, v in h}
     unknown = [e for e in h if e not in s.graph.edges]
     if unknown:
-        raise PreconditionViolated(f"edge {unknown[0]} not in the gadget")
+        raise ArtifactError(f"edge {unknown[0]} not in the gadget")
     if any(s.a in e for e in h):
-        raise PreconditionViolated("deleted set touches the protected handle end")
+        raise ArtifactError("deleted set touches the protected handle end")
     if max(Counter(v for e in h for v in e).values(), default=0) > 3:
-        raise PreconditionViolated("deleted set has maximum degree > 3")
+        raise ArtifactError("deleted set has maximum degree > 3")
     clear = [j for j, copy in enumerate(s.copies) if h.isdisjoint(_edges(copy, _J3_AT_B))]
     return _pigeonhole(s, clear, lambda j: sum(
         1 << k for k, e in enumerate(_edges(s.copies[j], _J3_FREE)) if e in h))
@@ -326,7 +314,7 @@ def verify_lemma2() -> VerificationReport:
     for mask in no_k4:
         try:
             got = _extract_from_copy(copy, mask)
-        except PreconditionViolated:
+        except ArtifactError:
             got = None
         if got is None or got[0] != "j":
             return VerificationReport(
@@ -478,9 +466,9 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     on a single S avoiding its handle end a.
     """
     if target not in ("theorem2", "theorem7", "corollary3"):
-        raise PreconditionViolated(f"unknown target {target!r}")
+        raise ArtifactError(f"unknown target {target!r}")
     if n < 0:
-        raise PreconditionViolated("sample count must be non-negative")
+        raise ArtifactError("sample count must be non-negative")
     if n == 0:
         return VerificationReport(
             True, "vacuous pass: zero samples requested", stats={"samples": 0}, seed=seed
@@ -497,7 +485,7 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     for i, (t, obstruction) in enumerate(_sampled_obstructions(n, rng, host, s_gadgets, forbidden)):
         if t is None:
             return VerificationReport(
-                False, f"sample {i}: center degree exceeds 3", stats={"samples": i + 1}, seed=seed
+                False, f"sample {i}: {obstruction}", stats={"samples": i + 1}, seed=seed
             )
         if obstruction.kind == "j_member":
             recheck = verify_witness_not_k_choosable(obstruction.graph, obstruction.lists, 3)
@@ -544,9 +532,10 @@ def _sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple,
                           forbidden: Optional[set]):
     """Per sample i, a random maximal max-degree-3 deletion from the host
     drawn from rng.split(i): the index of the first S gadget whose handle
-    end a keeps all its edges and its obstruction, or (None, None).  Each S
-    is laid out on edge positions: its a-edges, and per J3 copy its b-edges
-    and its `_J3_FREE` edges in bit order."""
+    end a keeps all its edges and its obstruction, or None and the reason
+    there is none: a vertex of degree > 3, or no such S.  Each S is laid
+    out on edge positions: its a-edges, and per J3 copy its b-edges and its
+    `_J3_FREE` edges in bit order."""
     edges = sorted(host.edges)
     triples, degrees = _indexed_host(host.vertices, edges, forbidden)
     position = {e: p for p, e in enumerate(edges)}
@@ -558,13 +547,13 @@ def _sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple,
     ]
     for i in range(n):
         kept, degree = _random_max_degree_subgraph(triples, degrees, rng.split(i))
-        for t, (a_edges, b_edges, free) in enumerate(layout):
-            if not any(a_edges(kept)):
-                if max(degree) > 3:
-                    raise PreconditionViolated("deleted set has maximum degree > 3")
-                clear = [j for j, b in enumerate(b_edges) if not any(b(kept))]
-                yield t, _pigeonhole(s_gadgets[t], clear, lambda j: sum(
-                    kept[p] << k for k, p in enumerate(free[j])))
-                break
+        t = next((t for t, (a_edges, _, _) in enumerate(layout) if not any(a_edges(kept))), None)
+        if max(degree) > 3:
+            yield None, "deleted set has maximum degree > 3"
+        elif t is None:
+            yield None, "center degree exceeds 3"
         else:
-            yield None, None
+            _, b_edges, free = layout[t]
+            clear = [j for j, b in enumerate(b_edges) if not any(b(kept))]
+            yield t, _pigeonhole(s_gadgets[t], clear, lambda j: sum(
+                kept[p] << k for k, p in enumerate(free[j])))

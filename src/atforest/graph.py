@@ -14,12 +14,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Optional
 
-from .errors import (
-    DuplicateEdge,
-    EulerViolation,
-    RotationMismatch,
-    UnknownVertex,
-)
+from .errors import ArtifactError
 from .report import VerificationReport
 
 Edge = tuple[str, str]
@@ -29,7 +24,7 @@ Arc = tuple[str, str]
 def edge(u: str, v: str) -> Edge:
     """Normalize an unordered pair to a sorted tuple."""
     if u == v:
-        raise DuplicateEdge(f"loop at {u!r}")
+        raise ArtifactError(f"loop at {u!r}")
     return (u, v) if u < v else (v, u)
 
 
@@ -43,7 +38,7 @@ class Graph:
         vs = tuple(sorted(vertices))
         vset = frozenset(vs)
         if len(vs) != len(vset):
-            raise DuplicateEdge("duplicate vertex identifiers")
+            raise ArtifactError("duplicate vertex identifiers")
         edges = list(edges)  # read twice when a check below fails
         # sorted pairs, with None for a loop; the edge set is fine when the
         # pairs are distinct, none is None and every end is listed
@@ -55,9 +50,9 @@ class Graph:
             for u, v in edges:
                 e = edge(u, v)
                 if e[0] not in vset or e[1] not in vset:
-                    raise UnknownVertex(f"edge {e} has an unlisted endpoint")
+                    raise ArtifactError(f"edge {e} has an unlisted endpoint")
                 if e in seen:
-                    raise DuplicateEdge(f"edge {e} listed twice")
+                    raise ArtifactError(f"edge {e} listed twice")
                 seen.add(e)
         return Graph(vs, es)
 
@@ -158,12 +153,12 @@ def build_plane_graph(
     rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
     adj = g.adjacency
     if rot.keys() != adj.keys():
-        raise RotationMismatch("rotation must cover exactly the vertex set")
+        raise ArtifactError("rotation must cover exactly the vertex set")
     # a rotation lists each neighbour once iff its turn map is as long
     turn = _turn_maps(rot)
     for v, t in turn.items():
         if len(t) != len(rot[v]) or t.keys() != adj[v]:
-            raise RotationMismatch(f"rotation at {v!r} does not list its incident edges")
+            raise ArtifactError(f"rotation at {v!r} does not list its incident edges")
 
     faces = _trace_all_faces(rot, turn)
 
@@ -174,16 +169,16 @@ def build_plane_graph(
     if len(adj) - len(g.edges) + len(faces) != 2 * count:
         for i, (vs, es, fs) in enumerate(components(g, faces)):
             if len(vs) - len(es) + len(fs) != 2:
-                raise EulerViolation(
+                raise ArtifactError(
                     f"component {i}: V-E+F = {len(vs)}-{len(es)}+{len(fs)} != 2"
                 )
 
     outer = tuple(outer_face)
     if not outer:
-        raise RotationMismatch("outer face walk is empty")
+        raise ArtifactError("outer face walk is empty")
     match = _matching_face(faces, outer)
     if match is None:
-        raise RotationMismatch("designated outer face is not a face of the embedding")
+        raise ArtifactError("designated outer face is not a face of the embedding")
     return PlaneGraph(g, rot, outer, tuple(faces), *match, count == 1)
 
 

@@ -9,7 +9,7 @@ derived with `split` so concurrent consumers cannot perturb each other.
 
 from __future__ import annotations
 
-from .errors import BadParameters
+from .errors import ArtifactError
 from .graph import Graph, Orientation, PlaneGraph, build_plane_graph, edge
 
 _M64 = (1 << 64) - 1
@@ -45,7 +45,7 @@ class Rng:
 
     def randrange(self, n: int) -> int:
         if n <= 0:
-            raise BadParameters("randrange needs n >= 1")
+            raise ArtifactError("randrange needs n >= 1")
         # rejection sampling for an unbiased draw; the loop is next_u64
         # inline on a local copy of the state
         limit = _M64 - (_M64 + 1) % n
@@ -118,7 +118,7 @@ def random_near_triangulation(n: int, boundary_len: int, seed: int) -> PlaneGrap
     interior faces triangles, and exactly 3n - 3 - boundary_len edges.
     """
     if n < 3 or boundary_len < 3 or boundary_len > n:
-        raise BadParameters(f"need 3 <= boundary_len <= n, got n={n}, b={boundary_len}")
+        raise ArtifactError(f"need 3 <= boundary_len <= n, got n={n}, b={boundary_len}")
     rng = Rng(seed)
     names = _vertex_names(n)
     poly = names[:boundary_len]
@@ -193,7 +193,7 @@ def plane_graph_from_triangles(vertices: list, triangles: list, outer: tuple) ->
 def random_graph(n: int, edge_probability: float, seed: int) -> Graph:
     """Erdos-Renyi style simple graph, deterministic per seed."""
     if n < 1 or not (0.0 <= edge_probability <= 1.0):
-        raise BadParameters(f"bad parameters n={n}, p={edge_probability}")
+        raise ArtifactError(f"bad parameters n={n}, p={edge_probability}")
     rng = Rng(seed)
     names = _vertex_names(n)
     edges = []

@@ -6,14 +6,7 @@ from atforest import gadgets
 from atforest.alon_tarsi import ParityCount
 from atforest.check import check_forest_orientation
 from atforest.choosability import ListAssignment, is_l_colorable
-from atforest.errors import (
-    CapExceeded,
-    DuplicateEdge,
-    EulerViolation,
-    PreconditionViolated,
-    RotationMismatch,
-    UnknownVertex,
-)
+from atforest.errors import ArtifactError, CapExceeded
 from atforest.graph import (
     Graph,
     Orientation,
@@ -141,7 +134,7 @@ def reference_lemma2() -> VerificationReport:
             continue
         try:
             got = gadgets._extract_from_copy(copy, mask)
-        except PreconditionViolated:
+        except ArtifactError:
             got = None
         if got is None or got[0] != "j":
             return VerificationReport(
@@ -303,7 +296,7 @@ def reference_extract_from_copy(copy: dict, h: set):
     for m, (attach, p, q) in gadgets._J3_APEXES.items():
         if edge(copy[m], copy[p]) not in h and edge(copy[m], copy[q]) not in h:
             return ("j", attach, copy[p], copy[q], copy[m])
-    raise PreconditionViolated(
+    raise ArtifactError(
         "no apex survives; the deleted set has a vertex of degree > 3"
     )
 
@@ -313,17 +306,17 @@ def reference_extract_obstruction(s, h: set):
     h = {edge(u, v) for u, v in h}
     unknown = [e for e in h if e not in s.graph.edges]
     if unknown:
-        raise PreconditionViolated(f"edge {unknown[0]} not in the gadget")
+        raise ArtifactError(f"edge {unknown[0]} not in the gadget")
     if any(s.a in e for e in h):
-        raise PreconditionViolated("deleted set touches the protected handle end")
+        raise ArtifactError("deleted set touches the protected handle end")
     if _edge_set_max_degree(h) > 3:
-        raise PreconditionViolated("deleted set has maximum degree > 3")
+        raise ArtifactError("deleted set has maximum degree > 3")
 
     # a copy is clear when no edge of h joins b to one of its vertices
     joined = {u if v == s.b else v for u, v in h if s.b in (u, v)}
     clear = [c for c in s.copies if joined.isdisjoint(c.values())]
     if len(clear) < 6:
-        raise PreconditionViolated("fewer than six clear copies; pigeonhole violated")
+        raise ArtifactError("fewer than six clear copies; pigeonhole violated")
 
     pieces = []
     for copy in clear:
@@ -344,7 +337,7 @@ def reference_extract_obstruction(s, h: set):
 def reference_sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple, forbidden):
     """`gadgets._sampled_obstructions` on edge-name sets: per sample, the
     index of the first S gadget whose handle end a keeps all its edges and
-    its obstruction, or (None, None) when there is none."""
+    its obstruction, or None and the reason there is none."""
     triples, degrees = reference_indexed_host(host.vertices, sorted(host.edges), forbidden)
     for i in range(n):
         h = reference_random_max_degree_subgraph(triples, degrees, rng.split(i))
@@ -353,7 +346,7 @@ def reference_sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tup
             if not any(s.a in e for e in h_local):
                 break
         else:
-            yield None, None
+            yield None, "center degree exceeds 3"
             continue
         yield t, reference_extract_obstruction(s, h_local)
 
@@ -365,15 +358,15 @@ def reference_sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tup
 def reference_graph_build(vertices, edges) -> Graph:
     vs = tuple(sorted(vertices))
     if len(vs) != len(set(vs)):
-        raise DuplicateEdge("duplicate vertex identifiers")
+        raise ArtifactError("duplicate vertex identifiers")
     vset = set(vs)
     es = set()
     for u, v in edges:
         e = edge(u, v)
         if e[0] not in vset or e[1] not in vset:
-            raise UnknownVertex(f"edge {e} has an unlisted endpoint")
+            raise ArtifactError(f"edge {e} has an unlisted endpoint")
         if e in es:
-            raise DuplicateEdge(f"edge {e} listed twice")
+            raise ArtifactError(f"edge {e} listed twice")
         es.add(e)
     return Graph(vs, frozenset(es))
 
@@ -383,12 +376,12 @@ def reference_build_plane_graph(vertices, edges, rotation: dict, outer_face) -> 
     rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
     adj = g.adjacency
     if rot.keys() != adj.keys():
-        raise RotationMismatch("rotation must cover exactly the vertex set")
+        raise ArtifactError("rotation must cover exactly the vertex set")
     # a rotation lists each neighbour once iff its turn map is as long
     turn = _turn_maps(rot)
     for v, t in turn.items():
         if len(t) != len(rot[v]) or t.keys() != adj[v]:
-            raise RotationMismatch(f"rotation at {v!r} does not list its incident edges")
+            raise ArtifactError(f"rotation at {v!r} does not list its incident edges")
 
     faces = _trace_all_faces(rot, turn)
 
@@ -396,16 +389,16 @@ def reference_build_plane_graph(vertices, edges, rotation: dict, outer_face) -> 
     parts = reference_components(g, faces)
     for i, (vs, es, fs) in enumerate(parts):
         if len(vs) - len(es) + len(fs) != 2:
-            raise EulerViolation(
+            raise ArtifactError(
                 f"component {i}: V-E+F = {len(vs)}-{len(es)}+{len(fs)} != 2"
             )
 
     outer = tuple(outer_face)
     if not outer:
-        raise RotationMismatch("outer face walk is empty")
+        raise ArtifactError("outer face walk is empty")
     match = _matching_face(faces, outer)
     if match is None:
-        raise RotationMismatch("designated outer face is not a face of the embedding")
+        raise ArtifactError("designated outer face is not a face of the embedding")
     return PlaneGraph(g, rot, outer, tuple(faces), *match, len(parts) == 1)
 
 

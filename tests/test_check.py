@@ -1,9 +1,13 @@
-"""The certificate checkers of `atforest.check`, and the import boundary
-that keeps them apart from the code they judge."""
+"""The certificate checkers of `atforest.check`, the import boundary
+that keeps them apart from the code they judge, and the modules as the
+package's only import path."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
+import types
 from dataclasses import astuple
 from pathlib import Path
 
@@ -74,6 +78,24 @@ def test_no_producer_references_checker_code():
         if any(m == "check" or m.endswith(".check") for _, m in _imports(tree))
     }
     assert importers <= {"cli", "decompose", "gadgets"}, importers
+
+
+def test_every_module_binds_as_itself_and_imports_alone():
+    """`import atforest.<m> as x` gives the module, not a name the package
+    root would shadow it with, and each module imports in a fresh
+    interpreter, so no import cycle hides behind another module's order."""
+    modules = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+    assert {"decompose", "errors", "gadgets", "graph"} <= set(modules), modules
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    for m in modules:
+        scope: dict = {}
+        exec(f"import atforest.{m} as x", scope)
+        assert isinstance(scope["x"], types.ModuleType), (m, scope["x"])
+        assert scope["x"].__name__ == f"atforest.{m}"
+        proc = subprocess.run([sys.executable, "-c", f"import atforest.{m}"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, (m, proc.stderr)
 
 
 def test_certificate_rejects_cycle_and_dropped_arc():

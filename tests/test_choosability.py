@@ -1,5 +1,6 @@
 """List-coloring search and the non-3-choosable list construction."""
 
+import re
 import time
 from itertools import product
 
@@ -17,7 +18,7 @@ from atforest.choosability import (
     is_l_colorable,
     verify_witness_not_k_choosable,
 )
-from atforest.errors import BadSelector
+from atforest.errors import ArtifactError
 from atforest.graph import Graph
 from atforest.testkit import Rng, random_graph
 from helpers import chromatic_number, has_edge
@@ -37,7 +38,7 @@ def test_k3_with_two_colors_uncolorable():
 
 def test_lists_must_cover_the_vertex_set():
     g = cycle("abc")
-    with pytest.raises(BadSelector, match="cover exactly"):
+    with pytest.raises(ArtifactError, match="cover exactly"):
         is_l_colorable(g, ListAssignment.build({"a": ["1"], "b": ["2"]}))
 
 
@@ -103,7 +104,8 @@ def test_build_lists_shapes():
 
 def test_bad_selectors_rejected():
     for bad in ("aaa", "abcabc", "aaaaaaa", ""):
-        with pytest.raises(BadSelector):
+        message = f"selector must be a length-6 word over {{a,b}}: {bad!r}"
+        with pytest.raises(ArtifactError, match=f"^{re.escape(message)}$"):
             build_lemma1_lists(bad)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from atforest import gadgets
 from atforest.check import check_star_forest
 from atforest.choosability import ListAssignment, verify_witness_not_k_choosable
-from atforest.errors import BadSelector, PreconditionViolated
+from atforest.errors import ArtifactError
 from atforest.gadgets import (
     _A,
     _J3,
@@ -105,9 +105,9 @@ def test_g1_is_the_glue_of_its_36_j3_copies():
 
 
 def test_unknown_gadget_and_missing_selector():
-    with pytest.raises(BadSelector):
+    with pytest.raises(ArtifactError, match="^unknown gadget 'nosuch'$"):
         build_gadget("nosuch")
-    with pytest.raises(BadSelector):
+    with pytest.raises(ArtifactError, match="^JFamily needs --selector, a length-6 word"):
         build_gadget("JFamily")
 
 
@@ -144,7 +144,7 @@ def test_lemma2_pinned_cases():
 def test_lemma1_delegation():
     assert verify_lemma1("aaaaaa").verdict
     assert verify_lemma1("bbbbbb").verdict
-    with pytest.raises(BadSelector):
+    with pytest.raises(ArtifactError, match="^selector must be a length-6 word over .*: 'ab'$"):
         verify_lemma1("ab")
 
 
@@ -190,7 +190,7 @@ def test_mask_verifiers_match_set_references():
 
 def test_lemma2_failure_matches_set_reference(monkeypatch):
     def no_piece(copy, mask):
-        raise PreconditionViolated("forced")
+        raise ArtifactError("forced")
 
     monkeypatch.setattr(gadgets, "_extract_from_copy", no_piece)
     report = verify_lemma2()
@@ -262,23 +262,23 @@ def test_extract_obstruction_skips_copies_joined_to_b():
 def test_extract_obstruction_preconditions():
     s = build_s()
     a_edge = next(e for e in s.graph.edges if s.a in e)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ArtifactError, match="^deleted set touches the protected handle end$"):
         extract_obstruction(s, {a_edge})
     # degree-4 deletion set at one vertex
     e_vertex = s.copies[0]["e"]
     too_many = {e for e in _edges(s.copies[0], _J3_FREE) if e_vertex in e}
     assert len(too_many) >= 4
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ArtifactError, match="^deleted set has maximum degree > 3$"):
         extract_obstruction(s, too_many)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ArtifactError, match=r"^edge \('a', 'nope'\) not in the gadget$"):
         extract_obstruction(s, {("a", "nope")})
     # a max-degree-3 set joins b to at most three copies, so only the
     # S-level rule itself can see four
-    with pytest.raises(PreconditionViolated, match="fewer than six clear copies"):
+    with pytest.raises(ArtifactError, match="fewer than six clear copies"):
         gadgets._pigeonhole(s, [0, 1, 2, 3, 4], lambda j: 0)
     # every link and an edge at each apex deleted, as only a set with a
     # vertex of degree > 3 does: only the per-copy rule itself can see it
-    with pytest.raises(PreconditionViolated, match="no apex survives"):
+    with pytest.raises(ArtifactError, match="no apex survives"):
         gadgets._extract_from_copy(s.copies[0], (1 << len(_J3_FREE)) - 1)
 
 
@@ -324,7 +324,7 @@ def _s_deletions(draw):
 def _outcome(extract, h):
     try:
         return extract(_S, set(h))
-    except PreconditionViolated as exc:
+    except ArtifactError as exc:
         return type(exc), str(exc)
 
 
@@ -439,8 +439,10 @@ def test_sampled_obstructions_refuse_a_degree_above_3(monkeypatch):
 
     monkeypatch.setattr(gadgets, "_random_max_degree_subgraph", one_vertex_over)
     for target in ("theorem2", "corollary3"):
-        with pytest.raises(PreconditionViolated, match="maximum degree > 3"):
-            verify_sampled(target, 1, seed=3)
+        report = verify_sampled(target, 1, seed=3)
+        assert not report.verdict, target
+        assert report.detail == "sample 0: deleted set has maximum degree > 3", target
+        assert (report.stats, report.seed, report.counterexample) == ({"samples": 1}, 3, None), target
 
 
 def test_sampled_obstructions_report_a_quiet_center_missing(monkeypatch):
@@ -483,9 +485,9 @@ def test_sampled_zero_is_vacuous_pass():
 
 
 def test_sampled_unknown_target():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ArtifactError, match="^unknown target 'nosuch'$"):
         verify_sampled("nosuch", 1, seed=1)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(ArtifactError, match="^unknown target 'nosuch'$"):
         verify_sampled("nosuch", 0, seed=1)
 
 
@@ -556,9 +558,9 @@ def test_sample_streams_match_pinned_digest():
     assert h.hexdigest() == SAMPLE_STREAM_DIGEST
 
 
-# the sampling kernels run the xorshift step inline; these references draw
-# through next_u64 and check the outputs and the generator's final state,
-# which the digest above does not see
+# the sampling kernels draw through Rng's inline xorshift steps (coins,
+# randrange, shuffle); these references draw through next_u64 and check the
+# outputs and the generator's final state, which the digest above does not see
 
 def _reference_randrange(rng, n):
     limit = (1 << 64) - 1 - (1 << 64) % n
@@ -646,6 +648,6 @@ def test_sampled_obstructions_match_pinned_digest():
     for target, host in _sampling_hosts():
         for seed in range(50):
             for t, ob in reference_sampled_obstructions(25, Rng(seed), *host):
-                item = [target, seed, t, None if ob is None else _obstruction_json(ob)]
+                item = [target, seed, t, ob if t is None else _obstruction_json(ob)]
                 h.update(json.dumps(item, sort_keys=True).encode() + b"\n")
     assert h.hexdigest() == SAMPLE_OBSTRUCTION_DIGEST

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from atforest.errors import BadParameters
+from atforest.errors import ArtifactError
 from atforest.graph import edge, validate_near_triangulation
 from atforest.testkit import (
     _M64,
@@ -163,9 +163,9 @@ def test_random_near_triangulation_deterministic():
 
 
 def test_random_near_triangulation_rejects_bad_parameters():
-    with pytest.raises(BadParameters):
+    with pytest.raises(ArtifactError, match="^need 3 <= boundary_len <= n, got n=2, b=3$"):
         random_near_triangulation(2, 3, 0)
-    with pytest.raises(BadParameters):
+    with pytest.raises(ArtifactError, match="^need 3 <= boundary_len <= n, got n=5, b=6$"):
         random_near_triangulation(5, 6, 0)
 
 
@@ -178,13 +178,13 @@ def test_random_graph_deterministic_and_simple():
 
 def test_random_graph_rejects_bad_parameters():
     for n, p in ((0, 0.5), (3, -0.1), (3, 1.5)):
-        with pytest.raises(BadParameters):
+        with pytest.raises(ArtifactError, match=f"^bad parameters n={n}, p={p}$"):
             random_graph(n, p, 0)
 
 
 def test_randrange_rejects_an_empty_range():
     for n in (0, -1):
-        with pytest.raises(BadParameters):
+        with pytest.raises(ArtifactError, match="^randrange needs n >= 1$"):
             Rng(1).randrange(n)
 
 
