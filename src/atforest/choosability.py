@@ -12,7 +12,7 @@ from itertools import permutations
 from typing import Optional
 
 from .errors import ArtifactError
-from .graph import Graph
+from .graph import Graph, _names
 from .report import VerificationReport
 
 ALPHA, BETA, GAMMA, OMEGA = "alpha", "beta", "gamma", "omega"
@@ -36,11 +36,9 @@ class ListAssignment:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ListAssignment":
-        lists = data["lists"]
-        for v, cols in lists.items():
-            if not isinstance(cols, list):  # "12" is not ["1", "2"]
-                raise TypeError(f"the color list of {v!r} is not an array")
-        return ListAssignment.build({str(v): [str(c) for c in cols] for v, cols in lists.items()})
+        # a color is named like a vertex; "12" is not ["1", "2"]
+        return ListAssignment.build({str(v): _names(cols, f"the color list of {v!r}")
+                                     for v, cols in data["lists"].items()})
 
 
 def is_l_colorable(g: Graph, l: ListAssignment) -> Optional[dict]:

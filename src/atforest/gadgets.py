@@ -208,29 +208,44 @@ def _k4_edge_sets(g: Graph) -> list:
 
 def _extract_from_copy(copy: dict, mask: int):
     """K4 or a surviving J1/J2 piece inside one J3 copy whose a- and
-    b-incident edges survive.  `mask` marks the copy's deleted `_J3_FREE`
-    edges in Lemma 2's bit order: the path links in bits 0-3, then each
-    apex's two path edges."""
+    b-incident edges survive, else None (a deleted vertex of degree > 3).
+    `mask` marks the copy's deleted `_J3_FREE` edges in Lemma 2's bit
+    order: the path links in bits 0-3, then each apex's two path edges."""
     for bit, (p, q) in enumerate(_J3_LINKS):
         if not mask >> bit & 1:
             return ("k4", (copy["a"], copy["b"], copy[p], copy[q]))
     for t, (m, (attach, p, q)) in enumerate(_J3_APEXES.items()):
         if not mask >> (len(_J3_LINKS) + 2 * t) & 3:
             return ("j", attach, copy[p], copy[q], copy[m])
-    raise ArtifactError("no apex survives; the deleted set has a vertex of degree > 3")
+    return None
 
 
-def _pigeonhole(s: SGadget, clear: list, mask) -> Obstruction:
-    """The reduction on S: `clear` lists the indices of the J3 copies that
-    no deleted edge joins to b, and mask(j) is copy j's `_J3_FREE` mask.
-    At least six copies must be clear; in order they give a K4 or the
+def _s_layouts(edges: list, s_gadgets) -> list:
+    """Each S gadget laid out on the positions of the sorted edge list
+    `edges`: a getter of its a-edges, and per J3 copy a getter of its
+    b-edges and the positions of its `_J3_FREE` edges in bit order."""
+    position = {e: p for p, e in enumerate(edges)}
+    return [
+        (itemgetter(*{position[e] for copy in s.copies for e in _edges(copy, _J3_AT_A)}),
+         [itemgetter(*(position[e] for e in _edges(copy, _J3_AT_B))) for copy in s.copies],
+         [[position[e] for e in _edges(copy, _J3_FREE)] for copy in s.copies])
+        for s in s_gadgets
+    ]
+
+
+def _pigeonhole(s: SGadget, layout: tuple, deleted) -> Obstruction:
+    """The reduction on S (`layout` from `_s_layouts`, `deleted` 1 at each
+    deleted edge, of maximum degree <= 3): at least six J3 copies must be
+    clear, joined to b by no deleted edge; in order they give a K4 or the
     first six pieces, assembled into a family member with its bad lists."""
+    _, b_edges, free = layout
+    clear = [j for j, b in enumerate(b_edges) if not any(b(deleted))]
     if len(clear) < 6:
         raise ArtifactError("fewer than six clear copies; pigeonhole violated")
 
     pieces = []
     for j in clear:
-        got = _extract_from_copy(s.copies[j], mask(j))
+        got = _extract_from_copy(s.copies[j], sum(deleted[p] << k for k, p in enumerate(free[j])))
         if got[0] == "k4":
             return Obstruction("k4", got[1])
         pieces.append(got)
@@ -249,16 +264,15 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
     copies whose b-incident edges avoid h, extract per copy, and return a
     K4 or an assembled six-piece family member with its bad lists."""
     h = {edge(u, v) for u, v in h}
-    unknown = [e for e in h if e not in s.graph.edges]
+    unknown = h - s.graph.edges
     if unknown:
-        raise ArtifactError(f"edge {unknown[0]} not in the gadget")
+        raise ArtifactError(f"edge {min(unknown)} not in the gadget")
     if any(s.a in e for e in h):
         raise ArtifactError("deleted set touches the protected handle end")
     if max(Counter(v for e in h for v in e).values(), default=0) > 3:
         raise ArtifactError("deleted set has maximum degree > 3")
-    clear = [j for j, copy in enumerate(s.copies) if h.isdisjoint(_edges(copy, _J3_AT_B))]
-    return _pigeonhole(s, clear, lambda j: sum(
-        1 << k for k, e in enumerate(_edges(s.copies[j], _J3_FREE)) if e in h))
+    edges = sorted(s.graph.edges)
+    return _pigeonhole(s, _s_layouts(edges, (s,))[0], bytearray(e in h for e in edges))
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +326,7 @@ def verify_lemma2() -> VerificationReport:
         c = sum(bits.get(e, 0) for e in es)
         no_k4 = [mask for mask in no_k4 if mask & c]
     for mask in no_k4:
-        try:
-            got = _extract_from_copy(copy, mask)
-        except ArtifactError:
-            got = None
+        got = _extract_from_copy(copy, mask)
         if got is None or got[0] != "j":
             return VerificationReport(
                 False,
@@ -533,27 +544,16 @@ def _sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple,
     """Per sample i, a random maximal max-degree-3 deletion from the host
     drawn from rng.split(i): the index of the first S gadget whose handle
     end a keeps all its edges and its obstruction, or None and the reason
-    there is none: a vertex of degree > 3, or no such S.  Each S is laid
-    out on edge positions: its a-edges, and per J3 copy its b-edges and its
-    `_J3_FREE` edges in bit order."""
+    there is none: a vertex of degree > 3, or no such S."""
     edges = sorted(host.edges)
     triples, degrees = _indexed_host(host.vertices, edges, forbidden)
-    position = {e: p for p, e in enumerate(edges)}
-    layout = [
-        (itemgetter(*{position[e] for copy in s.copies for e in _edges(copy, _J3_AT_A)}),
-         [itemgetter(*(position[e] for e in _edges(copy, _J3_AT_B))) for copy in s.copies],
-         [[position[e] for e in _edges(copy, _J3_FREE)] for copy in s.copies])
-        for s in s_gadgets
-    ]
+    layouts = _s_layouts(edges, s_gadgets)
     for i in range(n):
-        kept, degree = _random_max_degree_subgraph(triples, degrees, rng.split(i))
-        t = next((t for t, (a_edges, _, _) in enumerate(layout) if not any(a_edges(kept))), None)
+        deleted, degree = _random_max_degree_subgraph(triples, degrees, rng.split(i))
+        t = next((t for t, (a_edges, _, _) in enumerate(layouts) if not any(a_edges(deleted))), None)
         if max(degree) > 3:
             yield None, "deleted set has maximum degree > 3"
         elif t is None:
             yield None, "center degree exceeds 3"
         else:
-            _, b_edges, free = layout[t]
-            clear = [j for j, b in enumerate(b_edges) if not any(b(kept))]
-            yield t, _pigeonhole(s_gadgets[t], clear, lambda j: sum(
-                kept[p] << k for k, p in enumerate(free[j])))
+            yield t, _pigeonhole(s_gadgets[t], layouts[t], deleted)

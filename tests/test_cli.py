@@ -602,6 +602,29 @@ def test_color_list_given_as_a_string_is_input_error(k4_file, tmp_path):
     assert result.output() == f"usage error: cannot read lists from {str(bad)!r}: the color list of 'a' is not an array"
 
 
+@pytest.mark.parametrize("color", [None, True, 1.5, [1]], ids=["null", "bool", "float", "array"])
+def test_color_that_is_neither_string_nor_integer_is_input_error(tmp_path, color):
+    # colors follow the vertex name rule: str() would read null as "None"
+    ab = tmp_path / "ab.json"
+    ab.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    bad = tmp_path / "lists.json"
+    bad.write_text(json.dumps({"lists": {"a": ["1", color], "b": ["1", "2"]}}))
+    result = go("choose", "check", "--input", str(ab), "--lists", str(bad))
+    assert result.exit_code == EXIT_USAGE
+    assert result.output() == (f"usage error: cannot read lists from {str(bad)!r}: the color list of 'a' "
+                               "holds a name that is neither a string nor an integer")
+
+
+def test_integer_colors_read_as_their_decimal_strings(tmp_path):
+    ab = tmp_path / "ab.json"
+    ab.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"lists": {"a": [1, "2"], "b": [1]}}))
+    result = go("choose", "check", "--input", str(ab), "--lists", str(lists), "--json")
+    assert result.exit_code == EXIT_PASS
+    assert json.loads(result.output()) == {"coloring": {"a": "2", "b": "1"}, "verdict": "PASS"}
+
+
 def test_deeply_nested_input_is_input_error(tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)

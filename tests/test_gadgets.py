@@ -190,7 +190,7 @@ def test_mask_verifiers_match_set_references():
 
 def test_lemma2_failure_matches_set_reference(monkeypatch):
     def no_piece(copy, mask):
-        raise ArtifactError("forced")
+        return None
 
     monkeypatch.setattr(gadgets, "_extract_from_copy", no_piece)
     report = verify_lemma2()
@@ -272,14 +272,18 @@ def test_extract_obstruction_preconditions():
         extract_obstruction(s, too_many)
     with pytest.raises(ArtifactError, match=r"^edge \('a', 'nope'\) not in the gadget$"):
         extract_obstruction(s, {("a", "nope")})
+    # of several unknown edges, the least is named, whatever the hash order
+    with pytest.raises(ArtifactError, match=r"^edge \('a', 'nope'\) not in the gadget$"):
+        extract_obstruction(s, {("c", "qq"), ("a", "nope"), ("b", "zzz")})
     # a max-degree-3 set joins b to at most three copies, so only the
     # S-level rule itself can see four
-    with pytest.raises(ArtifactError, match="fewer than six clear copies"):
-        gadgets._pigeonhole(s, [0, 1, 2, 3, 4], lambda j: 0)
+    edges = sorted(s.graph.edges)
+    joined = {edge(s.b, copy["c"]) for copy in s.copies[5:]}
+    with pytest.raises(ArtifactError, match="^fewer than six clear copies; pigeonhole violated$"):
+        gadgets._pigeonhole(s, gadgets._s_layouts(edges, (s,))[0], [e in joined for e in edges])
     # every link and an edge at each apex deleted, as only a set with a
     # vertex of degree > 3 does: only the per-copy rule itself can see it
-    with pytest.raises(ArtifactError, match="no apex survives"):
-        gadgets._extract_from_copy(s.copies[0], (1 << len(_J3_FREE)) - 1)
+    assert gadgets._extract_from_copy(s.copies[0], (1 << len(_J3_FREE)) - 1) is None
 
 
 # extract_obstruction turns a name set into per-copy masks; the name-set
@@ -333,6 +337,7 @@ def _outcome(extract, h):
 @example(set())
 @example(_S_PATH_EDGES)
 @example(_S_B_JOINED)
+@example({("c", "qq"), ("a", "nope"), ("b", "zzz")})
 def test_extract_obstruction_matches_name_set_reference(h):
     assert _outcome(extract_obstruction, h) == _outcome(reference_extract_obstruction, h)
 
@@ -641,6 +646,26 @@ def test_sampled_obstructions_match_name_set_reference():
             got = list(gadgets._sampled_obstructions(25, Rng(seed), *host))
             want = list(reference_sampled_obstructions(25, Rng(seed), *host))
             assert got == want, (target, seed)
+
+
+def test_sampled_obstructions_lie_in_the_host_minus_the_deleted_set():
+    # each sample's deleted set H is drawn again the way the sampler draws
+    # it; a K4's six pairs and a member's edges must be host edges not in H
+    for target, (host, s_gadgets, forbidden) in _sampling_hosts():
+        edges = sorted(host.edges)
+        triples, degrees = _indexed_host(host.vertices, edges, forbidden)
+        for seed in range(50):
+            samples = gadgets._sampled_obstructions(25, Rng(seed), host, s_gadgets, forbidden)
+            for i, (t, ob) in enumerate(samples):
+                deleted, _ = _random_max_degree_subgraph(triples, degrees, Rng(seed).split(i))
+                left = host.edges - _kept_edges(edges, deleted)
+                where = (target, seed, i)
+                assert t is not None, where
+                if ob.kind == "k4":
+                    pairs = {edge(u, v) for u, v in combinations(ob.vertices, 2)}
+                    assert len(pairs) == 6 and pairs <= left, where
+                else:
+                    assert ob.graph.edges <= left, where
 
 
 def test_sampled_obstructions_match_pinned_digest():
