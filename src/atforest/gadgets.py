@@ -57,11 +57,17 @@ class StarForest:
 
 
 def random_star_forest(g: Graph, rng: Rng) -> StarForest:
-    """Random center election, then each non-center greedily picks at most
-    one adjacent center: k = randrange(1 + its adjacent centers) picks none
-    at k = 0."""
+    """Random center election, one coin per vertex, then the leaf draws of
+    `_star_forest`."""
+    return _star_forest(g, rng.coins(len(g.vertices)), rng)
+
+
+def _star_forest(g: Graph, coins, rng: Rng) -> StarForest:
+    """Centers at the vertices whose coin is 0, then each non-center
+    greedily picks at most one adjacent center: k = randrange(1 + its
+    adjacent centers) picks none at k = 0."""
     vertices = g.vertices
-    centers = {v for v, coin in zip(vertices, rng.coins(len(vertices))) if not coin}
+    centers = {v for v, coin in zip(vertices, coins) if not coin}
     chosen = set()
     neighbors = g.neighbors
     for v in vertices:
@@ -263,6 +269,8 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
     """Apply the pigeonhole reduction to an S gadget: pick at least six J3
     copies whose b-incident edges avoid h, extract per copy, and return a
     K4 or an assembled six-piece family member with its bad lists."""
+    if any(type(v) is not str for e in h for v in e):
+        raise ArtifactError("deleted set holds a name that is not a string")
     h = {edge(u, v) for u, v in h}
     unknown = h - s.graph.edges
     if unknown:
@@ -449,12 +457,11 @@ def _indexed_host(vertices, edges: list, forbidden: Optional[set]) -> tuple:
     return triples, [3 if v in forbidden else 0 for v in vertices]
 
 
-def _random_max_degree_subgraph(triples: list, degrees: list, rng: Rng) -> tuple:
-    """Greedy maximal edge set with all degrees <= 3 over a shuffled copy
-    of an `_indexed_host`'s triples, from its starting degrees: a bytearray
-    with 1 at each kept edge's position, and the final degrees."""
-    order = list(triples)
-    rng.shuffle(order)
+def _random_max_degree_subgraph(order: list, degrees: list) -> tuple:
+    """Greedy maximal edge set with all degrees <= 3 over `order`, a
+    shuffled copy of an `_indexed_host`'s triples, from its starting
+    degrees: a bytearray with 1 at each kept edge's position, and the
+    final degrees."""
     degree = list(degrees)
     kept = bytearray(len(order))
     for i, j, p in order:
@@ -514,11 +521,24 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     return VerificationReport(True, passed, stats={"samples": n, **tally}, seed=seed)
 
 
+_LANES = 32  # samples whose streams one `Rng.lockstep` batch advances
+
+
+def _substream_batches(n: int, rng: Rng):
+    """The substreams rng.split(i) for i < n, `_LANES` at a time."""
+    for start in range(0, n, _LANES):
+        yield [rng.split(i) for i in range(start, min(n, start + _LANES))]
+
+
 def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
+    """Per sample i, `random_star_forest(g2, rng.split(i))`, its center
+    coins drawn in lockstep with the rest of its batch."""
     g2 = build_g2()[0]
     cliques = _k4_edge_sets(g2)
-    for i in range(n):
-        forest = random_star_forest(g2, rng.split(i))
+    forests = (_star_forest(g2, coins, r)
+               for rngs in _substream_batches(n, rng)
+               for r, coins in zip(rngs, Rng.coin_lists(rngs, len(g2.vertices))))
+    for i, forest in enumerate(forests):
         valid = check_star_forest(forest.edges, forest.centers, g2.edges)
         if not valid.verdict:
             problem = f"sampled edge set is not a star forest: {valid.detail}"
@@ -542,14 +562,17 @@ def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
 def _sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple,
                           forbidden: Optional[set]):
     """Per sample i, a random maximal max-degree-3 deletion from the host
-    drawn from rng.split(i): the index of the first S gadget whose handle
-    end a keeps all its edges and its obstruction, or None and the reason
-    there is none: a vertex of degree > 3, or no such S."""
+    drawn from rng.split(i), its shuffle drawn in lockstep with the rest of
+    its batch: the index of the first S gadget whose handle end a keeps all
+    its edges and its obstruction, or None and the reason there is none: a
+    vertex of degree > 3, or no such S."""
     edges = sorted(host.edges)
     triples, degrees = _indexed_host(host.vertices, edges, forbidden)
     layouts = _s_layouts(edges, s_gadgets)
-    for i in range(n):
-        deleted, degree = _random_max_degree_subgraph(triples, degrees, rng.split(i))
+    orders = (order for rngs in _substream_batches(n, rng)
+              for order in Rng.shuffled_copies(rngs, triples))
+    for order in orders:
+        deleted, degree = _random_max_degree_subgraph(order, degrees)
         t = next((t for t, (a_edges, _, _) in enumerate(layouts) if not any(a_edges(deleted))), None)
         if max(degree) > 3:
             yield None, "deleted set has maximum degree > 3"

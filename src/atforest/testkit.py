@@ -5,9 +5,22 @@ platforms and Python versions.  `randrange`, `coins` and `shuffle` run the
 xorshift step inline; `tests/test_testkit.py` pins their draws and final
 state to the `next_u64` form, the rejection loops included.  Substreams are
 derived with `split` so concurrent consumers cannot perturb each other.
+
+`Rng.lockstep` advances a list of generators together: each holds the low
+half of its own 128-bit lane of one int, so one big-int xorshift step and
+one product by the multiplier draw from every lane at once (a state and
+the multiplier are both below 2**64, so their product stays in its lane).
+`shuffled_copies` and `coin_lists` are `shuffle` and `coins` over such a
+batch, with the same copies and final states.  A lane with a draw that
+`shuffle` might reject (one above its fast-accept bound, about one
+940-item shuffle in 2**44) is shuffled again by the scalar `shuffle` from
+its original state.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from .errors import ArtifactError
 from .graph import Graph, Orientation, PlaneGraph, build_plane_graph, edge
@@ -98,6 +111,58 @@ class Rng:
             i, j = n - 1, y % n
             items[i], items[j] = items[j], items[i]
         self.state = x
+
+    @staticmethod
+    def lockstep(rngs: list, steps: int) -> list:
+        """Per generator in `rngs`, its next `steps` draws, as a 'Q'
+        memoryview into one buffer of every draw, with every generator
+        advanced together and left in the state its scalar draws leave.
+        Within a lane of x the state is the low 64 bits, so each shift is
+        masked back to them (`low`)."""
+        lanes = len(rngs)
+        width = 16 * lanes
+        low = int.from_bytes((b"\xff" * 8 + bytes(8)) * lanes, "little")
+        x = sum(r.state << 128 * i for i, r in enumerate(rngs))
+        star = _STAR
+        rows = array("Q", [0]) * (2 * lanes * steps)
+        view = memoryview(rows).cast("B")
+        for o in range(0, width * steps, width):
+            x ^= x >> 12 & low
+            x ^= x << 25 & low
+            x ^= x >> 27 & low
+            view[o:o + width] = (x * star).to_bytes(width, "little")
+        if sys.byteorder == "big": rows.byteswap()  # written little-endian
+        for i, r in enumerate(rngs):
+            r.state = x >> 128 * i & _M64
+        # a row holds each lane's draw in its low word and 0 in its high one
+        return [memoryview(rows)[2 * i::2 * lanes] for i in range(lanes)]
+
+    @staticmethod
+    def shuffled_copies(rngs: list, items: list) -> list:
+        """Per generator in `rngs`, a copy of `items` as its `shuffle`
+        leaves it, drawn in lockstep; a lane with a draw above `shuffle`'s
+        fast-accept bound is shuffled again by `shuffle` itself."""
+        states = [r.state for r in rngs]
+        safe = _M64 - len(items)
+        top = range(len(items), 1, -1)
+        out = []
+        for r, state, draws in zip(rngs, states, Rng.lockstep(rngs, max(len(items) - 1, 0))):
+            order = list(items)
+            if max(draws, default=0) > safe:
+                r.state = state
+                r.shuffle(order)
+            else:
+                for n, y in zip(top, draws):
+                    j = y % n
+                    order[n - 1], order[j] = order[j], order[n - 1]
+            out.append(order)
+        return out
+
+    @staticmethod
+    def coin_lists(rngs: list, k: int) -> list:
+        """Per generator in `rngs`, its `coins(k)`, drawn in lockstep: a
+        coin is its draw's low bit, the state's, as `_STAR` is odd."""
+        return [[y & 1 for y in draws] for draws in Rng.lockstep(rngs, k)]
 
     def split(self, label: int) -> "Rng":
         child = Rng.__new__(Rng)

@@ -590,7 +590,21 @@ def test_graph_json_with_integer_names_reads_them_as_strings(tmp_path):
 def test_lists_given_as_a_list_is_input_error(k4_file, tmp_path):
     bad = tmp_path / "lists.json"
     bad.write_text(json.dumps({"lists": [["a", ["1", "2", "3"]]]}))
-    assert go("choose", "check", "--input", str(k4_file), "--lists", str(bad)).exit_code == EXIT_USAGE
+    result = go("choose", "check", "--input", str(k4_file), "--lists", str(bad))
+    assert result.exit_code == EXIT_USAGE
+    assert result.output() == f"usage error: cannot read lists from {str(bad)!r}: 'lists' is not an object"
+
+
+@pytest.mark.parametrize("data, what", [({"lists": 5}, "'lists' is not an object"),
+                                        ([1], "the top level is not an object")],
+                         ids=["lists-int", "top-array"])
+def test_lists_file_that_is_not_an_object_of_objects_is_input_error(k4_file, tmp_path, data, what):
+    # refused in a sentence, not in Python's wording of the failed lookup
+    bad = tmp_path / "lists.json"
+    bad.write_text(json.dumps(data))
+    result = go("choose", "check", "--input", str(k4_file), "--lists", str(bad))
+    assert result.exit_code == EXIT_USAGE
+    assert result.output() == f"usage error: cannot read lists from {str(bad)!r}: {what}"
 
 
 def test_color_list_given_as_a_string_is_input_error(k4_file, tmp_path):

@@ -149,11 +149,11 @@ def test_lemma1_delegation():
 
 
 def test_sampled_theorem7_reports_invalid_star_forest(monkeypatch):
-    def not_a_star(g, rng):
+    def not_a_star(g, coins, rng):
         a, b = sorted(g.edges)[0]
         return StarForest(frozenset({edge(a, b)}), frozenset())
 
-    monkeypatch.setattr(gadgets, "random_star_forest", not_a_star)
+    monkeypatch.setattr(gadgets, "_star_forest", not_a_star)
     report = verify_sampled("theorem7", 5, 1)
     assert not report.verdict and "not a star forest" in report.detail
     assert report.stats["samples"] == 1
@@ -275,6 +275,10 @@ def test_extract_obstruction_preconditions():
     # of several unknown edges, the least is named, whatever the hash order
     with pytest.raises(ArtifactError, match=r"^edge \('a', 'nope'\) not in the gadget$"):
         extract_obstruction(s, {("c", "qq"), ("a", "nope"), ("b", "zzz")})
+    # a name that is not a string cannot be ordered against one that is
+    for h in ({("a", 1)}, {(2, 1)}, {("a", "c"), (None, "b")}):
+        with pytest.raises(ArtifactError, match="^deleted set holds a name that is not a string$"):
+            extract_obstruction(s, h)
     # a max-degree-3 set joins b to at most three copies, so only the
     # S-level rule itself can see four
     edges = sorted(s.graph.edges)
@@ -338,6 +342,7 @@ def _outcome(extract, h):
 @example(_S_PATH_EDGES)
 @example(_S_B_JOINED)
 @example({("c", "qq"), ("a", "nope"), ("b", "zzz")})
+@example({("a", 1), ("a", "nope")})
 def test_extract_obstruction_matches_name_set_reference(h):
     assert _outcome(extract_obstruction, h) == _outcome(reference_extract_obstruction, h)
 
@@ -356,6 +361,14 @@ def _kept_edges(edges, kept):
     return {e for e, k in zip(edges, kept) if k}
 
 
+def _shuffled_greedy(triples, degrees, rng):
+    """`_random_max_degree_subgraph` over a copy of the triples that
+    rng.shuffle shuffled, as the sampler's lockstep shuffle gives it."""
+    order = list(triples)
+    rng.shuffle(order)
+    return _random_max_degree_subgraph(order, degrees)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=40),
@@ -368,7 +381,7 @@ def test_random_max_degree_subgraph_is_maximal(n, p, seed, mask):
     forbidden = {v for i, v in enumerate(g.vertices) if mask >> i & 1}
     edges = sorted(g.edges)
     triples, degrees = _indexed_host(g.vertices, edges, forbidden)
-    kept, final = _random_max_degree_subgraph(triples, degrees, Rng(seed))
+    kept, final = _shuffled_greedy(triples, degrees, Rng(seed))
     h = _kept_edges(edges, kept)
     assert h <= g.edges
     degree = dict.fromkeys(g.vertices, 0)
@@ -397,10 +410,10 @@ def _delete_every_j3_path_edge(monkeypatch):
         host_edges[:] = edges
         return indexed_host(vertices, edges, forbidden)
 
-    def delete_path_edges(triples, degrees, rng):
+    def delete_path_edges(order, degrees):
         kept = bytearray(e in path_edges for e in host_edges)
         degree = list(degrees)
-        for i, j, p in triples:
+        for i, j, p in order:
             degree[i] += kept[p]
             degree[j] += kept[p]
         return kept, degree
@@ -437,8 +450,8 @@ def test_sampled_obstructions_fail_on_colorable_member(monkeypatch):
 def test_sampled_obstructions_refuse_a_degree_above_3(monkeypatch):
     greedy = gadgets._random_max_degree_subgraph
 
-    def one_vertex_over(triples, degrees, rng):
-        kept, degree = greedy(triples, degrees, rng)
+    def one_vertex_over(order, degrees):
+        kept, degree = greedy(order, degrees)
         degree[-1] = 4
         return kept, degree
 
@@ -456,11 +469,11 @@ def test_sampled_obstructions_report_a_quiet_center_missing(monkeypatch):
     greedy = gadgets._random_max_degree_subgraph
     calls = []
 
-    def keep_all_from_the_third(triples, degrees, rng):
-        calls.append(rng)
+    def keep_all_from_the_third(order, degrees):
+        calls.append(order)
         if len(calls) < 3:
-            return greedy(triples, degrees, rng)
-        return bytearray([1]) * len(triples), list(degrees)
+            return greedy(order, degrees)
+        return bytearray([1]) * len(order), list(degrees)
 
     monkeypatch.setattr(gadgets, "_random_max_degree_subgraph", keep_all_from_the_third)
     for target in ("theorem2", "corollary3"):
@@ -550,7 +563,7 @@ def _sample_streams():
         for g, forbidden in ((g1, None), (s.graph, {s.a})):
             edges = sorted(g.edges)
             triples, degrees = _indexed_host(g.vertices, edges, forbidden)
-            kept, _ = _random_max_degree_subgraph(triples, degrees, Rng(seed))
+            kept, _ = _shuffled_greedy(triples, degrees, Rng(seed))
             yield sorted(_kept_edges(edges, kept))
         forest = random_star_forest(g2, Rng(seed))
         yield [sorted(forest.edges), sorted(forest.centers)]
@@ -620,7 +633,7 @@ def test_random_max_degree_subgraph_matches_reference_and_final_state():
         triples, degrees = _indexed_host(g.vertices, edges, forbidden)
         for seed in range(10):
             fast, ref = Rng(seed), Rng(seed)
-            kept, _ = _random_max_degree_subgraph(triples, degrees, fast)
+            kept, _ = _shuffled_greedy(triples, degrees, fast)
             h = _kept_edges(edges, kept)
             assert h == _reference_max_degree_subgraph(g.vertices, edges, ref, forbidden), seed
             assert fast.state == ref.state, seed
@@ -648,6 +661,33 @@ def test_sampled_obstructions_match_name_set_reference():
             assert got == want, (target, seed)
 
 
+def test_sampled_obstructions_match_name_set_reference_across_batches():
+    # two full lockstep batches and a partial third: sample i still draws
+    # from rng.split(i) alone
+    n = 2 * gadgets._LANES + 5
+    for target, host in _sampling_hosts():
+        for seed in (3, 8):
+            got = list(gadgets._sampled_obstructions(n, Rng(seed), *host))
+            assert got == list(reference_sampled_obstructions(n, Rng(seed), *host)), (target, seed)
+
+
+def test_sampled_forests_are_random_star_forests_across_batches(monkeypatch):
+    # the lockstep center coins give sample i the forest that
+    # random_star_forest draws from rng.split(i) alone
+    seen = []
+    check = gadgets.check_star_forest
+
+    def recording_check(edges, centers, host_edges):
+        seen.append(StarForest(edges, centers))
+        return check(edges, centers, host_edges)
+
+    monkeypatch.setattr(gadgets, "check_star_forest", recording_check)
+    n = 2 * gadgets._LANES + 5
+    assert verify_sampled("theorem7", n, seed=4).verdict
+    g2 = build_g2()[0]
+    assert seen == [random_star_forest(g2, Rng(4).split(i)) for i in range(n)]
+
+
 def test_sampled_obstructions_lie_in_the_host_minus_the_deleted_set():
     # each sample's deleted set H is drawn again the way the sampler draws
     # it; a K4's six pairs and a member's edges must be host edges not in H
@@ -657,7 +697,7 @@ def test_sampled_obstructions_lie_in_the_host_minus_the_deleted_set():
         for seed in range(50):
             samples = gadgets._sampled_obstructions(25, Rng(seed), host, s_gadgets, forbidden)
             for i, (t, ob) in enumerate(samples):
-                deleted, _ = _random_max_degree_subgraph(triples, degrees, Rng(seed).split(i))
+                deleted, _ = _shuffled_greedy(triples, degrees, Rng(seed).split(i))
                 left = host.edges - _kept_edges(edges, deleted)
                 where = (target, seed, i)
                 assert t is not None, where

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from atforest.errors import ArtifactError
+from atforest.gadgets import _LANES
 from atforest.graph import edge, validate_near_triangulation
 from atforest.testkit import (
     _M64,
@@ -137,6 +138,56 @@ def test_shuffle_rejection_branch_matches_reference():
                 plain.next_u64()
             # a rejected first draw costs one more step than n - 1
             assert (plain.state != ref.state) == (first > limit), (n, first)
+
+
+# lockstep batches: every lane's copy, coins and final state are those of
+# the scalar shuffle and coins, on batches narrower and wider than the
+# samplers' lane count
+
+def test_lockstep_draws_are_next_u64_draws():
+    batch, refs = [Rng(s) for s in range(5)], [Rng(s) for s in range(5)]
+    draws = Rng.lockstep(batch, 7)
+    assert [list(d) for d in draws] == [[r.next_u64() for _ in range(7)] for r in refs]
+    assert [r.state for r in batch] == [r.state for r in refs]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, _M64), min_size=1, max_size=_LANES + 8), st.sampled_from((0, 1, 2, 940)))
+def test_lockstep_batches_match_shuffle_and_coins(seeds, length):
+    items = [("item", k) for k in range(length)]
+    batch = [Rng(s) for s in seeds]
+    copies = Rng.shuffled_copies(batch, items)
+    for s, got, r in zip(seeds, copies, batch):
+        ref, want = Rng(s), list(items)
+        ref.shuffle(want)
+        assert got == want and r.state == ref.state, s
+    assert items == [("item", k) for k in range(length)]
+    batch = [Rng(s) for s in seeds]
+    for s, got, r in zip(seeds, Rng.coin_lists(batch, length), batch):
+        ref = Rng(s)
+        assert got == ref.coins(length) and r.state == ref.state, s
+
+
+def test_shuffled_copies_redo_a_lane_that_may_reject():
+    # a first draw of 2**64 - 1 is above the fast-accept bound of every
+    # length; randrange(n) rejects it unless n divides 2**64, and then the
+    # lane takes one more step than n - 1
+    for length in (2, 3, 940):
+        forced = Rng(0)
+        forced.state = _state_before(_M64)
+        batch = [Rng(1), forced, Rng(2)]
+        states = [r.state for r in batch]
+        copies = Rng.shuffled_copies(batch, list(range(length)))
+        for state, got, r in zip(states, copies, batch):
+            ref, want = Rng(0), list(range(length))
+            ref.state = state
+            ref.shuffle(want)
+            assert got == want and r.state == ref.state, (length, state)
+        plain = Rng(0)
+        plain.state = states[1]
+        for _ in range(length - 1):
+            plain.next_u64()
+        assert (plain.state != forced.state) == ((1 << 64) % length != 0), length
 
 
 def test_shuffle_is_a_permutation():
