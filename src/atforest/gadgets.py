@@ -269,6 +269,8 @@ def extract_obstruction(s: SGadget, h: set) -> Obstruction:
     """Apply the pigeonhole reduction to an S gadget: pick at least six J3
     copies whose b-incident edges avoid h, extract per copy, and return a
     K4 or an assembled six-piece family member with its bad lists."""
+    if any(type(e) is not tuple or len(e) != 2 for e in h):
+        raise ArtifactError("deleted set holds a member that is not a pair of names")
     if any(type(v) is not str for e in h for v in e):
         raise ArtifactError("deleted set holds a name that is not a string")
     h = {edge(u, v) for u, v in h}

@@ -285,7 +285,13 @@ def graph_from_json_dict(data: dict):
     """Parse the Graph JSON format; returns a PlaneGraph when an embedding
     is present, a bare Graph otherwise.  A vertex name is a JSON string
     or an integer (read as its decimal string); any other name, or a
-    list that is not an array, raises TypeError."""
+    list that is not an array, a top level that is not an object or a
+    missing list, raises TypeError."""
+    if type(data) is not dict:
+        raise TypeError("the top level is not an object")
+    for key in ("vertices", "edges"):
+        if key not in data:
+            raise TypeError(f"the graph has no {key!r} array")
     vertices = _names(data["vertices"], "'vertices'")
     edges = data["edges"]
     if type(edges) is not list or set(map(type, edges)) - {list} or set(map(len, edges)) - {2}:

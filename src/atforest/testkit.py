@@ -1,20 +1,22 @@
 """Seeded generators for the CLI, the benchmark, tests and acceptance runs.
 
 The PRNG is an in-repo xorshift64* so that streams are identical across
-platforms and Python versions.  `randrange`, `coins` and `shuffle` run the
-xorshift step inline; `tests/test_testkit.py` pins their draws and final
-state to the `next_u64` form, the rejection loops included.  Substreams are
-derived with `split` so concurrent consumers cannot perturb each other.
+platforms and Python versions.  Substreams are derived with `split` so
+concurrent consumers cannot perturb each other.  The xorshift step is
+written out in `next_u64`, the reference form, in `randrange`, which runs
+it inline on a local copy of the state, and in `lockstep`;
+`tests/test_testkit.py` pins every draw and final state to `next_u64`, the
+rejection loops included.
 
 `Rng.lockstep` advances a list of generators together: each holds the low
 half of its own 128-bit lane of one int, so one big-int xorshift step and
 one product by the multiplier draw from every lane at once (a state and
 the multiplier are both below 2**64, so their product stays in its lane).
-`shuffled_copies` and `coin_lists` are `shuffle` and `coins` over such a
-batch, with the same copies and final states.  A lane with a draw that
-`shuffle` might reject (one above its fast-accept bound, about one
-940-item shuffle in 2**44) is shuffled again by the scalar `shuffle` from
-its original state.
+`shuffled_copies` and `coin_lists` shuffle and toss coins over such a
+batch; `shuffle` and `coins` are their one-lane batches.  A lane with a
+draw that randrange might reject (one above the shuffle's fast-accept
+bound, about one 940-item shuffle in 2**44) goes back to its original
+state and draws its shuffle with `randrange`.
 """
 
 from __future__ import annotations
@@ -73,44 +75,13 @@ class Rng:
                 return y % n
 
     def coins(self, k: int) -> list:
-        """k fair coins, each equal to randrange(2): that never rejects,
-        and as _STAR is odd its result is the parity of the new state."""
-        m64 = _M64
-        x = self.state
-        out = []
-        append = out.append
-        for _ in range(k):
-            x ^= (x >> 12)
-            x ^= (x << 25) & m64
-            x ^= (x >> 27)
-            append(x & 1)
-        self.state = x
-        return out
+        """k fair coins, each equal to randrange(2): a one-lane `coin_lists`."""
+        return Rng.coin_lists([self], k)[0]
 
     def shuffle(self, items: list) -> None:
-        """Fisher-Yates with j = randrange(n) for n from the top, the draws
-        inline as in randrange.  Every rejection limit M64 - 2**64 % n
-        with n <= len(items) exceeds `safe`, so a draw at or below it is
-        accepted without computing the limit."""
-        m64 = _M64
-        star = _STAR
-        safe = m64 - len(items)
-        x = self.state
-        for n in range(len(items), 1, -1):
-            x ^= (x >> 12)
-            x ^= (x << 25) & m64
-            x ^= (x >> 27)
-            y = (x * star) & m64
-            if y > safe:
-                limit = m64 - (m64 + 1) % n
-                while y > limit:
-                    x ^= (x >> 12)
-                    x ^= (x << 25) & m64
-                    x ^= (x >> 27)
-                    y = (x * star) & m64
-            i, j = n - 1, y % n
-            items[i], items[j] = items[j], items[i]
-        self.state = x
+        """Fisher-Yates with j = randrange(n) for n from the top: a one-lane
+        `shuffled_copies`."""
+        items[:] = Rng.shuffled_copies([self], items)[0]
 
     @staticmethod
     def lockstep(rngs: list, steps: int) -> list:
@@ -139,29 +110,31 @@ class Rng:
 
     @staticmethod
     def shuffled_copies(rngs: list, items: list) -> list:
-        """Per generator in `rngs`, a copy of `items` as its `shuffle`
-        leaves it, drawn in lockstep; a lane with a draw above `shuffle`'s
-        fast-accept bound is shuffled again by `shuffle` itself."""
+        """Per generator in `rngs`, a copy of `items` shuffled by Fisher-Yates
+        with j = randrange(n) for n from the top, drawn in lockstep.  Every
+        rejection limit M64 - 2**64 % n with n <= len(items) exceeds `safe`,
+        so a lane with no draw above it takes each draw as is; any other lane
+        goes back to its saved state and draws with randrange."""
         states = [r.state for r in rngs]
         safe = _M64 - len(items)
         top = range(len(items), 1, -1)
         out = []
         for r, state, draws in zip(rngs, states, Rng.lockstep(rngs, max(len(items) - 1, 0))):
-            order = list(items)
             if max(draws, default=0) > safe:
                 r.state = state
-                r.shuffle(order)
-            else:
-                for n, y in zip(top, draws):
-                    j = y % n
-                    order[n - 1], order[j] = order[j], order[n - 1]
+                draws = [r.randrange(n) for n in top]
+            order = list(items)
+            for n, y in zip(top, draws):
+                j = y % n
+                order[n - 1], order[j] = order[j], order[n - 1]
             out.append(order)
         return out
 
     @staticmethod
     def coin_lists(rngs: list, k: int) -> list:
-        """Per generator in `rngs`, its `coins(k)`, drawn in lockstep: a
-        coin is its draw's low bit, the state's, as `_STAR` is odd."""
+        """Per generator in `rngs`, k fair coins, each equal to randrange(2)
+        (which never rejects), drawn in lockstep: a coin is its draw's low
+        bit, the state's, as `_STAR` is odd."""
         return [[y & 1 for y in draws] for draws in Rng.lockstep(rngs, k)]
 
     def split(self, label: int) -> "Rng":

@@ -298,6 +298,9 @@ def reference_extract_from_copy(copy: dict, h: set):
 
 def reference_extract_obstruction(s, h: set):
     """`gadgets.extract_obstruction` on edge-name sets."""
+    for e in h:
+        if not (isinstance(e, tuple) and len(e) == 2):
+            raise ArtifactError("deleted set holds a member that is not a pair of names")
     for u, v in h:
         if not (isinstance(u, str) and isinstance(v, str)):
             raise ArtifactError("deleted set holds a name that is not a string")

@@ -562,6 +562,10 @@ STRING_TRIANGLE_ARRAYS = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b
      "'rotation' holds a name that is neither a string nor an integer"),
     (("decompose",), {**STRING_TRIANGLE_ARRAYS, "outer_face": ["a", "b", None]},
      "'outer_face' holds a name that is neither a string nor an integer"),
+    # a top level that is not an object, and a missing list
+    (("at", "number"), [1], "the top level is not an object"),
+    (("at", "number"), {}, "the graph has no 'vertices' array"),
+    (("decompose",), {"vertices": ["a", "b"], "rotation": {}, "outer_face": []}, "the graph has no 'edges' array"),
 ])
 def test_graph_json_of_the_wrong_shape_is_usage_error(tmp_path, command, data, sentence):
     bad = tmp_path / "bad.json"
@@ -596,8 +600,9 @@ def test_lists_given_as_a_list_is_input_error(k4_file, tmp_path):
 
 
 @pytest.mark.parametrize("data, what", [({"lists": 5}, "'lists' is not an object"),
-                                        ([1], "the top level is not an object")],
-                         ids=["lists-int", "top-array"])
+                                        ([1], "the top level is not an object"),
+                                        ({}, "the lists file has no 'lists' object")],
+                         ids=["lists-int", "top-array", "no-lists"])
 def test_lists_file_that_is_not_an_object_of_objects_is_input_error(k4_file, tmp_path, data, what):
     # refused in a sentence, not in Python's wording of the failed lookup
     bad = tmp_path / "lists.json"

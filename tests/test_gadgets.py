@@ -279,6 +279,11 @@ def test_extract_obstruction_preconditions():
     for h in ({("a", 1)}, {(2, 1)}, {("a", "c"), (None, "b")}):
         with pytest.raises(ArtifactError, match="^deleted set holds a name that is not a string$"):
             extract_obstruction(s, h)
+    # a member that is not a pair is refused before it is unpacked: a
+    # two-letter string is not the edge of its letters
+    for h in ({("s1c", "s1d", "x")}, {"s1cs1d"}, {5}, {"ab"}):
+        with pytest.raises(ArtifactError, match="^deleted set holds a member that is not a pair of names$"):
+            extract_obstruction(s, h)
     # a max-degree-3 set joins b to at most three copies, so only the
     # S-level rule itself can see four
     edges = sorted(s.graph.edges)
@@ -343,6 +348,10 @@ def _outcome(extract, h):
 @example(_S_B_JOINED)
 @example({("c", "qq"), ("a", "nope"), ("b", "zzz")})
 @example({("a", 1), ("a", "nope")})
+@example({("s1c", "s1d", "x")})
+@example({"s1cs1d"})
+@example({5})
+@example({"ab", ("a", 1)})
 def test_extract_obstruction_matches_name_set_reference(h):
     assert _outcome(extract_obstruction, h) == _outcome(reference_extract_obstruction, h)
 
@@ -363,7 +372,8 @@ def _kept_edges(edges, kept):
 
 def _shuffled_greedy(triples, degrees, rng):
     """`_random_max_degree_subgraph` over a copy of the triples that
-    rng.shuffle shuffled, as the sampler's lockstep shuffle gives it."""
+    rng.shuffle shuffled: the one-lane batch of the sampler's
+    `Rng.shuffled_copies`."""
     order = list(triples)
     rng.shuffle(order)
     return _random_max_degree_subgraph(order, degrees)
@@ -576,9 +586,10 @@ def test_sample_streams_match_pinned_digest():
     assert h.hexdigest() == SAMPLE_STREAM_DIGEST
 
 
-# the sampling kernels draw through Rng's inline xorshift steps (coins,
-# randrange, shuffle); these references draw through next_u64 and check the
-# outputs and the generator's final state, which the digest above does not see
+# the sampling kernels draw through Rng's inline xorshift steps (randrange,
+# and lockstep behind coins and shuffle); these references draw through
+# next_u64 and check the outputs and the generator's final state, which the
+# digest above does not see
 
 def _reference_randrange(rng, n):
     limit = (1 << 64) - 1 - (1 << 64) % n

@@ -44,7 +44,8 @@ def test_randrange_stays_in_range(seed, n):
         assert 0 <= rng.randrange(n) < n
 
 
-# the next_u64 forms that Rng.randrange and Rng.shuffle inline
+# the next_u64 forms of Rng.randrange, which inlines the step, and of
+# Rng.shuffle
 
 def _reference_randrange(rng, n):
     limit = (1 << 64) - 1 - (1 << 64) % n
@@ -141,8 +142,8 @@ def test_shuffle_rejection_branch_matches_reference():
 
 
 # lockstep batches: every lane's copy, coins and final state are those of
-# the scalar shuffle and coins, on batches narrower and wider than the
-# samplers' lane count
+# the next_u64 forms, on batches narrower and wider than the samplers' lane
+# count; shuffle and coins are one-lane batches
 
 def test_lockstep_draws_are_next_u64_draws():
     batch, refs = [Rng(s) for s in range(5)], [Rng(s) for s in range(5)]
@@ -159,13 +160,13 @@ def test_lockstep_batches_match_shuffle_and_coins(seeds, length):
     copies = Rng.shuffled_copies(batch, items)
     for s, got, r in zip(seeds, copies, batch):
         ref, want = Rng(s), list(items)
-        ref.shuffle(want)
+        _reference_shuffle(ref, want)
         assert got == want and r.state == ref.state, s
     assert items == [("item", k) for k in range(length)]
     batch = [Rng(s) for s in seeds]
     for s, got, r in zip(seeds, Rng.coin_lists(batch, length), batch):
         ref = Rng(s)
-        assert got == ref.coins(length) and r.state == ref.state, s
+        assert got == [_reference_randrange(ref, 2) for _ in range(length)] and r.state == ref.state, s
 
 
 def test_shuffled_copies_redo_a_lane_that_may_reject():
@@ -181,7 +182,7 @@ def test_shuffled_copies_redo_a_lane_that_may_reject():
         for state, got, r in zip(states, copies, batch):
             ref, want = Rng(0), list(range(length))
             ref.state = state
-            ref.shuffle(want)
+            _reference_shuffle(ref, want)
             assert got == want and r.state == ref.state, (length, state)
         plain = Rng(0)
         plain.state = states[1]
