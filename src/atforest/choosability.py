@@ -38,11 +38,11 @@ class ListAssignment:
     def from_json_dict(data: dict) -> "ListAssignment":
         # a color is named like a vertex; "12" is not ["1", "2"]
         if type(data) is not dict:
-            raise TypeError("the top level is not an object")
+            raise ValueError("the top level is not an object")
         if "lists" not in data:
-            raise TypeError("the lists file has no 'lists' object")
+            raise ValueError("the lists file has no 'lists' object")
         if type(data["lists"]) is not dict:
-            raise TypeError("'lists' is not an object")
+            raise ValueError("'lists' is not an object")
         return ListAssignment.build({str(v): _names(cols, f"the color list of {v!r}")
                                      for v, cols in data["lists"].items()})
 

@@ -82,7 +82,7 @@ def _load(path: str, parse, what: str):
     nesting is an input error."""
     try:
         return parse(json.loads(_read_text(path)))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise _UsageError(f"cannot read {what} from {path!r}: {exc}")
 
 

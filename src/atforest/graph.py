@@ -286,22 +286,22 @@ def graph_from_json_dict(data: dict):
     is present, a bare Graph otherwise.  A vertex name is a JSON string
     or an integer (read as its decimal string); any other name, or a
     list that is not an array, a top level that is not an object or a
-    missing list, raises TypeError."""
+    missing list, raises ValueError."""
     if type(data) is not dict:
-        raise TypeError("the top level is not an object")
+        raise ValueError("the top level is not an object")
     for key in ("vertices", "edges"):
         if key not in data:
-            raise TypeError(f"the graph has no {key!r} array")
+            raise ValueError(f"the graph has no {key!r} array")
     vertices = _names(data["vertices"], "'vertices'")
     edges = data["edges"]
     if type(edges) is not list or set(map(type, edges)) - {list} or set(map(len, edges)) - {2}:
-        raise TypeError("'edges' is not an array of two-name arrays")
+        raise ValueError("'edges' is not an array of two-name arrays")
     if _needs_str(chain.from_iterable(edges), "'edges'"):
         edges = [(str(u), str(v)) for u, v in edges]
     if "rotation" in data and "outer_face" in data:
         rotation = data["rotation"]
         if type(rotation) is not dict or set(map(type, rotation.values())) - {list}:
-            raise TypeError("'rotation' is not an object of arrays")
+            raise ValueError("'rotation' is not an object of arrays")
         if _needs_str(chain.from_iterable(rotation.values()), "'rotation'"):
             rotation = {v: [str(u) for u in nbrs] for v, nbrs in rotation.items()}
         return build_plane_graph(vertices, edges, rotation, _names(data["outer_face"], "'outer_face'"))
@@ -310,7 +310,7 @@ def graph_from_json_dict(data: dict):
 
 def _names(items, what: str) -> list:
     if type(items) is not list:
-        raise TypeError(f"{what} is not an array")
+        raise ValueError(f"{what} is not an array")
     return [str(v) for v in items] if _needs_str(items, what) else items
 
 
@@ -322,7 +322,7 @@ def _needs_str(names: Iterable, what: str) -> bool:
         return False
     if kinds <= {str, int}:
         return True
-    raise TypeError(f"{what} holds a name that is neither a string nor an integer")
+    raise ValueError(f"{what} holds a name that is neither a string nor an integer")
 
 
 def graph_from_json(text: str):

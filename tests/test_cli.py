@@ -346,7 +346,7 @@ def test_closed_pipe_ends_without_a_traceback():
 
 @pytest.mark.parametrize("script, args", [
     ("run_verifications.py", ["--samples", "20", "--seed", "1"]),
-    ("bench_shelling.py", ["--sizes", "40", "60"]),
+    ("growth.py", ["--sizes", "40", "60"]),
 ])
 def test_scripts_end_quietly_on_a_closed_pipe(script, args):
     # the pipe is closed before the script writes, so every write fails
@@ -362,6 +362,28 @@ def test_scripts_end_quietly_on_a_closed_pipe(script, args):
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_PASS
     assert "Traceback" not in err, err
+
+
+def test_growth_times_every_family_and_stage():
+    root = Path(cli.__file__).resolve().parents[2]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "growth.py"), "--sizes", "40", "60"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_PASS, proc.stderr
+    data = json.loads(proc.stdout)
+    stages = {"fan": "load decompose", "strip": "load decompose", "random": "load decompose",
+              "all_boundary": "load decompose", "path": "colour", "triangulation": "colour",
+              "dead_singleton": "colour", "witnesses": "verify", "c10": "colour"}
+    assert set(data) == {"checkout", "repeats", *stages}
+    for family, names in stages.items():
+        assert set(data[family]) == set(names.split()), family
+        sizes = {"witnesses": ["64"], "c10": ["10000"]}.get(family, ["40", "60"])
+        for stage, row in data[family].items():
+            for key in ("seconds", "ref_seconds"):
+                assert list(row[key]) == sizes and all(t > 0 for t in row[key].values())
+            for key in ("slope", "ref_slope"):
+                assert (row[key] is None) == (len(sizes) == 1), (family, stage)
 
 
 def _run_verifications_script():
@@ -682,6 +704,17 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
     assert json.loads(result.output()) == {"verdict": "ERROR", "error": "RuntimeError: kaput"}
     plain = go("gen", "graph", "--n", "5", "--p", "0.5", "--seed", "1")
     assert plain.output() == "internal error: RuntimeError: kaput"
+
+
+def test_loader_bug_is_internal_error(monkeypatch, k4_file):
+    # the loaders refuse malformed input with ValueError; any other
+    # exception from one is a bug in it, not a bad file
+    def bug(data):
+        raise KeyError("vertices")
+
+    monkeypatch.setattr(cli, "graph_from_json_dict", bug)
+    result = go("at", "number", "--input", str(k4_file))
+    assert result.exit_code == EXIT_INTERNAL, result.output()
 
 
 def _handleless_files(tri_file, tmp_path):
