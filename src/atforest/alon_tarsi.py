@@ -15,6 +15,10 @@ whole Alon-Tarsi search.  Its cost is capped by the size of its live
 table (`TABLE_CAP`), the one limit of this module, not by the number of
 arcs or of out-degree sequences.  Each call numbers the vertices once, in
 name order (`_frontier_order`); the kernel reads only those numbers.
+`poly_coefficient` skips the scan when its exponent vector is the
+out-degree vector of an acyclic orientation, read off by peeling sinks
+(`_acyclic_sign`): no other orientation has that out-degree vector, so
+the coefficient is that one orientation's sign, +-1.
 """
 
 from __future__ import annotations
@@ -175,7 +179,10 @@ def poly_coefficient(g: Graph, eta: dict) -> int:
 
     Each term of the product picks x_v (the arc v -> u) or -x_u (its
     reversal) from every factor, so the coefficient is even - odd from
-    `_flip_counts` on the arcs v -> u with eta as target.
+    `_flip_counts` on the arcs v -> u with eta as target.  First, since
+    an acyclic orientation is the only orientation with its out-degree
+    vector, an eta that `_acyclic_sign` peels to the end gives that
+    orientation's sign, +-1, with no scan.
     """
     if set(eta) != set(g.vertices):
         raise ArtifactError("exponent vector must cover exactly the vertex set")
@@ -185,9 +192,45 @@ def poly_coefficient(g: Graph, eta: dict) -> int:
         raise ArtifactError(
             f"sum of exponents {sum(eta.values())} != edge count {len(g.edges)}"
         )
+    sign = _acyclic_sign(g, eta)
+    if sign is not None:
+        return sign
     names, arcs = _frontier_order([(v, u) for u, v in g.edges])
     even, odd = _target_counts(arcs, [eta[v] for v in names])
     return even - odd
+
+
+def _acyclic_sign(g: Graph, eta: dict) -> Optional[int]:
+    """The coefficient of x^eta if eta is the out-degree vector of an
+    acyclic orientation of g, else None.
+
+    Peels sinks: a vertex that needs out-degree 0 takes each edge to an
+    unpeeled neighbour as an arc into it, and that neighbour needs one
+    less, as in every orientation with out-degrees eta.  When all go, that
+    orientation is the only one, and its sign counts the arcs u -> s with
+    u < s (each the factor's -x_u).  None when no exponent is 0, a need
+    drops below 0 or the peel stops early; the peel's order does not matter.
+    """
+    sinks = [v for v, e in eta.items() if e == 0]
+    if not sinks:
+        return None
+    need = dict(eta)
+    adjacency = g.adjacency
+    up = 0  # arcs u -> s with u < s
+    while sinks:
+        s = sinks.pop()
+        del need[s]
+        for u in adjacency[s]:
+            e = need.get(u)
+            if e is None:  # peeled already
+                continue
+            if e == 0:  # u cannot give s the arc
+                return None
+            need[u] = e - 1
+            if e == 1:
+                sinks.append(u)
+            up += u < s
+    return None if need else -1 if up & 1 else 1
 
 
 def _degeneracy_order(g: Graph) -> tuple:

@@ -86,10 +86,14 @@ def check_plane_certificate(edges, forest, arcs, handle=None, outer_face=()) -> 
 
 
 def _names(item, what: str) -> tuple:
-    if not (isinstance(item, list) and len(item) == 2 and item[0] != item[1]
-            and all(isinstance(v, str) for v in item)):
-        raise ValueError(f"{what} {item!r} is not two distinct vertex names")
-    return tuple(item)
+    """Two distinct names, each a string or an integer read as its decimal
+    string, as in a graph file (a boolean is no name)."""
+    if isinstance(item, list) and len(item) == 2 and all(
+            isinstance(v, str) or type(v) is int for v in item):
+        pair = tuple(map(str, item))
+        if pair[0] != pair[1]:
+            return pair
+    raise ValueError(f"{what} {item!r} is not two distinct vertex names")
 
 
 def read_certificate(data) -> tuple:

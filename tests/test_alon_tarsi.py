@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atforest.alon_tarsi as alon_tarsi
+import atforest.cli as cli
 from atforest.alon_tarsi import (
     ParityCount,
+    _acyclic_sign,
     _degeneracy_order,
     _flip_counts,
     _realize,
@@ -20,8 +22,9 @@ from atforest.alon_tarsi import (
     find_at_orientation,
     poly_coefficient,
 )
+from atforest.decompose import decompose
 from atforest.errors import ArtifactError, CapExceeded
-from atforest.graph import Graph, Orientation, edge
+from atforest.graph import Graph, Orientation, edge, graph_to_json
 from atforest.testkit import (
     Rng,
     random_graph,
@@ -134,6 +137,15 @@ def test_triangle_coefficient_sign():
     g = cycle(["1", "2", "3"])
     assert poly_coefficient(g, {"1": 2, "2": 1, "3": 0}) == -1
     assert poly_coefficient(g, {"1": 0, "2": 1, "3": 2}) == 1
+    # each of the six acyclic orientations, read by the peel: its sign
+    # counts the arcs u -> v with u < v, each the factor's -x_u
+    signs = set()
+    for order in ("123", "132", "213", "231", "312", "321"):
+        eta = {v: order.index(v) for v in order}
+        sign = _acyclic_sign(g, eta)
+        assert sign == poly_coefficient(g, eta) == _reference_coefficient(g, eta), order
+        signs.add(sign)
+    assert signs == {1, -1}
 
 
 def test_coefficient_rejects_bad_exponents():
@@ -887,3 +899,86 @@ def test_frontier_order_matches_tuple_placement():
             assert _frontier_order(given) == _reference_frontier_order(given), given
             count += 1
     assert count >= 2000, count
+
+
+# ---------------------------------------------------------------------------
+# poly_coefficient's acyclic route: a peel of sinks instead of the scan
+
+
+def _scan_coefficient(g, eta):
+    """poly_coefficient's scan route: `_frontier_order`, then
+    `_target_counts`."""
+    names, arcs = alon_tarsi._frontier_order([(v, u) for u, v in g.edges])
+    even, odd = _target_counts(arcs, [eta[v] for v in names])
+    return even - odd
+
+
+def _acyclic_out_degrees(g, rng):
+    """The out-degrees of the acyclic orientation along a shuffled order:
+    each edge points to its end that comes first."""
+    order = list(g.vertices)
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    return {v: sum(pos[w] < pos[v] for w in g.adjacency[v]) for v in g.vertices}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_coefficient_matches_the_scan_route(seed):
+    rng = Rng(seed)
+    g = random_graph(2 + seed % 7, (0.3, 0.5, 0.8)[seed % 3], seed)
+    # up to two isolated vertices, then names that sort unlike their order
+    g = _renamed(Graph.build([*g.vertices, *(f"z{i}" for i in range(seed % 3))], g.edges), rng)
+    split = dict.fromkeys(g.vertices, 0)  # |E| spread over the vertices
+    for _ in range(len(g.edges)):
+        split[g.vertices[rng.randrange(len(g.vertices))]] += 1
+    acyclic = _acyclic_out_degrees(g, rng)
+    for eta in (acyclic, random_orientation(g, rng).out_degrees(), split):
+        scan = _scan_coefficient(g, eta)
+        assert poly_coefficient(g, eta) == scan, eta
+        sign = _acyclic_sign(g, eta)
+        assert sign is None or sign == scan != 0, eta
+    assert _acyclic_sign(g, acyclic) is not None
+
+
+def test_acyclic_route_refuses_what_it_cannot_read():
+    # no exponent 0: a 4-cycle's two directed cycles, terms of one sign
+    c4 = cycle("abcd")
+    eta = dict.fromkeys("abcd", 1)
+    assert _acyclic_sign(c4, eta) is None and poly_coefficient(c4, eta) == _scan_coefficient(c4, eta) == -2
+    # two adjacent vertices that both need 0: no orientation at all
+    k4 = k_complete("abcd")
+    eta = {"a": 0, "b": 0, "c": 3, "d": 3}
+    assert _acyclic_sign(k4, eta) is None and poly_coefficient(k4, eta) == _scan_coefficient(k4, eta) == 0
+    # a directed triangle's out-degrees, alone (no zero) and with a pendant
+    # sink, whose peel stops at the triangle: its two cycles cancel
+    k3 = cycle("abc")
+    eta = dict.fromkeys("abc", 1)
+    assert _acyclic_sign(k3, eta) is None and poly_coefficient(k3, eta) == 0
+    pendant = Graph.build("abcd", [*k3.edges, ("a", "d")])
+    eta = {"a": 2, "b": 1, "c": 1, "d": 0}
+    assert _acyclic_sign(pendant, eta) is None and poly_coefficient(pendant, eta) == 0
+    # a vector below |E| peels no further than one vertex: the peel itself
+    # refuses a need below 0, not only the caller's sum check
+    assert _acyclic_sign(Graph.build("ab", [("a", "b")]), {"a": 0, "b": 0}) is None
+
+
+def test_certificate_remainder_coefficient_needs_no_scan(monkeypatch, tmp_path):
+    # G - E(F) of a 2000-vertex certificate, whose scan outgrows TABLE_CAP
+    # (CLI exit 3): the peel reads +-1 with the scan patched out
+    pg = random_near_triangulation(2000, 8, 1)
+    d = decompose(pg, pg.outer_face[:2])
+    g = Graph.build(pg.graph.vertices, pg.graph.edges - d.forest)
+    eta = d.orientation.out_degrees()
+
+    def no_scan(pairs):
+        raise AssertionError("the acyclic route scanned")
+
+    monkeypatch.setattr(alon_tarsi, "_frontier_order", no_scan)
+    value = poly_coefficient(g, eta)
+    assert value in (1, -1)
+    path = tmp_path / "rest.json"
+    path.write_text(graph_to_json(g))
+    argv = ["at", "coefficient", "--input", str(path), "--eta", ",".join(f"{v}={e}" for v, e in eta.items())]
+    result = cli.run(argv)
+    assert (result.exit_code, result.output()) == (0, str(value))

@@ -198,9 +198,11 @@ def test_at_witness_counts_parity_only_for_a_cyclic_witness():
     ({"forest": [["a", "b", "c"]], "arcs": []}, "forest entry ['a', 'b', 'c'] is not two distinct"),
     ({"forest": [["a", "a"]], "arcs": []}, "forest entry ['a', 'a'] is not two distinct"),
     ({"forest": [], "arcs": [["a"]]}, "arcs entry ['a'] is not two distinct"),
-    ({"forest": [], "arcs": [["a", 1]]}, "arcs entry ['a', 1] is not two distinct"),
+    ({"forest": [], "arcs": [["a", True]]}, "arcs entry ['a', True] is not two distinct"),
     ({"forest": [], "arcs": [], "handle": "ab"}, "the handle 'ab' is not two distinct"),
     ({"forest": [], "arcs": [], "handle": ["a"]}, "the handle ['a'] is not two distinct"),
+    ({"forest": [], "arcs": [["a", 1.5]]}, "arcs entry ['a', 1.5] is not two distinct"),
+    ({"forest": [[1, "1"]], "arcs": []}, "forest entry [1, '1'] is not two distinct"),
 ])
 def test_read_certificate_refuses_a_malformed_file_with_a_sentence(data, sentence):
     with pytest.raises(ValueError, match=re.escape(sentence)):
@@ -212,6 +214,9 @@ def test_read_certificate_sorts_the_forest_and_keeps_the_arcs():
     assert read_certificate(data) == ([("a", "b")], [("c", "b")], None)
     data["handle"] = ["b", "a"]
     assert read_certificate(data)[2] == ("b", "a")
+    # an integer name reads as its decimal string, as in a graph file
+    data = {"forest": [[10, 9]], "arcs": [[2, "x"]], "handle": [10, 9]}
+    assert read_certificate(data) == ([("10", "9")], [("2", "x")], ("10", "9"))
 
 
 @pytest.mark.parametrize("forest, arcs", [

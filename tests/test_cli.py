@@ -613,6 +613,28 @@ def test_graph_json_with_integer_names_reads_them_as_strings(tmp_path):
     assert go("at", "number", "--input", str(k3)).output() == "3"
 
 
+def test_certificate_with_integer_names_verifies(tmp_path):
+    # a certificate may name vertices as the graph file does: integers read
+    # as their decimal strings, for either kind of certificate
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({
+        "vertices": [1, 2, 3, 4], "edges": [[1, 2], [2, 3], [3, 4], [1, 4], [1, 3]],
+        "rotation": {"1": [2, 3, 4], "2": [3, 1], "3": [4, 1, 2], "4": [1, 3]}, "outer_face": [1, 2, 3, 4],
+    }))
+    for handle in (["--handle", "1,2"], []):
+        cert = tmp_path / "cert.json"
+        assert go("decompose", "--input", str(path), *handle, "--output", str(cert)).exit_code == EXIT_PASS
+        data = json.loads(cert.read_text())
+        data["forest"] = [[int(v) for v in pair] for pair in data["forest"]]
+        data["arcs"] = [[int(v) for v in pair] for pair in data["arcs"]]
+        if handle:
+            data["handle"] = [int(v) for v in data["handle"]]
+        assert data["forest"] and data["arcs"]
+        cert.write_text(json.dumps(data))
+        result = go("verify", "decomposition", "--input", str(path), "--decomposition", str(cert))
+        assert result.exit_code == EXIT_PASS, result.output()
+
+
 def test_lists_given_as_a_list_is_input_error(k4_file, tmp_path):
     bad = tmp_path / "lists.json"
     bad.write_text(json.dumps({"lists": [["a", ["1", "2", "3"]]]}))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atforest.cli as cli
-from atforest.alon_tarsi import ParityCount, eulerian_diff
+from atforest.alon_tarsi import ParityCount, eulerian_diff, poly_coefficient
 from atforest.check import check_forest_orientation, check_plane_certificate, read_certificate
 from atforest.decompose import (
     Decomposition,
@@ -23,6 +23,7 @@ from atforest.decompose import (
 )
 from atforest.errors import ArtifactError
 from atforest.graph import (
+    Graph,
     Orientation,
     _trace_all_faces,
     _turn_maps,
@@ -605,6 +606,27 @@ def test_twenty_thousand_vertex_fan_and_strip_decompose_and_verify():
     # 20 000 nested chord steps each; no time is asserted
     for pg, handle in (_fan(20000), _zigzag(20000, Rng(5))):
         assert verify_decomposition(pg, decompose(pg, handle)).verdict
+
+
+def _remainder_coefficient(g, forest, orientation):
+    """The coefficient of x^(out-degrees of the orientation) in the graph
+    polynomial of g - E(forest)."""
+    rest = Graph.build(g.vertices, g.edges - forest)
+    return poly_coefficient(rest, orientation.out_degrees())
+
+
+@pytest.mark.parametrize("n", [8, 60, 2000])
+def test_certificates_are_alon_tarsi_witnesses_through_the_polynomial(n):
+    # the positive theorem's witness: D is an acyclic orientation of
+    # G - E(F), the only one with its out-degrees, so the coefficient of
+    # x^outdeg(D) in the graph polynomial of G - E(F) is +-1 (Alon-Tarsi)
+    tri = random_near_triangulation(n, 8, n)
+    for pg, handle in (_fan(n), _zigzag(n, Rng(n)), (tri, tri.outer_face[:2])):
+        d = decompose(pg, handle)
+        assert _remainder_coefficient(pg.graph, d.forest, d.orientation) in (1, -1), handle
+        sub = _sparse(pg)
+        forest, orientation = decompose_any_planar(sub)
+        assert _remainder_coefficient(sub.graph, forest, orientation) in (1, -1), handle
 
 
 # ---------------------------------------------------------------------------
