@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time loading, `decompose` and the list-colouring search under one
-calibrated protocol, and fit each stage's log-log growth slope.
+"""Time loading, `decompose`, `decompose_any_planar` and the list-colouring
+search under one calibrated protocol, and fit each stage's log-log growth
+slope.
 
     python3 scripts/growth.py --checkout . --sizes 2000 8000 32000 100000
 
@@ -9,14 +10,19 @@ copy of this script measures two commits alike; the inputs come from that
 tree's `perfbench/gen.py` and `atforest.testkit`, built untimed.  At each
 `--sizes` entry n, `load` (`graph_from_json` on the `graph_to_json` text)
 and `decompose` run on fan, strip, random (boundary 8) and all_boundary
-(`random_near_triangulation(n, n, 1)`); `colour` (`is_l_colorable`) runs on
-path (lists {1, 2, 3}), triangulation (boundary 3, 5 of the colours a-h
-per vertex from `Rng(5)`) and dead_singleton (free edges with {1, 2, 3},
-then an edge whose ends both have {1}).  Two families have one size:
+(`random_near_triangulation(n, n, 1)`); `any_planar`
+(`decompose_any_planar`) runs on sparse, the subgraph
+`gen.sparse_subgraph_json(pg, Rng(1), 0.3)` of the random family's
+`random_near_triangulation(n, 8, 1)`, loaded untimed, and its certificate
+goes through `check_plane_certificate` outside the timing; `colour`
+(`is_l_colorable`) runs on path (lists {1, 2, 3}), triangulation
+(boundary 3, 5 of the colours a-h per vertex from `Rng(5)`) and
+dead_singleton (free edges with {1, 2, 3}, then an edge whose ends both
+have {1}).  Two families have one size:
 witnesses (`verify`: the 64 Lemma-1 witnesses as one batch) and c10
 (`colour`: the 10000 searches of `tests/test_acceptance.py`'s C10 test).
-A witness that does not PASS, no colouring where one exists or one for
-the dead singleton exits 1.
+A witness that does not PASS, a sparse certificate the checker refuses,
+no colouring where one exists or one for the dead singleton exits 1.
 
 Each call runs REPEATS times, each between two sets of CAL_ROUNDS
 calibration rounds (`calibrate` from the checkout's `perfbench/run.py`),
@@ -68,7 +74,8 @@ def main(argv=None) -> int:
     from atforest import testkit
     from atforest.choosability import (
         ListAssignment, build_lemma1_lists, is_l_colorable, verify_witness_not_k_choosable)
-    from atforest.decompose import decompose
+    from atforest.check import check_plane_certificate
+    from atforest.decompose import decompose, decompose_any_planar
     from atforest.graph import Graph, graph_from_json, graph_to_json
 
     def plane(pg, handle) -> dict:
@@ -92,6 +99,15 @@ def main(argv=None) -> int:
         if family in ("random", "all_boundary"):
             pg = testkit.random_near_triangulation(n, 8 if family == "random" else n, 1)
             return plane(pg, (pg.outer_face[0], pg.outer_face[1]))
+        if family == "sparse":
+            pg = testkit.random_near_triangulation(n, 8, 1)
+            sub = graph_from_json(gen.sparse_subgraph_json(pg, testkit.Rng(1), 0.3))
+
+            def certified(result) -> bool:
+                forest, orientation = result
+                return check_plane_certificate(sub.graph.edges, forest, orientation.arcs).verdict
+
+            return {"any_planar": (lambda: decompose_any_planar(sub), certified)}
         if family == "path":
             names = [f"v{i:06d}" for i in range(n)]
             return colour(Graph.build(names, list(zip(names, names[1:]))),
@@ -152,7 +168,7 @@ def main(argv=None) -> int:
         return out
 
     result = {"checkout": str(root), "repeats": REPEATS}
-    for family in ("fan", "strip", "random", "all_boundary",
+    for family in ("fan", "strip", "random", "all_boundary", "sparse",
                    "path", "triangulation", "dead_singleton", "witnesses", "c10"):
         points: dict = {}
         for n in [FIXED[family]] if family in FIXED else args.sizes:

@@ -126,6 +126,22 @@ def check_at_witness(edges, arcs, k: int, eulerian_diff) -> VerificationReport:
     return VerificationReport(ok, detail, stats={"max_out_degree": worst, "even": even, "odd": odd})
 
 
+def check_coloring(edges, lists, coloring) -> VerificationReport:
+    """A proper colouring from the lists: every vertex of `lists` (vertex ->
+    its colours) and no other has a colour from its own list, and no edge
+    has one colour at both ends; the least faulty vertex or edge is named."""
+    off = [v for v in lists.keys() | coloring.keys() if coloring.get(v) not in lists.get(v, ())]
+    if off:
+        v = min(off)
+        return VerificationReport(False, f"vertex {v!r} is not coloured from its list", counterexample=v)
+    same = [e for e in edges if coloring.get(e[0]) == coloring.get(e[1])]
+    if same:
+        u, v = min(same)
+        return VerificationReport(False, f"edge {(u, v)} has colour {coloring.get(u)!r} at both ends",
+                                  counterexample=[u, v])
+    return VerificationReport(True, "proper colouring from the lists")
+
+
 def check_star_forest(edges, centers, host_edges) -> VerificationReport:
     """Each edge is one of `host_edges` and joins a center to a leaf, no
     leaf twice."""

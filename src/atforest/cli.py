@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass
 from typing import Optional
 
 from .alon_tarsi import at_number, eulerian_diff, find_at_orientation, poly_coefficient
-from .check import check_at_witness, check_plane_certificate, read_certificate
+from .check import check_at_witness, check_coloring, check_plane_certificate, read_certificate
 from .choosability import (
     ListAssignment,
     is_l_colorable,
@@ -313,6 +313,10 @@ def _cmd_choose(args) -> CommandResult:
     coloring = is_l_colorable(g, lists)
     if coloring is None:
         return CommandResult(EXIT_FAIL, "FAIL: no proper coloring from the lists", {"verdict": "FAIL"})
+    # re-check the coloring before reporting it
+    report = check_coloring(g.edges, lists.as_dict(), coloring)
+    if not report.verdict:
+        return _from_report(report)
     return CommandResult(
         EXIT_PASS, "PASS: proper coloring found", {"verdict": "PASS", "coloring": coloring}
     )

@@ -43,9 +43,10 @@ from dataclasses import dataclass
 from .check import check_plane_certificate
 from .errors import ArtifactError
 from .graph import (
+    Graph,
     Orientation,
     PlaneGraph,
-    build_plane_graph,
+    build_plane_graph,  # unused here; perfbench's --trace 1 wraps dec.build_plane_graph
     components,
     edge,
     validate_near_triangulation,
@@ -273,6 +274,9 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
     A disconnected input is decomposed one component at a time, each from
     its own vertices, edges, rotations and traced faces (`components`); a
     tree component (an isolated vertex too) goes into the forest whole.
+    The augmented embedding is not loaded again: `_triangulate_embedding`
+    checks each chord against the rotation where it clips, so the faces of
+    pg, already traced and Euler-checked, carry over without a re-trace.
     """
     g = pg.graph
     parts = [(g.vertices, g.edges, pg.faces)] if pg.connected else components(g, pg.faces)
@@ -307,6 +311,19 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph
     edges already, outside the open face and with no end in common, they
     would close two curves that cross once, against the Jordan curve
     theorem.  A walk is done at length 3; only a tree has shorter ones.
+
+    The result is not traced again.  In the walk p, a, b, c, d the clip
+    first checks that b follows p round a and d follows b round c, as the
+    face trace would have it, and refuses the face otherwise.  Then c goes
+    in after p round a and a after b round c, which changes the successors
+    of four darts only: (p, a) -> (a, c) -> (c, d) runs on the shorter
+    walk, (a, b) -> (b, c) -> (c, a) is the new triangle, and every other
+    face stays.  So each checked clip adds one edge and one face to an
+    embedding that passed Euler's formula, and it still does.  The face
+    trace starts each walk at its least unused dart, which for a triangle
+    leaves its least vertex; so the triangles, each turned to start there
+    and sorted, are the faces `build_plane_graph` would trace, and the
+    first of them as listed is a traced outer face.
     """
     rotation = {v: list(rotation[v]) for v in vertices}
     edges = set(edges)
@@ -322,13 +339,27 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph
             walk.rotate(-1)
         else:  # only on a walk that is not a face, by the lemma above
             raise ArtifactError(f"no two-step corner in face {list(walk)}")
-        # c goes in after the walk's last vertex round a, a after b round c
+        # the walk runs p, a, b, c, d with p = walk[-1] and d = walk[3]
         at_a, at_c = rotation[a], rotation[c]
-        at_a.insert(at_a.index(walk[-1]) + 1, c)
-        at_c.insert(at_c.index(b) + 1, a)
+        i, j = at_a.index(walk[-1]) + 1, at_c.index(b) + 1
+        if at_a[i % len(at_a)] != b or at_c[j % len(at_c)] != walk[3]:
+            raise ArtifactError(f"face {list(walk)} does not follow the rotation at {a!r} and {c!r}")
+        at_a.insert(i, c)
+        at_c.insert(j, a)
         edges.add((a, c) if a < c else (c, a))
         done.append([a, b, c])
         walk.rotate(-2)  # c .. a, b
         walk.pop()
         (pending if len(walk) > 3 else done).append(walk)
-    return build_plane_graph(vertices, edges, rotation, tuple(done[0]))
+    faces = sorted(map(_least_first, done))
+    outer = tuple(done[0])
+    vs = tuple(sorted(vertices))
+    # outer is a traced face, and a connected graph stays so as edges come in
+    return PlaneGraph(Graph(vs, frozenset(edges)), {v: tuple(rotation[v]) for v in vs},
+                      outer, tuple(faces), faces.index(_least_first(outer)), True, True)
+
+
+def _least_first(walk) -> tuple:
+    walk = tuple(walk)
+    i = walk.index(min(walk))
+    return walk[i:] + walk[:i]

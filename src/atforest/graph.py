@@ -94,12 +94,16 @@ class Orientation:
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """An embedding with the facts `build_plane_graph` found checking it."""
+    """An embedding with the facts its producer found checking it:
+    `build_plane_graph` traces and Euler-checks a loaded rotation, and
+    `decompose._triangulate_embedding` derives a triangulation's facts from
+    those of the plane graph it adds chords to, checking each chord where
+    it clips a face.  Both give the same fields for the same embedding."""
 
     graph: Graph
     rotation: dict  # vertex -> tuple of neighbors in cyclic order
     outer_face: tuple  # closed boundary walk, first vertex not repeated
-    faces: tuple  # every facial walk, as traced by build_plane_graph
+    faces: tuple  # every facial walk, in the order build_plane_graph traces them
     outer_index: int  # faces[outer_index] has the edges of outer_face
     outer_traced: bool  # outer_face runs the way faces[outer_index] does
     connected: bool

@@ -373,7 +373,8 @@ def test_growth_times_every_family_and_stage():
     assert proc.returncode == EXIT_PASS, proc.stderr
     data = json.loads(proc.stdout)
     stages = {"fan": "load decompose", "strip": "load decompose", "random": "load decompose",
-              "all_boundary": "load decompose", "path": "colour", "triangulation": "colour",
+              "all_boundary": "load decompose", "sparse": "any_planar",
+              "path": "colour", "triangulation": "colour",
               "dead_singleton": "colour", "witnesses": "verify", "c10": "colour"}
     assert set(data) == {"checkout", "repeats", *stages}
     for family, names in stages.items():
@@ -431,6 +432,25 @@ def test_choose_check(tmp_path):
     path.write_text(json.dumps({"vertices": names, "edges": list(zip(names, names[1:]))}))
     lists.write_text(json.dumps({"lists": {v: ["1", "2", "3"] for v in names}}))
     assert go("choose", "check", "--input", str(path), "--lists", str(lists)).exit_code == EXIT_PASS
+
+
+@pytest.mark.parametrize("coloring, reason", [
+    ({"a": "1", "b": "1", "c": "2", "d": "2"}, "FAIL: edge ('a', 'b') has colour '1' at both ends"),
+    ({"a": "1", "b": "2", "c": "3", "d": "2"}, "FAIL: vertex 'c' is not coloured from its list"),
+    ({"a": "1", "b": "2", "c": "1"}, "FAIL: vertex 'd' is not coloured from its list"),
+])
+def test_choose_check_refuses_a_coloring_its_checker_refuses(tmp_path, monkeypatch, coloring, reason):
+    # the search is patched to answer wrongly; the PASS rests on the checker
+    c4 = tmp_path / "c4.json"
+    c4.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+    }))
+    lists = tmp_path / "lists.json"
+    lists.write_text(json.dumps({"lists": {v: ["1", "2"] for v in "abcd"}}))
+    monkeypatch.setattr(cli, "is_l_colorable", lambda g, l: coloring)
+    result = go("choose", "check", "--input", str(c4), "--lists", str(lists))
+    assert (result.exit_code, result.output()) == (EXIT_FAIL, reason)
 
 
 def test_gen_graph_deterministic(tmp_path):

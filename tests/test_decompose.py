@@ -1,6 +1,7 @@
 """Forest + nice-orientation decomposition of near-triangulations."""
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import atforest.cli as cli
+import atforest.decompose as dec
 from atforest.alon_tarsi import ParityCount, eulerian_diff, poly_coefficient
 from atforest.check import check_forest_orientation, check_plane_certificate, read_certificate
 from atforest.decompose import (
@@ -797,16 +799,19 @@ def _triangulation_instances():
     yield _bowtie()
 
 
+def _retraced(aug):
+    """The augmented embedding as the generic loader builds it: the oracle
+    for the one `_triangulate_embedding` builds without a re-trace."""
+    return build_plane_graph(aug.graph.vertices, aug.graph.edges, aug.rotation, aug.outer_face)
+
+
 def test_triangulation_matches_walk_copying_reference():
     count = 0
     for pg in _triangulation_instances():
         g = pg.graph
         got = _triangulate_embedding(g.vertices, g.edges, pg.rotation, pg.faces)
-        want = _reference_triangulate(pg)
-        assert got.graph.edges == want.graph.edges
-        assert got.faces == want.faces
-        assert got.outer_face == want.outer_face
-        assert got.rotation == want.rotation
+        assert got == _reference_triangulate(pg)
+        assert got == _retraced(got)
         count += 1
     assert count == 113
 
@@ -819,6 +824,52 @@ def test_any_planar_certificates_verify_on_triangulation_inputs():
         assert check_forest_orientation(pg.graph.edges, forest, orientation.arcs, lambda v: 2).verdict
         count += 1
     assert count == 113
+
+
+def test_triangulation_of_each_component_equals_its_retrace(monkeypatch):
+    # a sparse random subgraph and a pendant cycle side by side: the
+    # components path hands each vertex set over unsorted
+    parts = [_random_sparse(random_near_triangulation(30, 15, 7), Rng(7), 0.15),
+             _cycle_plane(6, [(0, 0), (3, 0)])]
+    rotation = {v: r for pg in parts for v, r in pg.rotation.items()}
+    pg = build_plane_graph(list(rotation), [e for p in parts for e in p.graph.edges],
+                           rotation, parts[0].outer_face)
+    assert not pg.connected
+    augs = []
+
+    def spy(aug, handle):
+        augs.append(aug)
+        return decompose(aug, handle)
+
+    monkeypatch.setattr(dec, "decompose", spy)
+    forest, orientation = decompose_any_planar(pg)
+    assert check_plane_certificate(pg.graph.edges, forest, orientation.arcs).verdict
+    assert len(augs) == 2
+    for aug in augs:
+        assert aug == _retraced(aug)
+        assert all(len(f) == 3 for f in aug.faces)
+
+
+def test_triangulation_refuses_faces_the_rotation_does_not_trace():
+    # faces traced from one rotation, passed with its mirror image
+    count = 0
+    for pg in itertools.islice(_triangulation_instances(), 81):  # the random sparse ones
+        g = pg.graph
+        mirrored = {v: r[::-1] for v, r in pg.rotation.items()}
+        with pytest.raises(ArtifactError, match="does not follow the rotation"):
+            _triangulate_embedding(g.vertices, g.edges, mirrored, pg.faces)
+        count += 1
+    assert count == 81
+    # or with two neighbours swapped round the pendant's corner, the chord
+    # c000-c002's first end (checked against p) or its second (against d)
+    for i, v in ((0, "c000"), (2, "c002")):
+        pg = _cycle_plane(4, [(i, 0)])
+        before, pendant, after = pg.rotation[v]
+        assert pendant == "p000"
+        swapped = {**pg.rotation, v: (pendant, before, after)}
+        with pytest.raises(ArtifactError, match=r"face \['c000', 'c003', 'c002', 'c001'\] does not "
+                                                r"follow the rotation at 'c000' and 'c002'"):
+            _triangulate_embedding(pg.graph.vertices, pg.graph.edges, swapped, pg.faces)
 
 
 def test_triangulation_refuses_a_walk_without_a_two_step_corner():
