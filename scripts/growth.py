@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Time loading, `decompose`, `decompose_any_planar` and the list-colouring
-search under one calibrated protocol, and fit each stage's log-log growth
-slope.
+"""Time loading, the plane check, `decompose`, `decompose_any_planar` and
+the list-colouring search under one calibrated protocol, and fit each
+stage's log-log growth slope.
 
     python3 scripts/growth.py --checkout . --sizes 2000 8000 32000 100000
 
 `--checkout` names the source tree whose `src/atforest` is timed, so one
 copy of this script measures two commits alike; the inputs come from that
 tree's `perfbench/gen.py` and `atforest.testkit`, built untimed.  At each
-`--sizes` entry n, `load` (`graph_from_json` on the `graph_to_json` text)
-and `decompose` run on fan, strip, random (boundary 8) and all_boundary
+`--sizes` entry n, `load` (`graph_from_json` on the `graph_to_json` text),
+`build` (`build_plane_graph` on that text's fields, decoded untimed, so
+that `load` less `build` is the JSON decoding and the name checks) and
+`decompose` run on fan, strip, random (boundary 8) and all_boundary
 (`random_near_triangulation(n, n, 1)`); `any_planar`
 (`decompose_any_planar`) runs on sparse, the subgraph
 `gen.sparse_subgraph_json(pg, Rng(1), 0.3)` of the random family's
@@ -76,11 +78,14 @@ def main(argv=None) -> int:
         ListAssignment, build_lemma1_lists, is_l_colorable, verify_witness_not_k_choosable)
     from atforest.check import check_plane_certificate
     from atforest.decompose import decompose, decompose_any_planar
-    from atforest.graph import Graph, graph_from_json, graph_to_json
+    from atforest.graph import Graph, build_plane_graph, graph_from_json, graph_to_json
 
     def plane(pg, handle) -> dict:
         text = graph_to_json(pg.graph, pg)
+        data = json.loads(text)
+        fields = [data[key] for key in ("vertices", "edges", "rotation", "outer_face")]
         return {"load": (lambda: graph_from_json(text), None),
+                "build": (lambda: build_plane_graph(*fields), None),
                 "decompose": (lambda: decompose(pg, handle), None)}
 
     def colour(g, lists: dict, colourable: bool) -> dict:

@@ -112,7 +112,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     # for all of them which way round the rotation runs inside
     traced = pg.outer_traced
     g = pg.graph
-    adj = g.adjacency
+    rot = pg.rotation
 
     forest: set = set()
     arcs: list = []
@@ -122,7 +122,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     #         drop_handle_from_forest), or (s, v, e) for a triangle side
     #         s -> v -> e that took the chord es as its handle; frames pop
     #         in pre-order
-    stack = [(succ0, pred0, _chords(adj, succ0, pred0, succ0), x0, y0, False)]
+    stack = [(succ0, pred0, _chords(rot, succ0, pred0, succ0), x0, y0, False)]
 
     while stack:
         frame = stack.pop()
@@ -177,7 +177,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
             # every chord has an end inside s -> .. -> e, as se is a ring edge now
             short_chords = []
             if len(inner) > 1:  # a triangle has no chords
-                short_chords = _chords(adj, short_succ, short_pred, inner)
+                short_chords = _chords(rot, short_succ, short_pred, inner)
 
             # the side without the handle takes the chord, in cycle order;
             # the handle side pops first
@@ -216,20 +216,21 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
             succ[v] = u
             pred[u] = v
         # the old ring had no chords, so each new one has an end in inner
-        stack.append((succ, pred, _chords(adj, succ, pred, set(inner)), x, y, drop))
+        stack.append((succ, pred, _chords(rot, succ, pred, set(inner)), x, y, drop))
 
     orientation = Orientation.build(g, arcs)
     return Decomposition((x0, y0), frozenset(forest), orientation, steps)
 
 
-def _chords(adj: dict, succ: dict, pred: dict, new) -> list:
+def _chords(nbrs: dict, succ: dict, pred: dict, new) -> list:
     """Chords of the ring `succ`/`pred` with an end in the vertex set `new`
     (edges to a ring vertex not next to that end), sorted downwards; one
-    with both ends in `new` is listed once."""
+    with both ends in `new` is listed once.  `nbrs` maps each vertex to its
+    neighbours: `decompose` passes the rotation."""
     chords = []
     for v in new:
         after, before = succ[v], pred[v]
-        for w in adj[v]:
+        for w in nbrs[v]:
             if w in succ and w != after and w != before:
                 if v < w:
                     chords.append((v, w))
@@ -279,7 +280,7 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
     pg, already traced and Euler-checked, carry over without a re-trace.
     """
     g = pg.graph
-    parts = [(g.vertices, g.edges, pg.faces)] if pg.connected else components(g, pg.faces)
+    parts = [(g.vertices, g.edges, pg.faces)] if pg.connected else components(g, pg.rotation, pg.faces)
     forest, arcs = set(), []
     for vertices, edges, faces in parts:
         if len(edges) < len(vertices):  # connected, so a tree

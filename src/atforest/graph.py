@@ -3,7 +3,10 @@
 Vertices are opaque strings ordered lexicographically; this order is also
 the variable order of the graph polynomial.  Edges are stored as sorted
 pairs.  Rotation systems list, for each vertex, the cyclic order of its
-neighbors; faces are recovered by the next-edge traversal rule.
+neighbors; faces are recovered by the next-edge traversal rule.  The
+plane layer (loading, checking, components, decomposition) reads the
+neighbours off the rotation; only the Alon-Tarsi, colouring and gadget
+layers build `Graph.adjacency`.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> dict:
+        """Vertex -> set of its neighbours, built on first use.  The plane
+        layer never asks for it, as a `PlaneGraph`'s rotation lists the
+        same neighbours; the Alon-Tarsi, colouring and gadget layers do."""
         adj: dict[str, set] = {v: set() for v in self.vertices}
         for u, v in self.edges:
             adj[u].add(v)
@@ -119,13 +125,17 @@ def _trace_all_faces(rotation: dict, turn: dict) -> list:
     order, with the heads sorted at each tail: each walk starts at the
     smallest dart not yet used.  An isolated vertex v has the one trivial
     face (v,), in its place among the tails.
+
+    A dart (a, b) with b < a is skipped before its lookup, as it is used
+    by then: its face passes through b, so the face's least dart starts at
+    a vertex m <= b < a, and the walks from m's darts come first.
     """
     faces = []
     for a in sorted(rotation):
         if not rotation[a]:
             faces.append((a,))
         for b in sorted(rotation[a]):
-            if a not in turn[b]:
+            if b < a or a not in turn[b]:
                 continue
             walk = []
             u, v = a, b
@@ -153,25 +163,36 @@ def build_plane_graph(
     rotation: dict,
     outer_face: Iterable[str],
 ) -> PlaneGraph:
+    edges = list(edges)  # read again below, in the order given
     g = Graph.build(vertices, edges)
     rot = {v: tuple(nbrs) for v, nbrs in rotation.items()}
-    adj = g.adjacency
-    if rot.keys() != adj.keys():
+    if rot.keys() != set(g.vertices):
         raise ArtifactError("rotation must cover exactly the vertex set")
-    # a rotation lists each neighbour once iff its turn map is as long
     turn = _turn_maps(rot)
-    for v, t in turn.items():
-        if len(t) != len(rot[v]) or t.keys() != adj[v]:
-            raise ArtifactError(f"rotation at {v!r} does not list its incident edges")
+    # A turn map is never longer than its rotation, and as long iff the
+    # rotation repeats no vertex; so when the turn maps and the rotations
+    # both hold 2|E| entries, no rotation repeats a vertex.  If both darts
+    # of every edge uv are listed too (v in turn[u] and u in turn[v]), the
+    # 2|E| darts go one-to-one into the 2|E| entries, and each rotation
+    # lists exactly its incident edges.  The edges are read as given: in
+    # the sorted order `graph_to_json` writes, they visit the turn maps in
+    # order, which timed faster than the hash order of g.edges.
+    darts = 2 * len(g.edges)
+    if (sum(map(len, turn.values())) != darts or sum(map(len, rot.values())) != darts
+            or not all(v in turn[u] and u in turn[v] for u, v in edges)):
+        adj = g.adjacency  # name the first faulty rotation; one of these raises
+        for v, t in turn.items():
+            if len(t) != len(rot[v]) or t.keys() != adj[v]:
+                raise ArtifactError(f"rotation at {v!r} does not list its incident edges")
 
     faces = _trace_all_faces(rot, turn)
 
     # Euler's formula: a traced rotation system of a connected graph has
     # V - E + F = 2 - 2 * genus <= 2, so the sum over the components is
     # 2 per component exactly when each of them is plane
-    count = len(_vertex_sets(g))
-    if len(adj) - len(g.edges) + len(faces) != 2 * count:
-        for i, (vs, es, fs) in enumerate(components(g, faces)):
+    count = len(_vertex_sets(g.vertices, rot))
+    if len(rot) - len(g.edges) + len(faces) != 2 * count:
+        for i, (vs, es, fs) in enumerate(components(g, rot, faces)):
             if len(vs) - len(es) + len(fs) != 2:
                 raise ArtifactError(
                     f"component {i}: V-E+F = {len(vs)}-{len(es)}+{len(fs)} != 2"
@@ -186,35 +207,37 @@ def build_plane_graph(
     return PlaneGraph(g, rot, outer, tuple(faces), *match, count == 1)
 
 
-def _vertex_sets(g: Graph) -> list:
-    """The vertex set of each connected component of g, in the order of
-    its smallest vertex."""
-    adj = g.adjacency
+def _vertex_sets(vertices, nbrs: dict) -> list:
+    """The vertex set of each connected component of the graph with the
+    sorted `vertices` and the neighbour map `nbrs`, in the order of its
+    smallest vertex."""
     parts: list = []
     seen: set = set()
-    for s in g.vertices:
-        if len(seen) == len(adj):
+    for s in vertices:
+        if len(seen) == len(nbrs):
             break
         if s in seen:
             continue
         comp = {s}
         reached = [s]
         for v in reached:  # a breadth-first search: `reached` grows as it is read
-            new = adj[v] - comp
-            comp |= new
-            reached += new
+            for w in nbrs[v]:
+                if w not in comp:
+                    comp.add(w)
+                    reached.append(w)
         seen |= comp
         parts.append(comp)
     return parts
 
 
-def components(g: Graph, faces) -> list:
+def components(g: Graph, nbrs: dict, faces) -> list:
     """Each connected component of g as (vertex set, edges, faces), in the
-    order of its smallest vertex; a face of `faces` goes with the
-    component of its first vertex."""
+    order of its smallest vertex; `nbrs` maps each vertex of g to its
+    neighbours (the plane layer passes the rotation), and a face of
+    `faces` goes with the component of its first vertex."""
     parts = []
     where: dict = {}
-    for i, comp in enumerate(_vertex_sets(g)):
+    for i, comp in enumerate(_vertex_sets(g.vertices, nbrs)):
         where.update(dict.fromkeys(comp, i))
         parts.append((comp, [], []))
     for e in g.edges:

@@ -372,8 +372,8 @@ def test_growth_times_every_family_and_stage():
     )
     assert proc.returncode == EXIT_PASS, proc.stderr
     data = json.loads(proc.stdout)
-    stages = {"fan": "load decompose", "strip": "load decompose", "random": "load decompose",
-              "all_boundary": "load decompose", "sparse": "any_planar",
+    plane = "load build decompose"
+    stages = {"fan": plane, "strip": plane, "random": plane, "all_boundary": plane, "sparse": "any_planar",
               "path": "colour", "triangulation": "colour",
               "dead_singleton": "colour", "witnesses": "verify", "c10": "colour"}
     assert set(data) == {"checkout", "repeats", *stages}

@@ -32,6 +32,7 @@ from atforest.graph import (
     _walk_darts,
     build_plane_graph,
     edge,
+    graph_from_json,
     graph_to_json,
     validate_near_triangulation,
 )
@@ -257,6 +258,36 @@ def test_any_planar_decomposes_each_component():
     )
     forest, orientation = decompose_any_planar(two_edges)
     assert forest == two_edges.graph.edges and not orientation.arcs
+
+
+def test_plane_pipeline_reads_neighbours_off_the_rotation(monkeypatch):
+    """Loading, `decompose` with its verifier and `decompose_any_planar`,
+    connected or not, never build `Graph.adjacency`: nor do the
+    triangulations `decompose_any_planar` hands to `decompose`."""
+    built = random_near_triangulation(60, 8, 1)
+    pg = graph_from_json(graph_to_json(built.graph, built))
+    assert verify_decomposition(pg, decompose(pg, pg.outer_face[:2])).verdict
+    two_parts = graph_from_json(json.dumps({
+        "vertices": [*"abcdefgh"],
+        "edges": [*map(list, ("ab", "bc", "ac", "de", "ef", "fg", "dg"))],
+        "rotation": {"a": ["b", "c"], "b": ["c", "a"], "c": ["a", "b"], "d": ["e", "g"],
+                     "e": ["f", "d"], "f": ["g", "e"], "g": ["d", "f"], "h": []},
+        "outer_face": ["a", "b", "c"],
+    }))
+    assert not two_parts.connected
+    decomposed = []
+
+    def recording(aug, handle):
+        decomposed.append(aug)
+        return decompose(aug, handle)
+
+    monkeypatch.setattr(dec, "decompose", recording)
+    for plane in (pg, two_parts):
+        forest, orientation = decompose_any_planar(plane)
+        assert check_plane_certificate(plane.graph.edges, forest, orientation.arcs).verdict
+    assert len(decomposed) == 3
+    for plane in (built, pg, two_parts, *decomposed):
+        assert "adjacency" not in plane.graph.__dict__
 
 
 def test_any_planar_on_near_triangulation():

@@ -2,7 +2,7 @@
 
 import json
 import re
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -329,7 +329,7 @@ def test_components_partition_vertices_edges_and_faces_as_union_find_does():
     count = 0
     for pg in (*_face_trace_instances(), *_edge_subsets()):
         g = pg.graph
-        parts = components(g, pg.faces)
+        parts = components(g, pg.rotation, pg.faces)
         # each vertex, edge and face is in exactly one part
         assert sorted(v for vs, _, _ in parts for v in vs) == list(g.vertices)
         assert sorted(e for _, es, _ in parts for e in es) == sorted(g.edges)
@@ -422,12 +422,15 @@ def test_whole_set_checks_raise_what_the_per_element_checks_raise(args):
     assert _outcome(Graph.build, vertices, edges) == _outcome(reference_graph_build, vertices, edges)
 
 
-def _drawn_rotation_system(n, boundary, seed, shuffled, keep, doubled):
+def _drawn_rotation_system(n, boundary, seed, shuffled, keep, doubled, mutated=None):
     """A random near-triangulation's rotation system, the rotations at
     `shuffled` vertices shuffled, restricted to a random share `keep` of
     its edges (isolated vertices stay), and with a renamed copy beside it
     when `doubled`.  The outer walk is the first traced face, or the
-    original boundary when that is no longer a face."""
+    original boundary when that is no longer a face.  Then, with `mutated`
+    "foreign", one rotation entry is replaced by a vertex the rotation does
+    not list (its own vertex among them), or with "repeat" by another entry
+    of the same rotation, so the rotations keep their entry count."""
     pg = random_near_triangulation(n, boundary, seed)
     rng = Rng(seed)
     rotation = {v: list(nbrs) for v, nbrs in pg.rotation.items()}
@@ -442,6 +445,16 @@ def _drawn_rotation_system(n, boundary, seed, shuffled, keep, doubled):
         edges += [(copy[u], copy[v]) for u, v in edges]
         rotation.update({copy[v]: tuple(copy[w] for w in nbrs) for v, nbrs in rotation.items()})
     outer = _trace_all_faces(rotation, _turn_maps(rotation))[0] if rng.random() < 0.7 else pg.outer_face
+    if mutated and (listed := [v for v in sorted(rotation) if len(rotation[v]) > (mutated == "repeat")]):
+        v = listed[rng.randrange(len(listed))]
+        nbrs = list(rotation[v])
+        i = rng.randrange(len(nbrs))
+        if mutated == "repeat":
+            pool = nbrs[:i] + nbrs[i + 1 :]
+        else:
+            pool = [w for w in sorted(rotation) if w not in nbrs]
+        nbrs[i] = pool[rng.randrange(len(pool))]
+        rotation[v] = tuple(nbrs)
     return vertices, edges, rotation, outer
 
 
@@ -453,21 +466,27 @@ def _drawn_rotation_system(n, boundary, seed, shuffled, keep, doubled):
     st.integers(min_value=0, max_value=4),
     st.sampled_from([1.0, 0.7, 0.3, 0.0]),
     st.booleans(),
+    st.sampled_from([None, "foreign", "repeat"]),
 )
-def test_whole_set_checks_match_per_element_checks_on_drawn_rotations(n, boundary, seed, shuffled, keep, doubled):
-    args = _drawn_rotation_system(n, min(boundary, n), seed, shuffled, keep, doubled)
+def test_whole_set_checks_match_per_element_checks_on_drawn_rotations(
+    n, boundary, seed, shuffled, keep, doubled, mutated
+):
+    args = _drawn_rotation_system(n, min(boundary, n), seed, shuffled, keep, doubled, mutated)
+    # the same outcome, so a refused rotation names the same vertex
     # PlaneGraph is a frozen dataclass: == compares every field
     assert _outcome(build_plane_graph, *args) == _outcome(reference_build_plane_graph, *args)
 
 
 def test_drawn_rotations_reach_every_outcome():
     """The drawn systems above reach plane connected and disconnected
-    input, a genus above 0 and an outer walk that is no face."""
+    input, a genus above 0, an outer walk that is no face and, mutated, a
+    rotation that does not list its incident edges."""
     seen = set()
-    for seed in range(40):
-        args = _drawn_rotation_system(12 + seed % 20, 3 + seed % 7, seed, seed % 3, (1.0, 0.3)[seed % 2], seed % 4 == 1)
+    for seed, mutated in product(range(40), (None, "foreign", "repeat")):
+        args = _drawn_rotation_system(12 + seed % 20, 3 + seed % 7, seed, seed % 3,
+                                      (1.0, 0.3)[seed % 2], seed % 4 == 1, mutated)
         new = _outcome(build_plane_graph, *args)
         assert new == _outcome(reference_build_plane_graph, *args)
         seen.add(("ok", new[1].connected) if new[0] == "ok" else (new[1].__name__, new[2].split()[0]))
     assert seen >= {("ok", True), ("ok", False), ("ArtifactError", "component"),
-                    ("ArtifactError", "designated")}, seen
+                    ("ArtifactError", "designated"), ("ArtifactError", "rotation")}, seen
