@@ -77,13 +77,36 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _load(path: str, parse, what: str):
-    """parse(JSON of the file at path); any malformed shape or too deep a
-    nesting is an input error."""
+def _load(path: str, parse, what: str, pairs=None):
+    """parse(JSON of the file at path, its objects built by `pairs` if
+    given); any malformed shape or too deep a nesting is an input error."""
     try:
-        return parse(json.loads(_read_text(path)))
+        return parse(json.loads(_read_text(path), object_pairs_hook=pairs))
     except (OSError, ValueError, RecursionError) as exc:
         raise _UsageError(f"cannot read {what} from {path!r}: {exc}")
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a repeated name, which json would
+    let the last value win."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"{key!r} is named twice")
+        obj[key] = value
+    return obj
+
+
+def _eta_from_json_dict(data) -> dict:
+    """The exponent vector of {"eta": {vertex: exponent}}, each exponent a
+    JSON integer."""
+    if type(data) is not dict or type(data.get("eta")) is not dict:
+        raise ValueError("the file is not an object with an 'eta' object")
+    eta = data["eta"]
+    for name, e in eta.items():
+        if type(e) is not int:
+            raise ValueError(f"the exponent of {name!r} is not an integer")
+    return eta
 
 
 def _emit(result: CommandResult, path: str, content: str) -> None:
@@ -166,7 +189,9 @@ def _build_parser() -> _Parser:
     an.add_argument("--input", required=True)
     ac = asub.add_parser("coefficient", parents=[leaf])
     ac.add_argument("--input", required=True)
-    ac.add_argument("--eta", required=True, help="comma list vertex=exponent")
+    eta = ac.add_mutually_exclusive_group(required=True)
+    eta.add_argument("--eta", help="comma list vertex=exponent")
+    eta.add_argument("--eta-file", help='JSON file {"eta": {vertex: exponent}}')
     ao = asub.add_parser("orientation", parents=[leaf])
     ao.add_argument("--input", required=True)
     ao.add_argument("--k", type=_positive, required=True)
@@ -269,17 +294,20 @@ def _cmd_at(args) -> CommandResult:
         value = at_number(g)
         return CommandResult(EXIT_PASS, str(value), {"at_number": value})
     if args.quantity == "coefficient":
-        eta = {}
-        for item in args.eta.split(","):
-            if "=" not in item:
-                raise _UsageError("--eta items must be vertex=exponent")
-            name, _, val = item.partition("=")
-            if name in eta:
-                raise _UsageError(f"--eta names vertex {name!r} twice")
-            try:
-                eta[name] = int(val)
-            except ValueError:
-                raise _UsageError(f"bad exponent {val!r}")
+        if args.eta is None:
+            eta = _load(args.eta_file, _eta_from_json_dict, "eta", _unique_keys)
+        else:
+            eta = {}
+            for item in args.eta.split(","):
+                if "=" not in item:
+                    raise _UsageError("--eta items must be vertex=exponent")
+                name, _, val = item.partition("=")
+                if name in eta:
+                    raise _UsageError(f"--eta names vertex {name!r} twice")
+                try:
+                    eta[name] = int(val)
+                except ValueError:
+                    raise _UsageError(f"bad exponent {val!r}")
         value = poly_coefficient(g, eta)
         return CommandResult(EXIT_PASS, str(value), {"coefficient": value})
     d = find_at_orientation(g, args.k)

@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from .check import check_plane_certificate
 from .errors import ArtifactError
 from .graph import (
-    Graph,
     Orientation,
     PlaneGraph,
     build_plane_graph,  # unused here; perfbench's --trace 1 wraps dec.build_plane_graph
@@ -102,17 +101,22 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
     rep = validate_near_triangulation(pg)
     if not rep.verdict:
         raise ArtifactError(rep.detail)
+    forest, arcs, steps = _shell(pg.rotation, pg.outer_face, pg.outer_traced, handle)
+    return Decomposition(tuple(handle), frozenset(forest), Orientation.build(pg.graph, arcs), steps)
+
+
+def _shell(rot: dict, cycle0, traced: bool, handle: tuple) -> tuple:
+    """The shelling of a near-triangulation from its boundary edge
+    `handle`, as (forest, arcs, steps): a set of edges and two lists.  It
+    reads only the rotation `rot` and the boundary cycle `cycle0`, and
+    `traced` tells whether `cycle0` runs the way its traced face does.
+    Every sub-cycle keeps the direction of cycle0, so this one flag tells
+    for all of them which way round the rotation runs inside."""
     x0, y0 = handle
-    cycle0 = pg.outer_face
     succ0 = dict(zip(cycle0, cycle0[1:] + cycle0[:1]))
     pred0 = {w: v for v, w in succ0.items()}
     if x0 not in succ0 or y0 not in (succ0[x0], pred0[x0]):
         raise ArtifactError(f"{handle} is not a boundary edge")
-    # every sub-cycle keeps the direction of cycle0, so this one flag tells
-    # for all of them which way round the rotation runs inside
-    traced = pg.outer_traced
-    g = pg.graph
-    rot = pg.rotation
 
     forest: set = set()
     arcs: list = []
@@ -128,7 +132,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
         frame = stack.pop()
         if len(frame) == 3:  # a triangle s -> v -> e waiting with handle se
             s, v, e = frame
-            if not _inside_neighbours(pg.rotation[v], s, e, traced):
+            if not _inside_neighbours(rot[v], s, e, traced):
                 # the base step its frame would take: the ear is v
                 forest.add(edge(v, e))
                 arcs.append((v, s))
@@ -197,7 +201,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
             z = pred[x]
             w = pred[z]
         before, after = pred[z], succ[z]
-        inner = _inside_neighbours(pg.rotation[z], before, after, traced)
+        inner = _inside_neighbours(rot[z], before, after, traced)
         forest.add(edge(z, w))
         arcs.append((z, x))
 
@@ -218,8 +222,7 @@ def decompose(pg: PlaneGraph, handle: tuple) -> Decomposition:
         # the old ring had no chords, so each new one has an end in inner
         stack.append((succ, pred, _chords(rot, succ, pred, set(inner)), x, y, drop))
 
-    orientation = Orientation.build(g, arcs)
-    return Decomposition((x0, y0), frozenset(forest), orientation, steps)
+    return forest, arcs, steps
 
 
 def _chords(nbrs: dict, succ: dict, pred: dict, new) -> list:
@@ -269,15 +272,18 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
     out-degree at most 2, for any plane graph.
 
     The input is augmented with chords until every face is a triangle, the
-    near-triangulation is decomposed, and the result is restricted to the
-    original edges.  Sub-orientations of acyclic orientations stay acyclic,
-    so the restricted certificate still witnesses Alon-Tarsi number <= 3.
-    A disconnected input is decomposed one component at a time, each from
-    its own vertices, edges, rotations and traced faces (`components`); a
-    tree component (an isolated vertex too) goes into the forest whole.
-    The augmented embedding is not loaded again: `_triangulate_embedding`
-    checks each chord against the rotation where it clips, so the faces of
-    pg, already traced and Euler-checked, carry over without a re-trace.
+    near-triangulation is shelled (`_shell`, the loop of `decompose`) from
+    the least edge of its boundary, and the result is restricted to the
+    original edges.  Sub-orientations of acyclic orientations stay
+    acyclic, so the restricted certificate still witnesses Alon-Tarsi
+    number <= 3.  A disconnected input is decomposed one component at a
+    time, each from its own vertices, edges, rotations and traced faces
+    (`components`); a tree component (an isolated vertex too) goes into
+    the forest whole.  The augmented embedding stays a rotation and a
+    boundary cycle: `_triangulate_embedding` checks each chord against the
+    rotation where it clips, so the faces of pg, already traced and
+    Euler-checked, carry over without a re-trace, and the shelling reads
+    nothing else.
     """
     g = pg.graph
     parts = [(g.vertices, g.edges, pg.faces)] if pg.connected else components(g, pg.rotation, pg.faces)
@@ -286,19 +292,19 @@ def decompose_any_planar(pg: PlaneGraph) -> tuple:
         if len(edges) < len(vertices):  # connected, so a tree
             forest.update(edges)
             continue
-        aug = _triangulate_embedding(vertices, edges, pg.rotation, faces)
-        cycle = aug.outer_face
-        d = decompose(aug, min(edge(cycle[i - 1], cycle[i]) for i in range(len(cycle))))
-        forest |= d.forest & g.edges
-        arcs += [(t, h) for t, h in d.orientation.arcs if (t, h) in g.edges or (h, t) in g.edges]
+        rotation, cycle = _triangulate_embedding(vertices, edges, pg.rotation, faces)
+        handle = min(edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
+        aug_forest, aug_arcs, _ = _shell(rotation, cycle, True, handle)
+        forest |= aug_forest & g.edges
+        arcs += [(t, h) for t, h in aug_arcs if (t, h) in g.edges or (h, t) in g.edges]
     return frozenset(forest), Orientation.build(g, arcs)
 
 
-def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph:
+def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> tuple:
     """Add chords to a connected plane graph, given by its vertices, edges
     and traced faces and a rotation covering its vertices, until every
-    face (outer included) is a triangle, and build that with one of them
-    as the boundary.
+    face (outer included) is a triangle; return the new rotation (lists)
+    and one of the triangles, a traced face, as the boundary cycle.
 
     A long face is a deque turned until its front corner a, b, c is a
     two-step corner: a != c, not adjacent.  The chord a-c clips the
@@ -320,11 +326,9 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph
     of four darts only: (p, a) -> (a, c) -> (c, d) runs on the shorter
     walk, (a, b) -> (b, c) -> (c, a) is the new triangle, and every other
     face stays.  So each checked clip adds one edge and one face to an
-    embedding that passed Euler's formula, and it still does.  The face
-    trace starts each walk at its least unused dart, which for a triangle
-    leaves its least vertex; so the triangles, each turned to start there
-    and sorted, are the faces `build_plane_graph` would trace, and the
-    first of them as listed is a traced outer face.
+    embedding that passed Euler's formula, and it still does.  Every face
+    is a triangle at the end, each traced as its walk runs, so the first
+    of them is a traced boundary cycle.
     """
     rotation = {v: list(rotation[v]) for v in vertices}
     edges = set(edges)
@@ -352,15 +356,4 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> PlaneGraph
         walk.rotate(-2)  # c .. a, b
         walk.pop()
         (pending if len(walk) > 3 else done).append(walk)
-    faces = sorted(map(_least_first, done))
-    outer = tuple(done[0])
-    vs = tuple(sorted(vertices))
-    # outer is a traced face, and a connected graph stays so as edges come in
-    return PlaneGraph(Graph(vs, frozenset(edges)), {v: tuple(rotation[v]) for v in vs},
-                      outer, tuple(faces), faces.index(_least_first(outer)), True, True)
-
-
-def _least_first(walk) -> tuple:
-    walk = tuple(walk)
-    i = walk.index(min(walk))
-    return walk[i:] + walk[:i]
+    return rotation, tuple(done[0])

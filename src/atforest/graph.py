@@ -100,11 +100,10 @@ class Orientation:
 
 @dataclass(frozen=True)
 class PlaneGraph:
-    """An embedding with the facts its producer found checking it:
-    `build_plane_graph` traces and Euler-checks a loaded rotation, and
-    `decompose._triangulate_embedding` derives a triangulation's facts from
-    those of the plane graph it adds chords to, checking each chord where
-    it clips a face.  Both give the same fields for the same embedding."""
+    """An embedding with the facts `build_plane_graph` found checking it:
+    it traces and Euler-checks the rotation.  The triangulations
+    `decompose_any_planar` shells are no PlaneGraph; they stay a rotation
+    and a boundary cycle (`decompose._triangulate_embedding`)."""
 
     graph: Graph
     rotation: dict  # vertex -> tuple of neighbors in cyclic order

@@ -12,8 +12,9 @@ import pytest
 
 import atforest.cli as cli
 from atforest.cli import EXIT_CAP, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, run
+from atforest.decompose import decompose
 from atforest.gadgets import build_gadget
-from atforest.graph import graph_from_json, graph_to_json
+from atforest.graph import Graph, graph_from_json, graph_to_json
 from atforest.testkit import random_graph, random_near_triangulation
 
 
@@ -237,6 +238,39 @@ def test_at_coefficient_rejects_a_vertex_named_twice(tmp_path):
     assert go("at", "coefficient", "--input", str(ab), "--eta", "a=1,b=0").output() == "-1"
     result = go("at", "coefficient", "--input", str(ab), "--eta", "a=5,a=1,b=0")
     assert result.exit_code == EXIT_USAGE and "'a' twice" in result.output()
+
+
+def test_at_coefficient_reads_eta_from_a_file(tmp_path):
+    # a certificate remainder too large for one --eta argument (128 KB)
+    pg = random_near_triangulation(20000, 8, 1)
+    d = decompose(pg, pg.outer_face[:2])
+    rest = tmp_path / "rest.json"
+    rest.write_text(graph_to_json(Graph.build(pg.graph.vertices, pg.graph.edges - d.forest)))
+    eta = tmp_path / "eta.json"
+    eta.write_text(json.dumps({"eta": d.orientation.out_degrees()}))
+    assert eta.stat().st_size > 128 * 1024
+    result = go("at", "coefficient", "--input", str(rest), "--eta-file", str(eta))
+    assert result.exit_code == EXIT_PASS and result.output() in ("1", "-1")
+
+
+def test_at_coefficient_takes_exactly_one_eta(tmp_path):
+    ab = tmp_path / "ab.json"
+    ab.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    eta = tmp_path / "eta.json"
+    eta.write_text('{"eta": {"a": 1, "b": 0}}')
+    assert go("at", "coefficient", "--input", str(ab), "--eta-file", str(eta)).output() == "-1"
+    assert go("at", "coefficient", "--input", str(ab)).exit_code == EXIT_USAGE
+    both = go("at", "coefficient", "--input", str(ab), "--eta", "a=1,b=0", "--eta-file", str(eta))
+    assert both.exit_code == EXIT_USAGE and "not allowed with" in both.output()
+    # a name twice, an exponent that is no JSON integer, no "eta" object
+    for text, detail in (('{"eta": {"a": 5, "a": 1, "b": 0}}', "'a' is named twice"),
+                         ('{"eta": {"a": 1.0, "b": 0}}', "exponent of 'a' is not an integer"),
+                         ('{"eta": {"a": true, "b": 0}}', "exponent of 'a' is not an integer"),
+                         ('{"a": 1, "b": 0}', "not an object with an 'eta' object"),
+                         ('[]', "not an object with an 'eta' object")):
+        eta.write_text(text)
+        result = go("at", "coefficient", "--input", str(ab), "--eta-file", str(eta))
+        assert result.exit_code == EXIT_USAGE and detail in result.output(), text
 
 
 def test_at_orientation(k4_file, tmp_path):

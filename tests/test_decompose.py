@@ -18,6 +18,7 @@ from atforest.decompose import (
     Decomposition,
     _chords,
     _inside_neighbours,
+    _shell,
     _triangulate_embedding,
     decompose,
     decompose_any_planar,
@@ -262,8 +263,8 @@ def test_any_planar_decomposes_each_component():
 
 def test_plane_pipeline_reads_neighbours_off_the_rotation(monkeypatch):
     """Loading, `decompose` with its verifier and `decompose_any_planar`,
-    connected or not, never build `Graph.adjacency`: nor do the
-    triangulations `decompose_any_planar` hands to `decompose`."""
+    connected or not, never build `Graph.adjacency`; the triangulations
+    `decompose_any_planar` shells are rotations, with no graph at all."""
     built = random_near_triangulation(60, 8, 1)
     pg = graph_from_json(graph_to_json(built.graph, built))
     assert verify_decomposition(pg, decompose(pg, pg.outer_face[:2])).verdict
@@ -275,18 +276,18 @@ def test_plane_pipeline_reads_neighbours_off_the_rotation(monkeypatch):
         "outer_face": ["a", "b", "c"],
     }))
     assert not two_parts.connected
-    decomposed = []
+    shelled = []
 
-    def recording(aug, handle):
-        decomposed.append(aug)
-        return decompose(aug, handle)
+    def recording(*args):
+        shelled.append(args)
+        return _shell(*args)
 
-    monkeypatch.setattr(dec, "decompose", recording)
+    monkeypatch.setattr(dec, "_shell", recording)
     for plane in (pg, two_parts):
         forest, orientation = decompose_any_planar(plane)
         assert check_plane_certificate(plane.graph.edges, forest, orientation.arcs).verdict
-    assert len(decomposed) == 3
-    for plane in (built, pg, two_parts, *decomposed):
+    assert len(shelled) == 3
+    for plane in (built, pg, two_parts):
         assert "adjacency" not in plane.graph.__dict__
 
 
@@ -830,19 +831,27 @@ def _triangulation_instances():
     yield _bowtie()
 
 
-def _retraced(aug):
-    """The augmented embedding as the generic loader builds it: the oracle
-    for the one `_triangulate_embedding` builds without a re-trace."""
-    return build_plane_graph(aug.graph.vertices, aug.graph.edges, aug.rotation, aug.outer_face)
+def _retraced(rotation, cycle):
+    """The rotation and boundary cycle `_triangulate_embedding` returns,
+    loaded by the generic loader, which traces and Euler-checks them: the
+    oracle for the clip checks that stand in for a re-trace.  Every face
+    must be a triangle, and the cycle one of them as traced."""
+    edges = {edge(v, w) for v, nbrs in rotation.items() for w in nbrs}
+    aug = build_plane_graph(sorted(rotation), edges, rotation, cycle)
+    assert all(len(f) == 3 for f in aug.faces)
+    assert aug.outer_traced and aug.outer_face == cycle
+    return aug
 
 
 def test_triangulation_matches_walk_copying_reference():
     count = 0
     for pg in _triangulation_instances():
         g = pg.graph
-        got = _triangulate_embedding(g.vertices, g.edges, pg.rotation, pg.faces)
-        assert got == _reference_triangulate(pg)
-        assert got == _retraced(got)
+        rotation, cycle = _triangulate_embedding(g.vertices, g.edges, pg.rotation, pg.faces)
+        ref = _reference_triangulate(pg)
+        assert {v: tuple(r) for v, r in rotation.items()} == ref.rotation
+        assert cycle == ref.outer_face
+        _retraced(rotation, cycle)
         count += 1
     assert count == 113
 
@@ -868,17 +877,43 @@ def test_triangulation_of_each_component_equals_its_retrace(monkeypatch):
     assert not pg.connected
     augs = []
 
-    def spy(aug, handle):
-        augs.append(aug)
-        return decompose(aug, handle)
+    def spy(*args):
+        augs.append(_triangulate_embedding(*args))
+        return augs[-1]
 
-    monkeypatch.setattr(dec, "decompose", spy)
+    monkeypatch.setattr(dec, "_triangulate_embedding", spy)
     forest, orientation = decompose_any_planar(pg)
     assert check_plane_certificate(pg.graph.edges, forest, orientation.arcs).verdict
-    assert len(augs) == 2
-    for aug in augs:
-        assert aug == _retraced(aug)
-        assert all(len(f) == 3 for f in aug.faces)
+    assert sorted(sorted(rot) for rot, _ in augs) == sorted(sorted(p.rotation) for p in parts)
+    for rot, cycle in augs:
+        _retraced(rot, cycle)
+
+
+def _plane_random_subgraphs():
+    """Sparse subgraphs of the plane-random shape: boundary 8 or n/2, 200
+    to 1000 vertices, a BFS tree and the boundary, and each other edge
+    with probability 0.3."""
+    for i, n in enumerate((200, 450, 1000)):
+        pg = random_near_triangulation(n, 8 if i % 2 == 0 else n // 2, 500 + i)
+        yield _random_sparse(pg, Rng(600 + i), 0.3)
+
+
+def test_any_planar_equals_decompose_on_the_retraced_triangulation():
+    # the old pipeline is the oracle: load the triangulation, run the
+    # public decompose from the same handle and restrict to the input
+    count = 0
+    for pg in itertools.chain(_triangulation_instances(), _plane_random_subgraphs()):
+        g = pg.graph
+        rotation, cycle = _triangulate_embedding(g.vertices, g.edges, pg.rotation, pg.faces)
+        handle = min(edge(cycle[i - 1], cycle[i]) for i in range(len(cycle)))
+        d = decompose(_retraced(rotation, cycle), handle)
+        forest, orientation = decompose_any_planar(pg)
+        assert forest == d.forest & g.edges
+        assert orientation.arcs == {a for a in d.orientation.arcs if edge(*a) in g.edges}
+        assert orientation.host == g
+        assert d.steps == _shell(rotation, cycle, True, handle)[2]
+        count += 1
+    assert count == 116
 
 
 def test_triangulation_refuses_faces_the_rotation_does_not_trace():
