@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
+from pathlib import Path
 from typing import Optional
 
 from .alon_tarsi import at_number, eulerian_diff, find_at_orientation, poly_coefficient
@@ -70,18 +71,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _load(path: str, parse, what: str, pairs=None):
-    """parse(JSON of the file at path, its objects built by `pairs` if
-    given); any malformed shape or too deep a nesting is an input error."""
+def _load(path: str, parse, what: str):
+    """parse(JSON of the file at path, "-" for stdin); any malformed shape,
+    object that names a key twice or too deep a nesting is an input error."""
     try:
-        return parse(json.loads(_read_text(path), object_pairs_hook=pairs))
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        return parse(json.loads(text, object_pairs_hook=_unique_keys))
     except (OSError, ValueError, RecursionError) as exc:
         raise _UsageError(f"cannot read {what} from {path!r}: {exc}")
 
@@ -95,6 +90,15 @@ def _unique_keys(pairs: list) -> dict:
             raise ValueError(f"{key!r} is named twice")
         obj[key] = value
     return obj
+
+
+def _graph(path: str, embedded: str = ""):
+    """The graph file at path as a Graph, or as a PlaneGraph if `embedded`
+    is given: the usage error for a file without an embedding."""
+    pg = _load(path, graph_from_json_dict, "graph")
+    if embedded and not isinstance(pg, PlaneGraph):
+        raise _UsageError(embedded)
+    return pg.graph if isinstance(pg, PlaneGraph) and not embedded else pg
 
 
 def _eta_from_json_dict(data) -> dict:
@@ -154,75 +158,72 @@ def _seed(text: str) -> int:
 def _build_parser() -> _Parser:
     p = _Parser(prog="atforest", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    leaf = argparse.ArgumentParser(add_help=False)  # shared by every leaf command
-    leaf.add_argument("--json", action="store_true")
+    common = argparse.ArgumentParser(add_help=False)  # shared by every leaf command
+    common.add_argument("--json", action="store_true")
+
+    def leaf(group, name, handler):  # `run` calls the handler of the leaf parsed
+        parser = group.add_parser(name, parents=[common])
+        parser.set_defaults(run=handler)
+        return parser
 
     g = sub.add_parser("gadget", description="gadget constructions")
     gsub = g.add_subparsers(dest="action", required=True)
-    gb = gsub.add_parser("build", parents=[leaf])
+    gb = leaf(gsub, "build", _gadget_build)
     gb.add_argument("name")
     gb.add_argument("--selector")
     gb.add_argument("--format", choices=("json", "dot"), default="json")
     gb.add_argument("--output", default="-")
 
-    d = sub.add_parser("decompose", parents=[leaf])
+    d = leaf(sub, "decompose", _decompose)
     d.add_argument("--input", required=True)
     d.add_argument("--handle")
     d.add_argument("--output", default="-")
 
     v = sub.add_parser("verify")
     vsub = v.add_subparsers(dest="target_kind", required=True)
-    vd = vsub.add_parser("decomposition", parents=[leaf])
+    vd = leaf(vsub, "decomposition", _verify_decomposition)
     vd.add_argument("--input", required=True)
     vd.add_argument("--decomposition", required=True)
-    vl = vsub.add_parser("lemma", parents=[leaf])
+    vl = leaf(vsub, "lemma", _verify_lemma)
     vl.add_argument("--name", required=True)
     vl.add_argument("--selector")
-    vs = vsub.add_parser("sampled", parents=[leaf])
+    vs = leaf(vsub, "sampled", _verify_sampled)
     vs.add_argument("--target", required=True)
-    vs.add_argument("--count", type=int, required=True)
+    vs.add_argument("--count", type=_integer, required=True)
     vs.add_argument("--seed", type=_seed, required=True)
 
     a = sub.add_parser("at")
     asub = a.add_subparsers(dest="quantity", required=True)
-    an = asub.add_parser("number", parents=[leaf])
-    an.add_argument("--input", required=True)
-    ac = asub.add_parser("coefficient", parents=[leaf])
+    leaf(asub, "number", _at_number).add_argument("--input", required=True)
+    ac = leaf(asub, "coefficient", _at_coefficient)
     ac.add_argument("--input", required=True)
     eta = ac.add_mutually_exclusive_group(required=True)
     eta.add_argument("--eta", help="comma list vertex=exponent")
     eta.add_argument("--eta-file", help='JSON file {"eta": {vertex: exponent}}')
-    ao = asub.add_parser("orientation", parents=[leaf])
+    ao = leaf(asub, "orientation", _at_orientation)
     ao.add_argument("--input", required=True)
     ao.add_argument("--k", type=_positive, required=True)
 
     c = sub.add_parser("choose")
     csub = c.add_subparsers(dest="action", required=True)
-    cc = csub.add_parser("check", parents=[leaf])
+    cc = leaf(csub, "check", _choose_check)
     cc.add_argument("--input", required=True)
     cc.add_argument("--lists", required=True)
     cc.add_argument("--k", type=_positive)
 
     gen = sub.add_parser("gen")
     gensub = gen.add_subparsers(dest="kind", required=True)
-    gt = gensub.add_parser("triangulation", parents=[leaf])
-    gt.add_argument("--n", type=int, required=True)
-    gt.add_argument("--boundary", type=int, required=True)
+    gt = leaf(gensub, "triangulation", _gen_triangulation)
+    gt.add_argument("--n", type=_integer, required=True)
+    gt.add_argument("--boundary", type=_integer, required=True)
     gt.add_argument("--seed", type=_seed, required=True)
     gt.add_argument("--output", default="-")
-    gg = gensub.add_parser("graph", parents=[leaf])
-    gg.add_argument("--n", type=int, required=True)
+    gg = leaf(gensub, "graph", _gen_graph)
+    gg.add_argument("--n", type=_integer, required=True)
     gg.add_argument("--p", type=float, required=True)
     gg.add_argument("--seed", type=_seed, required=True)
     gg.add_argument("--output", default="-")
     return p
-
-
-_LEMMA_VERIFIERS = {
-    "lemma2": verify_lemma2,
-    "lemma6": verify_lemma6,
-    "theorem7core": verify_theorem7_core,
-}
 
 
 def _graph_json(data: dict, path: str) -> CommandResult:
@@ -233,7 +234,7 @@ def _graph_json(data: dict, path: str) -> CommandResult:
     return result
 
 
-def _cmd_gadget(args) -> CommandResult:
+def _gadget_build(args) -> CommandResult:
     g = build_gadget(args.name, args.selector)
     if args.format == "json":
         return _graph_json(graph_to_json_dict(g), args.output)
@@ -242,10 +243,8 @@ def _cmd_gadget(args) -> CommandResult:
     return result
 
 
-def _cmd_decompose(args) -> CommandResult:
-    pg = _load(args.input, graph_from_json_dict, "graph")
-    if not isinstance(pg, PlaneGraph):
-        raise _UsageError("decompose needs an embedded input (rotation + outer_face)")
+def _decompose(args) -> CommandResult:
+    pg = _graph(args.input, "decompose needs an embedded input (rotation + outer_face)")
     if args.handle is not None:
         parts = args.handle.split(",")
         if len(parts) != 2:
@@ -266,50 +265,55 @@ def _cmd_decompose(args) -> CommandResult:
     return result
 
 
-def _cmd_verify(args) -> CommandResult:
-    if args.target_kind == "decomposition":
-        pg = _load(args.input, graph_from_json_dict, "graph")
-        if not isinstance(pg, PlaneGraph):
-            raise _UsageError("verification needs an embedded input")
-        cert = _load(args.decomposition, read_certificate, "decomposition")
-        return _from_report(check_plane_certificate(pg.graph.edges, *cert, pg.outer_face))
-    if args.target_kind == "lemma":
-        if args.name == "lemma1":
-            if args.selector is not None:
-                return _from_report(verify_lemma1(args.selector))
-            return _from_report(verify_lemma1_all())
-        verifier = _LEMMA_VERIFIERS.get(args.name)
-        if verifier is None:
-            raise _UsageError(f"unknown lemma {args.name!r}")
-        if args.selector is not None:
-            raise _UsageError(f"only lemma1 takes --selector, not {args.name!r}")
-        return _from_report(verifier())
+def _verify_decomposition(args) -> CommandResult:
+    pg = _graph(args.input, "verification needs an embedded input")
+    cert = _load(args.decomposition, read_certificate, "decomposition")
+    return _from_report(check_plane_certificate(pg.graph.edges, *cert, pg.outer_face))
+
+
+def _verify_lemma(args) -> CommandResult:
+    if args.name == "lemma1":
+        return _from_report(verify_lemma1_all() if args.selector is None else verify_lemma1(args.selector))
+    verifiers = {"lemma2": verify_lemma2, "lemma6": verify_lemma6, "theorem7core": verify_theorem7_core}
+    verifier = verifiers.get(args.name)
+    if verifier is None:
+        raise _UsageError(f"unknown lemma {args.name!r}")
+    if args.selector is not None:
+        raise _UsageError(f"only lemma1 takes --selector, not {args.name!r}")
+    return _from_report(verifier())
+
+
+def _verify_sampled(args) -> CommandResult:
     return _from_report(verify_sampled(args.target, args.count, args.seed))
 
 
-def _cmd_at(args) -> CommandResult:
-    pg = _load(args.input, graph_from_json_dict, "graph")
-    g = pg.graph if isinstance(pg, PlaneGraph) else pg
-    if args.quantity == "number":
-        value = at_number(g)
-        return CommandResult(EXIT_PASS, str(value), {"at_number": value})
-    if args.quantity == "coefficient":
-        if args.eta is None:
-            eta = _load(args.eta_file, _eta_from_json_dict, "eta", _unique_keys)
-        else:
-            eta = {}
-            for item in args.eta.split(","):
-                if "=" not in item:
-                    raise _UsageError("--eta items must be vertex=exponent")
-                name, _, val = item.partition("=")
-                if name in eta:
-                    raise _UsageError(f"--eta names vertex {name!r} twice")
-                try:
-                    eta[name] = int(val)
-                except ValueError:
-                    raise _UsageError(f"bad exponent {val!r}")
-        value = poly_coefficient(g, eta)
-        return CommandResult(EXIT_PASS, str(value), {"coefficient": value})
+def _at_number(args) -> CommandResult:
+    value = at_number(_graph(args.input))
+    return CommandResult(EXIT_PASS, str(value), {"at_number": value})
+
+
+def _at_coefficient(args) -> CommandResult:
+    g = _graph(args.input)
+    if args.eta is None:
+        eta = _load(args.eta_file, _eta_from_json_dict, "eta")
+    else:
+        eta = {}
+        for item in args.eta.split(","):
+            if "=" not in item:
+                raise _UsageError("--eta items must be vertex=exponent")
+            name, _, val = item.partition("=")
+            if name in eta:
+                raise _UsageError(f"--eta names vertex {name!r} twice")
+            try:
+                eta[name] = int(val)
+            except ValueError:
+                raise _UsageError(f"bad exponent {val!r}")
+    value = poly_coefficient(g, eta)
+    return CommandResult(EXIT_PASS, str(value), {"coefficient": value})
+
+
+def _at_orientation(args) -> CommandResult:
+    g = _graph(args.input)
     d = find_at_orientation(g, args.k)
     if d is None:
         return CommandResult(
@@ -331,9 +335,8 @@ def _cmd_at(args) -> CommandResult:
     )
 
 
-def _cmd_choose(args) -> CommandResult:
-    pg = _load(args.input, graph_from_json_dict, "graph")
-    g = pg.graph if isinstance(pg, PlaneGraph) else pg
+def _choose_check(args) -> CommandResult:
+    g = _graph(args.input)
     lists = _load(args.lists, ListAssignment.from_json_dict, "lists")
     if args.k is not None:
         # witness mode: PASS means the lists admit no coloring
@@ -350,11 +353,21 @@ def _cmd_choose(args) -> CommandResult:
     )
 
 
-def _cmd_gen(args) -> CommandResult:
-    if args.kind == "triangulation":
-        pg = random_near_triangulation(args.n, args.boundary, args.seed)
-        return _graph_json(graph_to_json_dict(pg.graph, pg), args.output)
+def _gen_triangulation(args) -> CommandResult:
+    pg = random_near_triangulation(args.n, args.boundary, args.seed)
+    return _graph_json(graph_to_json_dict(pg.graph, pg), args.output)
+
+
+def _gen_graph(args) -> CommandResult:
     return _graph_json(graph_to_json_dict(random_graph(args.n, args.p, args.seed)), args.output)
+
+
+# each refusal's exit code and tag, by exact type (CapExceeded is an ArtifactError)
+_REFUSALS = {
+    _UsageError: (EXIT_USAGE, "usage error"),
+    CapExceeded: (EXIT_CAP, "cap exceeded"),
+    ArtifactError: (EXIT_USAGE, "input error"),
+}
 
 
 def run(argv) -> CommandResult:
@@ -363,26 +376,11 @@ def run(argv) -> CommandResult:
     try:
         args = _build_parser().parse_args(argv)
         as_json = args.json  # every leaf command has --json
-        dispatch = {
-            "gadget": _cmd_gadget,
-            "decompose": _cmd_decompose,
-            "verify": _cmd_verify,
-            "at": _cmd_at,
-            "choose": _cmd_choose,
-            "gen": _cmd_gen,
-        }
-        result = dispatch[args.command](args)
-        result.as_json = as_json
-        return result
-    except _UsageError as exc:
-        return CommandResult(EXIT_USAGE, f"usage error: {exc}", {"verdict": "ERROR", "error": str(exc)}, as_json=as_json)
-    except CapExceeded as exc:
-        return CommandResult(EXIT_CAP, f"cap exceeded: {exc}", {"verdict": "ERROR", "error": str(exc)}, as_json=as_json)
-    except ArtifactError as exc:
-        return CommandResult(EXIT_USAGE, f"input error: {exc}", {"verdict": "ERROR", "error": str(exc)}, as_json=as_json)
-    except Exception as exc:  # last resort: a bug, or a limit such as recursion depth
-        error = f"{type(exc).__name__}: {exc}"
-        return CommandResult(EXIT_INTERNAL, f"internal error: {error}", {"verdict": "ERROR", "error": error}, as_json=as_json)
+        return replace(args.run(args), as_json=as_json)
+    except Exception as exc:  # other than a refusal: a bug, or a limit such as recursion depth
+        code, tag = _REFUSALS.get(type(exc), (EXIT_INTERNAL, "internal error"))
+        error = f"{type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else str(exc)
+        return CommandResult(code, f"{tag}: {error}", {"verdict": "ERROR", "error": error}, as_json=as_json)
 
 
 def main(argv=None) -> int:

@@ -343,6 +343,8 @@ def test_every_leaf_command_takes_json():
     assert len(found) == 11
     for path, parser in found.items():
         assert any(a.option_strings == ["--json"] for a in parser._actions), path
+        # `run` calls the handler each leaf binds
+        assert callable(parser.get_default("run")), path
 
 
 def test_cap_exit_code(tmp_path):
@@ -521,6 +523,10 @@ def test_integer_options_name_no_private_function(k4_file, tmp_path, capsys):
     lists = tmp_path / "lists.json"
     lists.write_text(json.dumps({"lists": {v: ["1", "2", "3"] for v in "abcd"}}))
     commands = [(*c, "--seed") for c in _SEEDED] + [
+        ("gen", "triangulation", "--boundary", "3", "--seed", "1", "--n"),
+        ("gen", "triangulation", "--n", "5", "--seed", "1", "--boundary"),
+        ("gen", "graph", "--p", "0.5", "--seed", "1", "--n"),
+        ("verify", "sampled", "--target", "corollary3", "--seed", "1", "--count"),
         ("at", "orientation", "--input", str(k4_file), "--k"),
         ("choose", "check", "--input", str(k4_file), "--lists", str(lists), "--k"),
     ]
@@ -774,7 +780,7 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
     def boom(args):
         raise RuntimeError("kaput")
 
-    monkeypatch.setattr(cli, "_cmd_gen", boom)
+    monkeypatch.setattr(cli, "_gen_graph", boom)
     result = go("gen", "graph", "--n", "5", "--p", "0.5", "--seed", "1", "--json")
     assert result.exit_code == EXIT_INTERNAL
     assert json.loads(result.output()) == {"verdict": "ERROR", "error": "RuntimeError: kaput"}
@@ -838,6 +844,31 @@ def test_certificate_without_a_list_is_input_error_with_a_sentence(tri_file, tmp
     result = _verify_decomposition(tri_file, bad)
     assert result.exit_code == EXIT_USAGE
     assert result.output() == f"usage error: cannot read decomposition from {str(bad)!r}: {sentence}"
+
+
+@pytest.mark.parametrize("text, command, what, key", [
+    ('{"lists": {"a": ["1"], "b": ["1"], "a": ["1", "2"]}}',
+     ("choose", "check", "--input", "{ab}", "--lists", "{bad}"), "lists", "a"),
+    ('{"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["a", "c"]], '
+     '"rotation": {"a": ["x"], "b": ["c", "a"], "c": ["a", "b"], "a": ["b", "c"]}, "outer_face": ["a", "b", "c"]}',
+     ("decompose", "--input", "{bad}", "--handle", "a,b"), "graph", "a"),
+    (None, ("verify", "decomposition", "--input", "{tri}", "--decomposition", "{bad}"), "decomposition", "forest"),
+    ('{"vertices": ["a", "b"], "edges": [], "edges": [["a", "b"]]}',
+     ("at", "number", "--input", "{bad}"), "graph", "edges"),
+], ids=["lists", "rotation", "certificate", "edges"])
+def test_a_json_object_that_names_a_key_twice_is_input_error(tri_file, tmp_path, text, command, what, key):
+    # json would let the last value win, and each command would exit 0:
+    # choose check with "PASS: proper coloring found", though a's first
+    # list leaves the edge ab uncolourable
+    if text is None:  # a valid certificate with an empty forest named first
+        data, _ = _decomposition_files(tri_file, tmp_path)
+        text = '{"forest": [], ' + json.dumps(data)[1:]
+    files = {"ab": tmp_path / "ab.json", "bad": tmp_path / "twice.json", "tri": tri_file}
+    files["ab"].write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    files["bad"].write_text(text)
+    result = go(*(arg.format(**files) for arg in command))
+    assert result.exit_code == EXIT_USAGE, result.output()
+    assert result.output() == f"usage error: cannot read {what} from {str(files['bad'])!r}: {key!r} is named twice"
 
 
 def _non_edge(tri_file):
