@@ -66,9 +66,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """-h/--help was given: args[0] is the usage text `run` returns."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); keep it in-process
         raise _UsageError(message)
+
+    def print_help(self, file=None):  # -h would print, then sys.exit(0)
+        raise _Help(self.format_help().rstrip("\n"))
 
 
 def _load(path: str, parse, what: str):
@@ -377,6 +384,8 @@ def run(argv) -> CommandResult:
         args = _build_parser().parse_args(argv)
         as_json = args.json  # every leaf command has --json
         return replace(args.run(args), as_json=as_json)
+    except _Help as shown:
+        return CommandResult(EXIT_PASS, shown.args[0])
     except Exception as exc:  # other than a refusal: a bug, or a limit such as recursion depth
         code, tag = _REFUSALS.get(type(exc), (EXIT_INTERNAL, "internal error"))
         error = f"{type(exc).__name__}: {exc}" if code == EXIT_INTERNAL else str(exc)

@@ -122,11 +122,11 @@ def _shell(rot: dict, cycle0, traced: bool, handle: tuple) -> tuple:
     arcs: list = []
     steps: list = []
 
-    # frame: (succ, pred, chords sorted down, handle x, handle y,
-    #         drop_handle_from_forest), or (s, v, e) for a triangle side
-    #         s -> v -> e that took the chord es as its handle; frames pop
-    #         in pre-order
-    stack = [(succ0, pred0, _chords(rot, succ0, pred0, succ0), x0, y0, False)]
+    # frame: (succ, pred, chords sorted down, handle x, handle y), or (s, v, e)
+    #         for a triangle side s -> v -> e that took the chord es as its
+    #         handle; frames pop in pre-order.  Only the handle side has handle
+    #         (x0, y0): others take a chord, and x0y0 stays on that side's ring
+    stack = [(succ0, pred0, _chords(rot, succ0, pred0, succ0), x0, y0)]
 
     while stack:
         frame = stack.pop()
@@ -138,8 +138,8 @@ def _shell(rot: dict, cycle0, traced: bool, handle: tuple) -> tuple:
                 arcs.append((v, s))
                 steps.append(("base", *sorted(frame)))
                 continue
-            frame = ({s: v, v: e, e: s}, {v: s, e: v, s: e}, [], s, e, True)
-        succ, pred, chords, x, y, drop = frame
+            frame = ({s: v, v: e, e: s}, {v: s, e: v, s: e}, [], s, e)
+        succ, pred, chords, x, y = frame
         # a chord taken by a short side has an end that left this ring;
         # it stays behind until it comes up
         while chords and not (chords[-1][0] in succ and chords[-1][1] in succ):
@@ -164,7 +164,7 @@ def _shell(rot: dict, cycle0, traced: bool, handle: tuple) -> tuple:
                 succ[s] = e
                 pred[e] = s
                 stack.append((s, v, e))
-                stack.append((succ, pred, chords, x, y, drop))
+                stack.append((succ, pred, chords, x, y))
                 continue
             short_succ, short_pred = {e: s, s: v}, {s: e, v: s}
             inner = set()
@@ -186,11 +186,11 @@ def _shell(rot: dict, cycle0, traced: bool, handle: tuple) -> tuple:
             # the side without the handle takes the chord, in cycle order;
             # the handle side pops first
             if x in short_succ and y in short_succ:
-                stack.append((succ, pred, chords, e, s, True))
-                stack.append((short_succ, short_pred, short_chords, x, y, drop))
+                stack.append((succ, pred, chords, e, s))
+                stack.append((short_succ, short_pred, short_chords, x, y))
             else:
-                stack.append((short_succ, short_pred, short_chords, s, e, True))
-                stack.append((succ, pred, chords, x, y, drop))
+                stack.append((short_succ, short_pred, short_chords, s, e))
+                stack.append((succ, pred, chords, x, y))
             continue
 
         # ear: z is the boundary neighbour of x other than y, w the next one
@@ -207,7 +207,7 @@ def _shell(rot: dict, cycle0, traced: bool, handle: tuple) -> tuple:
 
         if not inner:  # a triangle with nothing inside: w is y
             steps.append(("base", *sorted((x, y, z))))
-            if not drop:
+            if (x, y) == (x0, y0):  # xy joins the forest on the handle side only
                 forest.add(edge(x, y))
             continue
 
@@ -220,7 +220,7 @@ def _shell(rot: dict, cycle0, traced: bool, handle: tuple) -> tuple:
             succ[v] = u
             pred[u] = v
         # the old ring had no chords, so each new one has an end in inner
-        stack.append((succ, pred, _chords(rot, succ, pred, set(inner)), x, y, drop))
+        stack.append((succ, pred, _chords(rot, succ, pred, set(inner)), x, y))
 
     return forest, arcs, steps
 

@@ -2,11 +2,11 @@
 
 The PRNG is an in-repo xorshift64* so that streams are identical across
 platforms and Python versions.  Substreams are derived with `split` so
-concurrent consumers cannot perturb each other.  The xorshift step is
-written out in `next_u64`, the reference form, in `randrange`, which runs
-it inline on a local copy of the state, and in `lockstep`;
-`tests/test_testkit.py` pins every draw and final state to `next_u64`, the
-rejection loops included.
+concurrent consumers cannot perturb each other.  There is one scalar
+step, `next_u64`, which `random` and `randrange` draw through; one batch
+step, `lockstep`; and one seeding rule, `Rng(seed)`, which `split` uses.
+`tests/test_testkit.py` pins batch draws, rejections and splits to
+references written out over `next_u64` and splitmix64.
 
 `Rng.lockstep` advances a list of generators together: each holds the low
 half of its own 128-bit lane of one int, so one big-int xorshift step and
@@ -33,8 +33,7 @@ _STAR = 0x2545F4914F6CDD1D  # xorshift64* output multiplier
 
 
 def _splitmix64(x: int) -> int:
-    x = (x + _GOLDEN) & _M64
-    z = x
+    z = (x + _GOLDEN) & _M64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     return z ^ (z >> 31)
@@ -61,17 +60,11 @@ class Rng:
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ArtifactError("randrange needs n >= 1")
-        # rejection sampling for an unbiased draw; the loop is next_u64
-        # inline on a local copy of the state
+        # rejection sampling for an unbiased draw
         limit = _M64 - (_M64 + 1) % n
-        x = self.state
         while True:
-            x ^= (x >> 12)
-            x ^= (x << 25) & _M64
-            x ^= (x >> 27)
-            y = (x * _STAR) & _M64
+            y = self.next_u64()
             if y <= limit:
-                self.state = x
                 return y % n
 
     def coins(self, k: int) -> list:
@@ -138,10 +131,7 @@ class Rng:
         return [[y & 1 for y in draws] for draws in Rng.lockstep(rngs, k)]
 
     def split(self, label: int) -> "Rng":
-        child = Rng.__new__(Rng)
-        s = _splitmix64(self.state ^ _splitmix64(label & _M64))
-        child.state = s if s != 0 else _GOLDEN
-        return child
+        return Rng(self.state ^ _splitmix64(label & _M64))
 
 
 def _vertex_names(n: int) -> list:

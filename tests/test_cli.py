@@ -1,5 +1,6 @@
 """Command-line surface: grammar, exit codes, JSON round-trips."""
 
+import argparse
 import importlib.util
 import io
 import json
@@ -328,23 +329,40 @@ def test_at_orientation_rechecks_the_witness(monkeypatch, tmp_path):
     assert json.loads(result.output())["max_out_degree"] == 2
 
 
-def test_every_leaf_command_takes_json():
-    import argparse
-
-    def leaves(parser, path):
-        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        if not subs:
-            yield path, parser
-        for action in subs:
+def _parsers(parser, path=()):
+    """(path, parser) for `parser` and every group and leaf command under it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
             for name, child in action.choices.items():
-                yield from leaves(child, path + (name,))
+                yield from _parsers(child, path + (name,))
 
-    found = dict(leaves(cli._build_parser(), ()))
+
+def _is_group(parser):
+    return any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+
+
+def test_every_leaf_command_takes_json():
+    found = {path: p for path, p in _parsers(cli._build_parser()) if not _is_group(p)}
     assert len(found) == 11
     for path, parser in found.items():
         assert any(a.option_strings == ["--json"] for a in parser._actions), path
         # `run` calls the handler each leaf binds
         assert callable(parser.get_default("run")), path
+
+
+def test_help_is_returned_not_printed(capsys):
+    paths = [path for path, _ in _parsers(cli._build_parser())]
+    assert len(paths) == 17  # the root, 5 groups and 11 leaves
+    for path in paths:
+        for flag in ("-h", "--help"):
+            result = run([*path, flag])
+            assert result.exit_code == EXIT_PASS, path
+            assert result.text.startswith(" ".join(("usage: atforest", *path))), path
+            assert capsys.readouterr().out == "", path
+    # main prints the text as argparse would: with one newline at the end
+    assert cli.main(["at", "number", "-h"]) == EXIT_PASS
+    assert capsys.readouterr().out == run(["at", "number", "-h"]).text + "\n"
 
 
 def test_cap_exit_code(tmp_path):

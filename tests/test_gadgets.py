@@ -586,10 +586,10 @@ def test_sample_streams_match_pinned_digest():
     assert h.hexdigest() == SAMPLE_STREAM_DIGEST
 
 
-# the sampling kernels draw through Rng's inline xorshift steps (randrange,
-# and lockstep behind coins and shuffle); these references draw through
-# next_u64 and check the outputs and the generator's final state, which the
-# digest above does not see
+# the sampling kernels draw through Rng.randrange and through the lockstep
+# batches behind coins and shuffle; these references draw through next_u64
+# one draw at a time and check the outputs and the generator's final state,
+# which the digest above does not see
 
 def _reference_randrange(rng, n):
     limit = (1 << 64) - 1 - (1 << 64) % n

@@ -8,9 +8,11 @@ from atforest.errors import ArtifactError
 from atforest.gadgets import _LANES
 from atforest.graph import edge, validate_near_triangulation
 from atforest.testkit import (
+    _GOLDEN,
     _M64,
     _STAR,
     Rng,
+    _splitmix64,
     plane_graph_from_triangles,
     random_graph,
     random_near_triangulation,
@@ -36,6 +38,28 @@ def test_rng_split_gives_independent_substreams():
     assert root.next_u64() == root2.next_u64()
 
 
+def _reference_split(rng, label):
+    """Rng.split's seeding rule written out: splitmix64 of the parent state
+    xor splitmix64 of the label, a zero state replaced by _GOLDEN."""
+    child = Rng.__new__(Rng)
+    s = _splitmix64(rng.state ^ _splitmix64(label & _M64))
+    child.state = s if s != 0 else _GOLDEN
+    return child
+
+
+def test_split_follows_its_seeding_rule():
+    # the last parent's child at label 0 would start from the zero state
+    zero = Rng(0)
+    zero.state = (_M64 + 1 - _GOLDEN) ^ _splitmix64(0)
+    assert _splitmix64(zero.state ^ _splitmix64(0)) == 0
+    for parent in (Rng(0), Rng(9), Rng(_M64), Rng(7).split(3), zero):
+        for label in (0, 1, -1, 2**64 + 5, 10**6):
+            got, want = parent.split(label), _reference_split(parent, label)
+            assert got.state == want.state, (parent.state, label)
+            assert [got.next_u64() for _ in range(50)] == [want.next_u64() for _ in range(50)]
+    assert zero.split(0).state == _GOLDEN
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**63), st.integers(min_value=1, max_value=1000))
 def test_randrange_stays_in_range(seed, n):
@@ -44,8 +68,8 @@ def test_randrange_stays_in_range(seed, n):
         assert 0 <= rng.randrange(n) < n
 
 
-# the next_u64 forms of Rng.randrange, which inlines the step, and of
-# Rng.shuffle
+# Rng.randrange's rejection rule and Rng.shuffle, written out over
+# next_u64 draws
 
 def _reference_randrange(rng, n):
     limit = (1 << 64) - 1 - (1 << 64) % n
