@@ -4,7 +4,8 @@
 Usage: python scripts/run_verifications.py [--samples N] [--seed S]
 
 Exits 1 when a verification fails or an exhaustive verifier examines
-other case counts than the paper's.
+other case counts than the paper's, and 2 on a usage error (a negative
+--samples among them).
 """
 
 import argparse
@@ -12,7 +13,7 @@ import os
 import sys
 import time
 
-from atforest.cli import _seed
+from atforest.cli import _integer, _seed
 from atforest.gadgets import (
     verify_lemma1_all,
     verify_lemma2,
@@ -44,9 +45,18 @@ def timed(label, fn, expected=None):
     return ok
 
 
+def _count(text: str) -> int:
+    """A sample count of at least 0, else a usage error (exit 2) before
+    any verifier runs."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is below 0")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=1000)
+    parser.add_argument("--samples", type=_count, default=1000)
     parser.add_argument("--seed", type=_seed, default=1)
     args = parser.parse_args(argv)
 

@@ -311,10 +311,10 @@ def _at_coefficient(args) -> CommandResult:
             name, _, val = item.partition("=")
             if name in eta:
                 raise _UsageError(f"--eta names vertex {name!r} twice")
-            try:
-                eta[name] = int(val)
-            except ValueError:
+            # ASCII digits after an optional minus, as a JSON integer in --eta-file
+            if not (val.isascii() and val.removeprefix("-").isdecimal()):
                 raise _UsageError(f"bad exponent {val!r}")
+            eta[name] = int(val)
     value = poly_coefficient(g, eta)
     return CommandResult(EXIT_PASS, str(value), {"coefficient": value})
 

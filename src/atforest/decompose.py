@@ -229,7 +229,7 @@ def _chords(nbrs: dict, succ: dict, pred: dict, new) -> list:
     """Chords of the ring `succ`/`pred` with an end in the vertex set `new`
     (edges to a ring vertex not next to that end), sorted downwards; one
     with both ends in `new` is listed once.  `nbrs` maps each vertex to its
-    neighbours: `decompose` passes the rotation."""
+    neighbours: `_shell` passes the rotation."""
     chords = []
     for v in new:
         after, before = succ[v], pred[v]

@@ -13,12 +13,13 @@ The pieces, glued along designated handle edges:
 * D: K4 plus one apex per face.  G2: one A glued on each of D's 18 edges;
   no star forest of G2 can kill every K4.
 
-J3 and A are role tables, lists of edges over role names (`_J3`, `_A`).
-A copy of one is a dict from role to vertex name: the handle roles a and
-b take the names of the edge the copy is glued on, every other role is
-prefix + role.  `_glue` builds J3, S, G1, A and G2 with one `Graph.build`
-over their copies' renamed edges.  J1/J2 are
-`choosability._assemble_member` with one piece.
+J3, A and D are role tables, lists of edges over role names (`_J3`,
+`_A`, `_D`).  A copy of one is a dict from role to vertex name: the
+handle roles a and b take the names of the edge the copy is glued on,
+every other role is prefix + role.  `_glue` builds J3, S, A, D and G2
+with one `Graph.build` over their copies' renamed edges; G1 is the union
+of its four S graphs.  J1/J2 are `choosability._assemble_member` with one
+piece.
 
 Exhaustive verification where the space is small (J3 subsets, A star
 forests, D center configurations); the glued giants are checked through
@@ -100,6 +101,10 @@ _A_PATHS = [tuple(f"{i}{j}" for j in range(1, 5)) for i in range(1, 4)]
 _A = ([("a", "b")] + [link for p in _A_PATHS for link in zip(p, p[1:])]
       + [(end, r) for p in _A_PATHS for r in p for end in "ab"])
 
+# the K4 on a, b, c, d, and an apex z<face> joined to each face's three vertices
+_D = (list(combinations("abcd", 2))
+      + [("z" + "".join(face), v) for face in combinations("abcd", 3) for v in face])
+
 
 def _copy(table: list, a: str, b: str, prefix: str) -> dict:
     roles = dict.fromkeys(r for pair in table for r in pair)
@@ -151,14 +156,7 @@ def build_a(x: str = "x", y: str = "y", prefix: str = "p") -> dict:
 
 
 def build_d() -> Graph:
-    core = ("a", "b", "c", "d")
-    edges = [edge(u, v) for u, v in combinations(core, 2)]
-    apexes = []
-    for face in combinations(core, 3):
-        z = "z" + "".join(face)
-        apexes.append(z)
-        edges += [edge(z, v) for v in face]
-    return Graph.build(list(core) + apexes, edges)
+    return _glue(_D, [_copy(_D, "a", "b", "")])
 
 
 def build_g2() -> tuple:
@@ -479,13 +477,9 @@ def _random_max_degree_subgraph(order: list, degrees: list) -> tuple:
 
 def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     """Seeded random sampling over the constructions too large to exhaust.
-
-    theorem2: random maximal max-degree-3 subgraphs of G1, obstruction
-    extracted through the quiet S copy at the star center.  theorem7:
-    random star forests of G2, K4 survival.  corollary3: random deletions
-    on a single S avoiding its handle end a.
-    """
-    if target not in ("theorem2", "theorem7", "corollary3"):
+    Each sample's outcome from `_SAMPLERS[target]` is a tally key and None,
+    or a problem and its counterexample, which ends the run with FAIL."""
+    if target not in _SAMPLERS:
         raise ArtifactError(f"unknown target {target!r}")
     if n < 0:
         raise ArtifactError("sample count must be non-negative")
@@ -493,33 +487,15 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
         return VerificationReport(
             True, "vacuous pass: zero samples requested", stats={"samples": 0}, seed=seed
         )
-    rng = Rng(seed)
-    if target == "theorem7":
-        return _sample_theorem7(n, rng, seed)
-    if target == "theorem2":
-        host, s_gadgets, forbidden = *build_g1(), None
-    else:
-        s = build_s()
-        host, s_gadgets, forbidden = s.graph, (s,), {s.a}
-    tally = {"k4": 0, "j_member": 0}
-    for i, (t, obstruction) in enumerate(_sampled_obstructions(n, rng, host, s_gadgets, forbidden)):
-        if t is None:
+    sampler, keys, passed = _SAMPLERS[target]
+    tally = dict.fromkeys(keys, 0)
+    for i, (outcome, counterexample) in enumerate(sampler(n, Rng(seed))):
+        if outcome not in tally:
             return VerificationReport(
-                False, f"sample {i}: {obstruction}", stats={"samples": i + 1}, seed=seed
+                False, f"sample {i}: {outcome}", counterexample=counterexample,
+                stats={"samples": i + 1}, seed=seed,
             )
-        if obstruction.kind == "j_member":
-            recheck = verify_witness_not_k_choosable(obstruction.graph, obstruction.lists, 3)
-            if not recheck.verdict:
-                return VerificationReport(
-                    False,
-                    f"sample {i}: assembled member is 3-choosable after all",
-                    counterexample=recheck.counterexample,
-                    stats={"samples": i + 1},
-                    seed=seed,
-                )
-        tally[obstruction.kind] += 1
-    passed = ("every sample produced a verified obstruction" if target == "theorem2"
-              else "every sample produced an obstruction")
+        tally[outcome] += 1
     return VerificationReport(True, passed, stats={"samples": n, **tally}, seed=seed)
 
 
@@ -532,33 +508,52 @@ def _substream_batches(n: int, rng: Rng):
         yield [rng.split(i) for i in range(start, min(n, start + _LANES))]
 
 
-def _sample_theorem7(n: int, rng: Rng, seed: int) -> VerificationReport:
+def _forest_outcomes(n: int, rng: Rng):
     """Per sample i, `random_star_forest(g2, rng.split(i))`, its center
-    coins drawn in lockstep with the rest of its batch."""
+    coins drawn in lockstep with the rest of its batch: "survivors" if it
+    is a star forest that misses some K4, else the problem and its edges."""
     g2 = build_g2()[0]
     cliques = _k4_edge_sets(g2)
     forests = (_star_forest(g2, coins, r)
                for rngs in _substream_batches(n, rng)
                for r, coins in zip(rngs, Rng.coin_lists(rngs, len(g2.vertices))))
-    for i, forest in enumerate(forests):
+    for forest in forests:
         valid = check_star_forest(forest.edges, forest.centers, g2.edges)
-        if not valid.verdict:
-            problem = f"sampled edge set is not a star forest: {valid.detail}"
-        elif not any(es.isdisjoint(forest.edges) for es in cliques):
-            problem = "star forest kills every K4"
+        if valid.verdict and any(es.isdisjoint(forest.edges) for es in cliques):
+            yield "survivors", None
         else:
-            continue
-        return VerificationReport(
-            False,
-            f"sample {i}: {problem}",
-            counterexample=sorted(list(e) for e in forest.edges),
-            stats={"samples": i + 1},
-            seed=seed,
-        )
-    return VerificationReport(
-        True, "K4 survived every sampled star forest",
-        stats={"samples": n, "survivors": n}, seed=seed,
-    )
+            problem = ("star forest kills every K4" if valid.verdict
+                       else f"sampled edge set is not a star forest: {valid.detail}")
+            yield problem, sorted(list(e) for e in forest.edges)
+
+
+def _deletion_outcomes(n: int, rng: Rng, host: Graph, s_gadgets: tuple, forbidden: Optional[set]):
+    """Per sample of `_sampled_obstructions`, its obstruction's kind, a
+    j_member once `verify_witness_not_k_choosable` re-checks its lists;
+    else the problem and its counterexample."""
+    for t, obstruction in _sampled_obstructions(n, rng, host, s_gadgets, forbidden):
+        if t is None:
+            yield obstruction, None
+        elif obstruction.kind == "k4":
+            yield "k4", None
+        else:
+            recheck = verify_witness_not_k_choosable(obstruction.graph, obstruction.lists, 3)
+            yield (("j_member", None) if recheck.verdict
+                   else ("assembled member is 3-choosable after all", recheck.counterexample))
+
+
+# target -> (sampler of per-sample outcomes from (n, rng), tally keys, PASS
+# detail).  theorem2: random maximal max-degree-3 subgraphs of G1, the
+# obstruction extracted through the quiet S copy at the star center.
+# theorem7: random star forests of G2, K4 survival.  corollary3: random
+# deletions on a single S avoiding its handle end a.
+_SAMPLERS = {
+    "theorem2": (lambda n, rng: _deletion_outcomes(n, rng, *build_g1(), None),
+                 ("k4", "j_member"), "every sample produced a verified obstruction"),
+    "theorem7": (_forest_outcomes, ("survivors",), "K4 survived every sampled star forest"),
+    "corollary3": (lambda n, rng: _deletion_outcomes(n, rng, (s := build_s()).graph, (s,), {s.a}),
+                   ("k4", "j_member"), "every sample produced an obstruction"),
+}
 
 
 def _sampled_obstructions(n: int, rng: Rng, host: Graph, s_gadgets: tuple,

@@ -227,7 +227,13 @@ def test_at_number_and_coefficient(k4_file, tmp_path):
     assert result.exit_code == EXIT_PASS and result.output() == "-1"
     assert go("at", "coefficient", "--input", str(k3), "--eta", "1=9,2=0,3=0").exit_code == EXIT_USAGE
     # an item without "=", and an exponent that is no integer
-    for eta, detail in (("1=2,2,3=0", "vertex=exponent"), ("1=2,2=x,3=0", "bad exponent 'x'")):
+    # and exponents int() reads but a JSON integer cannot spell: a non-ASCII
+    # digit, a plus sign, an underscore and a space
+    for eta, detail in (("1=2,2,3=0", "vertex=exponent"), ("1=2,2=x,3=0", "bad exponent 'x'"),
+                        ("1=\u0662,2=1,3=0", "bad exponent '\u0662'"),
+                        ("1=+2,2=1,3=0", "bad exponent '+2'"),
+                        ("1=2_0,2=1,3=0", "bad exponent '2_0'"),
+                        ("1= 2,2=1,3=0", "bad exponent ' 2'")):
         result = go("at", "coefficient", "--input", str(k3), "--eta", eta)
         assert result.exit_code == EXIT_USAGE and detail in result.output(), eta
 
@@ -460,6 +466,20 @@ def test_run_verifications_pins_the_exhaustive_counts(monkeypatch, capsys):
     assert script.main(["--samples", "2"]) == EXIT_FAIL
     out = capsys.readouterr().out
     assert "expected k4=2392" in out and out.rstrip().endswith("overall: FAIL")
+
+
+def test_run_verifications_refuses_a_negative_sample_count(monkeypatch, capsys):
+    script = _run_verifications_script()
+    ran = []
+    for name in ("verify_lemma1_all", "verify_lemma2", "verify_lemma6",
+                 "verify_theorem7_core", "verify_sampled"):
+        monkeypatch.setattr(script, name, lambda *args, name=name: ran.append(name))
+    # argparse's usage error, before any verifier runs
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["--samples", "-1"])
+    assert exit_info.value.code == EXIT_USAGE and ran == []
+    out, err = capsys.readouterr()
+    assert out == "" and "--samples: -1 is below 0" in err
 
 
 def test_choose_check(tmp_path):

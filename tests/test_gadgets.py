@@ -149,7 +149,10 @@ def test_lemma1_delegation():
 
 
 def test_sampled_theorem7_reports_invalid_star_forest(monkeypatch):
+    calls = []
+
     def not_a_star(g, coins, rng):
+        calls.append(rng)
         a, b = sorted(g.edges)[0]
         return StarForest(frozenset({edge(a, b)}), frozenset())
 
@@ -157,6 +160,8 @@ def test_sampled_theorem7_reports_invalid_star_forest(monkeypatch):
     report = verify_sampled("theorem7", 5, 1)
     assert not report.verdict and "not a star forest" in report.detail
     assert report.stats["samples"] == 1
+    # sampling stops at the first failure
+    assert len(calls) == 1
 
 
 def test_lemma6_exhaustive():
@@ -459,18 +464,22 @@ def test_sampled_obstructions_fail_on_colorable_member(monkeypatch):
 
 def test_sampled_obstructions_refuse_a_degree_above_3(monkeypatch):
     greedy = gadgets._random_max_degree_subgraph
+    calls = []
 
     def one_vertex_over(order, degrees):
+        calls.append(order)
         kept, degree = greedy(order, degrees)
         degree[-1] = 4
         return kept, degree
 
     monkeypatch.setattr(gadgets, "_random_max_degree_subgraph", one_vertex_over)
     for target in ("theorem2", "corollary3"):
+        calls.clear()
         report = verify_sampled(target, 1, seed=3)
         assert not report.verdict, target
         assert report.detail == "sample 0: deleted set has maximum degree > 3", target
         assert (report.stats, report.seed, report.counterexample) == ({"samples": 1}, 3, None), target
+        assert len(calls) == 1, target
 
 
 def test_sampled_obstructions_report_a_quiet_center_missing(monkeypatch):
@@ -492,6 +501,8 @@ def test_sampled_obstructions_report_a_quiet_center_missing(monkeypatch):
         assert not report.verdict, target
         assert report.detail == "sample 2: center degree exceeds 3", target
         assert (report.stats, report.seed, report.counterexample) == ({"samples": 3}, 11, None), target
+        # sampling stops at the first failure
+        assert len(calls) == 3, target
 
 
 def test_sampled_theorem7_reports_a_forest_that_kills_every_k4(monkeypatch):
