@@ -25,6 +25,9 @@ witnesses (`verify`: the 64 Lemma-1 witnesses as one batch) and c10
 (`colour`: the 10000 searches of `tests/test_acceptance.py`'s C10 test).
 A witness that does not PASS, a sparse certificate the checker refuses,
 no colouring where one exists or one for the dead singleton exits 1.
+Each `--sizes` entry is at least 8 (the random family's boundary) and
+no two are equal (the slope fit divides by their spread); anything
+else exits 2 before the checkout is imported.
 
 Each call runs REPEATS times, each between two sets of CAL_ROUNDS
 calibration rounds (`calibrate` from the checkout's `perfbench/run.py`),
@@ -68,6 +71,9 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", default=str(Path(__file__).resolve().parent.parent))
     ap.add_argument("--sizes", type=int, nargs="+", default=[2000, 8000, 16000])
     args = ap.parse_args(argv)
+    # 8 is the random family's boundary length; the slope fit divides by the sizes' spread
+    if min(args.sizes) < 8 or len(set(args.sizes)) < len(args.sizes):
+        ap.error("argument --sizes: each size must be at least 8, and no two equal")
 
     root = Path(args.checkout).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]

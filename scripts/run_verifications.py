@@ -12,8 +12,9 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 
-from atforest.cli import _integer, _seed
+from atforest.cli import _integer
 from atforest.gadgets import (
     verify_lemma1_all,
     verify_lemma2,
@@ -21,6 +22,7 @@ from atforest.gadgets import (
     verify_sampled,
     verify_theorem7_core,
 )
+from atforest.testkit import _M64
 
 
 def say(line):
@@ -45,19 +47,11 @@ def timed(label, fn, expected=None):
     return ok
 
 
-def _count(text: str) -> int:
-    """A sample count of at least 0, else a usage error (exit 2) before
-    any verifier runs."""
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{value} is below 0")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=_count, default=1000)
-    parser.add_argument("--seed", type=_seed, default=1)
+    # a usage error (exit 2) before any verifier runs
+    parser.add_argument("--samples", type=partial(_integer, least=0), default=1000)
+    parser.add_argument("--seed", type=partial(_integer, least=0, most=_M64), default=1)
     args = parser.parse_args(argv)
 
     ok = True

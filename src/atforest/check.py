@@ -1,11 +1,12 @@
 """Independent checks of every certificate the package emits.
 
-Each rule has its one definition here, no producer calls this module, and
-it imports the standard library and `report` only: it shares no helper
-with the code it judges ("Certifying algorithms", McConnell, Mehlhorn,
-Naeher, Schweitzer, 2011).  Edges are a set of sorted pairs, as
-`Graph.edges` holds them; forest pairs are sorted too, and arcs are
-(tail, head) pairs, both in any collection, repeats counted.
+Each rule has its one definition here (`decompose` and `gadgets` call two
+of them on what they build), and this module imports no producer, only
+the standard library and `report`: it shares no helper with the code it
+judges ("Certifying algorithms", McConnell, Mehlhorn, Naeher, Schweitzer,
+2011).  Edges are a set of sorted pairs, as `Graph.edges` holds them;
+forest pairs are sorted too, and arcs are (tail, head) pairs, both in any
+collection, repeats counted.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import astuple, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -124,8 +126,11 @@ def _emit(result: CommandResult, path: str, content: str) -> None:
     if path == "-":
         result.text = content if not result.text else result.text + "\n" + content
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(content if content.endswith("\n") else content + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(content if content.endswith("\n") else content + "\n")
+        except OSError as exc:
+            raise _UsageError(f"cannot write output to {path!r}: {exc}")
 
 
 def _from_report(report: VerificationReport) -> CommandResult:
@@ -136,29 +141,24 @@ def _from_report(report: VerificationReport) -> CommandResult:
     )
 
 
-def _integer(text: str) -> int:
-    """int(text), else a usage error that says so (on a ValueError,
-    argparse would name the type function instead)."""
+_JSON_INTEGER = re.compile("-?(0|[1-9][0-9]*)")  # RFC 8259's int, with its minus
+
+
+def _integer(text: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """The integer that text spells as a JSON integer (an optional minus,
+    then 0 or ASCII digits without a leading zero), within least ... most
+    where given, else a usage error (argparse would name the type function
+    on a ValueError)."""
     try:
-        return int(text)
+        if not _JSON_INTEGER.fullmatch(text):
+            raise ValueError
+        value = int(text)  # a ValueError above sys.get_int_max_str_digits() digits
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-
-
-def _positive(text: str) -> int:
-    """An integer of at least 1 (an out-degree budget k), else a usage error."""
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is below 1")
-    return value
-
-
-def _seed(text: str) -> int:
-    """A seed in 0 ... 2**64 - 1, else a usage error: `Rng` reduces seeds
-    mod 2**64, so any other value would alias one of these."""
-    value = _integer(text)
-    if not 0 <= value <= _M64:
-        raise argparse.ArgumentTypeError(f"{value} is outside 0 ... 2**64 - 1")
+    if least is not None and value < least:
+        raise argparse.ArgumentTypeError(f"{value} is below {least}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"{value} is outside {least} ... {most}")
     return value
 
 
@@ -167,6 +167,8 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)  # shared by every leaf command
     common.add_argument("--json", action="store_true")
+    # `Rng` reduces seeds mod 2**64: a seed outside 0 ... 2**64 - 1 would alias one inside
+    seed = partial(_integer, least=0, most=_M64)
 
     def leaf(group, name, handler):  # `run` calls the handler of the leaf parsed
         parser = group.add_parser(name, parents=[common])
@@ -197,7 +199,7 @@ def _build_parser() -> _Parser:
     vs = leaf(vsub, "sampled", _verify_sampled)
     vs.add_argument("--target", required=True)
     vs.add_argument("--count", type=_integer, required=True)
-    vs.add_argument("--seed", type=_seed, required=True)
+    vs.add_argument("--seed", type=seed, required=True)
 
     a = sub.add_parser("at")
     asub = a.add_subparsers(dest="quantity", required=True)
@@ -209,26 +211,26 @@ def _build_parser() -> _Parser:
     eta.add_argument("--eta-file", help='JSON file {"eta": {vertex: exponent}}')
     ao = leaf(asub, "orientation", _at_orientation)
     ao.add_argument("--input", required=True)
-    ao.add_argument("--k", type=_positive, required=True)
+    ao.add_argument("--k", type=partial(_integer, least=1), required=True)
 
     c = sub.add_parser("choose")
     csub = c.add_subparsers(dest="action", required=True)
     cc = leaf(csub, "check", _choose_check)
     cc.add_argument("--input", required=True)
     cc.add_argument("--lists", required=True)
-    cc.add_argument("--k", type=_positive)
+    cc.add_argument("--k", type=partial(_integer, least=1))
 
     gen = sub.add_parser("gen")
     gensub = gen.add_subparsers(dest="kind", required=True)
     gt = leaf(gensub, "triangulation", _gen_triangulation)
     gt.add_argument("--n", type=_integer, required=True)
     gt.add_argument("--boundary", type=_integer, required=True)
-    gt.add_argument("--seed", type=_seed, required=True)
+    gt.add_argument("--seed", type=seed, required=True)
     gt.add_argument("--output", default="-")
     gg = leaf(gensub, "graph", _gen_graph)
     gg.add_argument("--n", type=_integer, required=True)
     gg.add_argument("--p", type=float, required=True)
-    gg.add_argument("--seed", type=_seed, required=True)
+    gg.add_argument("--seed", type=seed, required=True)
     gg.add_argument("--output", default="-")
     return p
 
@@ -311,10 +313,10 @@ def _at_coefficient(args) -> CommandResult:
             name, _, val = item.partition("=")
             if name in eta:
                 raise _UsageError(f"--eta names vertex {name!r} twice")
-            # ASCII digits after an optional minus, as a JSON integer in --eta-file
-            if not (val.isascii() and val.removeprefix("-").isdecimal()):
-                raise _UsageError(f"bad exponent {val!r}")
-            eta[name] = int(val)
+            try:  # a JSON integer, as in --eta-file
+                eta[name] = _integer(val)
+            except argparse.ArgumentTypeError:
+                raise _UsageError(f"bad exponent {val!r}") from None
     value = poly_coefficient(g, eta)
     return CommandResult(EXIT_PASS, str(value), {"coefficient": value})
 

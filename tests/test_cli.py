@@ -228,12 +228,15 @@ def test_at_number_and_coefficient(k4_file, tmp_path):
     assert go("at", "coefficient", "--input", str(k3), "--eta", "1=9,2=0,3=0").exit_code == EXIT_USAGE
     # an item without "=", and an exponent that is no integer
     # and exponents int() reads but a JSON integer cannot spell: a non-ASCII
-    # digit, a plus sign, an underscore and a space
+    # digit, a plus sign, an underscore, a space, leading zeros and more
+    # digits than int() reads
     for eta, detail in (("1=2,2,3=0", "vertex=exponent"), ("1=2,2=x,3=0", "bad exponent 'x'"),
                         ("1=\u0662,2=1,3=0", "bad exponent '\u0662'"),
                         ("1=+2,2=1,3=0", "bad exponent '+2'"),
                         ("1=2_0,2=1,3=0", "bad exponent '2_0'"),
-                        ("1= 2,2=1,3=0", "bad exponent ' 2'")):
+                        ("1= 2,2=1,3=0", "bad exponent ' 2'"),
+                        ("1=007,2=1,3=0", "bad exponent '007'"),
+                        (f"1={_LONG},2=1,3=0", f"bad exponent '{_LONG}'")):
         result = go("at", "coefficient", "--input", str(k3), "--eta", eta)
         assert result.exit_code == EXIT_USAGE and detail in result.output(), eta
 
@@ -447,17 +450,28 @@ def test_growth_times_every_family_and_stage():
                 assert (row[key] is None) == (len(sizes) == 1), (family, stage)
 
 
-def _run_verifications_script():
+def _script(name):
+    """scripts/<name>.py loaded as a module, its main() not run."""
     root = Path(cli.__file__).resolve().parents[2]
-    spec = importlib.util.spec_from_file_location(
-        "run_verifications", root / "scripts" / "run_verifications.py")
+    spec = importlib.util.spec_from_file_location(name, root / "scripts" / f"{name}.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
 
 
+@pytest.mark.parametrize("sizes", ["0", "-5", "2", "5 6", "3 3", "8 8", "8 9 8"])
+def test_growth_refuses_sizes_its_families_cannot_run(capsys, sizes):
+    # argparse's usage error, before the checkout is put on sys.path
+    path = list(sys.path)
+    with pytest.raises(SystemExit) as exit_info:
+        _script("growth").main(["--sizes", *sizes.split()])
+    assert exit_info.value.code == EXIT_USAGE and sys.path == path
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --sizes: each size must be at least 8, and no two equal" in err
+
+
 def test_run_verifications_pins_the_exhaustive_counts(monkeypatch, capsys):
-    script = _run_verifications_script()
+    script = _script("run_verifications")
     assert script.main(["--samples", "2"]) == EXIT_PASS
     # a passing verdict with one count off fails the run
     report = script.verify_lemma2()
@@ -469,7 +483,7 @@ def test_run_verifications_pins_the_exhaustive_counts(monkeypatch, capsys):
 
 
 def test_run_verifications_refuses_a_negative_sample_count(monkeypatch, capsys):
-    script = _run_verifications_script()
+    script = _script("run_verifications")
     ran = []
     for name in ("verify_lemma1_all", "verify_lemma2", "verify_lemma6",
                  "verify_theorem7_core", "verify_sampled"):
@@ -559,8 +573,25 @@ def test_seed_range(command):
 def test_integer_options_name_no_private_function(k4_file, tmp_path, capsys):
     # argparse names the type function in its message when int() raises
     lists = tmp_path / "lists.json"
+    for command in _integer_options(k4_file, lists):
+        result = go(*command, "x")
+        assert result.exit_code == EXIT_USAGE, command
+        assert result.output() == f"usage error: argument {command[-1]}: 'x' is not an integer"
+    with pytest.raises(SystemExit) as exit_info:
+        _script("run_verifications").main(["--seed", "x"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == EXIT_USAGE
+    assert "argument --seed: 'x' is not an integer" in err
+    assert "_integer" not in err and "partial" not in err
+
+
+_LONG = "1" * 5000  # more digits than int() reads by default
+
+
+def _integer_options(k4_file, lists):
+    """Each leaf's command line up to one of its integer options."""
     lists.write_text(json.dumps({"lists": {v: ["1", "2", "3"] for v in "abcd"}}))
-    commands = [(*c, "--seed") for c in _SEEDED] + [
+    return [(*c, "--seed") for c in _SEEDED] + [
         ("gen", "triangulation", "--boundary", "3", "--seed", "1", "--n"),
         ("gen", "triangulation", "--n", "5", "--seed", "1", "--boundary"),
         ("gen", "graph", "--p", "0.5", "--seed", "1", "--n"),
@@ -568,16 +599,60 @@ def test_integer_options_name_no_private_function(k4_file, tmp_path, capsys):
         ("at", "orientation", "--input", str(k4_file), "--k"),
         ("choose", "check", "--input", str(k4_file), "--lists", str(lists), "--k"),
     ]
-    for command in commands:
-        result = go(*command, "x")
-        assert result.exit_code == EXIT_USAGE, command
-        assert result.output() == f"usage error: argument {command[-1]}: 'x' is not an integer"
-    with pytest.raises(SystemExit) as exit_info:
-        _run_verifications_script().main(["--seed", "x"])
-    err = capsys.readouterr().err
-    assert exit_info.value.code == EXIT_USAGE
-    assert "argument --seed: 'x' is not an integer" in err
-    assert "_seed" not in err and "_positive" not in err
+
+
+# texts int() reads but a JSON integer cannot spell: a non-ASCII digit, a
+# plus sign, an underscore, a space, leading zeros; and more digits than
+# int() reads
+_NOT_JSON_INTEGERS = ("\u0662", "+3", "1_0", " 4", "007", _LONG)
+
+
+def test_integer_reads_exactly_json_integers():
+    for text, value in (("0", 0), ("-0", 0), ("7", 7), ("-12", -12), ("10", 10),
+                        (str(2**64), 2**64)):
+        assert cli._integer(text) == value, text
+    for text in (*_NOT_JSON_INTEGERS, "", "-", "00", "-01", "4 ", "4\n", "--4",
+                 "1e3", "1.0", "0x10", "\uff14", "-" + _LONG):
+        with pytest.raises(argparse.ArgumentTypeError) as refused:
+            cli._integer(text)
+        assert str(refused.value) == f"{text!r} is not an integer"
+    assert cli._integer("-3", least=-3) == -3 and cli._integer("5", least=0, most=5) == 5
+    with pytest.raises(argparse.ArgumentTypeError, match="^-4 is below -3$"):
+        cli._integer("-4", least=-3)
+    with pytest.raises(argparse.ArgumentTypeError, match=r"^6 is outside 0 \.\.\. 5$"):
+        cli._integer("6", least=0, most=5)
+
+
+def test_every_integer_option_reads_only_json_integers(k4_file, tmp_path, capsys):
+    for command in _integer_options(k4_file, tmp_path / "lists.json"):
+        for text in _NOT_JSON_INTEGERS:
+            result = go(*command, text)
+            assert result.exit_code == EXIT_USAGE, (command, text)
+            assert result.output() == f"usage error: argument {command[-1]}: {text!r} is not an integer"
+    for option in ("--samples", "--seed"):
+        for text in _NOT_JSON_INTEGERS:
+            with pytest.raises(SystemExit) as exit_info:
+                _script("run_verifications").main([option, text])
+            assert exit_info.value.code == EXIT_USAGE, (option, text)
+            assert f"argument {option}: {text!r} is not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ("gadget", "build", "J3"),
+    ("gadget", "build", "J3", "--format", "dot"),
+    ("decompose", "--handle", "HANDLE", "--input"),
+    ("gen", "triangulation", "--n", "5", "--boundary", "3", "--seed", "1"),
+    ("gen", "graph", "--n", "5", "--p", "0.5", "--seed", "1"),
+], ids=["gadget build json", "gadget build dot", "decompose", "gen triangulation", "gen graph"])
+def test_unwritable_output_is_usage_error(tri_file, tmp_path, command):
+    if command[0] == "decompose":
+        pg = graph_from_json(tri_file.read_text())
+        handle = f"{pg.outer_face[0]},{pg.outer_face[1]}"
+        command = tuple(handle if a == "HANDLE" else a for a in command) + (str(tri_file),)
+    for path in (tmp_path, tmp_path / "missing" / "x.json"):
+        result = go(*command, "--output", str(path))
+        assert result.exit_code == EXIT_USAGE, (command, path)
+        assert result.output().startswith(f"usage error: cannot write output to {str(path)!r}: ")
 
 
 def test_selector_where_it_means_nothing_is_usage_error():

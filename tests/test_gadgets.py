@@ -475,7 +475,8 @@ def test_sampled_obstructions_refuse_a_degree_above_3(monkeypatch):
     monkeypatch.setattr(gadgets, "_random_max_degree_subgraph", one_vertex_over)
     for target in ("theorem2", "corollary3"):
         calls.clear()
-        report = verify_sampled(target, 1, seed=3)
+        # three samples asked for: the run ends at the first, which fails
+        report = verify_sampled(target, 3, seed=3)
         assert not report.verdict, target
         assert report.detail == "sample 0: deleted set has maximum degree > 3", target
         assert (report.stats, report.seed, report.counterexample) == ({"samples": 1}, 3, None), target
