@@ -25,9 +25,10 @@ witnesses (`verify`: the 64 Lemma-1 witnesses as one batch) and c10
 (`colour`: the 10000 searches of `tests/test_acceptance.py`'s C10 test).
 A witness that does not PASS, a sparse certificate the checker refuses,
 no colouring where one exists or one for the dead singleton exits 1.
-Each `--sizes` entry is at least 8 (the random family's boundary) and
-no two are equal (the slope fit divides by their spread); anything
-else exits 2 before the checkout is imported.
+Each `--sizes` entry is a JSON integer (as the CLI reads integers), at
+least 8 (the random family's boundary), and no two are equal (the slope
+fit divides by their spread); anything else exits 2 before the checkout
+is imported.
 
 Each call runs REPEATS times, each between two sets of CAL_ROUNDS
 calibration rounds (`calibrate` from the checkout's `perfbench/run.py`),
@@ -48,6 +49,7 @@ import gc
 import json
 import math
 import os
+import re
 import statistics
 import sys
 import time
@@ -56,6 +58,19 @@ from pathlib import Path
 REPEATS = 3
 CAL_ROUNDS = 5  # calibration rounds before and after each repeat
 FIXED = {"witnesses": 64, "c10": 10000}  # families with one size
+JSON_INTEGER = re.compile("-?(0|[1-9][0-9]*)")  # RFC 8259's int, as `atforest.cli` reads integers
+
+
+def _size(text: str) -> int:
+    """The integer text spells as a JSON integer, with `atforest.cli`'s
+    refusal; a copy of its rule, since atforest is imported from --checkout."""
+    try:
+        if not JSON_INTEGER.fullmatch(text):
+            raise ValueError
+        return int(text)  # a ValueError above sys.get_int_max_str_digits() digits
+    except ValueError:
+        shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+        raise argparse.ArgumentTypeError(f"{shown} is not an integer") from None
 
 
 def _slope(points: list) -> float:
@@ -69,7 +84,7 @@ def _slope(points: list) -> float:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--checkout", default=str(Path(__file__).resolve().parent.parent))
-    ap.add_argument("--sizes", type=int, nargs="+", default=[2000, 8000, 16000])
+    ap.add_argument("--sizes", type=_size, nargs="+", default=[2000, 8000, 16000])
     args = ap.parse_args(argv)
     # 8 is the random family's boundary length; the slope fit divides by the sizes' spread
     if min(args.sizes) < 8 or len(set(args.sizes)) < len(args.sizes):

@@ -133,12 +133,15 @@ def _emit(result: CommandResult, path: str, content: str) -> None:
             raise _UsageError(f"cannot write output to {path!r}: {exc}")
 
 
-def _from_report(report: VerificationReport) -> CommandResult:
-    return CommandResult(
-        EXIT_PASS if report.verdict else EXIT_FAIL,
-        str(report),
-        report.to_json_dict(),
-    )
+def _from_report(report: VerificationReport, **artifact) -> CommandResult:
+    """The one verdict rule: exit 0 or 1, the report line, its fields and the artifact's as JSON."""
+    return CommandResult(EXIT_PASS if report.verdict else EXIT_FAIL, str(report),
+                         {**report.to_json_dict(), **artifact})
+
+
+def _echo(text: str, show=repr) -> str:
+    """show(text) for an error line, cut to its first 20 characters and its length if longer."""
+    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
 _JSON_INTEGER = re.compile("-?(0|[1-9][0-9]*)")  # RFC 8259's int, with its minus
@@ -154,11 +157,11 @@ def _integer(text: str, least: Optional[int] = None, most: Optional[int] = None)
             raise ValueError
         value = int(text)  # a ValueError above sys.get_int_max_str_digits() digits
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise argparse.ArgumentTypeError(f"{_echo(text)} is not an integer") from None
     if least is not None and value < least:
-        raise argparse.ArgumentTypeError(f"{value} is below {least}")
+        raise argparse.ArgumentTypeError(f"{_echo(str(value), str)} is below {least}")
     if most is not None and value > most:
-        raise argparse.ArgumentTypeError(f"{value} is outside {least} ... {most}")
+        raise argparse.ArgumentTypeError(f"{_echo(str(value), str)} is outside {least} ... {most}")
     return value
 
 
@@ -316,7 +319,7 @@ def _at_coefficient(args) -> CommandResult:
             try:  # a JSON integer, as in --eta-file
                 eta[name] = _integer(val)
             except argparse.ArgumentTypeError:
-                raise _UsageError(f"bad exponent {val!r}") from None
+                raise _UsageError(f"bad exponent {_echo(val)}") from None
     value = poly_coefficient(g, eta)
     return CommandResult(EXIT_PASS, str(value), {"coefficient": value})
 
@@ -325,23 +328,13 @@ def _at_orientation(args) -> CommandResult:
     g = _graph(args.input)
     d = find_at_orientation(g, args.k)
     if d is None:
-        return CommandResult(
-            EXIT_FAIL, f"no orientation within out-degree budget {args.k - 1}",
-            {"verdict": "FAIL", "k": args.k},
-        )
-    # re-check the witness before reporting it
-    report = check_at_witness(g.edges, d.arcs, args.k, lambda: astuple(eulerian_diff(d)))
-    even, odd = report.stats["even"], report.stats["odd"]
-    if not report.verdict:
-        worst = report.stats["max_out_degree"]
-        payload = {"verdict": "FAIL", "k": args.k, "max_out_degree": worst, "diff": even - odd}
-        return CommandResult(EXIT_FAIL, str(report), payload)
+        none = VerificationReport(False, f"no orientation within out-degree budget {args.k - 1}")
+        return _from_report(none, k=args.k)
+    # re-check the witness before reporting it; a PASS prints its arcs
     arcs = sorted(d.arcs)
-    return CommandResult(
-        EXIT_PASS,
-        "\n".join(f"{t} -> {h}" for t, h in arcs),
-        {"arcs": [list(a) for a in arcs], "even": even, "odd": odd},
-    )
+    report = check_at_witness(g.edges, arcs, args.k, lambda: astuple(eulerian_diff(d)))
+    result = _from_report(report, k=args.k, arcs=[list(a) for a in arcs])
+    return replace(result, text="\n".join(f"{t} -> {h}" for t, h in arcs)) if report.verdict else result
 
 
 def _choose_check(args) -> CommandResult:
@@ -352,14 +345,9 @@ def _choose_check(args) -> CommandResult:
         return _from_report(verify_witness_not_k_choosable(g, lists, args.k))
     coloring = is_l_colorable(g, lists)
     if coloring is None:
-        return CommandResult(EXIT_FAIL, "FAIL: no proper coloring from the lists", {"verdict": "FAIL"})
+        return _from_report(VerificationReport(False, "no proper coloring from the lists"))
     # re-check the coloring before reporting it
-    report = check_coloring(g.edges, lists.as_dict(), coloring)
-    if not report.verdict:
-        return _from_report(report)
-    return CommandResult(
-        EXIT_PASS, "PASS: proper coloring found", {"verdict": "PASS", "coloring": coloring}
-    )
+    return _from_report(check_coloring(g.edges, lists.as_dict(), coloring), coloring=coloring)
 
 
 def _gen_triangulation(args) -> CommandResult:

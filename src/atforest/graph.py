@@ -5,8 +5,8 @@ the variable order of the graph polynomial.  Edges are stored as sorted
 pairs.  Rotation systems list, for each vertex, the cyclic order of its
 neighbors; faces are recovered by the next-edge traversal rule.  The
 plane layer (loading, checking, components, decomposition) reads the
-neighbours off the rotation; only the Alon-Tarsi, colouring and gadget
-layers build `Graph.adjacency`.
+neighbours off the rotation, and builds `Graph.adjacency` only to name a
+faulty rotation; the Alon-Tarsi, colouring and gadget layers build it.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ class Graph:
     @cached_property
     def adjacency(self) -> dict:
         """Vertex -> set of its neighbours, built on first use.  The plane
-        layer never asks for it, as a `PlaneGraph`'s rotation lists the
-        same neighbours; the Alon-Tarsi, colouring and gadget layers do."""
+        layer asks for it only when `build_plane_graph` names a faulty
+        rotation, as a `PlaneGraph`'s rotation lists the same neighbours;
+        the Alon-Tarsi, colouring and gadget layers ask for it."""
         adj: dict[str, set] = {v: set() for v in self.vertices}
         for u, v in self.edges:
             adj[u].add(v)

@@ -47,6 +47,15 @@ def k4_file(tmp_path):
     return path
 
 
+_LONG = "1" * 5000  # more digits than int() reads by default
+
+
+def _shown(text):
+    """text as a usage error quotes it: whole up to 20 characters, else its
+    first 20 and its length."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def test_gadget_build_json_round_trips():
     result = go("gadget", "build", "J3")
     assert result.exit_code == EXIT_PASS
@@ -236,7 +245,7 @@ def test_at_number_and_coefficient(k4_file, tmp_path):
                         ("1=2_0,2=1,3=0", "bad exponent '2_0'"),
                         ("1= 2,2=1,3=0", "bad exponent ' 2'"),
                         ("1=007,2=1,3=0", "bad exponent '007'"),
-                        (f"1={_LONG},2=1,3=0", f"bad exponent '{_LONG}'")):
+                        (f"1={_LONG},2=1,3=0", f"bad exponent {_shown(_LONG)}")):
         result = go("at", "coefficient", "--input", str(k3), "--eta", eta)
         assert result.exit_code == EXIT_USAGE and detail in result.output(), eta
 
@@ -470,6 +479,34 @@ def test_growth_refuses_sizes_its_families_cannot_run(capsys, sizes):
     assert out == "" and "argument --sizes: each size must be at least 8, and no two equal" in err
 
 
+@pytest.mark.parametrize("size", ["+10", "1_0", "010", " 12", "\u0662", _LONG],
+                         ids=["plus", "underscore", "leading-zero", "space", "arabic-indic", "5000-digits"])
+def test_growth_reads_sizes_as_json_integers(capsys, size):
+    # texts int() reads and a JSON integer cannot spell; refused before the
+    # checkout is put on sys.path
+    path = list(sys.path)
+    with pytest.raises(SystemExit) as exit_info:
+        _script("growth").main(["--sizes", "8", size])
+    assert exit_info.value.code == EXIT_USAGE and sys.path == path
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument --sizes: {_shown(size)} is not an integer" in err
+
+
+def test_growth_reads_integers_as_the_cli_does():
+    # the script keeps its own copy of the rule, since it imports atforest
+    # from --checkout; the two accept the same texts, with the same values
+    size = _script("growth")._size
+    for text in (*_NOT_JSON_INTEGERS, "0", "-0", "8", "-12", "10", str(2**64), "", "-", "00", "-01",
+                 "4 ", "4\n", "--4", "1e3", "1.0", "0x10", "\uff14", "-" + _LONG, "+10", "010", " 12"):
+        values = []
+        for read in (size, cli._integer):
+            try:
+                values.append(read(text))
+            except argparse.ArgumentTypeError as refused:
+                values.append(str(refused))
+        assert values[0] == values[1], text
+
+
 def test_run_verifications_pins_the_exhaustive_counts(monkeypatch, capsys):
     script = _script("run_verifications")
     assert script.main(["--samples", "2"]) == EXIT_PASS
@@ -513,7 +550,8 @@ def test_choose_check(tmp_path):
     # the same list at both ends of an edge: no colouring
     lists.write_text(json.dumps({"lists": {**{v: ["1", "2"] for v in "abcd"}, "a": ["1"], "b": ["1"]}}))
     none = go("choose", "check", "--input", str(c4), "--lists", str(lists), "--json")
-    assert none.exit_code == EXIT_FAIL and json.loads(none.output()) == {"verdict": "FAIL"}
+    assert none.exit_code == EXIT_FAIL
+    assert json.loads(none.output()) == {"verdict": "FAIL", "detail": "no proper coloring from the lists"}
     # the search depth does not grow with n: a 3000-vertex path with 3-lists
     names = [f"v{i:04d}" for i in range(3000)]
     path = tmp_path / "path.json"
@@ -539,6 +577,47 @@ def test_choose_check_refuses_a_coloring_its_checker_refuses(tmp_path, monkeypat
     monkeypatch.setattr(cli, "is_l_colorable", lambda g, l: coloring)
     result = go("choose", "check", "--input", str(c4), "--lists", str(lists))
     assert (result.exit_code, result.output()) == (EXIT_FAIL, reason)
+
+
+_VERDICT_CASES = [
+    ("verify decomposition valid", "PASS", ("verify", "decomposition", "--input", "{tri}", "--decomposition", "{cert}")),
+    ("verify decomposition tampered", "FAIL",
+     ("verify", "decomposition", "--input", "{tri}", "--decomposition", "{tampered}")),
+    ("verify lemma", "PASS", ("verify", "lemma", "--name", "lemma2")),
+    ("verify sampled", "PASS", ("verify", "sampled", "--target", "theorem7", "--count", "2", "--seed", "1")),
+    ("at orientation k=2", "PASS", ("at", "orientation", "--input", "{c4}", "--k", "2")),
+    ("at orientation k=1", "FAIL", ("at", "orientation", "--input", "{c4}", "--k", "1")),
+    ("choose check colourable", "PASS", ("choose", "check", "--input", "{c4}", "--lists", "{two}")),
+    ("choose check uncolourable", "FAIL", ("choose", "check", "--input", "{c4}", "--lists", "{stuck}")),
+    ("choose check witness", "PASS", ("choose", "check", "--input", "{k4}", "--lists", "{two}", "--k", "2")),
+    ("choose check no witness", "FAIL", ("choose", "check", "--input", "{c4}", "--lists", "{two}", "--k", "2")),
+]
+
+
+@pytest.mark.parametrize("verdict, command", [c[1:] for c in _VERDICT_CASES], ids=[c[0] for c in _VERDICT_CASES])
+def test_every_verdict_leaf_follows_one_rule(tri_file, k4_file, tmp_path, verdict, command):
+    # exit 0 or 1 by the JSON's verdict, a detail on every FAIL, and the
+    # plain text of a FAIL is its report line
+    files = {"tri": tri_file, "k4": k4_file, "cert": tmp_path / "cert.json", "tampered": tmp_path / "bad.json",
+             "c4": tmp_path / "c4.json", "two": tmp_path / "two.json", "stuck": tmp_path / "stuck.json"}
+    assert go("decompose", "--input", str(tri_file), "--output", str(files["cert"])).exit_code == EXIT_PASS
+    cert = json.loads(files["cert"].read_text())
+    files["tampered"].write_text(json.dumps({**cert, "arcs": cert["arcs"][1:]}))
+    files["c4"].write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"]],
+    }))
+    files["two"].write_text(json.dumps({"lists": {v: ["1", "2"] for v in "abcd"}}))
+    files["stuck"].write_text(json.dumps({"lists": {**{v: ["1", "2"] for v in "abcd"}, "a": ["1"], "b": ["1"]}}))
+    argv = [arg.format(**files) for arg in command]
+    result = go(*argv, "--json")
+    data = json.loads(result.output())
+    assert data["verdict"] == verdict
+    assert result.exit_code == {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}[verdict]
+    if verdict == "FAIL":
+        assert data["detail"]
+        text = go(*argv)
+        assert text.exit_code == EXIT_FAIL and text.output() == f"FAIL: {data['detail']}"
 
 
 def test_gen_graph_deterministic(tmp_path):
@@ -585,9 +664,6 @@ def test_integer_options_name_no_private_function(k4_file, tmp_path, capsys):
     assert "_integer" not in err and "partial" not in err
 
 
-_LONG = "1" * 5000  # more digits than int() reads by default
-
-
 def _integer_options(k4_file, lists):
     """Each leaf's command line up to one of its integer options."""
     lists.write_text(json.dumps({"lists": {v: ["1", "2", "3"] for v in "abcd"}}))
@@ -615,7 +691,7 @@ def test_integer_reads_exactly_json_integers():
                  "1e3", "1.0", "0x10", "\uff14", "-" + _LONG):
         with pytest.raises(argparse.ArgumentTypeError) as refused:
             cli._integer(text)
-        assert str(refused.value) == f"{text!r} is not an integer"
+        assert str(refused.value) == f"{_shown(text)} is not an integer"
     assert cli._integer("-3", least=-3) == -3 and cli._integer("5", least=0, most=5) == 5
     with pytest.raises(argparse.ArgumentTypeError, match="^-4 is below -3$"):
         cli._integer("-4", least=-3)
@@ -628,13 +704,32 @@ def test_every_integer_option_reads_only_json_integers(k4_file, tmp_path, capsys
         for text in _NOT_JSON_INTEGERS:
             result = go(*command, text)
             assert result.exit_code == EXIT_USAGE, (command, text)
-            assert result.output() == f"usage error: argument {command[-1]}: {text!r} is not an integer"
+            assert result.output() == (f"usage error: argument {command[-1]}: "
+                                       f"{_shown(text)} is not an integer")
     for option in ("--samples", "--seed"):
         for text in _NOT_JSON_INTEGERS:
             with pytest.raises(SystemExit) as exit_info:
                 _script("run_verifications").main([option, text])
             assert exit_info.value.code == EXIT_USAGE, (option, text)
-            assert f"argument {option}: {text!r} is not an integer" in capsys.readouterr().err
+            assert f"argument {option}: {_shown(text)} is not an integer" in capsys.readouterr().err
+
+
+def test_a_refused_text_is_echoed_short(tmp_path):
+    # the first 20 characters and the length, not 5000 digits
+    ab = tmp_path / "ab.json"
+    ab.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    cut = "'11111111111111111111'... (5000 characters)"
+    for argv, said in ((("gen", "graph", "--n", "5", "--p", "0.5", "--seed", _LONG), "argument --seed: "),
+                       (("at", "coefficient", "--input", str(ab), "--eta", f"a={_LONG},b=0"), "bad exponent ")):
+        result = go(*argv)
+        assert result.exit_code == EXIT_USAGE and said + cut in result.output()
+        assert len(result.output()) < 200, result.output()
+    # a value int() reads but a bound refuses is cut the same way, unquoted
+    result = go("gen", "graph", "--n", "5", "--p", "0.5", "--seed", "9" * 4000)
+    assert result.output() == ("usage error: argument --seed: 99999999999999999999... (4000 characters) "
+                               "is outside 0 ... 18446744073709551615")
+    result = go("at", "orientation", "--input", str(ab), "--k", "-" + "9" * 4000)
+    assert result.output() == "usage error: argument --k: -9999999999999999999... (4001 characters) is below 1"
 
 
 @pytest.mark.parametrize("command", [
@@ -858,7 +953,8 @@ def test_integer_colors_read_as_their_decimal_strings(tmp_path):
     lists.write_text(json.dumps({"lists": {"a": [1, "2"], "b": [1]}}))
     result = go("choose", "check", "--input", str(ab), "--lists", str(lists), "--json")
     assert result.exit_code == EXIT_PASS
-    assert json.loads(result.output()) == {"coloring": {"a": "2", "b": "1"}, "verdict": "PASS"}
+    assert json.loads(result.output()) == {"coloring": {"a": "2", "b": "1"}, "verdict": "PASS",
+                                           "detail": "proper colouring from the lists"}
 
 
 def test_deeply_nested_input_is_input_error(tmp_path):
@@ -971,7 +1067,7 @@ def test_certificate_without_a_list_is_input_error_with_a_sentence(tri_file, tmp
 ], ids=["lists", "rotation", "certificate", "edges"])
 def test_a_json_object_that_names_a_key_twice_is_input_error(tri_file, tmp_path, text, command, what, key):
     # json would let the last value win, and each command would exit 0:
-    # choose check with "PASS: proper coloring found", though a's first
+    # choose check with "PASS: proper colouring from the lists", though a's first
     # list leaves the edge ab uncolourable
     if text is None:  # a valid certificate with an empty forest named first
         data, _ = _decomposition_files(tri_file, tmp_path)
