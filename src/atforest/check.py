@@ -11,7 +11,7 @@ collection, repeats counted.
 
 from __future__ import annotations
 
-from .report import VerificationReport
+from .report import VerificationReport, _echo
 
 
 def _partition(edges, forest, arcs) -> bool:
@@ -94,7 +94,7 @@ def _names(item, what: str) -> tuple:
         pair = tuple(map(str, item))
         if pair[0] != pair[1]:
             return pair
-    raise ValueError(f"{what} {item!r} is not two distinct vertex names")
+    raise ValueError(f"{what} {_echo(repr(item), str)} is not two distinct vertex names")
 
 
 def read_certificate(data) -> tuple:

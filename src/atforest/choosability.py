@@ -13,7 +13,7 @@ from typing import Optional
 
 from .errors import ArtifactError
 from .graph import Graph, _names
-from .report import VerificationReport
+from .report import VerificationReport, _echo
 
 ALPHA, BETA, GAMMA, OMEGA = "alpha", "beta", "gamma", "omega"
 
@@ -122,7 +122,7 @@ def build_lemma1_lists(selector: str) -> tuple:
     {y, z, omega} when attached to b.
     """
     if len(selector) != 6 or any(ch not in "ab" for ch in selector):
-        raise ArtifactError(f"selector must be a length-6 word over {{a,b}}: {selector!r}")
+        raise ArtifactError(f"selector must be a length-6 word over {{a,b}}: {_echo(selector)}")
     pieces = [(ch, f"c{i}", f"e{i}", f"d{i}") for i, ch in enumerate(selector, start=1)]
     _, g, lists = _assemble_member("a", "b", pieces)
     return g, lists

@@ -28,7 +28,7 @@ from .choosability import (
     is_l_colorable,
     verify_witness_not_k_choosable,
 )
-from .decompose import decompose, decompose_any_planar, verify_decomposition
+from .decompose import decompose, decompose_any_planar
 from .errors import ArtifactError, CapExceeded
 from .gadgets import (
     build_gadget,
@@ -45,7 +45,7 @@ from .graph import (
     graph_to_dot,
     graph_to_json_dict,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _echo
 from .testkit import _M64, random_graph, random_near_triangulation
 
 EXIT_PASS, EXIT_FAIL, EXIT_USAGE, EXIT_CAP, EXIT_INTERNAL = 0, 1, 2, 3, 4
@@ -137,11 +137,6 @@ def _from_report(report: VerificationReport, **artifact) -> CommandResult:
     """The one verdict rule: exit 0 or 1, the report line, its fields and the artifact's as JSON."""
     return CommandResult(EXIT_PASS if report.verdict else EXIT_FAIL, str(report),
                          {**report.to_json_dict(), **artifact})
-
-
-def _echo(text: str, show=repr) -> str:
-    """show(text) for an error line, cut to its first 20 characters and its length if longer."""
-    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
 
 
 _JSON_INTEGER = re.compile("-?(0|[1-9][0-9]*)")  # RFC 8259's int, with its minus
@@ -255,32 +250,32 @@ def _gadget_build(args) -> CommandResult:
     return result
 
 
+def _judge(pg: PlaneGraph, cert: tuple) -> CommandResult:
+    """The one plane verdict: `check_plane_certificate` on `read_certificate`'s output."""
+    return _from_report(check_plane_certificate(pg.graph.edges, *cert, pg.outer_face))
+
+
 def _decompose(args) -> CommandResult:
     pg = _graph(args.input, "decompose needs an embedded input (rotation + outer_face)")
     if args.handle is not None:
         parts = args.handle.split(",")
         if len(parts) != 2:
             raise _UsageError("--handle must be u,v")
-        d = decompose(pg, (parts[0], parts[1]))
-        report = verify_decomposition(pg, d)
-        payload = d.to_json_dict()
+        payload = decompose(pg, (parts[0], parts[1])).to_json_dict()
     else:
         forest, orientation = decompose_any_planar(pg)
-        report = check_plane_certificate(pg.graph.edges, forest, orientation.arcs)
-        payload = {
-            "forest": [list(e) for e in sorted(forest)],
-            "arcs": [list(a) for a in sorted(orientation.arcs)],
-        }
-    result = _from_report(report)
-    result.payload = {**payload, "report": report.to_json_dict()}
+        payload = {"forest": [list(e) for e in sorted(forest)],
+                   "arcs": [list(a) for a in sorted(orientation.arcs)]}
+    # what is written is what is judged, read back as `verify decomposition` reads it
+    result = _judge(pg, read_certificate(payload))
+    result.payload = {**payload, "report": result.payload}
     _emit(result, args.output, json.dumps(payload, sort_keys=True))
     return result
 
 
 def _verify_decomposition(args) -> CommandResult:
     pg = _graph(args.input, "verification needs an embedded input")
-    cert = _load(args.decomposition, read_certificate, "decomposition")
-    return _from_report(check_plane_certificate(pg.graph.edges, *cert, pg.outer_face))
+    return _judge(pg, _load(args.decomposition, read_certificate, "decomposition"))
 
 
 def _verify_lemma(args) -> CommandResult:
@@ -289,7 +284,7 @@ def _verify_lemma(args) -> CommandResult:
     verifiers = {"lemma2": verify_lemma2, "lemma6": verify_lemma6, "theorem7core": verify_theorem7_core}
     verifier = verifiers.get(args.name)
     if verifier is None:
-        raise _UsageError(f"unknown lemma {args.name!r}")
+        raise _UsageError(f"unknown lemma {_echo(args.name)}")
     if args.selector is not None:
         raise _UsageError(f"only lemma1 takes --selector, not {args.name!r}")
     return _from_report(verifier())
@@ -315,7 +310,7 @@ def _at_coefficient(args) -> CommandResult:
                 raise _UsageError("--eta items must be vertex=exponent")
             name, _, val = item.partition("=")
             if name in eta:
-                raise _UsageError(f"--eta names vertex {name!r} twice")
+                raise _UsageError(f"--eta names vertex {_echo(name)} twice")
             try:  # a JSON integer, as in --eta-file
                 eta[name] = _integer(val)
             except argparse.ArgumentTypeError:
@@ -369,7 +364,7 @@ _REFUSALS = {
 
 def run(argv) -> CommandResult:
     """Parse and execute one command; never raises, never exits."""
-    as_json = False
+    as_json = any(len(a) > 2 and "--json".startswith(a) for a in argv)  # --json or a prefix, until parsed
     try:
         args = _build_parser().parse_args(argv)
         as_json = args.json  # every leaf command has --json

@@ -50,7 +50,7 @@ from .graph import (
     edge,
     validate_near_triangulation,
 )
-from .report import VerificationReport
+from .report import VerificationReport, _echo
 
 
 @dataclass
@@ -116,7 +116,7 @@ def _shell(rot: dict, cycle0, traced: bool, handle: tuple) -> tuple:
     succ0 = dict(zip(cycle0, cycle0[1:] + cycle0[:1]))
     pred0 = {w: v for v, w in succ0.items()}
     if x0 not in succ0 or y0 not in (succ0[x0], pred0[x0]):
-        raise ArtifactError(f"{handle} is not a boundary edge")
+        raise ArtifactError(f"({', '.join(_echo(str(v)) for v in handle)}) is not a boundary edge")
 
     forest: set = set()
     arcs: list = []
@@ -333,27 +333,27 @@ def _triangulate_embedding(vertices, edges, rotation: dict, faces) -> tuple:
     rotation = {v: list(rotation[v]) for v in vertices}
     edges = set(edges)
 
-    pending = [deque(f) for f in faces if len(f) > 3]
-    done = [f for f in faces if len(f) <= 3]
-    while pending:
-        walk = pending.pop()
-        for _ in range(len(walk)):
-            a, b, c = walk[0], walk[1], walk[2]
-            if a != c and ((a, c) if a < c else (c, a)) not in edges:
-                break
-            walk.rotate(-1)
-        else:  # only on a walk that is not a face, by the lemma above
-            raise ArtifactError(f"no two-step corner in face {list(walk)}")
-        # the walk runs p, a, b, c, d with p = walk[-1] and d = walk[3]
-        at_a, at_c = rotation[a], rotation[c]
-        i, j = at_a.index(walk[-1]) + 1, at_c.index(b) + 1
-        if at_a[i % len(at_a)] != b or at_c[j % len(at_c)] != walk[3]:
-            raise ArtifactError(f"face {list(walk)} does not follow the rotation at {a!r} and {c!r}")
-        at_a.insert(i, c)
-        at_c.insert(j, a)
-        edges.add((a, c) if a < c else (c, a))
-        done.append([a, b, c])
-        walk.rotate(-2)  # c .. a, b
-        walk.pop()
-        (pending if len(walk) > 3 else done).append(walk)
-    return rotation, tuple(done[0])
+    first = next((f for f in faces if len(f) <= 3), None)  # the boundary cycle returned
+    # the long faces last to first, each clipped down to triangles before the next: the order
+    # fixes the chords, and so the certificates
+    for walk in (deque(f) for f in reversed(faces) if len(f) > 3):
+        while len(walk) > 3:
+            for _ in range(len(walk)):
+                a, b, c = walk[0], walk[1], walk[2]
+                if a != c and ((a, c) if a < c else (c, a)) not in edges:
+                    break
+                walk.rotate(-1)
+            else:  # only on a walk that is not a face, by the lemma above
+                raise ArtifactError(f"no two-step corner in face {list(walk)}")
+            # the walk runs p, a, b, c, d with p = walk[-1] and d = walk[3]
+            at_a, at_c = rotation[a], rotation[c]
+            i, j = at_a.index(walk[-1]) + 1, at_c.index(b) + 1
+            if at_a[i % len(at_a)] != b or at_c[j % len(at_c)] != walk[3]:
+                raise ArtifactError(f"face {list(walk)} does not follow the rotation at {a!r} and {c!r}")
+            at_a.insert(i, c)
+            at_c.insert(j, a)
+            edges.add((a, c) if a < c else (c, a))
+            first = first or (a, b, c)
+            walk.rotate(-2)  # c .. a, b
+            walk.pop()
+    return rotation, tuple(first)

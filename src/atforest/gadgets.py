@@ -44,7 +44,7 @@ from .choosability import (
 )
 from .errors import ArtifactError
 from .graph import Graph, edge, k4s
-from .report import VerificationReport
+from .report import VerificationReport, _echo
 from .testkit import Rng
 
 
@@ -186,7 +186,7 @@ def build_gadget(gadget_id: str, selector: Optional[str] = None) -> Graph:
         return build_lemma1_lists(selector)[0]
     builder = _GADGET_BUILDERS.get(gadget_id.upper())
     if builder is None:
-        raise ArtifactError(f"unknown gadget {gadget_id!r}")
+        raise ArtifactError(f"unknown gadget {_echo(gadget_id)}")
     if selector is not None:
         raise ArtifactError(f"only JFamily takes a selector, not {gadget_id!r}")
     return builder()
@@ -480,7 +480,7 @@ def verify_sampled(target: str, n: int, seed: int) -> VerificationReport:
     Each sample's outcome from `_SAMPLERS[target]` is a tally key and None,
     or a problem and its counterexample, which ends the run with FAIL."""
     if target not in _SAMPLERS:
-        raise ArtifactError(f"unknown target {target!r}")
+        raise ArtifactError(f"unknown target {_echo(target)}")
     if n < 0:
         raise ArtifactError("sample count must be non-negative")
     if n == 0:

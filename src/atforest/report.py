@@ -1,4 +1,4 @@
-"""Verification verdicts with enumeration statistics."""
+"""Verification verdicts with enumeration statistics, and the cut of input echoed in errors."""
 
 from __future__ import annotations
 
@@ -29,3 +29,8 @@ class VerificationReport:
     def __str__(self) -> str:
         tag = "PASS" if self.verdict else "FAIL"
         return f"{tag}: {self.detail}" if self.detail else tag
+
+
+def _echo(text: str, show=repr) -> str:
+    """show(text) for an error line, cut to its first 20 characters and its length if longer."""
+    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"

@@ -13,7 +13,7 @@ import pytest
 
 import atforest.cli as cli
 from atforest.cli import EXIT_CAP, EXIT_FAIL, EXIT_INTERNAL, EXIT_PASS, EXIT_USAGE, run
-from atforest.decompose import decompose
+from atforest.decompose import Decomposition, decompose
 from atforest.gadgets import build_gadget
 from atforest.graph import Graph, graph_from_json, graph_to_json
 from atforest.testkit import random_graph, random_near_triangulation
@@ -94,6 +94,38 @@ def test_decompose_and_verify_round_trip(tmp_path, n, boundary, seed):
     # there is one check, so no flag chooses it
     assert go("decompose", "--input", str(tri_file), "--handle", handle,
               "--check", "parity").exit_code == EXIT_USAGE
+
+
+def test_decompose_judges_the_certificate_it_writes(tri_file, tmp_path, monkeypatch):
+    # a writer that drops one arc: the file written is the file judged
+    write = Decomposition.to_json_dict
+
+    def drop_an_arc(d):
+        data = write(d)
+        data["arcs"].pop()
+        return data
+
+    monkeypatch.setattr(Decomposition, "to_json_dict", drop_an_arc)
+    tri = json.loads(tri_file.read_text())
+    handle = f"{tri['outer_face'][0]},{tri['outer_face'][1]}"
+    dec = tmp_path / "dec.json"
+    result = go("decompose", "--input", str(tri_file), "--handle", handle, "--output", str(dec))
+    assert result.exit_code == EXIT_FAIL
+    assert result.output() == "FAIL: forest and arcs do not partition the edge set"
+    assert _verify_decomposition(tri_file, dec).output() == result.output()
+
+
+@pytest.mark.parametrize("route", ["handle", "no handle"])
+def test_decompose_reports_what_verify_decomposition_prints(tmp_path, route):
+    tri_file = gen_triangulation(tmp_path / "tri.json", 300, 8, 2)
+    tri = json.loads(tri_file.read_text())
+    handle = ("--handle", f"{tri['outer_face'][0]},{tri['outer_face'][1]}") if route == "handle" else ()
+    dec = tmp_path / "dec.json"
+    result = go("decompose", "--input", str(tri_file), *handle, "--output", str(dec), "--json")
+    verify = go("verify", "decomposition", "--input", str(tri_file), "--decomposition", str(dec), "--json")
+    assert result.exit_code == verify.exit_code == EXIT_PASS
+    assert json.loads(result.output())["report"] == json.loads(verify.output())
+    assert ("handle" in json.loads(dec.read_text())) == (route == "handle")
 
 
 def test_decompose_bad_handle_is_usage_error(tri_file):
@@ -730,6 +762,43 @@ def test_a_refused_text_is_echoed_short(tmp_path):
                                "is outside 0 ... 18446744073709551615")
     result = go("at", "orientation", "--input", str(ab), "--k", "-" + "9" * 4000)
     assert result.output() == "usage error: argument --k: -9999999999999999999... (4001 characters) is below 1"
+
+
+def test_a_long_name_is_echoed_short(tri_file, tmp_path):
+    # each refusal names its flag or entry in under 200 characters, not 5000
+    long = "x" * 5000
+    cut = "'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)"
+    data, bad = _decomposition_files(tri_file, tmp_path)
+    data["forest"][0] = [long, "a", "b"]
+    bad.write_text(json.dumps(data))
+    ab = tmp_path / "ab.json"
+    ab.write_text(json.dumps({"vertices": ["a", "b"], "edges": [["a", "b"]]}))
+    for argv, said in (
+        (("verify", "decomposition", "--input", str(tri_file), "--decomposition", str(bad)),
+         "forest entry ['xxxxxxxxxxxxxxxxxx... (5014 characters) is not two distinct vertex names"),
+        (("decompose", "--input", str(tri_file), "--handle", f"{long},b"), f"({cut}, 'b') is not a boundary edge"),
+        (("verify", "lemma", "--name", long), f"usage error: unknown lemma {cut}"),
+        (("verify", "sampled", "--target", long, "--count", "1", "--seed", "1"), f"input error: unknown target {cut}"),
+        (("gadget", "build", long), f"input error: unknown gadget {cut}"),
+        (("gadget", "build", "JFamily", "--selector", long), f"length-6 word over {{a,b}}: {cut}"),
+        (("at", "coefficient", "--input", str(ab), "--eta", f"{long}=1,{long}=0"), f"--eta names vertex {cut} twice"),
+    ):
+        result = go(*argv)
+        assert result.exit_code == EXIT_USAGE and said in result.output(), argv[:2]
+        # the file's path is the caller's, not echoed input
+        assert len(result.output().replace(str(bad), "")) < 200, result.output()
+    # a short name is still echoed whole
+    assert go("verify", "lemma", "--name", "lemma9").output() == "usage error: unknown lemma 'lemma9'"
+
+
+def test_usage_errors_found_by_argparse_honour_json(k4_file):
+    result = go("at", "orientation", "--input", str(k4_file), "--k", "0", "--json")
+    assert result.exit_code == EXIT_USAGE
+    assert result.output() == '{"error": "argument --k: 0 is below 1", "verdict": "ERROR"}'
+    # argparse takes a prefix of --json as the flag itself
+    assert json.loads(go("at", "number", "--input", str(k4_file), "--nope", "--js").output())["verdict"] == "ERROR"
+    # a leaf's own name, not a flag
+    assert go("gadget", "build", "--", "--json").output() == "input error: unknown gadget '--json'"
 
 
 @pytest.mark.parametrize("command", [
